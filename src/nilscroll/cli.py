@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,17 +24,14 @@ from .errors import (
     DomainError,
     ExprSyntaxError,
     InitError,
-    MaxStepsExceeded,
     NilscrollError,
     NormalizationError,
-    NoSolutionFound,
     NotLorentz,
+    NumericFailure,
     OrientationBreak,
     OrientationError,
-    OutOfRange,
     PoleError,
     PreconditionError,
-    StepUnderflow,
     UnknownFunction,
 )
 from .frames import (
@@ -42,12 +40,11 @@ from .frames import (
     make_frame_source,
     validate_frame,
 )
-from .integrate import IntegratorConfig, integrate_curve
-from .io_formats import fmt17, write_curve_csv, write_json, write_obj
+from .integrate import integrate_curve
+from .io_formats import write_curve_csv, write_json, write_obj
 from .lorentz import LorentzTransform, Vec3L, mdot
 from .singular import (
     DEFAULT_TOL_ROOT,
-    SingularKind,
     classify_point,
     find_notce_transform,
     invariance_check,
@@ -76,14 +73,6 @@ _INPUT_ERRORS = (
     OrientationBreak,
     ValueError,
 )
-_NUMERIC_ERRORS = (
-    StepUnderflow,
-    MaxStepsExceeded,
-    OutOfRange,
-    PoleError,
-    NoSolutionFound,
-    ClassifierInconsistency,
-)
 
 
 def _parse_range(text: str):
@@ -91,6 +80,8 @@ def _parse_range(text: str):
     if len(parts) != 2:
         raise ValueError(f"range must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"range needs finite ends, got {text!r}")
     if not lo < hi:
         raise ValueError(f"range needs lo < hi, got {text!r}")
     return lo, hi
@@ -112,14 +103,10 @@ def _require(args, *names):
             raise ValueError(f"--{name} is required for this subcommand")
 
 
-def _build_surface(args, order=5):
-    h_ast = hexpr.parse(args.h)
-    source = make_frame_source(h_ast, args.H, order=order)
+def _build_surface(args):
+    source = make_frame_source(hexpr.parse(args.h), args.H)
     s0 = 0.5 * (args.s_range[0] + args.s_range[1])
-    # probe both ends so domain errors surface before integrating
-    for s in (args.s_range[0], s0, args.s_range[1]):
-        source(s)
-    path = integrate_curve(source, s0, args.s_range, IntegratorConfig())
+    path = integrate_curve(source, s0, args.s_range)
     return source, ScrollSurface(source, path)
 
 
@@ -137,22 +124,13 @@ def cmd_surface(args) -> int:
     _require(args, "h")
     _, surf = _build_surface(args)
     ns, nt = args.grid
-    svals = np.linspace(args.s_range[0], args.s_range[1], ns)
-    tvals = np.linspace(args.t_range[0], args.t_range[1], nt)
+    verts = surf.mesh(np.linspace(*args.s_range, ns), np.linspace(*args.t_range, nt))
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
-    written = []
+    if not all(np.all(np.isfinite(verts[k])) for k in targets):
+        raise NumericFailure("non-finite mesh vertex")
     for target in targets:
-        fn = surf.bscroll_point if target == "l3" else surf.nil3_point
-        verts = []
-        for s in svals:
-            for t in tvals:
-                p = fn(float(s), float(t))
-                verts.append((p.x1, p.x2, p.x3))
-        path = f"{args.out}_{target}.obj"
-        write_obj(path, verts, ns, nt)
-        written.append(path)
-    for path in written:
-        print(path)
+        write_obj(f"{args.out}_{target}.obj", verts[target], ns, nt)
+    print("\n".join(f"{args.out}_{target}.obj" for target in targets))
     return EXIT_OK
 
 
@@ -209,7 +187,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     """Named invariant checks for one generator; pure, used by tests too."""
     h_ast = hexpr.parse(h_text)
     args = argparse.Namespace(h=h_text, H=H, s_range=s_range)
-    source, surf = _build_surface(args, order=5)
+    source, surf = _build_surface(args)
     rng = np.random.default_rng(20240817)
     lo, hi = s_range
     svals = np.linspace(lo, hi, 41)
@@ -349,9 +327,6 @@ def cmd_frame(args) -> int:
     k2_ast = hexpr.parse(args.kappa2)
     s0 = args.s if args.s is not None else args.s_range[0]
     init = _parse_init_frame(args.init_frame, k1_ast, k2_ast, args.H, s0)
-    res = validate_frame(init)
-    if res.worst > 1e-9:
-        raise InitError(f"initial frame invalid: worst residual {res.worst:.3e}")
     frames = frame_flow_from_curvatures(
         k1_ast, k2_ast, args.H, init, args.s_range, n_samples=args.samples
     )
@@ -512,17 +487,18 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
-        if getattr(args, "H", 1.0) == 0.0:
-            raise ValueError("H must be non-zero")
+        H = getattr(args, "H", 1.0)
+        if H == 0.0 or not math.isfinite(H):
+            raise ValueError(f"H must be finite and non-zero, got {H!r}")
         return args.func(args)
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except _NUMERIC_ERRORS as err:
+    except NilscrollError as err:  # every other package error is numeric
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NilscrollError as err:  # anything else package-specific
-        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:  # a bug must not exit 1, the verification code
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -74,6 +74,10 @@ class OutOfRange(NilscrollError):
     """Dense evaluation requested outside the integrated range."""
 
 
+class NumericFailure(NilscrollError):
+    """A computed value is not finite, or an approximation does not converge."""
+
+
 class UnboundedCurve(NilscrollError):
     """B_3 ~ 0: the singular curve t(s) escapes to infinity at this s."""
 

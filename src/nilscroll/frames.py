@@ -100,11 +100,6 @@ def make_frame_source(h_ast, H: float, order: int = DEFAULT_ORDER):
     return source
 
 
-def kappa2_of_B(B: Vec3L, H: float) -> float:
-    """kappa2 = -<B'', B''>/(2 H^3) for a prescribed B (with its checks)."""
-    return frame_from_B(B, H).kappa2.value
-
-
 def frame_from_B(B: Vec3L, H: float, tol: float = 1e-9) -> NullFrame:
     """Complete a prescribed lightlike B (jet order >= 3) to a null frame.
 

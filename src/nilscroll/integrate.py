@@ -1,9 +1,13 @@
-"""Adaptive Dormand-Prince 5(4) integration with cubic-Hermite dense output.
+"""Piecewise-Chebyshev quadrature for the base curve; DOPRI for the flow.
 
-Used for the base null curve gamma' = A (with the running Heisenberg area
-integral J) and for the Frenet-Serret frame flow.  Example generators such
-as cot(exp(s)/2) have rapidly varying derivatives, hence the embedded pair
-with PI step control rather than fixed-step RK4.
+The base null curve gamma' = A(s) and its Heisenberg area integral
+J' = gamma1*A2 - gamma2*A1 are quadratures.  A is interpolated on nested
+Chebyshev-Lobatto points of each panel, the degree is chosen by tail decay
+and a panel that does not converge is split (the chebfun construction:
+Battles & Trefethen, SISC 2004), then the series are integrated exactly.
+
+The Frenet-Serret frame flow is an ODE: adaptive Dormand-Prince 5(4) with
+PI step control and cubic-Hermite dense output.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
-from .errors import MaxStepsExceeded, OutOfRange, StepUnderflow
+from .errors import MaxStepsExceeded, NumericFailure, OutOfRange, StepUnderflow
 from .lorentz import Vec3L
 
 # Dormand-Prince 5(4) tableau
@@ -32,13 +37,22 @@ _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
+# Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
+# its last n/8 + 1 coefficients is below _CHEB_TOL times the largest |A| on
+# it; each degree's nodes contain the previous degree's nodes.
+_CHEB_TOL = 1e-13
+_CHEB_DEGREES = (16, 32, 64, 128)
+# panels narrower than this fraction of the curve's range are not split
+_MIN_PANEL = 1e-8
+
 
 @dataclass
 class IntegratorConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    # the dense output is cubic Hermite between accepted steps, so the step
-    # cap (not the embedded-pair tolerance) controls interpolation error
+    # DOPRI serves only the Frenet-Serret flow, whose dense output is
+    # cubic Hermite between accepted steps: the step cap (not the
+    # embedded-pair tolerance) controls its interpolation error
     max_step: float = 0.01
     min_step: float = 1e-13
     max_steps: int = 100_000
@@ -93,77 +107,11 @@ def _dopri_samples(f, s0, y0, s1, cfg: IntegratorConfig):
     return samples
 
 
-class _DenseTable:
-    """Hermite interpolation over accepted (s, y, y') samples.
-
-    Cubic by default; quintic (C^2, needed when second s-differences of the
-    interpolant feed finite-difference oracles) when ``d2`` supplies exact
-    second derivatives y'' = d2(s, y, y') at the sample points.
-    """
-
-    def __init__(self, samples, d2=None):
-        samples = sorted(samples, key=lambda t: t[0])
-        self.s = [t[0] for t in samples]
-        self.y = [t[1] for t in samples]
-        self.dy = [t[2] for t in samples]
-        self.ddy = None
-        if d2 is not None:
-            self.ddy = [
-                np.asarray(d2(s, y, dy), dtype=float)
-                for s, y, dy in zip(self.s, self.y, self.dy)
-            ]
-
-    @property
-    def lo(self):
-        return self.s[0]
-
-    @property
-    def hi(self):
-        return self.s[-1]
-
-    def __call__(self, s):
-        s = float(s)
-        if s < self.lo - 1e-12 or s > self.hi + 1e-12:
-            raise OutOfRange(f"s={s} outside [{self.lo}, {self.hi}]")
-        i = bisect.bisect_right(self.s, s) - 1
-        i = min(max(i, 0), len(self.s) - 2)
-        s0, s1 = self.s[i], self.s[i + 1]
-        if s == s0:
-            return self.y[i].copy()
-        if s == s1:
-            return self.y[i + 1].copy()
-        h = s1 - s0
-        u = (s - s0) / h
-        if self.ddy is None:
-            h00 = (1 + 2 * u) * (1 - u) ** 2
-            h10 = u * (1 - u) ** 2
-            h01 = u * u * (3 - 2 * u)
-            h11 = u * u * (u - 1)
-            return (
-                h00 * self.y[i]
-                + h10 * h * self.dy[i]
-                + h01 * self.y[i + 1]
-                + h11 * h * self.dy[i + 1]
-            )
-        u2, u3, u4, u5 = u * u, u**3, u**4, u**5
-        q0 = 1 - 10 * u3 + 15 * u4 - 6 * u5
-        q1 = u - 6 * u3 + 8 * u4 - 3 * u5
-        q2 = 0.5 * u2 - 1.5 * u3 + 1.5 * u4 - 0.5 * u5
-        q3 = 10 * u3 - 15 * u4 + 6 * u5
-        q4 = -4 * u3 + 7 * u4 - 3 * u5
-        q5 = 0.5 * u3 - u4 + 0.5 * u5
-        return (
-            q0 * self.y[i]
-            + q1 * h * self.dy[i]
-            + q2 * h * h * self.ddy[i]
-            + q3 * self.y[i + 1]
-            + q4 * h * self.dy[i + 1]
-            + q5 * h * h * self.ddy[i + 1]
-        )
-
-
 def solve_dense(f, s0, y0, grid, cfg: IntegratorConfig):
-    """Integrate from s0 and evaluate on an arbitrary grid (both directions)."""
+    """Integrate from s0 and evaluate on an arbitrary grid (both directions).
+
+    Values between accepted steps come from cubic Hermite interpolation.
+    """
     grid = np.asarray(grid, dtype=float)
     samples = []
     if grid.min() < s0:
@@ -173,81 +121,171 @@ def solve_dense(f, s0, y0, grid, cfg: IntegratorConfig):
     if not samples:
         dy0 = np.asarray(f(s0, np.asarray(y0, float)), dtype=float)
         samples = [(s0, np.asarray(y0, float), dy0)]
-    table = _DenseTable(samples)
-    return [table(s) for s in grid]
+    samples.sort(key=lambda t: t[0])
+    knots = [t[0] for t in samples]
+    out = []
+    for s in map(float, grid):
+        i = min(max(bisect.bisect_right(knots, s) - 1, 0), len(knots) - 2)
+        (sa, ya, da), (sb, yb, db) = samples[i], samples[i + 1]
+        if s == sa or s == sb:
+            out.append((ya if s == sa else yb).copy())
+            continue
+        h = sb - sa
+        u = (s - sa) / h
+        h00 = (1 + 2 * u) * (1 - u) ** 2
+        h10 = u * (1 - u) ** 2
+        h01 = u * u * (3 - 2 * u)
+        h11 = u * u * (u - 1)
+        out.append(h00 * ya + h10 * h * da + h01 * yb + h11 * h * db)
+    return out
+
+
+# -- piecewise-Chebyshev base curve ------------------------------------------
+
+
+def _lobatto(n):
+    """n + 1 Chebyshev-Lobatto points on [-1, 1], ascending.
+
+    In the sine form the points of degree n are bitwise the even points of
+    degree 2n, so a doubling reuses every frame already computed.
+    """
+    return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
+
+
+def _cheb_coeffs(v):
+    """Chebyshev coefficients of the interpolant of rows v at _lobatto(n).
+
+    One FFT of the even extension (a DCT-I); odd signs flip for ascending x.
+    """
+    n = len(v) - 1
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]]), axis=0).real / n
+    c[[0, n]] /= 2
+    c[1::2] *= -1
+    return c
+
+
+def _cheb_eval(breaks, coef, s):
+    """Rows of the piecewise series at the points s (a 1-D array).
+
+    Clenshaw's recurrence is elementwise: a point gets the same bits alone
+    or in a batch.
+    """
+    panel = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(coef) - 1)
+    out = np.empty((len(s), coef[0].shape[1]))
+    for p in np.unique(panel):
+        a, b = breaks[p], breaks[p + 1]
+        x = np.clip((s[panel == p] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
+        out[panel == p] = C.chebval(x, coef[p]).T
+    return out
 
 
 @dataclass
 class CurvePath:
-    """Sampled base null curve gamma (with gamma' = A) and area integral J.
+    """Base null curve gamma (with gamma' = A) and area integral J.
 
-    gamma(s0) = 0 and J(s0) = 0; the ambient translation freedom and the
-    Heisenberg left-translation freedom absorb any other choice of
-    constants.
+    Polynomials on each panel [breaks[p], breaks[p+1]].  gamma(s0) = 0 and
+    J(s0) = 0 exactly; the ambient translation freedom and the Heisenberg
+    left-translation freedom absorb any other choice of constants.
     """
 
     s0: float
-    table: _DenseTable = field(repr=False)
+    breaks: np.ndarray = field(repr=False)
+    coef: list = field(repr=False)  # per panel, rows of (gamma, J) coefficients
+    origin: np.ndarray = field(repr=False)  # the series' (gamma, J) at s0
+    A_nodes: dict = field(repr=False)  # A at every node where it was evaluated
 
     @property
     def s_min(self):
-        return self.table.lo
+        return float(self.breaks[0])
 
     @property
     def s_max(self):
-        return self.table.hi
+        return float(self.breaks[-1])
 
     @property
     def samples(self):
-        """Ordered (s, gamma, J, gamma') tuples at the accepted steps."""
-        out = []
-        for s, y, dy in zip(self.table.s, self.table.y, self.table.dy):
-            out.append((s, Vec3L(*y[0:3]), float(y[3]), Vec3L(*dy[0:3])))
-        return out
+        """Ordered (s, gamma, J, gamma') tuples at the Chebyshev nodes."""
+        nodes = sorted(self.A_nodes)
+        gamma, J = self.dense_eval(nodes)
+        return [(s, Vec3L(*g), float(j), Vec3L(*self.A_nodes[s]))
+                for s, g, j in zip(nodes, zip(*gamma), J)]
 
     def dense_eval(self, s):
-        """(gamma, J) at s by cubic-Hermite interpolation."""
-        y = self.table(s)
-        return Vec3L(*y[0:3]), float(y[3])
+        """(gamma, J) at s; for an array of s, componentwise arrays."""
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        bad = (flat < self.s_min - 1e-12) | (flat > self.s_max + 1e-12)
+        if np.any(bad):
+            raise OutOfRange(f"s={flat[bad][0]} outside [{self.s_min}, {self.s_max}]")
+        y = _cheb_eval(self.breaks, self.coef, flat) - self.origin
+        if s.ndim == 0:
+            return Vec3L(*y[0, :3]), float(y[0, 3])
+        return Vec3L(*y[:, :3].T), y[:, 3]
 
     def gamma(self, s) -> Vec3L:
         return self.dense_eval(s)[0]
 
 
-def integrate_curve(frame_source, s0, s_range, config=None) -> CurvePath:
-    """Solve gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range.
+def integrate_curve(frame_source, s0, s_range) -> CurvePath:
+    """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
-    A(s) comes from the frame source; gamma and J start at zero at s0.
+    A(s) comes from the frame source; gamma and J are zero at s0.  Raises
+    NumericFailure when A is not finite at a node, or when a panel
+    narrower than _MIN_PANEL times the range still does not resolve it.
     """
-    cfg = config or IntegratorConfig()
     lo, hi = float(s_range[0]), float(s_range[1])
-    if not (lo <= s0 <= hi):
-        raise ValueError(f"s0={s0} outside range [{lo}, {hi}]")
+    if not lo <= s0 <= hi or not lo < hi:
+        raise ValueError(f"need lo <= s0 <= hi and lo < hi: s0={s0}, range [{lo}, {hi}]")
+    A_nodes = {}
 
-    def rhs(s, y):
-        Av = frame_source(s).A.value()
-        return np.array(
-            [Av.x1, Av.x2, Av.x3, y[0] * Av.x2 - y[1] * Av.x1]
-        )
+    def fit(a, b):
+        """Coefficients of A on [a, b], or None if no degree resolves it."""
+        for n in _CHEB_DEGREES:
+            s = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(n)
+            s[0], s[-1] = a, b
+            for x in s:
+                if x not in A_nodes:
+                    A_nodes[x] = frame_source(float(x)).A.value().as_array()
+                    if not np.all(np.isfinite(A_nodes[x])):
+                        raise NumericFailure(f"A(s) is not finite at s={x!r}")
+            v = np.array([A_nodes[x] for x in s])
+            c = _cheb_coeffs(v)
+            if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):
+                return c
+        return None
 
-    def rhs2(s, y, dy):
-        # exact second derivative: gamma'' = A', J'' = gamma1*A2' - gamma2*A1'
-        Ap = frame_source(s).A.deriv().value()
-        return np.array([Ap.x1, Ap.x2, Ap.x3, y[0] * Ap.x2 - y[1] * Ap.x1])
+    # depth first, left half first, so panels come out in ascending order
+    panels, todo = [], [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        c = fit(a, b)
+        if c is not None:
+            panels.append((a, b, c))
+        elif b - a < _MIN_PANEL * (hi - lo):
+            raise NumericFailure(f"A(s) unresolved near s={0.5 * (a + b)!r}, "
+                                 f"panel width {b - a:.3e}")
+        else:
+            todo += [(0.5 * (a + b), b), (a, 0.5 * (a + b))]
+    breaks = np.array([a for a, _, _ in panels] + [hi])
 
-    y0 = np.zeros(4)
-    samples = []
-    if lo < s0:
-        samples += _dopri_samples(rhs, s0, y0, lo, cfg)
-    if hi > s0:
-        samples += _dopri_samples(rhs, s0, y0, hi, cfg)
-    if not samples:
-        samples = [(s0, y0, rhs(s0, y0))]
-    # de-duplicate the shared anchor at s0
-    seen = set()
-    uniq = []
-    for t in samples:
-        if t[0] not in seen:
-            seen.add(t[0])
-            uniq.append(t)
-    return CurvePath(s0=s0, table=_DenseTable(uniq, d2=rhs2))
+    # integrate panel by panel from lo; T_k(1) = 1, so a series' value at
+    # the right end of its panel is the sum of its coefficients
+    gammas, end = [], np.zeros(3)
+    for a, b, c in panels:
+        gammas.append(C.chebint(c, lbnd=-1, k=[end], scl=0.5 * (b - a)))
+        end = gammas[-1].sum(axis=0)
+    g0 = _cheb_eval(breaks, gammas, np.array([s0]))[0]
+    coef, end = [], 0.0
+    for (a, b, c), g in zip(panels, gammas):
+        # J' from gamma shifted to vanish at s0, as an exact series product
+        g1, g2 = C.chebsub(g[:, 0], g0[:1]), C.chebsub(g[:, 1], g0[1:2])
+        dJ = C.chebsub(C.chebmul(g1, c[:, 1]), C.chebmul(g2, c[:, 0]))
+        j = C.chebint(dJ, lbnd=-1, k=[end], scl=0.5 * (b - a))
+        end = j.sum()
+        both = np.zeros((max(len(j), len(g)), 4))
+        both[: len(g), :3], both[: len(j), 3] = g, j
+        # trailing rows below rounding in every column only cost Clenshaw steps
+        big = np.abs(both) > np.finfo(float).eps * np.max(np.abs(both), axis=0)
+        coef.append(both[: np.nonzero(big.any(axis=1))[0][-1] + 1])
+    origin = _cheb_eval(breaks, coef, np.array([s0]))[0]
+    return CurvePath(s0=s0, breaks=breaks, coef=coef, origin=origin, A_nodes=A_nodes)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLorentz, PoleError
+from .errors import NotLorentz, PoleError, PreconditionError
 from .jets import Jet
 
 ETA = np.diag([-1.0, 1.0, 1.0])
@@ -65,14 +65,6 @@ class Vec3L:
 
     def as_array(self):
         return np.array([_val(self.x1), _val(self.x2), _val(self.x3)])
-
-    def is_finite(self):
-        if any(isinstance(c, Jet) for c in self):
-            return all(
-                all(math.isfinite(d) for d in c.coeffs) if isinstance(c, Jet) else math.isfinite(c)
-                for c in self
-            )
-        return all(math.isfinite(float(c)) for c in self)
 
 
 E1 = Vec3L(1.0, 0.0, 0.0)
@@ -156,9 +148,6 @@ def _pc(x):
     return ParaComplex(float(x), 0.0)
 
 
-PC_J = ParaComplex(0.0, 1.0)
-
-
 # -- stereographic projections of S^2_1 ------------------------------------
 
 
@@ -230,7 +219,12 @@ class LorentzTransform:
 
     @classmethod
     def from_params(cls, phi=0.0, chi=0.0, psi=0.0, reflect=False, time_reverse=False):
-        m = _rot(phi) @ _boost(chi) @ _rot(psi)
+        try:
+            m = _rot(phi) @ _boost(chi) @ _rot(psi)
+        except (OverflowError, ValueError):  # cosh(chi) overflows, cos(inf)
+            m = np.full((3, 3), np.nan)
+        if not np.all(np.isfinite(m)):
+            raise PreconditionError(f"no finite transform: phi={phi}, chi={chi}, psi={psi}")
         if reflect:
             m = m @ np.diag([1.0, 1.0, -1.0])
         if time_reverse:
@@ -264,7 +258,3 @@ class LorentzTransform:
 
     def __matmul__(self, other):
         return LorentzTransform(m=self.m @ other.m, params=None)
-
-
-def lorentz_from_params(phi=0.0, chi=0.0, psi=0.0, reflect=False, time_reverse=False):
-    return LorentzTransform.from_params(phi, chi, psi, reflect, time_reverse)

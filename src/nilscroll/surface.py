@@ -40,6 +40,15 @@ class SurfaceSample:
     g_map: ParaComplex | None  # None marks a projection pole
 
 
+def _nil3(gamma, J, B, t, H) -> Vec3L:
+    """Nil_3 point from the curve (gamma, J), the ruling B and t; arrays broadcast."""
+    return Vec3L(
+        gamma.x1 + t * B.x1,
+        gamma.x2 + t * B.x2,
+        gamma.x3 - t * B.x3 + H * J + t * H * (gamma.x1 * B.x2 - gamma.x2 * B.x1),
+    )
+
+
 class ScrollSurface:
     """B-scroll surface pair generated by a frame source and its base curve."""
 
@@ -99,18 +108,22 @@ class ScrollSurface:
 
     def nil3_point(self, s, t) -> Vec3L:
         """f = (g1+t*B1, g2+t*B2, g3 - t*B3 + H*J + t*H*(g1*B2 - g2*B1))."""
-        frame = self.frame_source(s)
         gamma, J = self.path.dense_eval(s)
-        Bv = frame.B.value()
-        H = self.H
-        return Vec3L(
-            gamma.x1 + t * Bv.x1,
-            gamma.x2 + t * Bv.x2,
-            gamma.x3
-            - t * Bv.x3
-            + H * J
-            + t * H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1),
-        )
+        return _nil3(gamma, J, self.frame_source(s).B.value(), t, self.H)
+
+    def mesh(self, svals, tvals):
+        """{"l3": f_L, "nil3": f} on the grid, one row of vertices per s.
+
+        One frame and one curve evaluation per s, broadcast over t with the
+        arithmetic of bscroll_point and nil3_point.
+        """
+        B = np.array([self.frame_source(float(s)).B.value().as_array() for s in svals])
+        Bv = Vec3L(*B.T[..., None])
+        gamma, J = self.path.dense_eval(svals)
+        gamma = Vec3L(*(g[:, None] for g in gamma))
+        t = np.asarray(tvals, dtype=float)[None, :]
+        points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, self.H)}
+        return {k: np.stack(list(p), axis=-1).reshape(-1, 3) for k, p in points.items()}
 
     def nil3_partials(self, s, t):
         """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface."""
@@ -202,19 +215,10 @@ class ScrollSurface:
 
     # -- verification quantities -------------------------------------------
 
-    def box_residual(self, s, t, fd_step=1e-3):
-        """min over both signs of ||Box N_L -/+ 2 H^2 N_L|| (second-order FD)."""
-        res, _ = self.box_check(s, t, fd_step)
-        return res
-
     def box_check(self, s, t, fd_step=1e-3):
         """(residual, matched_sign); sign -1 means Box N_L = -2 H^2 N_L fits."""
         h = float(fd_step)
         H = self.H
-
-        def u(i, j):
-            return self.gauss_map_L(s + i * h, t + j * h).as_array()
-
         grid = {}
         for i in (-1, 0, 1):
             frame = self.frame_source(s + i * h)
@@ -275,12 +279,3 @@ class ScrollSurface:
             H_mean=0.5 * float(np.trace(shape)),
             K_gauss=float(np.linalg.det(shape)),
         )
-
-
-def bscroll_point(frame: NullFrame, path: CurvePath, s, t) -> Vec3L:
-    return path.gamma(s) + frame.B.value() * t
-
-
-def gauss_map_L(frame: NullFrame, s, t) -> Vec3L:
-    _, Bv, Cv = frame.values()
-    return -Cv - Bv * (t * frame.H)

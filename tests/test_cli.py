@@ -1,13 +1,20 @@
 """CLI behaviour: exit codes, file formats, determinism, schemas."""
 
+import functools
 import json
 import math
+import time
 
 import jsonschema
+import numpy as np
 import pytest
 
+from nilscroll import cli, hexpr
 from nilscroll.cli import main
-from nilscroll.io_formats import load_schema
+from nilscroll.frames import make_frame_source
+from nilscroll.integrate import integrate_curve
+from nilscroll.io_formats import fmt17, load_schema
+from nilscroll.surface import ScrollSurface
 
 
 def run(tmp_path, *argv):
@@ -233,3 +240,70 @@ def test_family_boost_invariance(tmp_path):
 def test_zero_H_exit_2(tmp_path):
     code, _, _ = run(tmp_path, "singular", "--h", "tanh(s)", "--H", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--H", "nan"), ("--H", "inf"), ("--H", "-inf"), ("--s-range", "-inf:1"),
+     ("--s-range", "0:nan"), ("--t-range", "0:inf")],
+)
+def test_non_finite_input_exit_2(tmp_path, flag, value):
+    code, _, _ = run(
+        tmp_path, "surface", "--h", "tanh(s)", "--grid", "4x4", flag, value, "--out", "m"
+    )
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("boost", ["800", "nan"])
+def test_family_unrepresentable_boost_exit_2(tmp_path, boost):
+    code, _, err = run(tmp_path, "family", "--h", "tanh(s)", "--boost", boost)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_stray_exception_exit_3(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, "scan_singularities", broken)
+    code, _, err = run(tmp_path, "singular", "--h", "tanh(s)")
+    assert code == 3
+    assert err.startswith("internal error: RuntimeError")
+
+
+def test_surface_pole_of_A_fails_fast(tmp_path):
+    # h'(0) = 0 makes A blow up at s = 0, which is not a grid row
+    start = time.perf_counter()
+    code, _, _ = run(tmp_path, "surface", "--h", "s^2", "--s-range", "-1:2", "--out", "m")
+    assert code in (2, 3)
+    assert time.perf_counter() - start < 10.0
+    assert not list(tmp_path.iterdir())
+
+
+def test_surface_overflow_writes_nothing(tmp_path):
+    code, _, _ = run(tmp_path, "surface", "--h", "1e308*s", "--out", "m")
+    assert code == 3
+    assert not list(tmp_path.iterdir())
+
+
+def test_surface_vertices_match_scroll_surface(tmp_path):
+    code, _, _ = run(
+        tmp_path,
+        "surface", "--h", "tanh(s)", "--H", "0.7", "--s-range", "-1.2:1.2",
+        "--t-range", "-3:3", "--out", "m",
+    )
+    assert code == 0
+    source = functools.lru_cache(maxsize=None)(
+        make_frame_source(hexpr.parse("tanh(s)"), 0.7)
+    )
+    surf = ScrollSurface(source, integrate_curve(source, 0.0, (-1.2, 1.2)))
+    for target, point in (("l3", surf.bscroll_point), ("nil3", surf.nil3_point)):
+        lines = (tmp_path / f"m_{target}.obj").read_text().splitlines()
+        got = [line for line in lines if line.startswith("v ")]
+        want = [
+            "v " + " ".join(fmt17(x) for x in point(float(s), float(t)))
+            for s in np.linspace(-1.2, 1.2, 120)
+            for t in np.linspace(-3.0, 3.0, 30)
+        ]
+        assert got == want

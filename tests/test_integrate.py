@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilscroll import hexpr
-from nilscroll.errors import MaxStepsExceeded, OutOfRange
+from nilscroll.errors import MaxStepsExceeded, NumericFailure, OutOfRange
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import (
     IntegratorConfig,
@@ -105,3 +105,28 @@ def test_samples_property():
     assert rows[-1][0] == pytest.approx(0.5)
     svals = [r[0] for r in rows]
     assert svals == sorted(svals)
+
+
+def test_stiff_curve_splits_panels():
+    src = make_frame_source(hexpr.parse("s + 100000*s^3"), 1.0)
+    path = integrate_curve(src, 0.0, (-1.0, 1.0))
+    assert len(path.breaks) > 2
+    h = 1e-5
+    for s in (-0.7, -0.1, 0.05, 0.4, 0.9):
+        Av = src(s).A.value().as_array()
+        fd = (path.gamma(s + h).as_array() - path.gamma(s - h).as_array()) / (2 * h)
+        # |gamma| reaches 4e4, so rounding alone puts ~4e-6 into the quotient
+        assert fd == pytest.approx(Av, abs=5e-5)
+
+
+def test_curve_rejects_non_finite_A():
+    src = make_frame_source(hexpr.parse("1e308*s"), 1.0)
+    with pytest.raises(NumericFailure, match="not finite"):
+        integrate_curve(src, 0.0, (-1.0, 1.0))
+
+
+def test_curve_unresolved_panel_names_s():
+    # h'(0) = 0: A has a pole at s = 0, which no grid node hits
+    src = make_frame_source(hexpr.parse("s^2"), 1.0)
+    with pytest.raises(NumericFailure, match=r"near s=-?\d"):
+        integrate_curve(src, 0.5, (-1.0, 2.0))
