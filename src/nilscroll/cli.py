@@ -3,7 +3,7 @@
 Subcommands: surface (OBJ meshes), singular (JSON report + CSV curve),
 verify (invariant suite, exit code reflects pass/fail), frame (flow from
 prescribed curvatures), family (O(2,1) transforms, invariance reports,
-and the non-cuspidal-edge transform search).
+and the closed-form non-cuspidal-edge transform).
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numeric failure.
 """

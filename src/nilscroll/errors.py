@@ -91,9 +91,9 @@ class OrientationBreak(NilscrollError):
 
 
 class NoSolutionFound(NilscrollError):
-    def __init__(self, best_residuals, message="search budget exhausted"):
-        self.best_residuals = best_residuals
-        super().__init__(f"{message}; best residuals {best_residuals}")
+    def __init__(self, residuals, message):
+        self.residuals = residuals
+        super().__init__(f"{message}; residuals {residuals}")
 
 
 class PreconditionError(NilscrollError):

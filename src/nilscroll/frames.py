@@ -21,6 +21,7 @@ from .errors import (
     DegenerateGenerator,
     InitError,
     NormalizationError,
+    NumericFailure,
     OrientationError,
 )
 from .jets import DEFAULT_ORDER, Jet, schwarzian
@@ -69,23 +70,27 @@ def frame_from_h(h_ast, H: float, s: float, order: int = DEFAULT_ORDER) -> NullF
     """Closed-form B-scroll frame from a generator expression.
 
     B = -(H/(2h')) (-1-h^2, 1-h^2, 2h), C = B'/H,
-    A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.
+    A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.  A float
+    overflow in the jet arithmetic raises NumericFailure naming s.
     """
     if H == 0.0:
         raise ValueError("H must be non-zero")
-    h = hexpr.eval_jet(h_ast, s, order)
-    hp = h.deriv()
-    if abs(hp.value) < 1e-12:
-        raise DegenerateGenerator(f"|h'({s})| = {abs(hp.value):.3e} < 1e-12")
-    S = schwarzian(h)
-    h2 = h * h
-    scale = (-H / 2.0) / hp
-    B = Vec3L(scale * (-1.0 - h2), scale * (1.0 - h2), scale * (2.0 * h))
-    C = B.deriv() / H
-    Bpp = C.deriv() * H
-    n = min(S.order, Bpp.x1.order)
-    Bn = _jet_vec(list(B), n)
-    A = Bn * (S.truncate(n) / (H * H)) + _jet_vec(list(Bpp), n) / (H * H)
+    try:
+        h = hexpr.eval_jet(h_ast, s, order)
+        hp = h.deriv()
+        if abs(hp.value) < 1e-12:
+            raise DegenerateGenerator(f"|h'({s})| = {abs(hp.value):.3e} < 1e-12")
+        S = schwarzian(h)
+        h2 = h * h
+        scale = (-H / 2.0) / hp
+        B = Vec3L(scale * (-1.0 - h2), scale * (1.0 - h2), scale * (2.0 * h))
+        C = B.deriv() / H
+        Bpp = C.deriv() * H
+        n = min(S.order, Bpp.x1.order)
+        Bn = _jet_vec(list(B), n)
+        A = Bn * (S.truncate(n) / (H * H)) + _jet_vec(list(Bpp), n) / (H * H)
+    except (ValueError, OverflowError) as err:
+        raise NumericFailure(f"overflow in the frame at s={s}: {err}") from err
     kappa2 = -S / H
     kappa1 = Jet.constant(0.0, kappa2.order, base_point=s)
     return NullFrame(s=s, A=A, B=B, C=C, kappa1=kappa1, kappa2=kappa2, H=H)

@@ -3,10 +3,11 @@
 The singular set of the dual surface is t(s) = -C3/(H*B3).  A point there
 is a front iff kappa2 != 0; fronts split into cuspidal edges, swallowtails
 and other front singularities by the direction of c_L' = d/ds f_L(s, t(s)),
-while non-front points with kappa2' != 0 are cuspidal cross caps.  Two
-independent criteria (the e3-parallel test on c_L' and the residual pair
-r1 = (kappa2/H) B3^2 - 1, r2 = 2 A3 B3 + 1 - C3^2) are cross-checked on
-every classification.
+while non-front points with kappa2' != 0 are cuspidal cross caps.  Fronts
+cross-check the e3-parallel test on c_L' against the NotCE residual
+r1 = (kappa2/H) B3^2 - 1.  r2 = 2 A3 B3 + 1 - C3^2 = 1 - <e3, e3> (with
+e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
+frame-validity residual, not a criterion.
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ClassifierInconsistency,
+    NilscrollError,
     NoSolutionFound,
+    NumericFailure,
     OrientationBreak,
     PreconditionError,
     UnboundedCurve,
 )
 from .frames import B3_UNBOUNDED_TOL, NullFrame
-from .lorentz import LorentzTransform, Vec3L
+from .lorentz import E1, ETA, LorentzTransform, Vec3L, mcross
 
 DEFAULT_TOL_ROOT = 1e-10
 DEFAULT_TOL_CLUSTER = 1e-6
@@ -121,7 +123,7 @@ def cL_jets(frame: NullFrame, cross_tol=1e-9):
 
 
 def notce_residuals(frame: NullFrame):
-    """(r1, r2) = ((kappa2/H) B3^2 - 1, 2 A3 B3 + 1 - C3^2)."""
+    """(r1, r2) = ((kappa2/H) B3^2 - 1, 2 A3 B3 + 1 - C3^2): NotCE, frame validity."""
     Av, Bv, Cv = frame.values()
     r1 = (frame.kappa2.value / frame.H) * Bv.x3**2 - 1.0
     r2 = 2.0 * Av.x3 * Bv.x3 + 1.0 - Cv.x3**2
@@ -153,12 +155,11 @@ def classify_point(frame_source, s, tol_root=DEFAULT_TOL_ROOT) -> SingularPoint:
     )
     if abs(k2) > tol_root:
         pa = max(abs(cL1.x1), abs(cL1.x2))
-        rb = max(abs(r1), abs(r2))
         parallel = pa < tol_root
-        notce = rb < tol_root
-        if parallel != notce and max(pa, rb) > INCONSISTENCY_GAP:
+        notce = abs(r1) < tol_root
+        if parallel != notce and max(pa, abs(r1)) > INCONSISTENCY_GAP:
             raise ClassifierInconsistency(
-                f"parallel test ({pa:.3e}) vs residual test ({rb:.3e}) at s={s}"
+                f"parallel test ({pa:.3e}) vs NotCE residual r1 ({r1:.3e}) at s={s}"
             )
         if not parallel:
             kind = SingularKind.CUSPIDAL_EDGE
@@ -177,8 +178,37 @@ def classify_point(frame_source, s, tol_root=DEFAULT_TOL_ROOT) -> SingularPoint:
 # -- scanning --------------------------------------------------------------
 
 
+def _polish(f, lo, hi, f_lo):
+    """Root of f = (value, slope) in [lo, hi], f(lo) and f(hi) of opposite sign.
+
+    Newton from the midpoint, bisecting when a step leaves the bracket or
+    fails to halve the previous one; stops as brentq(xtol=1e-15, rtol=8.9e-16).
+    """
+    x = 0.5 * (lo + hi)
+    dx = hi - lo
+    for _ in range(200):
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if not math.isfinite(fx):
+            raise NumericFailure(f"value {fx} at s={x}")
+        if (fx < 0.0) == (f_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        step = fx / slope if slope else math.inf
+        if lo < x - step < hi and abs(step) <= 0.5 * abs(dx):
+            dx = -step
+        else:
+            dx = 0.5 * (lo + hi) - x
+        x += dx
+        if abs(dx) < 0.5 * (1e-15 + 8.9e-16 * abs(x)):
+            return x
+    raise NumericFailure(f"no convergence in [{lo}, {hi}] after 200 steps")
+
+
 def _bracket_roots(f, grid, vals, warnings, label, guard=None):
-    """Brent-refine every sign change of f over consecutive grid cells."""
+    """Polish every sign change of f = (value, slope) over consecutive grid cells."""
     roots = []
     for i in range(len(grid) - 1):
         a, b = grid[i], grid[i + 1]
@@ -192,8 +222,8 @@ def _bracket_roots(f, grid, vals, warnings, label, guard=None):
             if guard is not None and not (guard(a) and guard(b)):
                 continue
             try:
-                roots.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-            except Exception as err:  # pragma: no cover - defensive
+                roots.append(_polish(f, float(a), float(b), fa))
+            except NilscrollError as err:
                 warnings.append(f"WARN {label}: bracket [{a}, {b}] failed: {err}")
     return roots
 
@@ -208,10 +238,12 @@ def scan_singularities(
 ) -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
-    Sign changes of kappa2 (cuspidal-cross-cap candidates), of B3 (unbounded
-    points) and of the first two components of c_L' (swallowtail candidates,
-    both components must vanish within tol_cluster) are bracketed on the
-    grid and polished with Brent's method, then classified.
+    Sign changes of kappa2 (cuspidal-cross-cap candidates) and of the first
+    two components of c_L' (swallowtail candidates: both must vanish within
+    tol_cluster, in cells clear of B3 poles) are bracketed on the grid,
+    polished by Newton steps with jet slopes, then classified.  Zeros of B3
+    only show as unbounded curve samples; a non-finite grid frame raises
+    NumericFailure.
     """
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
@@ -219,16 +251,18 @@ def scan_singularities(
     grid = np.linspace(lo, hi, grid_n)
     warnings: list[str] = []
 
-    frames = [frame_source(s) for s in grid]
+    frames = []
+    for s in grid:
+        f = frame_source(s)
+        if not all(map(math.isfinite, [*f.A.value(), *f.B.value(), *f.C.value()])):
+            raise NumericFailure(f"non-finite frame at s={s}")
+        frames.append(f)
     H = frames[0].H
     k2_vals = [f.kappa2.value for f in frames]
-    b3_vals = [f.B.x3.value for f in frames]
 
     def k2_of(s):
-        return frame_source(s).kappa2.value
-
-    def b3_of(s):
-        return frame_source(s).B.x3.value
+        k2 = frame_source(s).kappa2
+        return k2.value, k2.derivative(1)
 
     # singular-curve samples with per-sample classification
     curve = []
@@ -248,35 +282,28 @@ def scan_singularities(
         points.append(classify_point(frame_source, r, tol_root))
     if max(abs(v) for v in k2_vals) <= tol_root:
         # degenerate generator (S(h) identically ~ 0): whole curve non-front
-        for s, t, kind in curve:
-            points.append(
-                SingularPoint(
-                    s=s,
-                    t=t,
-                    kind=SingularKind.NON_FRONT_DEGENERATE
-                    if t is not None
-                    else SingularKind.UNBOUNDED,
-                )
-            )
+        for s, t, _ in curve:
+            kind = (SingularKind.UNBOUNDED if t is None
+                    else SingularKind.NON_FRONT_DEGENERATE)
+            points.append(SingularPoint(s=s, t=t, kind=kind))
 
     # swallowtail candidates: simultaneous roots of cL1 components 1 and 2,
     # restricted to cells clear of B3 poles
     b3_margin = 1e-6
 
     def guard(s):
-        return abs(b3_of(s)) > b3_margin
+        return abs(frame_source(s).B.x3.value) > b3_margin
 
     def comp(i):
         def f(s):
-            frame = frame_source(s)
-            cL1, _ = cL_jets(frame)
-            return (cL1.x1, cL1.x2)[i]
+            cL1, cL2 = cL_jets(frame_source(s))
+            return (cL1.x1, cL1.x2)[i], (cL2.x1, cL2.x2)[i]
 
         return f
 
     comp_vals = [[], []]
-    for s, f, b3 in zip(grid, frames, b3_vals):
-        if abs(b3) > b3_margin:
+    for s, f in zip(grid, frames):
+        if abs(f.B.x3.value) > b3_margin:
             try:
                 cL1, _ = cL_jets(f)
                 comp_vals[0].append(cL1.x1)
@@ -388,64 +415,24 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     }
 
 
-def find_notce_transform(
-    frame: NullFrame,
-    residual_tol: float = 1e-8,
-    grid_steps: int = 12,
-    newton_iters: int = 60,
-) -> LorentzTransform:
-    """Search SO+(2,1) for O making the non-cuspidal-edge residuals vanish.
+def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8) -> LorentzTransform:
+    """The SO+(2,1) transform O that makes the frame's point non-cuspidal.
 
-    Requires kappa2/H > 0 at the frame's parameter.  Coarse grid over the
-    rotation-boost-rotation chart, then damped Gauss-Newton on the two
-    residuals in three unknowns; the first solution on the one-dimensional
-    solution family is returned.
+    NotCE needs (OB)_3 = <O^-1 e3, B> = +-sqrt(H/kappa2), so kappa2/H > 0.
+    w = -sqrt(H/kappa2) A + C is unit spacelike with <w, B> = sqrt(H/kappa2);
+    O^-1 = [u0 | w x u0 | w] with the future unit timelike u0 = (e1 + w1 w) /
+    sqrt(1 + w1^2) has det <w x u0, w x u0> = +1, and O = eta (O^-1)^T eta.
     """
     k2 = frame.kappa2.value
     H = frame.H
     if k2 / H <= 0:
         raise PreconditionError(f"kappa2/H = {k2 / H:.3e} <= 0: no solution exists")
-
-    def residuals(params):
-        O = LorentzTransform.from_params(*params)
-        g = transform_frame(O, frame)
-        return np.array(notce_residuals(g))
-
-    best = None
-    for phi in np.linspace(0.0, 2 * np.pi, grid_steps, endpoint=False):
-        for chi in np.linspace(-1.5, 1.5, 7):
-            for psi in np.linspace(0.0, 2 * np.pi, grid_steps, endpoint=False):
-                r = residuals((phi, chi, psi))
-                n = float(np.linalg.norm(r))
-                if best is None or n < best[0]:
-                    best = (n, np.array([phi, chi, psi]))
-
-    x = best[1]
-    fx = residuals(x)
-    h = 1e-7
-    # converge well past residual_tol so downstream classification of the
-    # transformed frame sees a clean root, not a barely-passing one
-    target = min(residual_tol, 1e-13)
-    for _ in range(newton_iters):
-        if float(np.max(np.abs(fx))) < target:
-            break
-        J = np.empty((2, 3))
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            J[:, j] = (residuals(x + e) - residuals(x - e)) / (2 * h)
-        step, *_ = np.linalg.lstsq(J, -fx, rcond=None)
-        lam = 1.0
-        n0 = float(np.linalg.norm(fx))
-        while lam > 1e-8:
-            xt = x + lam * step
-            ft = residuals(xt)
-            if float(np.linalg.norm(ft)) < n0:
-                x, fx = xt, ft
-                break
-            lam *= 0.5
-        else:
-            break
-    if float(np.max(np.abs(fx))) >= residual_tol:
-        raise NoSolutionFound(tuple(fx))
-    return LorentzTransform.from_params(*x)
+    A, _, C = frame.values()
+    w = C - A * math.sqrt(H / k2)
+    u0 = (E1 + w * w.x1) / math.sqrt(1.0 + w.x1 * w.x1)
+    rows = [u.as_array() for u in (u0, mcross(w, u0), w)]  # (O^-1)^T
+    O = LorentzTransform(m=ETA @ np.array(rows) @ ETA)
+    residuals = notce_residuals(transform_frame(O, frame))
+    if not max(abs(r) for r in residuals) < residual_tol:
+        raise NoSolutionFound(residuals, "closed-form transform misses the NotCE residuals")
+    return O

@@ -287,6 +287,38 @@ def test_surface_overflow_writes_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_singular_overflow_writes_nothing(tmp_path):
+    code, _, err = run(tmp_path, "singular", "--h", "1e308*s", "--out", "r")
+    assert code == 3
+    assert "non-finite frame at s=" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_surface_jet_overflow_exit_3(tmp_path):
+    code, _, err = run(
+        tmp_path, "surface", "--h", "exp(s)", "--s-range", "700:720", "--out", "m"
+    )
+    assert code == 3
+    assert "at s=" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_does_not_load_scipy():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, nilscroll.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_surface_vertices_match_scroll_surface(tmp_path):
     code, _, _ = run(
         tmp_path,

@@ -1,5 +1,6 @@
 """Singularity location, classification, and the O(2,1) family."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from nilscroll.errors import (
     UnboundedCurve,
 )
 from nilscroll.frames import make_frame_source
-from nilscroll.lorentz import LorentzTransform
+from nilscroll.lorentz import ETA, LorentzTransform
 from nilscroll.singular import (
     SingularKind,
     cL_jets,
@@ -24,6 +25,7 @@ from nilscroll.singular import (
     scan_singularities,
     singular_t,
     transform_frame,
+    transformed_source,
 )
 S_PLUS = 0.25 * math.log(5.0 + 2.0 * math.sqrt(6.0))
 S_MINUS = 0.25 * math.log(5.0 - 2.0 * math.sqrt(6.0))
@@ -153,6 +155,21 @@ def test_scan_grid_validation(tanh_source):
         scan_singularities(tanh_source, (0.0, 1.0), grid_n=4)
 
 
+def test_root_polish_falls_back_to_bisection():
+    from nilscroll.singular import _bracket_roots, _polish
+
+    root = 2.0945514815423265  # of s^3 - 2 s - 5
+    # exact slope (Newton), zero slope and wrong-signed slope (bisection)
+    for slope in (lambda s: 3 * s * s - 2, lambda s: 0.0, lambda s: -1.0):
+        got = _polish(lambda s: (s**3 - 2 * s - 5, slope(s)), 2.0, 3.0, -1.0)
+        assert got == pytest.approx(root, abs=4e-15)
+    # a package error while polishing becomes a warning for that bracket
+    warnings = []
+    roots = _bracket_roots(lambda s: (math.nan, 1.0), [0.0, 1.0], [-1.0, 1.0],
+                           warnings, "nan")
+    assert roots == [] and len(warnings) == 1 and "WARN nan" in warnings[0]
+
+
 def test_transform_frame_invariance(tanh_source):
     O = LorentzTransform.from_params(chi=0.3)
     f = tanh_source(0.4)
@@ -217,9 +234,39 @@ def test_find_notce_precondition():
         find_notce_transform(f)
 
 
+def test_find_notce_closed_form_draws():
+    rng = np.random.default_rng(5)
+    for i in range(40):
+        text, lo, hi = ("tanh(s)", -1.5, 1.5) if i % 2 else ("cot(exp(s)/2)", -1.0, -0.05)
+        src = make_frame_source(hexpr.parse(text), float(rng.uniform(0.5, 2.0)))
+        s = float(rng.uniform(lo, hi))
+        O = find_notce_transform(src(s))
+        assert O.params is None
+        assert O.det == pytest.approx(1.0, abs=1e-12) and O.m[0, 0] >= 1.0
+        assert np.max(np.abs(O.m.T @ ETA @ O.m - ETA)) < 1e-12
+        r1, r2 = notce_residuals(transform_frame(O, src(s)))
+        assert abs(r1) < 1e-8 and abs(r2) < 1e-8
+        kind = classify_point(transformed_source(O, src), s).kind
+        assert kind is not SingularKind.CUSPIDAL_EDGE
+
+
+def test_find_notce_rejects_invalid_frame(tanh_source):
+    # C off the unit sphere: r1 can still vanish, the validity residual r2 not
+    f = tanh_source(0.3)
+    with pytest.raises(NoSolutionFound):
+        find_notce_transform(dataclasses.replace(f, C=f.C * 1.01))
+
+
 def test_criteria_equivalence_dense(surfaces):
-    """Parallel-to-e3 test and NotCE residual test never disagree."""
+    """Parallel-to-e3 test and NotCE residual test never disagree.
+
+    r2 = 1 - <e3, e3> is zero on every valid frame, transformed or not.
+    """
+    O = LorentzTransform.from_params(phi=0.7, chi=0.6, psi=2.1)
     for name, surf in surfaces.items():
-        src = surf.frame_source
-        for s in np.linspace(-1.0, 1.0, 101):
-            classify_point(src, float(s))  # raises ClassifierInconsistency on disagreement
+        for src in (surf.frame_source, transformed_source(O, surf.frame_source)):
+            for s in np.linspace(-1.0, 1.0, 101):
+                # raises ClassifierInconsistency on disagreement
+                p = classify_point(src, float(s))
+                if "notce" in p.diagnostics:
+                    assert abs(p.diagnostics["notce"][1]) < 1e-12, (name, s)
