@@ -20,19 +20,11 @@ import numpy as np
 from . import hexpr
 from .errors import (
     ClassifierInconsistency,
-    DegenerateGenerator,
-    DomainError,
-    ExprSyntaxError,
-    InitError,
+    InputError,
     NilscrollError,
-    NormalizationError,
-    NotLorentz,
     NumericFailure,
-    OrientationBreak,
-    OrientationError,
     PoleError,
     PreconditionError,
-    UnknownFunction,
 )
 from .frames import (
     frame_flow_from_curvatures,
@@ -60,21 +52,6 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_INPUT_ERRORS = (
-    ExprSyntaxError,
-    UnknownFunction,
-    DomainError,
-    DegenerateGenerator,
-    NormalizationError,
-    OrientationError,
-    NotLorentz,
-    InitError,
-    PreconditionError,
-    OrientationBreak,
-    ValueError,
-)
-
-
 def _parse_range(text: str):
     parts = text.split(":")
     if len(parts) != 2:
@@ -100,7 +77,7 @@ def _parse_grid(text: str):
 def _require(args, *names):
     for name in names:
         if getattr(args, name.replace("-", "_"), None) is None:
-            raise ValueError(f"--{name} is required for this subcommand")
+            raise PreconditionError(f"--{name} is required for this subcommand")
 
 
 def _build_surface(args):
@@ -275,7 +252,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         f = source(float(s))
         t = singular_t(f)
         try:
-            kind = classify_point(source, float(s)).kind.value
+            kind = classify_point(f).kind.value
         except ClassifierInconsistency:
             kind = "inconsistent"
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -312,9 +289,12 @@ def cmd_verify(args) -> int:
 
 
 def _parse_init_frame(text: str, k1_ast, k2_ast, H, s):
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
     if len(vals) != 9:
-        raise ValueError(f"--init-frame needs 9 numbers (A B C), got {len(vals)}")
+        raise PreconditionError(f"--init-frame needs 9 numbers (A B C), got {text!r}")
     return frame_jets_from_values(
         Vec3L(*vals[0:3]), Vec3L(*vals[3:6]), Vec3L(*vals[6:9]),
         k1_ast, k2_ast, H, s,
@@ -371,7 +351,7 @@ def cmd_family(args) -> int:
         O = find_notce_transform(frame)
         g = transform_frame(O, frame)
         r1, r2 = notce_residuals(g)
-        kind = classify_point(lambda sv: transform_frame(O, source(sv)), s).kind
+        kind = classify_point(g).kind
         payload["transform"] = {
             "matrix": [[float(x) for x in row] for row in O.m],
             "params": list(O.params[:3]) if O.params else None,
@@ -489,9 +469,11 @@ def main(argv=None) -> int:
     try:
         H = getattr(args, "H", 1.0)
         if H == 0.0 or not math.isfinite(H):
-            raise ValueError(f"H must be finite and non-zero, got {H!r}")
+            raise PreconditionError(f"H must be finite and non-zero, got {H!r}")
+        if getattr(args, "samples", 0) < 0:
+            raise PreconditionError(f"--samples must be >= 0, got {args.samples}")
         return args.func(args)
-    except _INPUT_ERRORS as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NilscrollError as err:  # every other package error is numeric

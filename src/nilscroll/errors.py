@@ -5,23 +5,36 @@ class NilscrollError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(NilscrollError):
+class InputError(NilscrollError):
+    """The input (generator, frame, transform or option) is not accepted; CLI exit 2."""
+
+
+class DomainError(InputError):
     """An elementary function was evaluated outside its domain.
 
-    Carries the offending function name and the base point.
+    Carries the function name and the curve parameter ``base_point``; hexpr
+    adds the byte ``offset``, which locates a constant sub-expression (no s).
     """
 
     def __init__(self, fn, base_point, message=None):
         self.fn = fn
         self.base_point = base_point
-        super().__init__(message or f"{fn} out of domain at s={base_point!r}")
+        self.offset = None
+        super().__init__(message or f"{fn} out of domain")
+
+    def __str__(self):
+        if self.base_point is not None:
+            return f"{self.args[0]} at s={self.base_point!r}"
+        if self.offset is not None:
+            return f"{self.args[0]} at offset {self.offset}"
+        return self.args[0]
 
 
 class PoleError(NilscrollError):
     """Stereographic projection evaluated at (or too close to) its pole."""
 
 
-class NotLorentz(NilscrollError):
+class NotLorentz(InputError):
     """A user-supplied matrix fails m^T eta m = eta beyond tolerance."""
 
     def __init__(self, residual, tol):
@@ -30,7 +43,7 @@ class NotLorentz(NilscrollError):
         super().__init__(f"matrix is not Lorentz: residual {residual:.3e} > {tol:.1e}")
 
 
-class ExprSyntaxError(NilscrollError):
+class ExprSyntaxError(InputError):
     """Generator-expression parse failure, with byte offset and expected tokens."""
 
     def __init__(self, message, offset, expected=()):
@@ -39,26 +52,26 @@ class ExprSyntaxError(NilscrollError):
         super().__init__(f"{message} at offset {offset}")
 
 
-class UnknownFunction(NilscrollError):
+class UnknownFunction(InputError):
     def __init__(self, name, offset):
         self.name = name
         self.offset = offset
         super().__init__(f"unknown function {name!r} at offset {offset}")
 
 
-class DegenerateGenerator(NilscrollError):
+class DegenerateGenerator(InputError):
     """h'(s) vanishes; the generator does not define a null frame there."""
 
 
-class OrientationError(NilscrollError):
+class OrientationError(InputError):
     """H * det(B, B', B'') <= 0; B cannot be completed to a valid frame."""
 
 
-class NormalizationError(NilscrollError):
+class NormalizationError(InputError):
     """<B', B'> != H^2 (or B not lightlike); prescribed B is not normalized."""
 
 
-class InitError(NilscrollError):
+class InitError(InputError):
     """Initial frame for the Frenet-Serret flow fails validation."""
 
 
@@ -86,7 +99,7 @@ class ClassifierInconsistency(NilscrollError):
     """Two mathematically equivalent singularity criteria disagree numerically."""
 
 
-class OrientationBreak(NilscrollError):
+class OrientationBreak(InputError):
     """A Lorentz transform with det = -1 would flip A x B = C."""
 
 
@@ -96,5 +109,5 @@ class NoSolutionFound(NilscrollError):
         super().__init__(f"{message}; residuals {residuals}")
 
 
-class PreconditionError(NilscrollError):
+class PreconditionError(InputError):
     """A documented operation precondition does not hold."""

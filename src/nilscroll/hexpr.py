@@ -259,6 +259,15 @@ def _contains_var(node) -> bool:
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _located(err: DomainError, node, seed) -> DomainError:
+    """err with the node's byte offset, and s = seed for a float evaluation
+    of an s-dependent node (eval_real); jet errors already carry their s."""
+    err.offset = node.offset
+    if err.base_point is None and _contains_var(node):
+        err.base_point = float(seed)
+    return err
+
+
 def _eval(node, seed):
     if isinstance(node, Num):
         return node.value
@@ -273,8 +282,7 @@ def _eval(node, seed):
         try:
             return jets.FUNCTIONS[node.name](arg)
         except DomainError as err:
-            err.offset = node.offset
-            raise
+            raise _located(err, node, seed)
     if isinstance(node, Bin):
         a = _eval(node.left, seed)
         if node.op == "^":
@@ -286,8 +294,7 @@ def _eval(node, seed):
             try:
                 return jets.pow_const(a, p)
             except DomainError as err:
-                err.offset = node.offset
-                raise
+                raise _located(err, node, seed)
         b = _eval(node.right, seed)
         try:
             if node.op == "+":
@@ -299,14 +306,13 @@ def _eval(node, seed):
             if node.op == "/":
                 if not isinstance(a, Jet) and not isinstance(b, Jet):
                     if b == 0.0:
-                        raise DomainError("div", node.offset, "division by zero")
+                        raise DomainError("div", None, "division by zero")
                     return a / b
                 if not isinstance(a, Jet):
                     a = Jet.constant(a, b.order, b.base_point)
                 return a / b
         except DomainError as err:
-            err.offset = node.offset
-            raise
+            raise _located(err, node, seed)
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -134,6 +134,8 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
+            if other == 0.0:
+                raise DomainError("div", self.base_point, "division by zero")
             return self * (1.0 / other)
         a, b = self._coerce(other)
         if b._tc[0] == 0.0:
@@ -239,22 +241,23 @@ def _jet_tanh(a: Jet) -> Jet:
     return s / c
 
 
+# a float argument carries no s: hexpr locates these domain errors
 def _scalar_cot(x):
     s = math.sin(x)
     if s == 0.0:
-        raise DomainError("cot", x)
+        raise DomainError("cot", None)
     return math.cos(x) / s
 
 
 def _scalar_log(x):
     if x <= 0.0:
-        raise DomainError("log", x)
+        raise DomainError("log", None)
     return math.log(x)
 
 
 def _scalar_sqrt(x):
     if x < 0.0:
-        raise DomainError("sqrt", x)
+        raise DomainError("sqrt", None)
     return math.sqrt(x)
 
 
@@ -293,7 +296,7 @@ def pow_const(a, p):
         if float(p).is_integer():
             return float(a) ** int(p)
         if a <= 0.0:
-            raise DomainError("pow", a, "non-integer power of a non-positive base")
+            raise DomainError("pow", None, "non-integer power of a non-positive base")
         return math.pow(a, p)
     if float(p).is_integer():
         p = int(p)

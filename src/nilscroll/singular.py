@@ -130,8 +130,9 @@ def notce_residuals(frame: NullFrame):
     return r1, r2
 
 
-def classify_point(frame_source, s, tol_root=DEFAULT_TOL_ROOT) -> SingularPoint:
-    frame = frame_source(s)
+def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT) -> SingularPoint:
+    """Kind of the singular-curve point at the frame's s."""
+    s = float(frame.s)
     H = frame.H
     k2 = frame.kappa2.value
     k2p = frame.kappa2.derivative(1)
@@ -207,8 +208,8 @@ def _polish(f, lo, hi, f_lo):
     raise NumericFailure(f"no convergence in [{lo}, {hi}] after 200 steps")
 
 
-def _bracket_roots(f, grid, vals, warnings, label, guard=None):
-    """Polish every sign change of f = (value, slope) over consecutive grid cells."""
+def _bracket_roots(f, grid, vals, warnings, label):
+    """Polish every sign change of f = (value, slope) between finite grid values."""
     roots = []
     for i in range(len(grid) - 1):
         a, b = grid[i], grid[i + 1]
@@ -219,8 +220,6 @@ def _bracket_roots(f, grid, vals, warnings, label, guard=None):
             roots.append(a)
             continue
         if fa * fb < 0.0:
-            if guard is not None and not (guard(a) and guard(b)):
-                continue
             try:
                 roots.append(_polish(f, float(a), float(b), fa))
             except NilscrollError as err:
@@ -238,15 +237,16 @@ def scan_singularities(
 ) -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
-    Sign changes of kappa2 (cuspidal-cross-cap candidates) and of the first
-    two components of c_L' (swallowtail candidates: both must vanish within
-    tol_cluster, in cells clear of B3 poles) are bracketed on the grid,
+    Each grid frame gives one curve sample and its classification.  Sign
+    changes of kappa2 (cuspidal-cross-cap candidates) and of the first two
+    components of c_L' (swallowtail candidates: both must vanish within
+    tol_cluster; samples with |B3| <= 1e-6 are NaN and end no bracket) are
     polished by Newton steps with jet slopes, then classified.  Zeros of B3
     only show as unbounded curve samples; a non-finite grid frame raises
     NumericFailure.
     """
     if grid_n < 16:
-        raise ValueError("grid_n must be >= 16")
+        raise PreconditionError("grid_n must be >= 16")
     lo, hi = float(s_range[0]), float(s_range[1])
     grid = np.linspace(lo, hi, grid_n)
     warnings: list[str] = []
@@ -269,7 +269,7 @@ def scan_singularities(
     for s, f in zip(grid, frames):
         t = singular_t(f)
         try:
-            kind = classify_point(frame_source, float(s), tol_root).kind
+            kind = classify_point(f, tol_root).kind
         except ClassifierInconsistency as err:
             warnings.append(f"WARN classify at s={s}: {err}")
             kind = None
@@ -279,7 +279,7 @@ def scan_singularities(
 
     # cuspidal cross cap candidates: roots of kappa2
     for r in _bracket_roots(k2_of, grid, k2_vals, warnings, "kappa2"):
-        points.append(classify_point(frame_source, r, tol_root))
+        points.append(classify_point(frame_source(r), tol_root))
     if max(abs(v) for v in k2_vals) <= tol_root:
         # degenerate generator (S(h) identically ~ 0): whole curve non-front
         for s, t, _ in curve:
@@ -288,11 +288,8 @@ def scan_singularities(
             points.append(SingularPoint(s=s, t=t, kind=kind))
 
     # swallowtail candidates: simultaneous roots of cL1 components 1 and 2,
-    # restricted to cells clear of B3 poles
+    # restricted to cells clear of B3 poles (NaN samples end no bracket)
     b3_margin = 1e-6
-
-    def guard(s):
-        return abs(frame_source(s).B.x3.value) > b3_margin
 
     def comp(i):
         def f(s):
@@ -314,13 +311,13 @@ def scan_singularities(
         comp_vals[0].append(math.nan)
         comp_vals[1].append(math.nan)
 
-    roots1 = _bracket_roots(comp(0), grid, comp_vals[0], warnings, "cL1.x1", guard)
-    roots2 = _bracket_roots(comp(1), grid, comp_vals[1], warnings, "cL1.x2", guard)
+    roots1 = _bracket_roots(comp(0), grid, comp_vals[0], warnings, "cL1.x1")
+    roots2 = _bracket_roots(comp(1), grid, comp_vals[1], warnings, "cL1.x2")
     for r1 in roots1:
         for r2 in roots2:
             if abs(r1 - r2) < tol_cluster:
                 sc = 0.5 * (r1 + r2)
-                pt = classify_point(frame_source, sc, tol_root)
+                pt = classify_point(frame_source(sc), tol_root)
                 if pt.kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER):
                     points.append(pt)
 
@@ -360,21 +357,14 @@ def transform_frame(O: LorentzTransform, frame: NullFrame) -> NullFrame:
     )
 
 
-def transformed_source(O: LorentzTransform, frame_source):
-    def source(s):
-        return transform_frame(O, frame_source(s))
-
-    return source
-
-
 def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
                      tol_root=DEFAULT_TOL_ROOT, extra_s=()):
     """Compare front/cross-cap status of f and f^O along the singular curve.
 
-    Front and cuspidal-cross-cap status must be preserved; cuspidal edge vs
+    One frame per sample s classifies both f and its transform f^O.  Front
+    and cuspidal-cross-cap status must be preserved; cuspidal edge vs
     swallowtail kinds may legitimately differ and are only reported.
     """
-    src_o = transformed_source(O, frame_source)
     lo, hi = float(s_range[0]), float(s_range[1])
     svals = list(np.linspace(lo, hi, n_samples)) + [float(s) for s in extra_s]
     rows = []
@@ -382,8 +372,9 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     all_ccr_match = True
     kind_changes = 0
     for s in svals:
-        p = classify_point(frame_source, s, tol_root)
-        q = classify_point(src_o, s, tol_root)
+        f = frame_source(s)
+        p = classify_point(f, tol_root)
+        q = classify_point(transform_frame(O, f), tol_root)
         if p.kind is SingularKind.UNBOUNDED or q.kind is SingularKind.UNBOUNDED:
             rows.append({"s": s, "kind": p.kind.value, "kind_O": q.kind.value,
                          "front_match": None, "ccr_match": None})

@@ -40,6 +40,38 @@ class SurfaceSample:
     g_map: ParaComplex | None  # None marks a projection pole
 
 
+def _gauss_map(frame: NullFrame, t, H) -> Vec3L:
+    """N_L = -C - t*H*B."""
+    _, Bv, Cv = frame.values()
+    return -Cv - Bv * (t * H)
+
+
+def _stereo(N: Vec3L) -> ParaComplex:
+    """g = -(N2 + j*N1)/(1 - N3); pole at N3 = 1."""
+    d = 1.0 - N.x3
+    if abs(d) <= POLE_TOL:
+        raise PoleError("normal Gauss map pole: N3 ~ 1")
+    return ParaComplex(-N.x2 / d, -N.x1 / d)
+
+
+def _forms(I, II) -> FundamentalForms:
+    shape = np.linalg.inv(I) @ II
+    return FundamentalForms(I=I, II=II, H_mean=0.5 * float(np.trace(shape)),
+                            K_gauss=float(np.linalg.det(shape)))
+
+
+def _nil3_partials(frame: NullFrame, gamma: Vec3L, t, H):
+    """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface."""
+    Av, Bv, _ = frame.values()
+    Bp = frame.B.deriv().value()
+    dJ = gamma.x1 * Av.x2 - gamma.x2 * Av.x1
+    dw = Av.x1 * Bv.x2 + gamma.x1 * Bp.x2 - Av.x2 * Bv.x1 - gamma.x2 * Bp.x1
+    fs = np.array([Av.x1 + t * Bp.x1, Av.x2 + t * Bp.x2,
+                   Av.x3 - t * Bp.x3 + H * dJ + t * H * dw])
+    ft = np.array([Bv.x1, Bv.x2, -Bv.x3 + H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1)])
+    return fs, ft
+
+
 def _nil3(gamma, J, B, t, H) -> Vec3L:
     """Nil_3 point from the curve (gamma, J), the ruling B and t; arrays broadcast."""
     return Vec3L(
@@ -50,7 +82,10 @@ def _nil3(gamma, J, B, t, H) -> Vec3L:
 
 
 class ScrollSurface:
-    """B-scroll surface pair generated by a frame source and its base curve."""
+    """B-scroll surface pair generated by a frame source and its base curve.
+
+    A query evaluates the frame once per s it touches.
+    """
 
     def __init__(self, frame_source, path: CurvePath):
         self.frame_source = frame_source
@@ -65,10 +100,8 @@ class ScrollSurface:
         gamma = self.path.gamma(s)
         return gamma + frame.B.value() * t
 
-    def gauss_map_L(self, s, t, frame: NullFrame | None = None) -> Vec3L:
-        frame = frame or self.frame_source(s)
-        _, Bv, Cv = frame.values()
-        return -Cv - Bv * (t * self.H)
+    def gauss_map_L(self, s, t) -> Vec3L:
+        return _gauss_map(self.frame_source(s), t, self.H)
 
     def bscroll_partials(self, s, t):
         """(d/ds f_L, d/dt f_L) = (A + t*B', B)."""
@@ -77,32 +110,21 @@ class ScrollSurface:
         Bp = frame.B.deriv().value()
         return Av + Bp * t, Bv
 
-    def fundamental_forms(self, s, t, frame: NullFrame | None = None) -> FundamentalForms:
-        frame = frame or self.frame_source(s)
+    def fundamental_forms(self, s, t) -> FundamentalForms:
+        frame = self.frame_source(s)
         H = self.H
         k1 = frame.kappa1.value
         k2 = frame.kappa2.value
         I = np.array([[2 * t * k1 + t * t * H * H, -1.0], [-1.0, 0.0]])
         # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
         II = np.array([[-k2 + 2 * t * k1 * H + t * t * H**3, -H], [-H, 0.0]])
-        Iinv = np.linalg.inv(I)
-        shape = Iinv @ II
-        return FundamentalForms(
-            I=I,
-            II=II,
-            H_mean=0.5 * float(np.trace(shape)),
-            K_gauss=float(np.linalg.det(shape)),
-        )
+        return _forms(I, II)
 
     # -- normal Gauss map ---------------------------------------------------
 
-    def normal_gauss_map(self, s, t, frame: NullFrame | None = None) -> ParaComplex:
+    def normal_gauss_map(self, s, t) -> ParaComplex:
         """g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t); pole at N3 = 1."""
-        N = self.gauss_map_L(s, t, frame)
-        d = 1.0 - N.x3
-        if abs(d) <= POLE_TOL:
-            raise PoleError("normal Gauss map pole: N3 ~ 1")
-        return ParaComplex(-N.x2 / d, -N.x1 / d)
+        return _stereo(self.gauss_map_L(s, t))
 
     # -- Nil_3 side ---------------------------------------------------------
 
@@ -127,35 +149,21 @@ class ScrollSurface:
 
     def nil3_partials(self, s, t):
         """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface."""
-        frame = self.frame_source(s)
         gamma, _ = self.path.dense_eval(s)
-        Av, Bv, _ = frame.values()
-        Bp = frame.B.deriv().value()
-        H = self.H
-        dJ = gamma.x1 * Av.x2 - gamma.x2 * Av.x1
-        dw = Av.x1 * Bv.x2 + gamma.x1 * Bp.x2 - Av.x2 * Bv.x1 - gamma.x2 * Bp.x1
-        fs = np.array(
-            [
-                Av.x1 + t * Bp.x1,
-                Av.x2 + t * Bp.x2,
-                Av.x3 - t * Bp.x3 + H * dJ + t * H * dw,
-            ]
-        )
-        ft = np.array(
-            [
-                Bv.x1,
-                Bv.x2,
-                -Bv.x3 + H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1),
-            ]
-        )
-        return fs, ft
+        return _nil3_partials(self.frame_source(s), gamma, t, self.H)
 
-    def _frame_components(self, point: Vec3L, v: np.ndarray) -> np.ndarray:
-        """Components of a coordinate vector in the left-invariant frame E_i."""
-        tau = self.H
-        return np.array(
-            [v[0], v[1], v[2] + tau * (point.x2 * v[0] - point.x1 * v[1])]
-        )
+    def _tangents_E(self, s, t):
+        """(frame, fs, ft, fs_E, ft_E): the Jacobian rows and their components
+        in the left-invariant frame E_i, from one frame at s."""
+        gamma, J = self.path.dense_eval(s)
+        frame = self.frame_source(s)
+        fs, ft = _nil3_partials(frame, gamma, t, self.H)
+        p = _nil3(gamma, J, frame.B.value(), t, self.H)
+
+        def E(v):
+            return np.array([v[0], v[1], v[2] + self.H * (p.x2 * v[0] - p.x1 * v[1])])
+
+        return frame, fs, ft, E(fs), E(ft)
 
     def nil3_jacobian_metrics(self, s, t):
         """Smallest singular value of the Jacobian and the signed area density.
@@ -165,12 +173,9 @@ class ScrollSurface:
         normal Gauss map (projectively (N2, -N1, 1) from N = N_L), so its
         sign flips across a non-degenerate singular curve.
         """
-        fs, ft = self.nil3_partials(s, t)
+        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
         sigma_min = float(np.linalg.svd(np.vstack([fs, ft]), compute_uv=False)[-1])
-        point = self.nil3_point(s, t)
-        fs_E = self._frame_components(point, fs)
-        ft_E = self._frame_components(point, ft)
-        N = self.gauss_map_L(s, t)
+        N = _gauss_map(frame, t, self.H)
         n_dir = np.array([N.x2, -N.x1, 1.0])
         n_E = n_dir / np.linalg.norm(n_dir)
         lam = float(np.linalg.det(np.vstack([fs_E, ft_E, n_E])))
@@ -183,10 +188,7 @@ class ScrollSurface:
         normal direction eta*(ft x fs), g_+-normalization, stereographic
         coordinate.  Shares g with the dual B-scroll away from poles.
         """
-        fs, ft = self.nil3_partials(s, t)
-        point = self.nil3_point(s, t)
-        u = self._frame_components(point, fs)
-        v = self._frame_components(point, ft)
+        _, _, _, u, v = self._tangents_E(s, t)
         cr = np.cross(u, v)
         nd = np.array([-cr[0], cr[1], cr[2]])  # eta applied
         norm2 = -nd[0] ** 2 + nd[1] ** 2 + nd[2] ** 2
@@ -198,17 +200,21 @@ class ScrollSurface:
         return ParaComplex(n[0] / (1.0 + n[2]), n[1] / (1.0 + n[2]))
 
     def sample(self, s, t) -> SurfaceSample:
-        fs, ft = self.nil3_partials(s, t)
+        gamma, J = self.path.dense_eval(s)
+        frame = self.frame_source(s)
+        Bv = frame.B.value()
+        fs, ft = _nil3_partials(frame, gamma, t, self.H)
+        N = _gauss_map(frame, t, self.H)
         try:
-            g = self.normal_gauss_map(s, t)
+            g = _stereo(N)
         except PoleError:
             g = None
         return SurfaceSample(
             s=float(s),
             t=float(t),
-            f_L=self.bscroll_point(s, t),
-            N_L=self.gauss_map_L(s, t),
-            f_nil=self.nil3_point(s, t),
+            f_L=gamma + Bv * t,
+            N_L=N,
+            f_nil=_nil3(gamma, J, Bv, t, self.H),
             df=np.vstack([fs, ft]),
             g_map=g,
         )
@@ -223,7 +229,7 @@ class ScrollSurface:
         for i in (-1, 0, 1):
             frame = self.frame_source(s + i * h)
             for j in (-2, -1, 0, 1, 2):
-                grid[(i, j)] = self.gauss_map_L(s + i * h, t + j * h, frame)
+                grid[(i, j)] = _gauss_map(frame, t + j * h, H)
 
         def arr(i, j):
             return grid[(i, j)].as_array()
@@ -251,31 +257,27 @@ class ScrollSurface:
         return r_plus, +1
 
     def fundamental_forms_fd(self, s, t, fd_step=1e-4):
-        """FD cross-check of the forms from f_L and N_L directly."""
+        """FD cross-check of the forms from f_L and N_L directly (one frame per s)."""
         h = float(fd_step)
+        rows = {
+            ds: (self.path.gamma(s + ds), self.frame_source(s + ds)) for ds in (-h, 0.0, h)
+        }
 
         def p(ds, dt):
-            return self.bscroll_point(s + ds, t + dt).as_array()
+            gamma, frame = rows[ds]
+            return (gamma + frame.B.value() * (t + dt)).as_array()
 
         fs = (p(h, 0) - p(-h, 0)) / (2 * h)
         ft = (p(0, h) - p(0, -h)) / (2 * h)
         fss = (p(h, 0) - 2 * p(0, 0) + p(-h, 0)) / h**2
         ftt = (p(0, h) - 2 * p(0, 0) + p(0, -h)) / h**2
         fst = (p(h, h) - p(h, -h) - p(-h, h) + p(-h, -h)) / (4 * h**2)
-        N = self.gauss_map_L(s, t).as_array()
+        N = _gauss_map(rows[0.0][1], t, self.H).as_array()
         eta = np.diag([-1.0, 1.0, 1.0])
 
         def dot(a, b):
             return float(a @ eta @ b)
 
         I = np.array([[dot(fs, fs), dot(fs, ft)], [dot(fs, ft), dot(ft, ft)]])
-        II = np.array(
-            [[dot(fss, N), dot(fst, N)], [dot(fst, N), dot(ftt, N)]]
-        )
-        shape = np.linalg.inv(I) @ II
-        return FundamentalForms(
-            I=I,
-            II=II,
-            H_mean=0.5 * float(np.trace(shape)),
-            K_gauss=float(np.linalg.det(shape)),
-        )
+        II = np.array([[dot(fss, N), dot(fst, N)], [dot(fst, N), dot(ftt, N)]])
+        return _forms(I, II)

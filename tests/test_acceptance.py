@@ -297,20 +297,20 @@ def test_acceptance_12_o21_invariance():
             psi=float(rng.uniform(0, 2 * math.pi)),
         )
         for s in (CCR_S, -CCR_S):
-            src_O = lambda sv: transform_frame(O, cubic_src(sv))
-            ok &= classify_point(src_O, s).kind is SingularKind.CUSPIDAL_CROSS_CAP
+            kind = classify_point(transform_frame(O, cubic_src(s))).kind
+            ok &= kind is SingularKind.CUSPIDAL_CROSS_CAP
     # front/not-front at 50 sampled singular points of the tanh surface
     O = LorentzTransform.from_params(
         phi=0.7, chi=0.6, psi=2.1
     )
     for s in np.linspace(0.1, 1.0, 50):
-        p = classify_point(tanh_src, float(s))
-        q = classify_point(lambda sv: transform_frame(O, tanh_src(sv)), float(s))
+        p = classify_point(tanh_src(float(s)))
+        q = classify_point(transform_frame(O, tanh_src(float(s))))
         ok &= p.is_front == q.is_front
     f0 = tanh_src(0.0)
     On = find_notce_transform(f0)
     r1, r2 = notce_residuals(transform_frame(On, f0))
-    kind = classify_point(lambda sv: transform_frame(On, tanh_src(sv)), 0.0).kind
+    kind = classify_point(transform_frame(On, tanh_src(0.0))).kind
     ok &= abs(r1) < 1e-8 and abs(r2) < 1e-8
     ok &= kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER)
     report(
@@ -327,7 +327,7 @@ def test_acceptance_13_criteria_equivalence():
         src = make_frame_source(hexpr.parse(text), 1.0)
         for s in np.linspace(-1.0, 1.0, 201):
             try:
-                p = classify_point(src, float(s))
+                p = classify_point(src(float(s)))
             except Exception as err:  # ClassifierInconsistency included
                 ok = False
                 print(f"  disagreement at {text}, s={s}: {err}")

@@ -81,6 +81,50 @@ def test_domain_error_exit_2(tmp_path):
     code, _, err = run(tmp_path, "surface", "--h", "log(s)", "--s-range", "-1:1")
     assert code == 2
     assert "log" in err
+    for h in ("s/0", "s/(1-1)"):
+        code, _, err = run(tmp_path, "surface", "--h", h, "--out", "m")
+        assert code == 2, h
+        assert err.startswith("error: division by zero at s="), h
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "h,message",
+    [("1/0 + s", "division by zero at offset 1"),
+     ("log(0)+s", "log out of domain at offset 0"),
+     ("log(s)", "log out of domain at s=-1.0")],
+)
+def test_domain_error_names_offset_or_s(tmp_path, h, message):
+    # a constant sub-expression has no s: its byte offset locates it
+    code, _, err = run(tmp_path, "singular", "--h", h, "--out", "r")
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("singular",),
+     ("singular", "--h", "tanh(s)", "--grid-n", "8"),
+     ("family", "--h", "tanh(s)", "--samples", "-1"),
+     ("frame", "--kappa2", "s", "--init-frame", "1 0 0 0 1 0 0 0 1", "--samples", "-1"),
+     ("frame", "--kappa2", "s", "--init-frame", "a b c"),
+     ("frame", "--kappa2", "s", "--init-frame", "1 0 0")],
+)
+def test_precondition_exit_2(tmp_path, argv):
+    code, _, err = run(tmp_path, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Number of samples" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_stray_value_error_exit_3(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(cli, "scan_singularities", broken)
+    code, _, err = run(tmp_path, "singular", "--h", "tanh(s)")
+    assert code == 3
+    assert err.startswith("internal error: ValueError")
 
 
 def test_parse_error_exit_2(tmp_path):

@@ -79,6 +79,26 @@ def test_division_by_zero():
 
 
 @pytest.mark.parametrize(
+    "text,evaluate,base_point,offset",
+    [("1 / (s - 0.5)", hexpr.eval_real, 0.5, 2),
+     ("log(s - 2)", hexpr.eval_real, 0.5, 0),
+     ("log(s - 2)", hexpr.eval_jet, 0.5, 0),
+     ("s / 0", hexpr.eval_jet, 0.5, 2),
+     ("1/0 + s", hexpr.eval_jet, None, 1),
+     ("s + sqrt(-1)", hexpr.eval_real, None, 4),
+     ("(-1)^0.5 * s", hexpr.eval_jet, None, 4)],
+)
+def test_domain_error_location(text, evaluate, base_point, offset):
+    # s for an s-dependent sub-expression, the byte offset for a constant one
+    with pytest.raises(DomainError) as err:
+        evaluate(hexpr.parse(text), 0.5)
+    assert err.value.base_point == base_point
+    assert err.value.offset == offset
+    where = f"s={base_point!r}" if base_point is not None else f"offset {offset}"
+    assert str(err.value).endswith(" at " + where)
+
+
+@pytest.mark.parametrize(
     "text",
     ["tanh(s)", "s + s^3", "cot(exp(s)/2)", "-s^2", "(s + 1)/(s - 2)", "2*s - 3/s"],
 )

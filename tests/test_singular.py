@@ -25,7 +25,6 @@ from nilscroll.singular import (
     scan_singularities,
     singular_t,
     transform_frame,
-    transformed_source,
 )
 S_PLUS = 0.25 * math.log(5.0 + 2.0 * math.sqrt(6.0))
 S_MINUS = 0.25 * math.log(5.0 - 2.0 * math.sqrt(6.0))
@@ -78,7 +77,7 @@ def test_cL_e3_component_identity(any_source):
 
 
 def test_classify_cuspidal_edge(tanh_source):
-    p = classify_point(tanh_source, 0.2)
+    p = classify_point(tanh_source(0.2))
     assert p.kind is SingularKind.CUSPIDAL_EDGE
     assert p.is_front
     r1, r2 = p.diagnostics["notce"]
@@ -87,28 +86,28 @@ def test_classify_cuspidal_edge(tanh_source):
 
 def test_classify_swallowtail(tanh_source):
     for s in (S_PLUS, S_MINUS):
-        p = classify_point(tanh_source, s)
+        p = classify_point(tanh_source(s))
         assert p.kind is SingularKind.SWALLOWTAIL
 
 
 def test_classify_cuspidal_cross_cap():
     src = make_frame_source(CUBIC, 1.0)
     for s in (CCR_S, -CCR_S):
-        p = classify_point(src, s)
+        p = classify_point(src(s))
         assert p.kind is SingularKind.CUSPIDAL_CROSS_CAP
         assert abs(p.diagnostics["S_h"]) < 1e-10
         assert abs(p.diagnostics["S_h_prime"]) > 1.0
 
 
 def test_classify_unbounded(tanh_source):
-    p = classify_point(tanh_source, 0.0)
+    p = classify_point(tanh_source(0.0))
     assert p.kind is SingularKind.UNBOUNDED
     assert p.t is None
 
 
 def test_classify_degenerate_line():
     src = make_frame_source(hexpr.parse("s"), 1.0)  # S(h) identically 0
-    p = classify_point(src, 0.5)
+    p = classify_point(src(0.5))
     assert p.kind is SingularKind.NON_FRONT_DEGENERATE
 
 
@@ -151,7 +150,7 @@ def test_scan_curve_samples(tanh_source):
 
 
 def test_scan_grid_validation(tanh_source):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         scan_singularities(tanh_source, (0.0, 1.0), grid_n=4)
 
 
@@ -211,7 +210,7 @@ def test_find_notce_transform(tanh_source):
     g = transform_frame(O, f0)
     r1, r2 = notce_residuals(g)
     assert abs(r1) < 1e-8 and abs(r2) < 1e-8
-    kind = classify_point(lambda s: transform_frame(O, tanh_source(s)), 0.0).kind
+    kind = classify_point(transform_frame(O, tanh_source(0.0))).kind
     assert kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER)
 
 
@@ -246,7 +245,7 @@ def test_find_notce_closed_form_draws():
         assert np.max(np.abs(O.m.T @ ETA @ O.m - ETA)) < 1e-12
         r1, r2 = notce_residuals(transform_frame(O, src(s)))
         assert abs(r1) < 1e-8 and abs(r2) < 1e-8
-        kind = classify_point(transformed_source(O, src), s).kind
+        kind = classify_point(transform_frame(O, src(s))).kind
         assert kind is not SingularKind.CUSPIDAL_EDGE
 
 
@@ -264,9 +263,10 @@ def test_criteria_equivalence_dense(surfaces):
     """
     O = LorentzTransform.from_params(phi=0.7, chi=0.6, psi=2.1)
     for name, surf in surfaces.items():
-        for src in (surf.frame_source, transformed_source(O, surf.frame_source)):
-            for s in np.linspace(-1.0, 1.0, 101):
+        for s in np.linspace(-1.0, 1.0, 101):
+            f = surf.frame_source(float(s))
+            for frame in (f, transform_frame(O, f)):
                 # raises ClassifierInconsistency on disagreement
-                p = classify_point(src, float(s))
+                p = classify_point(frame)
                 if "notce" in p.diagnostics:
                     assert abs(p.diagnostics["notce"][1]) < 1e-12, (name, s)
