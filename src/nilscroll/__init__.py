@@ -9,7 +9,6 @@ from .errors import (
     ExprSyntaxError,
     InitError,
     InputError,
-    MaxStepsExceeded,
     NilscrollError,
     NormalizationError,
     NoSolutionFound,
@@ -20,7 +19,6 @@ from .errors import (
     OutOfRange,
     PoleError,
     PreconditionError,
-    StepUnderflow,
     UnboundedCurve,
     UnknownFunction,
 )
@@ -33,7 +31,7 @@ from .frames import (
     validate_frame,
 )
 from .hexpr import eval_jet, eval_real, mobius, parse, to_str
-from .integrate import CurvePath, IntegratorConfig, integrate_curve
+from .integrate import CurvePath, integrate_curve
 from .jets import Jet, schwarzian
 from .lorentz import ETA, LorentzTransform, ParaComplex, Vec3L, is_lorentz, mcross, mdot
 from .singular import (
@@ -47,7 +45,7 @@ from .singular import (
     singular_t,
     transform_frame,
 )
-from .surface import FundamentalForms, ScrollSurface, SurfaceSample
+from .surface import FundamentalForms, ScrollSurface
 
 __version__ = "0.1.0"
 
@@ -61,10 +59,8 @@ __all__ = [
     "FundamentalForms",
     "InitError",
     "InputError",
-    "IntegratorConfig",
     "Jet",
     "LorentzTransform",
-    "MaxStepsExceeded",
     "NilscrollError",
     "NormalizationError",
     "NoSolutionFound",
@@ -81,8 +77,6 @@ __all__ = [
     "SingularKind",
     "SingularPoint",
     "SingularReport",
-    "StepUnderflow",
-    "SurfaceSample",
     "UnboundedCurve",
     "UnknownFunction",
     "Vec3L",

@@ -160,6 +160,11 @@ def _nl_from_g(g):
     return np.array([-jg.re / d, -(g + g.conj()).re / d, -(1.0 - m) / d])
 
 
+def _worst(*residuals):
+    """The largest residual; NaN if any is NaN, so that its check fails."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     """Named invariant checks for one generator; pure, used by tests too."""
     h_ast = hexpr.parse(h_text)
@@ -188,15 +193,12 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     for s in svals:
         f = source(float(s))
         r = validate_frame(f)
-        fs_res = max(fs_res, r["fs_A"], r["fs_B"], r["fs_C"])
-        frame_res = max(frame_res, max(v for k, v in r.items() if not k.startswith("fs_")))
+        fs_res = _worst(fs_res, r["fs_A"], r["fs_B"], r["fs_C"])
+        frame_res = _worst(frame_res, *(v for k, v in r.items() if not k.startswith("fs_")))
         Bp = f.B.deriv()
         Bpp = Bp.deriv()
-        weier = max(weier, abs(mdot(Bp, Bp).value - H * H))
-        weier = max(
-            weier,
-            abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value),
-        )
+        weier = _worst(weier, abs(mdot(Bp, Bp).value - H * H),
+                       abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value))
     add("frame_invariants", frame_res, 1e-9)
     add("frenet_serret", fs_res, 1e-8)
     add("weierstrass_curvature", weier, 1e-8)
@@ -209,12 +211,12 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         t = float(rng.uniform(-2.0, 2.0))
         forms = surf.fundamental_forms(s, t)
         fd = surf.fundamental_forms_fd(s, t, fd_step=1e-4)
-        ff_res = max(
+        ff_res = _worst(
             ff_res,
             float(np.max(np.abs(forms.I - fd.I))),
             float(np.max(np.abs(forms.II - fd.II))),
         )
-        hk_res = max(hk_res, abs(forms.H_mean - H), abs(forms.K_gauss - H * H))
+        hk_res = _worst(hk_res, abs(forms.H_mean - H), abs(forms.K_gauss - H * H))
     add("fundamental_forms_fd", ff_res, fd_tol)
     add("mean_gauss_curvature", hk_res, 1e-10)
 
@@ -225,7 +227,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         s = float(rng.uniform(flo, fhi))
         t = float(rng.uniform(-2.0, 2.0))
         r, sign = surf.box_check(s, t, fd_step=fd_step)
-        box_res = max(box_res, r)
+        box_res = _worst(box_res, r)
         signs.add(sign)
     box_sign = signs.pop() if len(signs) == 1 else None
     add("box_eigenvalue", box_res, 1e-4, detail={"sign": box_sign})
@@ -241,7 +243,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         except PoleError:
             continue
         back = _nl_from_g(g)
-        g_res = max(g_res, float(np.max(np.abs(back - N.as_array()))))
+        g_res = _worst(g_res, float(np.max(np.abs(back - N.as_array()))))
     add("gauss_map_roundtrip", g_res, 1e-10)
 
     # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
@@ -259,9 +261,9 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         if t is None or abs(t) > 50.0:
             continue
         met = surf.nil3_jacobian_metrics(float(s), t)
-        dual_sigma = max(dual_sigma, met["sigma_min"])
+        dual_sigma = _worst(dual_sigma, met["sigma_min"])
         g = surf.normal_gauss_map(float(s), t)
-        dual_gmod = max(dual_gmod, abs(g.sqmod() - 1.0))
+        dual_gmod = _worst(dual_gmod, abs(g.sqmod() - 1.0))
     add("singular_duality_rank", dual_sigma, 1e-6)
     add("singular_duality_gmod", dual_gmod, 1e-8)
 
@@ -470,8 +472,13 @@ def main(argv=None) -> int:
         H = getattr(args, "H", 1.0)
         if H == 0.0 or not math.isfinite(H):
             raise PreconditionError(f"H must be finite and non-zero, got {H!r}")
-        if getattr(args, "samples", 0) < 0:
-            raise PreconditionError(f"--samples must be >= 0, got {args.samples}")
+        if getattr(args, "samples", 1) < 1:
+            raise PreconditionError(f"--samples must be >= 1, got {args.samples}")
+        s = getattr(args, "s", None)
+        if s is not None and not math.isfinite(s):
+            raise PreconditionError(f"--s must be finite, got {args.s!r}")
+        if not 0.0 < getattr(args, "fd_step", 1.0) < math.inf:
+            raise PreconditionError(f"--fd-step must be finite and > 0, got {args.fd_step!r}")
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

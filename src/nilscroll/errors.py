@@ -75,14 +75,6 @@ class InitError(InputError):
     """Initial frame for the Frenet-Serret flow fails validation."""
 
 
-class StepUnderflow(NilscrollError):
-    """Adaptive integrator step fell below the minimum step size."""
-
-
-class MaxStepsExceeded(NilscrollError):
-    """Adaptive integrator exceeded its step budget."""
-
-
 class OutOfRange(NilscrollError):
     """Dense evaluation requested outside the integrated range."""
 

@@ -1,41 +1,21 @@
-"""Piecewise-Chebyshev quadrature for the base curve; DOPRI for the flow.
+"""Piecewise-Chebyshev quadrature for the base curve.
 
 The base null curve gamma' = A(s) and its Heisenberg area integral
 J' = gamma1*A2 - gamma2*A1 are quadratures.  A is interpolated on nested
 Chebyshev-Lobatto points of each panel, the degree is chosen by tail decay
 and a panel that does not converge is split (the chebfun construction:
 Battles & Trefethen, SISC 2004), then the series are integrated exactly.
-
-The Frenet-Serret frame flow is an ODE: adaptive Dormand-Prince 5(4) with
-PI step control and cubic-Hermite dense output.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .errors import MaxStepsExceeded, NumericFailure, OutOfRange, StepUnderflow
+from .errors import NumericFailure, OutOfRange
 from .lorentz import Vec3L
-
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
 # its last n/8 + 1 coefficients is below _CHEB_TOL times the largest |A| on
@@ -44,103 +24,6 @@ _CHEB_TOL = 1e-13
 _CHEB_DEGREES = (16, 32, 64, 128)
 # panels narrower than this fraction of the curve's range are not split
 _MIN_PANEL = 1e-8
-
-
-@dataclass
-class IntegratorConfig:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    # DOPRI serves only the Frenet-Serret flow, whose dense output is
-    # cubic Hermite between accepted steps: the step cap (not the
-    # embedded-pair tolerance) controls its interpolation error
-    max_step: float = 0.01
-    min_step: float = 1e-13
-    max_steps: int = 100_000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.min_step < self.max_step:
-            raise ValueError("min_step must be below max_step")
-
-
-def _dopri_samples(f, s0, y0, s1, cfg: IntegratorConfig):
-    """Accepted samples [(s, y, f(s,y))] from s0 to s1 (either direction)."""
-    y = np.asarray(y0, dtype=float)
-    s = float(s0)
-    samples = [(s, y.copy(), np.asarray(f(s, y), dtype=float))]
-    if s1 == s0:
-        return samples
-    direction = 1.0 if s1 > s0 else -1.0
-    span = abs(s1 - s0)
-    h = min(cfg.max_step, span / 10.0, 1e-2)
-    k0 = samples[0][2]
-    err_prev = 1.0
-    nsteps = 0
-    while direction * (s1 - s) > 0:
-        if nsteps >= cfg.max_steps:
-            raise MaxStepsExceeded(f"{cfg.max_steps} steps exhausted at s={s}")
-        nsteps += 1
-        if h < cfg.min_step:
-            raise StepUnderflow(f"step {h:.3e} below min_step at s={s}")
-        # clamping to the remaining span is not an underflow
-        hd = direction * min(h, abs(s1 - s))
-        k = [k0]
-        for i in range(1, 7):
-            yi = y + hd * sum(a * ki for a, ki in zip(_A[i], k))
-            k.append(np.asarray(f(s + _C[i] * hd, yi), dtype=float))
-        y_new = y + hd * sum(b * ki for b, ki in zip(_B5, k))
-        err_vec = hd * sum(e * ki for e, ki in zip(_E, k))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            s = s + hd
-            y = y_new
-            k0 = k[6]  # FSAL
-            samples.append((s, y.copy(), k0.copy()))
-            # PI controller
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
-            err_prev = max(err, 1e-10)
-        else:
-            fac = max(0.2, 0.9 * err ** -0.2)
-        h = min(cfg.max_step, h * min(5.0, max(0.2, fac)))
-    return samples
-
-
-def solve_dense(f, s0, y0, grid, cfg: IntegratorConfig):
-    """Integrate from s0 and evaluate on an arbitrary grid (both directions).
-
-    Values between accepted steps come from cubic Hermite interpolation.
-    """
-    grid = np.asarray(grid, dtype=float)
-    samples = []
-    if grid.min() < s0:
-        samples += _dopri_samples(f, s0, y0, grid.min(), cfg)
-    if grid.max() > s0:
-        samples += _dopri_samples(f, s0, y0, grid.max(), cfg)
-    if not samples:
-        dy0 = np.asarray(f(s0, np.asarray(y0, float)), dtype=float)
-        samples = [(s0, np.asarray(y0, float), dy0)]
-    samples.sort(key=lambda t: t[0])
-    knots = [t[0] for t in samples]
-    out = []
-    for s in map(float, grid):
-        i = min(max(bisect.bisect_right(knots, s) - 1, 0), len(knots) - 2)
-        (sa, ya, da), (sb, yb, db) = samples[i], samples[i + 1]
-        if s == sa or s == sb:
-            out.append((ya if s == sa else yb).copy())
-            continue
-        h = sb - sa
-        u = (s - sa) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
-        out.append(h00 * ya + h10 * h * da + h01 * yb + h11 * h * db)
-    return out
-
-
-# -- piecewise-Chebyshev base curve ------------------------------------------
 
 
 def _lobatto(n):

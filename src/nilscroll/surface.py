@@ -29,17 +29,6 @@ class FundamentalForms:
     K_gauss: float
 
 
-@dataclass(frozen=True)
-class SurfaceSample:
-    s: float
-    t: float
-    f_L: Vec3L
-    N_L: Vec3L
-    f_nil: Vec3L
-    df: np.ndarray  # 2x3 Jacobian of f_nil, rows (d/ds, d/dt)
-    g_map: ParaComplex | None  # None marks a projection pole
-
-
 def _gauss_map(frame: NullFrame, t, H) -> Vec3L:
     """N_L = -C - t*H*B."""
     _, Bv, Cv = frame.values()
@@ -198,26 +187,6 @@ class ScrollSurface:
         if abs(1.0 + n[2]) <= POLE_TOL:
             raise PoleError("direct Gauss map pole: n3 ~ -1")
         return ParaComplex(n[0] / (1.0 + n[2]), n[1] / (1.0 + n[2]))
-
-    def sample(self, s, t) -> SurfaceSample:
-        gamma, J = self.path.dense_eval(s)
-        frame = self.frame_source(s)
-        Bv = frame.B.value()
-        fs, ft = _nil3_partials(frame, gamma, t, self.H)
-        N = _gauss_map(frame, t, self.H)
-        try:
-            g = _stereo(N)
-        except PoleError:
-            g = None
-        return SurfaceSample(
-            s=float(s),
-            t=float(t),
-            f_L=gamma + Bv * t,
-            N_L=N,
-            f_nil=_nil3(gamma, J, Bv, t, self.H),
-            df=np.vstack([fs, ft]),
-            g_map=g,
-        )
 
     # -- verification quantities -------------------------------------------
 

@@ -108,7 +108,13 @@ def test_domain_error_names_offset_or_s(tmp_path, h, message):
      ("family", "--h", "tanh(s)", "--samples", "-1"),
      ("frame", "--kappa2", "s", "--init-frame", "1 0 0 0 1 0 0 0 1", "--samples", "-1"),
      ("frame", "--kappa2", "s", "--init-frame", "a b c"),
-     ("frame", "--kappa2", "s", "--init-frame", "1 0 0")],
+     ("frame", "--kappa2", "s", "--init-frame", "1 0 0"),
+     ("frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 -1", "--samples", "0"),
+     ("family", "--h", "tanh(s)", "--boost", "0.4", "--samples", "0"),
+     ("frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 nan"),
+     ("family", "--h", "tanh(s)", "--find-notce", "--s", "nan"),
+     ("verify", "--h", "tanh(s)", "--fd-step", "0"),
+     ("verify", "--h", "tanh(s)", "--fd-step", "nan")],
 )
 def test_precondition_exit_2(tmp_path, argv):
     code, _, err = run(tmp_path, *argv)
@@ -216,6 +222,15 @@ def test_verify_degenerate_generator(tmp_path):
     assert set(payload["singular_kinds"]) == {"non_front_degenerate"}
 
 
+def test_verify_nan_residual_fails():
+    # a zero FD step makes every box residual NaN, which must not pass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        payload = cli.run_verify("tanh(s)", 1.0, (-1.0, 1.0), fd_step=0.0)
+    box = payload["checks"]["box_eigenvalue"]
+    assert math.isnan(box["residual"]) and not box["pass"]
+    assert not payload["all_pass"]
+
+
 def test_verify_determinism(tmp_path):
     args = ("verify", "--h", "tanh(s)", "--s-range", "-1:1", "--report", "v.json")
     (tmp_path / "a").mkdir()
@@ -245,6 +260,17 @@ def test_frame_flow_matches_closed_form(tmp_path):
         worst = max(worst, max(abs(a - b) for a, b in zip(row["A"], A)))
         assert row["worst_residual"] < 1e-8
     assert worst < 1e-7
+
+
+def test_frame_curvature_overflow_exit_3(tmp_path):
+    code, _, err = run(
+        tmp_path,
+        "frame", "--kappa2", "exp(800*s)", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 -1",
+        "--s-range", "0:1", "--report", "f.json",
+    )
+    assert code == 3
+    assert err.startswith("numeric failure: ") and "s=0.8" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_frame_invalid_init_exit_2(tmp_path):

@@ -11,6 +11,7 @@ from nilscroll.errors import (
     DegenerateGenerator,
     InitError,
     NormalizationError,
+    NumericFailure,
     OrientationError,
 )
 from nilscroll.frames import (
@@ -148,6 +149,40 @@ def test_flow_rejects_invalid_init():
         frame_flow_from_curvatures(
             hexpr.parse("0"), hexpr.parse("2"), 1.0, bad, (0.0, 1.0)
         )
+
+
+def test_flow_from_interior_s_both_directions():
+    # the flow marches both ways from s0 = 0.37 onto the samples of -1:1
+    init = frame_from_h(TANH, 1.0, 0.37)
+    frames = frame_flow_from_curvatures(
+        hexpr.parse("0"), hexpr.parse("2"), 1.0, init, (-1.0, 1.0), n_samples=41
+    )
+    assert frames[0].s == -1.0 and frames[-1].s == 1.0
+    for f in frames:
+        ex = frame_from_h(TANH, 1.0, f.s)
+        for got, want in ((f.A, ex.A), (f.B, ex.B), (f.C, ex.C)):
+            assert got.value().as_array() == pytest.approx(
+                want.value().as_array(), abs=1e-9
+            )
+
+
+def test_flow_unresolvable_kappa2_names_s():
+    # kappa2 has a pole at 0.123, so no step count resolves the flow past it;
+    # the first sample beyond the pole is named
+    init = frame_from_h(TANH, 1.0, 0.0)
+    with pytest.raises(NumericFailure, match=r"unresolved at s=0\.2 "):
+        frame_flow_from_curvatures(
+            hexpr.parse("0"), hexpr.parse("1/(s-0.123)"), 1.0, init, (0.0, 1.0),
+            n_samples=11,
+        )
+
+
+def test_flow_oscillatory_kappa2_stays_on_group():
+    init = frame_from_h(TANH, 1.0, 0.0)
+    frames = frame_flow_from_curvatures(
+        hexpr.parse("0"), hexpr.parse("100*sin(100*s)"), 1.0, init, (0.0, 1.0)
+    )
+    assert max(validate_frame(f).worst for f in frames) < 1e-9
 
 
 def test_flow_preserves_invariants_variable_kappa2():

@@ -1,57 +1,55 @@
-"""Adaptive integrator and dense output against closed-form solutions."""
+"""Piecewise-Chebyshev base curve against closed-form solutions."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nilscroll import hexpr
-from nilscroll.errors import MaxStepsExceeded, NumericFailure, OutOfRange
+from nilscroll.errors import NumericFailure, OutOfRange
 from nilscroll.frames import make_frame_source
-from nilscroll.integrate import (
-    IntegratorConfig,
-    integrate_curve,
-    solve_dense,
-)
+from nilscroll.integrate import integrate_curve
+from nilscroll.lorentz import Vec3L
 
 # Heisenberg area integral for tanh over [0, 1]:
 # integral of sinh(2s)/2 - s*cosh(2s) ds = (cosh2 - 1)/2 - sinh2/2
 J_TANH_01 = (math.cosh(2.0) - 1.0) / 2.0 - math.sinh(2.0) / 2.0
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(min_step=1.0, max_step=0.5)
+def source_of(A):
+    """A frame source whose frame at s carries only A = A(s)."""
+    return lambda s: SimpleNamespace(A=SimpleNamespace(value=lambda: Vec3L(*A(s))))
 
 
 def test_exponential_growth():
-    cfg = IntegratorConfig()
-    grid = np.linspace(0.0, 2.0, 21)
-    ys = solve_dense(lambda s, y: y, 0.0, [1.0], grid, cfg)
-    for s, y in zip(grid, ys):
-        assert y[0] == pytest.approx(math.exp(s), rel=1e-9)
+    # A = (e^s, 1, 0): gamma = (e^s - 1, s, 0), J' = gamma1 - s e^s
+    path = integrate_curve(source_of(lambda s: (math.exp(s), 1.0, 0.0)), 0.0, (0.0, 2.0))
+    for s in np.linspace(0.0, 2.0, 21):
+        g, J = path.dense_eval(s)
+        assert g.x1 + 1.0 == pytest.approx(math.exp(s), rel=1e-9)
+        assert g.x2 == pytest.approx(s, abs=1e-12)
+        assert g.x3 == 0.0
+        assert J == pytest.approx(2 * math.exp(s) - s - s * math.exp(s) - 2, abs=1e-9)
 
 
 def test_harmonic_oscillator_both_directions():
-    cfg = IntegratorConfig()
-    grid = np.linspace(-3.0, 3.0, 61)
-    ys = solve_dense(
-        lambda s, y: np.array([y[1], -y[0]]), 0.0, [0.0, 1.0], grid, cfg
+    # A = (cos s, -sin s, 0) from the interior anchor s0 = 0 out to both ends:
+    # gamma = (sin s, cos s - 1, 0), J' = cos s - 1
+    path = integrate_curve(
+        source_of(lambda s: (math.cos(s), -math.sin(s), 0.0)), 0.0, (-3.0, 3.0)
     )
-    for s, y in zip(grid, ys):
-        assert y[0] == pytest.approx(math.sin(s), abs=1e-9)
-        assert y[1] == pytest.approx(math.cos(s), abs=1e-9)
+    for s in np.linspace(-3.0, 3.0, 61):
+        g, J = path.dense_eval(s)
+        assert g.x1 == pytest.approx(math.sin(s), abs=1e-9)
+        assert g.x2 == pytest.approx(math.cos(s) - 1.0, abs=1e-9)
+        assert J == pytest.approx(math.sin(s) - s, abs=1e-9)
 
 
 def test_dense_output_off_grid():
-    cfg = IntegratorConfig()
-    grid = [0.0, 1.0]
-    solve_dense(lambda s, y: y, 0.0, [1.0], grid, cfg)
     src = make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     path = integrate_curve(src, 0.0, (0.0, 1.0))
-    # off the accepted-step knots
+    # off the Chebyshev nodes
     for s in (0.123456, 0.654321, 0.999):
         g = path.gamma(s)
         assert g.x1 == pytest.approx(math.sinh(2 * s) / 2, abs=1e-10)
@@ -79,12 +77,6 @@ def test_curve_anchor_and_range():
         path.gamma(1.5)
     with pytest.raises(ValueError):
         integrate_curve(src, 5.0, (-1.0, 1.0))
-
-
-def test_max_steps_budget():
-    cfg = IntegratorConfig(max_steps=3)
-    with pytest.raises(MaxStepsExceeded):
-        solve_dense(lambda s, y: y, 0.0, [1.0], [0.0, 2.0], cfg)
 
 
 def test_gamma_prime_is_A():

@@ -176,10 +176,3 @@ def test_direct_gauss_map_agrees(surfaces):
             assert abs(g1.im - g2.im) < 1e-8, name
             checked += 1
         assert checked > 15
-
-
-def test_sample_record(tanh_surface):
-    rec = tanh_surface.sample(0.25, 0.5)
-    assert rec.df.shape == (2, 3)
-    assert rec.g_map is not None
-    assert rec.f_L.x1 == pytest.approx(rec.f_nil.x1)
