@@ -45,7 +45,7 @@ from .singular import (
     singular_t,
     transform_frame,
 )
-from .surface import ScrollSurface
+from .surface import BOX_OFFSETS, FORMS_FD_STEP, FORMS_OFFSETS, ScrollSurface
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,11 +80,11 @@ def _require(args, *names):
             raise PreconditionError(f"--{name} is required for this subcommand")
 
 
-def _build_surface(args):
+def _build_path(args):
+    """The frame source of --h and its base curve over --s-range."""
     source = make_frame_source(hexpr.parse(args.h), args.H)
     s0 = 0.5 * (args.s_range[0] + args.s_range[1])
-    path = integrate_curve(source, s0, args.s_range)
-    return source, ScrollSurface(source, path)
+    return source, integrate_curve(source, s0, args.s_range)
 
 
 def _emit(args, payload):
@@ -99,7 +99,7 @@ def _emit(args, payload):
 
 def cmd_surface(args) -> int:
     _require(args, "h")
-    _, surf = _build_surface(args)
+    surf = ScrollSurface(*_build_path(args))
     ns, nt = args.grid
     verts = surf.mesh(np.linspace(*args.s_range, ns), np.linspace(*args.t_range, nt))
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
@@ -162,20 +162,38 @@ def _nl_from_g(g):
 
 def _worst(*residuals):
     """The largest residual; NaN if any is NaN, so that its check fails."""
-    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
 
 
 def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
-    """Named invariant checks for one generator; pure, used by tests too."""
+    """Named invariant checks for one generator; pure, used by tests too.
+
+    Every (s, t) sample is drawn first; the frames at all distinct s the
+    checks touch then come from one batch.
+    """
     h_ast = hexpr.parse(h_text)
     args = argparse.Namespace(h=h_text, H=H, s_range=s_range)
-    source, surf = _build_surface(args)
+    source, path = _build_path(args)
     rng = np.random.default_rng(20240817)
     lo, hi = s_range
     svals = np.linspace(lo, hi, 41)
+    dual_s = np.linspace(lo, hi, 21)
     # FD probes step past the sample point; keep them inside the path range
     pad = 0.02 * (hi - lo)
     flo, fhi = lo + pad, hi - pad
+
+    def draw(n):
+        return [(float(rng.uniform(flo, fhi)), float(rng.uniform(-2.0, 2.0))) for _ in range(n)]
+
+    form_draws, box_draws, gauss_draws = draw(40), draw(20), draw(40)
+    wanted = [*svals.tolist(), *dual_s.tolist(), path.s0]
+    wanted += [s + k * FORMS_FD_STEP for s, _ in form_draws for k in FORMS_OFFSETS]
+    wanted += [s + k * float(fd_step) for s, _ in box_draws for k in BOX_OFFSETS]
+    wanted += [s for s, _ in gauss_draws]
+    index = {s: i for i, s in enumerate(dict.fromkeys(wanted))}
+    batch = source(np.array(list(index)))
+
+    surf = ScrollSurface(lambda s: batch.take(index[s]), path)
 
     checks = {}
 
@@ -187,85 +205,63 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         checks[name] = entry
 
     # frame invariants and Frenet-Serret residuals
-    frame_res = 0.0
-    fs_res = 0.0
-    weier = 0.0
-    for s in svals:
-        f = source(float(s))
-        r = validate_frame(f)
-        fs_res = _worst(fs_res, r["fs_A"], r["fs_B"], r["fs_C"])
-        frame_res = _worst(frame_res, *(v for k, v in r.items() if not k.startswith("fs_")))
-        Bp = f.B.deriv()
-        Bpp = Bp.deriv()
-        weier = _worst(weier, abs(mdot(Bp, Bp).value - H * H),
-                       abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value))
-    add("frame_invariants", frame_res, 1e-9)
-    add("frenet_serret", fs_res, 1e-8)
-    add("weierstrass_curvature", weier, 1e-8)
+    f = batch.take([index[s] for s in svals.tolist()])
+    r = validate_frame(f)
+    Bp = f.B.deriv()
+    Bpp = Bp.deriv()
+    add("frame_invariants", _worst(*(v for k, v in r.items() if not k.startswith("fs_"))), 1e-9)
+    add("frenet_serret", _worst(r["fs_A"], r["fs_B"], r["fs_C"]), 1e-8)
+    add("weierstrass_curvature",
+        _worst(np.abs(mdot(Bp, Bp).value - H * H),
+               np.abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value)), 1e-8)
 
     # fundamental forms: closed form vs finite differences, plus H/K law
-    ff_res = 0.0
-    hk_res = 0.0
-    for _ in range(40):
-        s = float(rng.uniform(flo, fhi))
-        t = float(rng.uniform(-2.0, 2.0))
+    ff_res = [0.0]
+    hk_res = [0.0]
+    for s, t in form_draws:
         forms = surf.fundamental_forms(s, t)
-        fd = surf.fundamental_forms_fd(s, t, fd_step=1e-4)
-        ff_res = _worst(
-            ff_res,
-            float(np.max(np.abs(forms.I - fd.I))),
-            float(np.max(np.abs(forms.II - fd.II))),
-        )
-        hk_res = _worst(hk_res, abs(forms.H_mean - H), abs(forms.K_gauss - H * H))
-    add("fundamental_forms_fd", ff_res, fd_tol)
-    add("mean_gauss_curvature", hk_res, 1e-10)
+        fd = surf.fundamental_forms_fd(s, t)
+        ff_res += [np.max(np.abs(forms.I - fd.I)), np.max(np.abs(forms.II - fd.II))]
+        hk_res += [abs(forms.H_mean - H), abs(forms.K_gauss - H * H)]
+    add("fundamental_forms_fd", _worst(ff_res), fd_tol)
+    add("mean_gauss_curvature", _worst(hk_res), 1e-10)
 
     # d'Alembertian eigenvalue identity, both sign conventions tried
-    box_res = 0.0
+    box_res = [0.0]
     signs = set()
-    for _ in range(20):
-        s = float(rng.uniform(flo, fhi))
-        t = float(rng.uniform(-2.0, 2.0))
+    for s, t in box_draws:
         r, sign = surf.box_check(s, t, fd_step=fd_step)
-        box_res = _worst(box_res, r)
+        box_res.append(r)
         signs.add(sign)
     box_sign = signs.pop() if len(signs) == 1 else None
-    add("box_eigenvalue", box_res, 1e-4, detail={"sign": box_sign})
+    add("box_eigenvalue", _worst(box_res), 1e-4, detail={"sign": box_sign})
 
     # normal Gauss map round trip through the unit-normal formula
-    g_res = 0.0
-    for _ in range(40):
-        s = float(rng.uniform(flo, fhi))
-        t = float(rng.uniform(-2.0, 2.0))
+    g_res = [0.0]
+    for s, t in gauss_draws:
         N = surf.gauss_map_L(s, t)
         try:
             g = surf.normal_gauss_map(s, t)
         except PoleError:
             continue
-        back = _nl_from_g(g)
-        g_res = _worst(g_res, float(np.max(np.abs(back - N.as_array()))))
-    add("gauss_map_roundtrip", g_res, 1e-10)
+        g_res.append(np.max(np.abs(_nl_from_g(g) - N.as_array())))
+    add("gauss_map_roundtrip", _worst(g_res), 1e-10)
 
     # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
-    dual_sigma = 0.0
-    dual_gmod = 0.0
+    dual_sigma = [0.0]
+    dual_gmod = [0.0]
     kinds = {}
-    for s in np.linspace(lo, hi, 21):
-        f = source(float(s))
-        t = singular_t(f)
-        try:
-            kind = classify_point(f).kind.value
-        except ClassifierInconsistency:
-            kind = "inconsistent"
+    f = batch.take([index[s] for s in dual_s.tolist()])
+    for s, t, p in zip(dual_s.tolist(), singular_t(f).tolist(),
+                       classify_point(f, raise_errors=False)):
+        kind = "inconsistent" if isinstance(p, ClassifierInconsistency) else p.kind.value
         kinds[kind] = kinds.get(kind, 0) + 1
-        if t is None or abs(t) > 50.0:
+        if math.isnan(t) or abs(t) > 50.0:
             continue
-        met = surf.nil3_jacobian_metrics(float(s), t)
-        dual_sigma = _worst(dual_sigma, met["sigma_min"])
-        g = surf.normal_gauss_map(float(s), t)
-        dual_gmod = _worst(dual_gmod, abs(g.sqmod() - 1.0))
-    add("singular_duality_rank", dual_sigma, 1e-6)
-    add("singular_duality_gmod", dual_gmod, 1e-8)
+        dual_sigma.append(surf.nil3_jacobian_metrics(s, t)["sigma_min"])
+        dual_gmod.append(abs(surf.normal_gauss_map(s, t).sqmod() - 1.0))
+    add("singular_duality_rank", _worst(dual_sigma), 1e-6)
+    add("singular_duality_gmod", _worst(dual_gmod), 1e-8)
 
     all_pass = all(c["pass"] for c in checks.values())
     return {
@@ -312,18 +308,10 @@ def cmd_frame(args) -> int:
     frames = frame_flow_from_curvatures(
         k1_ast, k2_ast, args.H, init, args.s_range, n_samples=args.samples
     )
-    rows = []
-    for f in frames:
-        Av, Bv, Cv = f.values()
-        rows.append(
-            {
-                "s": f.s,
-                "A": list(Av.as_array()),
-                "B": list(Bv.as_array()),
-                "C": list(Cv.as_array()),
-                "worst_residual": validate_frame(f).worst,
-            }
-        )
+    Av, Bv, Cv = (v.as_array().T.tolist() for v in frames.values())
+    rows = [{"s": s, "A": a, "B": b, "C": c, "worst_residual": w}
+            for s, a, b, c, w in zip(frames.s.tolist(), Av, Bv, Cv,
+                                     validate_frame(frames).worst.tolist())]
     payload = {
         "H": args.H,
         "s_range": list(args.s_range),

@@ -29,6 +29,7 @@ from . import hexpr
 from .errors import (
     DegenerateGenerator,
     InitError,
+    NilscrollError,
     NormalizationError,
     NumericFailure,
     OrientationError,
@@ -57,39 +58,64 @@ class NullFrame:
     H: float
 
     def values(self):
-        """(A, B, C) as plain float vectors."""
+        """(A, B, C) as vectors of values (floats, or arrays for a batch)."""
         return self.A.value(), self.B.value(), self.C.value()
+
+    def take(self, idx):
+        """The frame at the points idx of a batch; an int gives a single-point frame."""
+        def vec(v):
+            return Vec3L(*(c.take(idx) for c in v))
+
+        s = float(self.s[idx]) if np.ndim(idx) == 0 else self.s[idx]
+        return NullFrame(s=s, A=vec(self.A), B=vec(self.B), C=vec(self.C),
+                         kappa1=self.kappa1.take(idx), kappa2=self.kappa2.take(idx), H=self.H)
+
+    __getitem__ = take
+
+    def __iter__(self):
+        """The single-point frames of a batch, in order."""
+        return (self.take(i) for i in range(len(self.s)))
 
 
 class FrameResiduals(dict):
-    """Named non-negative residuals of the frame invariants."""
+    """Named non-negative residuals of the frame invariants (arrays for a batch)."""
 
     @property
     def worst(self):
-        """The largest residual; NaN if any residual is NaN."""
-        return float(np.max(list(self.values())))
+        """The largest residual (per point); NaN if any residual is NaN."""
+        w = np.max(list(self.values()), axis=0)
+        return w if np.ndim(w) else float(w)
 
 
-def _jet_vec(comps, order=None):
-    if order is not None:
-        comps = [c.truncate(order) for c in comps]
-    return Vec3L(*comps)
-
-
-def frame_from_h(h_ast, H: float, s: float, order: int = DEFAULT_ORDER) -> NullFrame:
+def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
     """Closed-form B-scroll frame from a generator expression.
 
     B = -(H/(2h')) (-1-h^2, 1-h^2, 2h), C = B'/H,
-    A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.  A float
-    overflow in the jet arithmetic raises NumericFailure naming s.
+    A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.  s is a float
+    or a 1-D array (one AST walk for the batch).  A package error names the
+    first s, in array order, that raises it on its own; overflow gives
+    non-finite components, which the caller checks.
     """
     if H == 0.0:
         raise ValueError("H must be non-zero")
     try:
+        return _frame_from_h(h_ast, H, s, order)
+    except NilscrollError:
+        # the error of the first point that fails alone, as a loop would meet it
+        for x in np.ravel(s).tolist() if np.ndim(s) else ():
+            _frame_from_h(h_ast, H, x, order)
+        raise
+
+
+def _frame_from_h(h_ast, H, s, order):
+    with np.errstate(all="ignore"):
         h = hexpr.eval_jet(h_ast, s, order)
         hp = h.deriv()
-        if abs(hp.value) < 1e-12:
-            raise DegenerateGenerator(f"|h'({s})| = {abs(hp.value):.3e} < 1e-12")
+        flat = np.abs(hp.taylor()[0]) < 1e-12
+        if flat.any():
+            i = int(np.argmax(flat))
+            raise DegenerateGenerator(
+                f"|h'({hp.point(i)})| = {abs(hp.taylor()[0, i]):.3e} < 1e-12")
         S = schwarzian(h)
         h2 = h * h
         scale = (-H / 2.0) / hp
@@ -97,13 +123,10 @@ def frame_from_h(h_ast, H: float, s: float, order: int = DEFAULT_ORDER) -> NullF
         C = B.deriv() / H
         Bpp = C.deriv() * H
         n = min(S.order, Bpp.x1.order)
-        Bn = _jet_vec(list(B), n)
-        A = Bn * (S.truncate(n) / (H * H)) + _jet_vec(list(Bpp), n) / (H * H)
-    except (ValueError, OverflowError) as err:
-        raise NumericFailure(f"overflow in the frame at s={s}: {err}") from err
-    kappa2 = -S / H
-    kappa1 = Jet.constant(0.0, kappa2.order, base_point=s)
-    return NullFrame(s=s, A=A, B=B, C=C, kappa1=kappa1, kappa2=kappa2, H=H)
+        A = B.truncate(n) * (S.truncate(n) / (H * H)) + Bpp.truncate(n) / (H * H)
+        kappa2 = -S / H
+    kappa1 = Jet.constant(0.0, kappa2.order, base_point=h.base_point)
+    return NullFrame(s=h.base_point, A=A, B=B, C=C, kappa1=kappa1, kappa2=kappa2, H=H)
 
 
 def make_frame_source(h_ast, H: float, order: int = DEFAULT_ORDER):
@@ -140,37 +163,36 @@ def frame_from_B(B: Vec3L, H: float, tol: float = 1e-9) -> NullFrame:
     kappa2 = mdot(Bpp, Bpp) * (-1.0 / (2.0 * H**3))
     C = Bp / H
     n = kappa2.order
-    A = _jet_vec(list(B), n) * (-kappa2 / H) + _jet_vec(list(Bpp), n) / (H * H)
+    A = B.truncate(n) * (-kappa2 / H) + Bpp.truncate(n) / (H * H)
     kappa1 = Jet.constant(0.0, n, base_point=s)
     return NullFrame(s=s, A=A, B=B, C=C, kappa1=kappa1, kappa2=kappa2, H=H)
 
 
 def validate_frame(f: NullFrame) -> FrameResiduals:
-    """Residuals of all frame invariants; the caller picks thresholds."""
+    """Residuals of all frame invariants (arrays for a batch); the caller
+    picks thresholds."""
     A, B, C = f.A, f.B, f.C
     Av, Bv, Cv = f.values()
     r = FrameResiduals()
-    r["norm_A"] = abs(mdot(Av, Av))
-    r["norm_B"] = abs(mdot(Bv, Bv))
-    r["pair_AB"] = abs(mdot(Av, Bv) + 1.0)
-    r["norm_C"] = abs(mdot(Cv, Cv) - 1.0)
-    r["orth_AC"] = abs(mdot(Av, Cv))
-    r["orth_BC"] = abs(mdot(Bv, Cv))
-    cross = mcross(Av, Bv) - Cv
-    r["cross_AB_C"] = max(abs(cross.x1), abs(cross.x2), abs(cross.x3))
-    r["det_ABC"] = abs(det3(Av, Bv, Cv) - 1.0)
+    with np.errstate(all="ignore"):
+        r["norm_A"] = np.abs(mdot(Av, Av))
+        r["norm_B"] = np.abs(mdot(Bv, Bv))
+        r["pair_AB"] = np.abs(mdot(Av, Bv) + 1.0)
+        r["norm_C"] = np.abs(mdot(Cv, Cv) - 1.0)
+        r["orth_AC"] = np.abs(mdot(Av, Cv))
+        r["orth_BC"] = np.abs(mdot(Bv, Cv))
+        r["cross_AB_C"] = (mcross(Av, Bv) - Cv).max_abs()
+        r["det_ABC"] = np.abs(det3(Av, Bv, Cv) - 1.0)
 
-    k1, k2, H = f.kappa1.value, f.kappa2.value, f.H
-    fs_a = A.deriv().value() - (Av * k1 + Cv * k2)
-    fs_b = B.deriv().value() - (Bv * (-k1) + Cv * H)
-    fs_c = C.deriv().value() - (Av * H + Bv * k2)
-    for name, v in (("fs_A", fs_a), ("fs_B", fs_b), ("fs_C", fs_c)):
-        r[name] = max(abs(v.x1), abs(v.x2), abs(v.x3))
+        k1, k2, H = f.kappa1.value, f.kappa2.value, f.H
+        r["fs_A"] = (A.deriv().value() - (Av * k1 + Cv * k2)).max_abs()
+        r["fs_B"] = (B.deriv().value() - (Bv * (-k1) + Cv * H)).max_abs()
+        r["fs_C"] = (C.deriv().value() - (Av * H + Bv * k2)).max_abs()
 
-    Bp = B.deriv()
-    r["b_sqnorm"] = abs(mdot(Bp, Bp).value - H * H)
-    orient = H * det3(Bv, Bp.value(), Bp.deriv().value())
-    r["b_orientation"] = max(0.0, -orient)
+        Bp = B.deriv()
+        r["b_sqnorm"] = np.abs(mdot(Bp, Bp).value - H * H)
+        orient = H * det3(Bv, Bp.value(), Bp.deriv().value())
+        r["b_orientation"] = np.maximum(0.0, -orient)
     return r
 
 
@@ -185,55 +207,45 @@ _FLOW_MAX_SUBSTEPS = 1024
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
-def _kappa(evaluate, ast, s, *args):
-    """A curvature from hexpr; a float overflow raises NumericFailure naming s."""
-    try:
-        return evaluate(ast, s, *args)
-    except (ValueError, OverflowError) as err:
-        raise NumericFailure(f"overflow in the curvature at s={s}: {err}") from err
+def _curvature(ast, s, order):
+    """Curvature jet over s; a non-finite coefficient raises NumericFailure
+    naming the first such s."""
+    k = hexpr.eval_jet(ast, s, order)
+    bad = ~np.isfinite(k.taylor()).all(axis=0)
+    if bad.any():
+        raise NumericFailure(f"overflow in the curvature at s={k.point(int(np.argmax(bad)))}")
+    return k
 
 
 def frame_jets_from_values(Av, Bv, Cv, kappa1_ast, kappa2_ast, H, s, order=DEFAULT_ORDER):
     """Rebuild jet-valued frame components from sampled values.
 
     Taylor coefficients beyond order zero follow recursively from the
-    Frenet-Serret relations with the prescribed curvature jets.
+    Frenet-Serret relations with the prescribed curvature jets.  s is a
+    float, or a 1-D array with array-valued Av, Bv, Cv.
     """
-    k1 = _kappa(hexpr.eval_jet, kappa1_ast, s, order).taylor()
-    k2 = _kappa(hexpr.eval_jet, kappa2_ast, s, order).taylor()
-    comps = {
-        name: [float(v)] + [0.0] * order
-        for name, v in zip(
-            ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3"),
-            list(Av.as_array()) + list(Bv.as_array()) + list(Cv.as_array()),
-        )
-    }
+    k1 = _curvature(kappa1_ast, s, order)
+    k2 = _curvature(kappa2_ast, s, order)
+    t1, t2 = k1.taylor(), k2.taylor()
+    # Y[k, v, i]: Taylor coefficient k of component i of A, B, C (v = 0, 1, 2)
+    Y = np.zeros((order + 1, 3, 3, t1.shape[1]))
+    Y[0] = np.reshape([Av.as_array(), Bv.as_array(), Cv.as_array()], (3, 3, -1))
 
-    def conv(coeffs, vec, k):
-        return sum(coeffs[j] * vec[k - j] for j in range(k + 1))
+    def conv(coeffs, v, k):
+        return sum(coeffs[j] * Y[k - j, v] for j in range(k + 1))
 
-    for k in range(order):
-        for i in (1, 2, 3):
-            a, b, c = comps[f"a{i}"], comps[f"b{i}"], comps[f"c{i}"]
-            da = conv(k1, a, k) + conv(k2, c, k)
-            db = -conv(k1, b, k) + H * c[k]
-            dc = H * a[k] + conv(k2, b, k)
-            a[k + 1] = da / (k + 1)
-            b[k + 1] = db / (k + 1)
-            c[k + 1] = dc / (k + 1)
+    with np.errstate(all="ignore"):
+        for k in range(order):
+            da = conv(t1, 0, k) + conv(t2, 2, k)
+            db = -conv(t1, 1, k) + H * Y[k, 2]
+            dc = H * Y[k, 0] + conv(t2, 1, k)
+            Y[k + 1] = np.array([da, db, dc]) / (k + 1)
 
-    def jv(prefix):
-        return Vec3L(*(Jet(comps[f"{prefix}{i}"], base_point=s) for i in (1, 2, 3)))
+    def jv(v):
+        return Vec3L(*(Jet(np.ascontiguousarray(Y[:, v, i]), k1.base_point)
+                       for i in range(3)))
 
-    return NullFrame(
-        s=s,
-        A=jv("a"),
-        B=jv("b"),
-        C=jv("c"),
-        kappa1=Jet(k1, base_point=s),
-        kappa2=Jet(k2, base_point=s),
-        H=H,
-    )
+    return NullFrame(s=k1.base_point, A=jv(0), B=jv(1), C=jv(2), kappa1=k1, kappa2=k2, H=H)
 
 
 def _expm_so21(W):
@@ -269,7 +281,9 @@ def _magnus_flow(K_at, s0, Y0, grid, m):
         stops = np.concatenate([[s0], grid[side][::way]])
         t = np.interp(np.arange((len(stops) - 1) * m + 1) / m, np.arange(len(stops)), stops)
         h = np.diff(t)[:, None, None]
-        K1, K2 = (K_at(t[:-1] + c * h[:, 0, 0]) for c in _GAUSS)
+        # both Gauss nodes of every step, in the order the march meets them
+        K = K_at(np.ravel(t[:-1, None] + np.outer(h[:, 0, 0], _GAUSS)))
+        K1, K2 = K[0::2], K[1::2]
         E = _expm_so21(0.5 * h * (K1 + K2) + (math.sqrt(3.0) / 12.0) * h * h * (K1 @ K2 - K2 @ K1))
         ys = [Y0]
         for e in E:
@@ -289,10 +303,11 @@ def frame_flow_from_curvatures(
 ):
     """Integrate the Frenet-Serret system Y' = Y K(s) over s_range.
 
-    Returns a list of NullFrame at n_samples evenly spaced parameters; the
-    initial frame may sit anywhere in the range and must pass validation
-    at 1e-9.  Magnus steps land on the samples; the number of steps per
-    sample interval doubles until two runs agree to _FLOW_TOL.  Raises
+    Returns the batch NullFrame at n_samples evenly spaced parameters
+    (iterating it gives the single-point frames); the initial frame may sit
+    anywhere in the range and must pass validation at 1e-9.  Magnus steps
+    land on the samples (curvatures in one array walk per run); the steps
+    per sample interval double until two runs agree to _FLOW_TOL.  Raises
     NumericFailure naming s for a curvature overflow, a non-finite frame or
     a flow that no step count up to _FLOW_MAX_SUBSTEPS resolves.
     """
@@ -307,8 +322,7 @@ def frame_flow_from_curvatures(
 
     def K_at(svals):
         """K = [[k1, 0, H], [0, -k1, k2], [k2, H, 0]] at each s."""
-        k1, k2 = (np.array([_kappa(hexpr.eval_real, ast, s) for s in svals.tolist()])
-                  for ast in (kappa1_ast, kappa2_ast))
+        k1, k2 = (_curvature(ast, svals, 0).value for ast in (kappa1_ast, kappa2_ast))
         K = np.zeros((len(svals), 3, 3))
         K[:, 0, 0], K[:, 1, 1], K[:, 1, 2], K[:, 2, 0] = k1, -k1, k2, k2
         K[:, 0, 2] = K[:, 2, 1] = H
@@ -339,8 +353,6 @@ def frame_flow_from_curvatures(
                         f"with {m} steps per sample interval")
             m, prev = 2 * m, Y
 
-    return [
-        frame_jets_from_values(Vec3L(*y[:, 0]), Vec3L(*y[:, 1]), Vec3L(*y[:, 2]),
-                               kappa1_ast, kappa2_ast, H, float(s), order=order)
-        for s, y in zip(grid, Y)
-    ]
+    return frame_jets_from_values(Vec3L(*Y[:, :, 0].T), Vec3L(*Y[:, :, 1].T),
+                                  Vec3L(*Y[:, :, 2].T), kappa1_ast, kappa2_ast, H, grid,
+                                  order=order)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import jets
 from .errors import DomainError, ExprSyntaxError, UnknownFunction
 from .jets import Jet
@@ -259,16 +261,13 @@ def _contains_var(node) -> bool:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _located(err: DomainError, node, seed) -> DomainError:
-    """err with the node's byte offset, and s = seed for a float evaluation
-    of an s-dependent node (eval_real); jet errors already carry their s."""
-    err.offset = node.offset
-    if err.base_point is None and _contains_var(node):
-        err.base_point = float(seed)
-    return err
+def _constant(fn, x, *args):
+    """fn at the value of a constant sub-expression, an order-0 jet at no s."""
+    return fn(Jet([x], base_point=None), *args).value
 
 
 def _eval(node, seed):
+    """Jet of the node at the seed's points, or a float for a constant node."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -279,10 +278,12 @@ def _eval(node, seed):
         return -_eval(node.child, seed)
     if isinstance(node, Fn):
         arg = _eval(node.arg, seed)
+        fn = jets.FUNCTIONS[node.name]
         try:
-            return jets.FUNCTIONS[node.name](arg)
-        except DomainError as err:
-            raise _located(err, node, seed)
+            return fn(arg) if isinstance(arg, Jet) else _constant(fn, arg)
+        except DomainError as err:  # jets name the s; add the byte offset
+            err.offset = node.offset
+            raise
     if isinstance(node, Bin):
         a = _eval(node.left, seed)
         if node.op == "^":
@@ -290,11 +291,14 @@ def _eval(node, seed):
                 raise ExprSyntaxError(
                     "exponent must be constant", node.offset, {"constant"}
                 )
-            p = _eval(node.right, 0.0)
+            p = _eval(node.right, seed)
             try:
-                return jets.pow_const(a, p)
+                if isinstance(a, Jet):
+                    return jets.pow_const(a, p)
+                return _constant(jets.pow_const, a, p)
             except DomainError as err:
-                raise _located(err, node, seed)
+                err.offset = node.offset
+                raise
         b = _eval(node.right, seed)
         try:
             if node.op == "+":
@@ -304,29 +308,31 @@ def _eval(node, seed):
             if node.op == "*":
                 return a * b
             if node.op == "/":
-                if not isinstance(a, Jet) and not isinstance(b, Jet):
-                    if b == 0.0:
-                        raise DomainError("div", None, "division by zero")
-                    return a / b
-                if not isinstance(a, Jet):
-                    a = Jet.constant(a, b.order, b.base_point)
+                if not isinstance(a, Jet) and not isinstance(b, Jet) and b == 0.0:
+                    raise DomainError("div", None, "division by zero")
                 return a / b
         except DomainError as err:
-            raise _located(err, node, seed)
+            err.offset = node.offset
+            raise
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_jet(ast, s: float, order: int = jets.DEFAULT_ORDER) -> Jet:
-    """Jet of the denoted function at s, to the given order."""
-    out = _eval(ast, Jet.variable(s, order))
+def eval_jet(ast, s, order: int = jets.DEFAULT_ORDER) -> Jet:
+    """Jet of the denoted function at s (a float or a 1-D array), to the given order.
+
+    Overflow gives inf or NaN coefficients rather than a warning.
+    """
+    seed = Jet.variable(s, order)
+    with np.errstate(all="ignore"):
+        out = _eval(ast, seed)
     if not isinstance(out, Jet):
-        out = Jet.constant(out, order, base_point=s)
+        out = Jet.constant(out, order, base_point=seed.base_point)
     return out
 
 
-def eval_real(ast, s: float) -> float:
-    out = _eval(ast, float(s))
-    return float(out)
+def eval_real(ast, s):
+    """Value of the denoted function at s: a float, or an array for an array of s."""
+    return eval_jet(ast, s, 0).value
 
 
 def mobius(ast, a, b, c, d) -> ExprAst:

@@ -112,7 +112,8 @@ class CurvePath:
 def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
-    A(s) comes from the frame source; gamma and J are zero at s0.  Raises
+    A(s) comes from the frame source, one batch per degree's new nodes;
+    gamma and J are zero at s0.  Raises
     NumericFailure when A is not finite at a node, or when a panel
     narrower than _MIN_PANEL times the range still does not resolve it.
     """
@@ -126,11 +127,13 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         for n in _CHEB_DEGREES:
             s = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(n)
             s[0], s[-1] = a, b
-            for x in s:
-                if x not in A_nodes:
-                    A_nodes[x] = frame_source(float(x)).A.value().as_array()
-                    if not np.all(np.isfinite(A_nodes[x])):
-                        raise NumericFailure(f"A(s) is not finite at s={x!r}")
+            new = [x for x in s if x not in A_nodes]
+            if new:
+                A = frame_source(np.array(new)).A.value().as_array().T
+                A_nodes.update(zip(new, A))
+                bad = ~np.isfinite(A).all(axis=1)
+                if bad.any():
+                    raise NumericFailure(f"A(s) is not finite at s={float(new[np.argmax(bad)])!r}")
             v = np.array([A_nodes[x] for x in s])
             c = _cheb_coeffs(v)
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):

@@ -1,52 +1,99 @@
-"""Truncated Taylor-jet arithmetic.
+"""Truncated Taylor jets over a batch of base points (Taylor-mode arithmetic).
 
 A :class:`Jet` carries the value and the first K derivatives of a scalar
-function at a base point, propagated exactly (up to rounding) through
-arithmetic and the supported elementary functions.  This is the
-differentiation backend for the generator function h and everything built
-from it, including the Schwarzian derivative.
+function at N base points, propagated exactly (up to rounding) through
+arithmetic and the supported elementary functions (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).  This is the differentiation
+backend for the generator function h and everything built from it,
+including the Schwarzian derivative.
 
-Internally coefficients are stored in Taylor form (c_k = f^(k)(s0)/k!);
-the public ``coeffs``/``derivative`` accessors use plain derivatives.
+Coefficients are stored in Taylor form (c_k = f^(k)(s)/k!) as one array of
+shape (K+1, N).  A jet built at a float s is a batch of one whose accessors
+return floats; built at an array of s they return arrays.  Every recurrence
+adds its terms elementwise in a fixed order, so a point gets the same bits
+alone or in any batch.  Overflow shows as inf or NaN in the coefficients;
+callers that evaluate jets wrap them in ``np.errstate``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
 DEFAULT_ORDER = 5
 
-_FACT = [math.factorial(k) for k in range(32)]
+_FACT = np.array([math.factorial(k) for k in range(32)], dtype=float)
+
+
+def _cauchy(a, b):
+    """Cauchy product of coefficient arrays of equal length."""
+    n = len(a)
+    out = a[0] * b
+    for j in range(1, n):
+        out[j:] += a[j] * b[: n - j]
+    return out
+
+
+def _quotient(a, b):
+    """q with q * b = a, solved row by row."""
+    q = a.copy()
+    n = len(q)
+    for k in range(n):
+        q[k] /= b[0]
+        if k + 1 < n:
+            q[k + 1:] -= q[k] * b[1: n - k]
+    return q
 
 
 class Jet:
-    """Value plus derivatives up to order K of a function at ``base_point``."""
+    """Value plus derivatives up to order K at each of the base points."""
 
     __slots__ = ("base_point", "_tc")
 
     def __init__(self, taylor_coeffs, base_point=0.0):
-        self.base_point = float(base_point)
-        self._tc = tuple(float(c) for c in taylor_coeffs)
-        if not self._tc:
+        """Coefficients of shape (K+1,) for one point or (K+1, N); an array is not copied."""
+        tc = np.asarray(taylor_coeffs, dtype=float)
+        if tc.ndim == 1:
+            tc = tc[:, None]
+        if tc.ndim != 2 or not len(tc):
             raise ValueError("a jet needs at least its value coefficient")
+        self._tc = tc
+        self.base_point = base_point
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def variable(cls, x, order=DEFAULT_ORDER):
-        """Jet of the identity s |-> s at x."""
-        c = [float(x)] + [0.0] * order
+        """Jet of the identity s |-> s at x (a float or a 1-D array)."""
+        base = np.array(x, dtype=float) if np.ndim(x) else float(x)
+        tc = np.zeros((order + 1, np.size(base)))
+        tc[0] = base
         if order >= 1:
-            c[1] = 1.0
-        return cls(c, base_point=x)
+            tc[1] = 1.0
+        return cls(tc, base)
 
     @classmethod
     def constant(cls, value, order=DEFAULT_ORDER, base_point=0.0):
-        return cls([float(value)] + [0.0] * order, base_point=base_point)
+        tc = np.zeros((order + 1, np.size(base_point)))
+        tc[0] = value
+        return cls(tc, base_point)
 
     # -- accessors ---------------------------------------------------------
+
+    @property
+    def batched(self):
+        """True when built at an array of points (accessors return arrays)."""
+        return isinstance(self.base_point, np.ndarray)
+
+    def _out(self, row):
+        return row if self.batched else float(row[0])
+
+    def point(self, i):
+        """The i-th base point as a float (a single jet's own base point)."""
+        return float(self.base_point[i]) if self.batched else self.base_point
 
     @property
     def order(self):
@@ -54,19 +101,25 @@ class Jet:
 
     @property
     def value(self):
-        return self._tc[0]
+        return self._out(self._tc[0])
 
     def derivative(self, k):
-        """k-th derivative at the base point (k=0 is the value)."""
-        return self._tc[k] * _FACT[k]
+        """k-th derivative at the base points (k=0 is the value)."""
+        return self._out(self._tc[k] * _FACT[k])
 
     @property
     def coeffs(self):
-        """(value, f', f'', ..., f^(K)) at the base point."""
-        return tuple(c * _FACT[k] for k, c in enumerate(self._tc))
+        """(value, f', f'', ..., f^(K)) at the base points."""
+        return tuple(self.derivative(k) for k in range(self.order + 1))
 
     def taylor(self):
         return self._tc
+
+    def take(self, idx):
+        """The jet at the base points idx: an int gives a single jet."""
+        if np.ndim(idx) == 0:
+            return Jet(self._tc[:, idx: idx + 1 or None], self.point(idx))
+        return Jet(self._tc[:, idx], self.base_point[idx])
 
     def truncate(self, order):
         if order >= self.order:
@@ -77,75 +130,64 @@ class Jet:
         """Jet of the derivative function, one order lower."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(
-            [(k + 1) * c for k, c in enumerate(self._tc[1:])], self.base_point
-        )
+        return Jet(_scaled_tail(self._tc), self.base_point)
 
     def __repr__(self):
         return f"Jet({self.coeffs!r}, base_point={self.base_point!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Jet)
-            and self.base_point == other.base_point
-            and self._tc == other._tc
-        )
-
-    def __hash__(self):
-        return hash((self.base_point, self._tc))
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.base_point != self.base_point:
-                raise ValueError("jet base points differ")
-            n = min(self.order, other.order)
-            return self.truncate(n), other.truncate(n)
-        return self, Jet.constant(other, self.order, self.base_point)
+        """Coefficient arrays of self and a jet other, truncated to a common order."""
+        if other.base_point is not self.base_point and not np.array_equal(
+                other.base_point, self.base_point):
+            raise ValueError("jet base points differ")
+        n = min(len(self._tc), len(other._tc))
+        return self._tc[:n], other._tc[:n]
+
+    def _domain(self, bad, fn, message=None):
+        """DomainError naming the first base point where bad holds."""
+        if np.any(bad):
+            raise DomainError(fn, self.point(int(np.argmax(bad))), message)
 
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            tc = self._tc.copy()
+            tc[0] += other
+            return Jet(tc, self.base_point)
         a, b = self._coerce(other)
-        return Jet([x + y for x, y in zip(a._tc, b._tc)], self.base_point)
+        return Jet(a + b, self.base_point)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet([-c for c in self._tc], self.base_point)
+        return Jet(-self._tc, self.base_point)
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return self + (-other)
         a, b = self._coerce(other)
-        return Jet([x - y for x, y in zip(a._tc, b._tc)], self.base_point)
+        return Jet(a - b, self.base_point)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet([c * other for c in self._tc], self.base_point)
+            return Jet(self._tc * other, self.base_point)
         a, b = self._coerce(other)
-        n = a.order
-        out = [0.0] * (n + 1)
-        for k in range(n + 1):
-            out[k] = math.fsum(a._tc[j] * b._tc[k - j] for j in range(k + 1))
-        return Jet(out, self.base_point)
+        return Jet(_cauchy(a, b), self.base_point)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            if other == 0.0:
-                raise DomainError("div", self.base_point, "division by zero")
+            if np.any(np.equal(other, 0.0)):
+                raise DomainError("div", self.point(0), "division by zero")
             return self * (1.0 / other)
         a, b = self._coerce(other)
-        if b._tc[0] == 0.0:
-            raise DomainError("div", self.base_point, "division by a jet with zero value")
-        n = a.order
-        q = [0.0] * (n + 1)
-        for k in range(n + 1):
-            acc = a._tc[k] - math.fsum(q[j] * b._tc[k - j] for j in range(k))
-            q[k] = acc / b._tc[0]
-        return Jet(q, self.base_point)
+        self._domain(b[0] == 0.0, "div", "division by a jet with zero value")
+        return Jet(_quotient(a, b), self.base_point)
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order, self.base_point) / self
@@ -154,170 +196,124 @@ class Jet:
         return pow_const(self, p)
 
 
-def _as_jet_fn(name, scalar_fn, jet_fn):
-    def wrapper(x):
-        if isinstance(x, Jet):
-            return jet_fn(x)
-        return scalar_fn(x)
-
-    wrapper.__name__ = name
-    return wrapper
-
-
 # -- elementary functions (Taylor-series recurrences) ----------------------
+#
+# For u = f(a) with u' = g(a) a', the coefficients follow from
+# k u_k = sum_{j=1..k} j a_j g_{k-j}; each finished row adds its terms to
+# every later row.
 
 
-def _jet_exp(a: Jet) -> Jet:
-    n = a.order
+def _scaled_tail(t):
+    """Rows j * a_j, j = 1..K."""
+    return t[1:] * np.arange(1, len(t))[:, None]
+
+
+def exp(a: Jet) -> Jet:
     t = a.taylor()
-    e = [math.exp(t[0])] + [0.0] * n
-    for k in range(1, n + 1):
-        e[k] = math.fsum(j * t[j] * e[k - j] for j in range(1, k + 1)) / k
+    e = np.zeros_like(t)
+    e[0] = np.exp(t[0])
+    jt = _scaled_tail(t)
+    for m in range(len(t) - 1):
+        e[m + 1:] += jt[: len(t) - 1 - m] * e[m]
+        e[m + 1] /= m + 1
     return Jet(e, a.base_point)
 
 
-def _jet_log(a: Jet) -> Jet:
-    if a.value <= 0.0:
-        raise DomainError("log", a.base_point)
-    n = a.order
-    # log' = a'/a, then integrate term by term.
-    if n == 0:
-        return Jet([math.log(a.value)], a.base_point)
-    q = a.deriv() / a.truncate(n - 1)
-    out = [math.log(a.value)] + [q.taylor()[k - 1] / k for k in range(1, n + 1)]
+def log(a: Jet) -> Jet:
+    a._domain(a.taylor()[0] <= 0.0, "log")
+    t = a.taylor()
+    out = np.empty_like(t)
+    out[0] = np.log(t[0])
+    if len(t) > 1:
+        q = _quotient(_scaled_tail(t), t[:-1])  # a'/a
+        out[1:] = q / np.arange(1, len(t))[:, None]
     return Jet(out, a.base_point)
 
 
-def _jet_sin_cos(a: Jet):
-    n = a.order
+def _trig_pair(a: Jet, hyperbolic: bool):
+    """(sin a, cos a), or (sinh a, cosh a) when hyperbolic."""
     t = a.taylor()
-    s = [math.sin(t[0])] + [0.0] * n
-    c = [math.cos(t[0])] + [0.0] * n
-    for k in range(1, n + 1):
-        s[k] = math.fsum(j * t[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = -math.fsum(j * t[j] * s[k - j] for j in range(1, k + 1)) / k
+    s, c = np.zeros_like(t), np.zeros_like(t)
+    s[0], c[0] = (np.sinh(t[0]), np.cosh(t[0])) if hyperbolic else (np.sin(t[0]), np.cos(t[0]))
+    jt = _scaled_tail(t)
+    for m in range(len(t) - 1):
+        w = jt[: len(t) - 1 - m]
+        s[m + 1:] += w * c[m]
+        if hyperbolic:
+            c[m + 1:] += w * s[m]
+        else:
+            c[m + 1:] -= w * s[m]
+        s[m + 1] /= m + 1
+        c[m + 1] /= m + 1
     return Jet(s, a.base_point), Jet(c, a.base_point)
 
 
-def _jet_sinh_cosh(a: Jet):
-    n = a.order
-    t = a.taylor()
-    s = [math.sinh(t[0])] + [0.0] * n
-    c = [math.cosh(t[0])] + [0.0] * n
-    for k in range(1, n + 1):
-        s[k] = math.fsum(j * t[j] * c[k - j] for j in range(1, k + 1)) / k
-        c[k] = math.fsum(j * t[j] * s[k - j] for j in range(1, k + 1)) / k
-    return Jet(s, a.base_point), Jet(c, a.base_point)
-
-
-def _jet_sqrt(a: Jet) -> Jet:
-    if a.value <= 0.0:
-        raise DomainError("sqrt", a.base_point)
-    n = a.order
-    t = a.taylor()
-    r = [math.sqrt(t[0])] + [0.0] * n
-    for k in range(1, n + 1):
-        acc = t[k] - math.fsum(r[j] * r[k - j] for j in range(1, k))
-        r[k] = acc / (2.0 * r[0])
-    return Jet(r, a.base_point)
-
-
-def _jet_tan(a: Jet) -> Jet:
-    s, c = _jet_sin_cos(a)
-    if c.value == 0.0:
-        raise DomainError("tan", a.base_point)
+def tan(a):
+    s, c = _trig_pair(a, False)
+    a._domain(c.taylor()[0] == 0.0, "tan")
     return s / c
 
 
-def _jet_cot(a: Jet) -> Jet:
-    s, c = _jet_sin_cos(a)
-    if s.value == 0.0:
-        raise DomainError("cot", a.base_point)
+def cot(a):
+    s, c = _trig_pair(a, False)
+    a._domain(s.taylor()[0] == 0.0, "cot")
     return c / s
 
 
-def _jet_tanh(a: Jet) -> Jet:
-    s, c = _jet_sinh_cosh(a)
+def tanh(a):
+    s, c = _trig_pair(a, True)
     return s / c
 
 
-# a float argument carries no s: hexpr locates these domain errors
-def _scalar_cot(x):
-    s = math.sin(x)
-    if s == 0.0:
-        raise DomainError("cot", None)
-    return math.cos(x) / s
+def sqrt(a: Jet) -> Jet:
+    t = a.taylor()
+    # sqrt(0) has no derivative, but its value is fine in an order-0 jet
+    a._domain((t[0] < 0.0) | ((t[0] == 0.0) & (len(t) > 1)), "sqrt")
+    r = t.copy()
+    r[0] = np.sqrt(t[0])
+    for k in range(1, len(t)):
+        for j in range(1, k):
+            r[k] -= r[j] * r[k - j]
+        r[k] /= 2.0 * r[0]
+    return Jet(r, a.base_point)
 
-
-def _scalar_log(x):
-    if x <= 0.0:
-        raise DomainError("log", None)
-    return math.log(x)
-
-
-def _scalar_sqrt(x):
-    if x < 0.0:
-        raise DomainError("sqrt", None)
-    return math.sqrt(x)
-
-
-exp = _as_jet_fn("exp", math.exp, _jet_exp)
-log = _as_jet_fn("log", _scalar_log, _jet_log)
-sin = _as_jet_fn("sin", math.sin, lambda a: _jet_sin_cos(a)[0])
-cos = _as_jet_fn("cos", math.cos, lambda a: _jet_sin_cos(a)[1])
-tan = _as_jet_fn("tan", math.tan, _jet_tan)
-cot = _as_jet_fn("cot", _scalar_cot, _jet_cot)
-sinh = _as_jet_fn("sinh", math.sinh, lambda a: _jet_sinh_cosh(a)[0])
-cosh = _as_jet_fn("cosh", math.cosh, lambda a: _jet_sinh_cosh(a)[1])
-tanh = _as_jet_fn("tanh", math.tanh, _jet_tanh)
-sqrt = _as_jet_fn("sqrt", _scalar_sqrt, _jet_sqrt)
 
 FUNCTIONS = {
     "exp": exp,
     "log": log,
-    "sin": sin,
-    "cos": cos,
+    "sin": lambda a: _trig_pair(a, False)[0],
+    "cos": lambda a: _trig_pair(a, False)[1],
     "tan": tan,
     "cot": cot,
-    "sinh": sinh,
-    "cosh": cosh,
+    "sinh": lambda a: _trig_pair(a, True)[0],
+    "cosh": lambda a: _trig_pair(a, True)[1],
     "tanh": tanh,
     "sqrt": sqrt,
 }
 
 
-def pow_const(a, p):
+def pow_const(a: Jet, p) -> Jet:
     """a**p for a constant real exponent p.
 
     Integer exponents are computed by repeated multiplication (valid for any
     base); real exponents require a positive base value.
     """
-    if not isinstance(a, Jet):
-        if float(p).is_integer():
-            return float(a) ** int(p)
-        if a <= 0.0:
-            raise DomainError("pow", None, "non-integer power of a non-positive base")
-        return math.pow(a, p)
     if float(p).is_integer():
         p = int(p)
         if p == 0:
             return Jet.constant(1.0, a.order, a.base_point)
-        inv = p < 0
-        p = abs(p)
         out = a
-        for _ in range(p - 1):
+        for _ in range(abs(p) - 1):
             out = out * a
-        if inv:
-            return 1.0 / out
-        return out
-    if a.value <= 0.0:
-        raise DomainError("pow", a.base_point, "non-integer power of a non-positive base")
-    n = a.order
+        return 1.0 / out if p < 0 else out
     t = a.taylor()
-    w = [math.pow(t[0], p)] + [0.0] * n
-    for k in range(1, n + 1):
-        acc = math.fsum((p * j - (k - j)) * t[j] * w[k - j] for j in range(1, k + 1))
-        w[k] = acc / (k * t[0])
+    a._domain(t[0] <= 0.0, "pow", "non-integer power of a non-positive base")
+    w = np.zeros_like(t)
+    w[0] = np.power(t[0], p)
+    for k in range(1, len(t)):
+        for j in range(1, k + 1):
+            w[k] += (p * j - (k - j)) * t[j] * w[k - j]
+        w[k] /= k * t[0]
     return Jet(w, a.base_point)
 
 
@@ -329,8 +325,7 @@ def schwarzian(h: Jet) -> Jet:
     if h.order < 3:
         raise ValueError("schwarzian needs a jet of order >= 3")
     d1 = h.deriv()
-    if d1.value == 0.0:
-        raise DomainError("schwarzian", h.base_point, "h' vanishes")
+    h._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes")
     d2 = d1.deriv()
     d3 = d2.deriv()
     r1 = d3 / d1

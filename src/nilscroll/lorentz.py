@@ -4,8 +4,9 @@ Vectors, the Minkowski inner product and cross product, paracomplex
 arithmetic, stereographic projections of the de-Sitter 2-space, and a
 rotation-boost-rotation chart of O(2,1).
 
-Vector components may be floats or :class:`~nilscroll.jets.Jet` values;
-every operation here is written generically over both.
+Vector components may be floats, arrays over a batch of points or
+:class:`~nilscroll.jets.Jet` values; every operation here is written
+generically over all three.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ EPS_PROJ = 1e-10
 
 
 def _val(x):
-    return x.value if isinstance(x, Jet) else float(x)
+    return x.value if isinstance(x, Jet) else x
 
 
 @dataclass(frozen=True)
 class Vec3L:
-    """Vector in Lorentz-Minkowski 3-space; components float- or jet-valued."""
+    """Vector in Lorentz-Minkowski 3-space; components float-, array- or jet-valued."""
 
     x1: object
     x2: object
@@ -56,12 +57,20 @@ class Vec3L:
         return Vec3L(-self.x1, -self.x2, -self.x3)
 
     def value(self):
-        """Float-valued vector (jet components collapsed to their values)."""
+        """Vector of values (jet components collapsed to their values)."""
         return Vec3L(_val(self.x1), _val(self.x2), _val(self.x3))
 
     def deriv(self):
         """Componentwise jet derivative."""
         return Vec3L(self.x1.deriv(), self.x2.deriv(), self.x3.deriv())
+
+    def truncate(self, order):
+        """Componentwise jet truncation."""
+        return Vec3L(*(c.truncate(order) for c in self))
+
+    def max_abs(self):
+        """Largest |component|, per point for array components; NaN if any is NaN."""
+        return np.maximum(np.maximum(np.abs(self.x1), np.abs(self.x2)), np.abs(self.x3))
 
     def as_array(self):
         return np.array([_val(self.x1), _val(self.x2), _val(self.x3)])

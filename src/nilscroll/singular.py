@@ -74,12 +74,58 @@ class SingularReport:
     warnings: list
 
 
-def singular_t(frame: NullFrame, s=None):
-    """t(s) = -C3/(H*B3), or None when |B3| < 1e-10 (curve unbounded)."""
+def singular_t(frame: NullFrame):
+    """t(s) = -C3/(H*B3), or None when |B3| < 1e-10 (curve unbounded); for a
+    batch, an array with NaN at the unbounded points."""
     B3 = frame.B.x3.value
-    if abs(B3) < B3_UNBOUNDED_TOL:
-        return None
-    return -frame.C.x3.value / (frame.H * B3)
+    with np.errstate(all="ignore"):
+        t = np.divide(-frame.C.x3.value, frame.H * B3)
+    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
+    if np.ndim(t):
+        return np.where(unbounded, np.nan, t)
+    return None if unbounded else float(t)
+
+
+def _cL_points(frame: NullFrame, cross_tol=1e-9):
+    """(c_L', c_L'', errors) at each point of the frame, as arrays.
+
+    errors[i] is the package error of point i (UnboundedCurve, or the
+    ClassifierInconsistency of routes that disagree) or None; c_L' and c_L''
+    are NaN at unbounded points.
+    """
+    s = np.atleast_1d(frame.s)
+    B3 = np.atleast_1d(frame.B.x3.value)
+    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
+    errors = [UnboundedCurve(f"B3({x}) ~ 0") if u else None
+              for x, u in zip(s.tolist(), unbounded)]
+    cL1, cL2 = (Vec3L(*np.full((3, len(s)), np.nan)) for _ in range(2))
+    keep = np.flatnonzero(~unbounded)
+    if not len(keep):
+        return cL1, cL2, errors
+    f = frame.take(keep) if len(keep) < len(s) else frame
+    H = f.H
+    with np.errstate(all="ignore"):
+        t = -f.C.x3 / (f.B.x3 * H)
+        n = t.order - 1
+        tp = t.deriv()
+        # c_L' = A + t' B + t B'
+        jet = Vec3L(*(
+            a.truncate(n) + tp.truncate(n) * b.truncate(n) + t.truncate(n) * bp.truncate(n)
+            for a, b, bp in zip(f.A, f.B, f.B.deriv())
+        ))
+        d1, d2 = jet.value(), jet.deriv().value()
+        Av, Bv, Cv = f.values()
+        coef = -Av.x3 / Bv.x3 - f.kappa2.value / H + (Cv.x3 / Bv.x3) ** 2
+        closed = Av + Bv * coef - Cv * (Cv.x3 / Bv.x3)
+        diff = np.atleast_1d((closed - d1).max_abs())
+        scale = 1.0 + np.atleast_1d(d1.max_abs())
+    for j in np.flatnonzero(diff > cross_tol * scale):
+        errors[keep[j]] = ClassifierInconsistency(
+            f"c_L' closed form vs jet route differ by {diff[j]:.3e} at s={s[keep[j]]}")
+    for full, part in ((cL1, d1), (cL2, d2)):
+        for comp, val in zip(full, part):
+            comp[keep] = val
+    return cL1, cL2, errors
 
 
 def cL_jets(frame: NullFrame, cross_tol=1e-9):
@@ -87,39 +133,15 @@ def cL_jets(frame: NullFrame, cross_tol=1e-9):
 
     Computed twice: by jet differentiation of gamma + t(s) B(s) and from
     the closed form A + (-A3/B3 - kappa2/H + C3^2/B3^2) B - (C3/B3) C; the
-    two routes must agree or classification is aborted.
+    two routes must agree or classification is aborted.  A batch frame
+    gives array components and raises for the first point in error.
     """
-    B3 = frame.B.x3
-    if abs(B3.value) < B3_UNBOUNDED_TOL:
-        raise UnboundedCurve(f"B3({frame.s}) ~ 0")
-    H = frame.H
-    t = -frame.C.x3 / (B3 * H)
-    n = t.order - 1
-    tp = t.deriv()
-    Bp = frame.B.deriv()
-    # c_L' = A + t' B + t B'
-    cL1_jet = Vec3L(
-        *(
-            a.truncate(n) + tp.truncate(n) * b.truncate(n) + t.truncate(n) * bp.truncate(n)
-            for a, b, bp in zip(frame.A, frame.B, Bp)
-        )
-    )
-    cL1 = cL1_jet.value()
-    cL2 = cL1_jet.deriv().value()
-
-    Av, Bv, Cv = frame.values()
-    k2 = frame.kappa2.value
-    coef = -Av.x3 / Bv.x3 - k2 / H + (Cv.x3 / Bv.x3) ** 2
-    closed = Av + Bv * coef - Cv * (Cv.x3 / Bv.x3)
-    diff = max(
-        abs(closed.x1 - cL1.x1), abs(closed.x2 - cL1.x2), abs(closed.x3 - cL1.x3)
-    )
-    scale = 1.0 + max(abs(v) for v in (cL1.x1, cL1.x2, cL1.x3))
-    if diff > cross_tol * scale:
-        raise ClassifierInconsistency(
-            f"c_L' closed form vs jet route differ by {diff:.3e} at s={frame.s}"
-        )
-    return cL1, cL2
+    cL1, cL2, errors = _cL_points(frame, cross_tol)
+    if any(errors):
+        raise next(filter(None, errors))
+    if frame.kappa2.batched:
+        return cL1, cL2
+    return (Vec3L(*(float(c[0]) for c in cL1)), Vec3L(*(float(c[0]) for c in cL2)))
 
 
 def notce_residuals(frame: NullFrame):
@@ -130,101 +152,181 @@ def notce_residuals(frame: NullFrame):
     return r1, r2
 
 
-def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT) -> SingularPoint:
-    """Kind of the singular-curve point at the frame's s."""
-    s = float(frame.s)
+def _classify(frame: NullFrame, tol_root, cL):
+    """One SingularPoint, or the ClassifierInconsistency that stops it, per
+    point of the frame; cL is _cL_points(frame)."""
+    s = np.atleast_1d(frame.s).tolist()
     H = frame.H
-    k2 = frame.kappa2.value
-    k2p = frame.kappa2.derivative(1)
-    diag = {
-        "S_h": -k2 * H,
-        "S_h_prime": -k2p * H,
-        "kappa2": k2,
-        "kappa2_prime": k2p,
-    }
-    t = singular_t(frame)
-    if t is None:
-        return SingularPoint(s=s, t=None, kind=SingularKind.UNBOUNDED, diagnostics=diag)
-    cL1, cL2 = cL_jets(frame)
-    r1, r2 = notce_residuals(frame)
-    diag.update(
-        {
-            "cL1": (cL1.x1, cL1.x2, cL1.x3),
-            "cL2": (cL2.x1, cL2.x2, cL2.x3),
-            "notce": (r1, r2),
-        }
-    )
-    if abs(k2) > tol_root:
-        pa = max(abs(cL1.x1), abs(cL1.x2))
-        parallel = pa < tol_root
-        notce = abs(r1) < tol_root
-        if parallel != notce and max(pa, abs(r1)) > INCONSISTENCY_GAP:
-            raise ClassifierInconsistency(
-                f"parallel test ({pa:.3e}) vs NotCE residual r1 ({r1:.3e}) at s={s}"
-            )
-        if not parallel:
-            kind = SingularKind.CUSPIDAL_EDGE
-        elif max(abs(cL2.x1), abs(cL2.x2)) > tol_root:
-            kind = SingularKind.SWALLOWTAIL
-        else:
-            kind = SingularKind.FRONT_OTHER
-    else:
-        if abs(k2p) > tol_root:
-            kind = SingularKind.CUSPIDAL_CROSS_CAP
-        else:
-            kind = SingularKind.NON_FRONT_DEGENERATE
-    return SingularPoint(s=s, t=t, kind=kind, diagnostics=diag)
+    k2 = np.atleast_1d(frame.kappa2.value)
+    k2p = np.atleast_1d(frame.kappa2.derivative(1))
+    with np.errstate(all="ignore"):
+        t = np.atleast_1d(np.divide(-frame.C.x3.value, H * frame.B.x3.value))
+    cL1, cL2, errors = cL
+    r1, r2 = (np.atleast_1d(r) for r in notce_residuals(frame))
+    pa = np.maximum(np.abs(cL1.x1), np.abs(cL1.x2))
+    front = np.abs(k2) > tol_root
+    parallel = pa < tol_root
+    clash = front & (parallel != (np.abs(r1) < tol_root)) & (
+        np.maximum(pa, np.abs(r1)) > INCONSISTENCY_GAP)
+    kind = np.select(
+        [~front & (np.abs(k2p) > tol_root), ~front, ~parallel,
+         np.maximum(np.abs(cL2.x1), np.abs(cL2.x2)) > tol_root],
+        ["cuspidal_cross_cap", "non_front_degenerate", "cuspidal_edge", "swallowtail"],
+        "front_other")
+    cols = [(-k2 * H).tolist(), (-k2p * H).tolist(), k2.tolist(), k2p.tolist()]
+    c1, c2 = zip(*(c.tolist() for c in cL1)), zip(*(c.tolist() for c in cL2))
+    out = []
+    for i, (x, c1i, c2i) in enumerate(zip(s, c1, c2)):
+        diag = dict(zip(("S_h", "S_h_prime", "kappa2", "kappa2_prime"), (c[i] for c in cols)))
+        if isinstance(errors[i], UnboundedCurve):
+            out.append(SingularPoint(s=x, t=None, kind=SingularKind.UNBOUNDED, diagnostics=diag))
+            continue
+        if errors[i] is not None:
+            out.append(errors[i])
+            continue
+        diag.update({"cL1": c1i, "cL2": c2i, "notce": (float(r1[i]), float(r2[i]))})
+        if clash[i]:
+            out.append(ClassifierInconsistency(
+                f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={x}"))
+            continue
+        out.append(SingularPoint(s=x, t=float(t[i]), kind=SingularKind(kind[i]), diagnostics=diag))
+    return out
+
+
+def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT, raise_errors=True):
+    """Kind of the singular-curve point at each of the frame's s.
+
+    A single-point frame gives one SingularPoint, a batch a list in order.
+    Where the parallel test and the NotCE residual (or the two c_L' routes)
+    disagree, ClassifierInconsistency is raised for the first such point;
+    with raise_errors=False it takes that point's place in the list.
+    """
+    out = _classify(frame, tol_root, _cL_points(frame))
+    errors = [p for p in out if isinstance(p, ClassifierInconsistency)]
+    if raise_errors and errors:
+        raise errors[0]
+    return out if frame.kappa2.batched else out[0]
 
 
 # -- scanning --------------------------------------------------------------
 
 
-def _polish(f, lo, hi, f_lo):
-    """Root of f = (value, slope) in [lo, hi], f(lo) and f(hi) of opposite sign.
+def _polish(f, lo, hi, f_lo, chan=None):
+    """Roots of f in the brackets [lo, hi], f(lo) and f(hi) of opposite signs.
 
-    Newton from the midpoint, bisecting when a step leaves the bracket or
-    fails to halve the previous one; stops as brentq(xtol=1e-15, rtol=8.9e-16).
+    All brackets step together.  f gets the current points of the brackets
+    still stepping and returns (values, slopes) there: one row per channel
+    when chan names each bracket's channel, optionally with {(channel,
+    position): package error} for points it cannot evaluate.  Each bracket
+    runs rtsafe (Numerical Recipes): Newton from the midpoint, bisecting
+    when a step leaves the bracket or fails to halve the one before the
+    previous, ending when a step does not move x or, as brentq(xtol=1e-15,
+    rtol=8.9e-16), is small.  Returns the roots, NaN where errors[i]
+    stopped bracket i, and errors; a scalar bracket gives a float root and
+    raises its error.
     """
+    scalar = np.ndim(lo) == 0
+    lo, hi, f_lo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo))
+    n = len(lo)
+    rows = np.zeros(n, int) if chan is None else np.asarray(chan)
     x = 0.5 * (lo + hi)
-    dx = hi - lo
-    for _ in range(200):
-        fx, slope = f(x)
-        if fx == 0.0:
-            return x
-        if not math.isfinite(fx):
-            raise NumericFailure(f"value {fx} at s={x}")
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo = x
-        else:
-            hi = x
-        step = fx / slope if slope else math.inf
-        if lo < x - step < hi and abs(step) <= 0.5 * abs(dx):
-            dx = -step
-        else:
-            dx = 0.5 * (lo + hi) - x
-        x += dx
-        if abs(dx) < 0.5 * (1e-15 + 8.9e-16 * abs(x)):
-            return x
-    raise NumericFailure(f"no convergence in [{lo}, {hi}] after 200 steps")
+    dx = dx_old = hi - lo
+    roots = np.full(n, np.nan)
+    errors = {}
+    live = np.ones(n, bool)
+
+    def pick(v, idx):
+        """Each stepping bracket's own channel of f's output, full length."""
+        v = np.asarray(v, dtype=float)
+        out = np.full(n, np.nan)
+        out[idx] = v[rows[idx], np.arange(len(idx))] if v.ndim == 2 else v
+        return out
+
+    with np.errstate(all="ignore"):
+        for _ in range(200):
+            idx = np.flatnonzero(live)
+            if not len(idx):
+                break
+            out = f(x[idx])
+            fx, slope = pick(out[0], idx), pick(out[1], idx)
+            for (c, j), err in (out[2] if len(out) > 2 else {}).items():
+                if c == rows[idx[j]]:
+                    errors[idx[j]], live[idx[j]] = err, False
+            hit = live & (fx == 0.0)
+            roots[hit] = x[hit]
+            live &= ~hit
+            for i in np.flatnonzero(live & ~np.isfinite(fx)):
+                errors[i], live[i] = NumericFailure(f"value {fx[i]} at s={x[i]}"), False
+            below = (fx < 0.0) == (f_lo < 0.0)
+            lo = np.where(live & below, x, lo)
+            hi = np.where(live & ~below, x, hi)
+            step = np.where(slope != 0.0, fx / slope, np.inf)
+            newton = ((lo < x - step) & (x - step < hi) | (x - step == x)) & (
+                np.abs(step) <= 0.5 * np.abs(dx_old))
+            dx_old, dx = dx, np.where(live, np.where(newton, -step, 0.5 * (lo + hi) - x), dx)
+            x = np.where(live, x + dx, x)
+            done = live & (np.abs(dx) < 0.5 * (1e-15 + 8.9e-16 * np.abs(x)))
+            roots[done] = x[done]
+            live &= ~done
+    for i in np.flatnonzero(live):
+        errors[i] = NumericFailure(f"no convergence in [{lo[i]}, {hi[i]}] after 200 steps")
+    if scalar:
+        if errors:
+            raise errors[0]
+        return float(roots[0])
+    return roots, errors
 
 
 def _bracket_roots(f, grid, vals, warnings, label):
-    """Polish every sign change of f = (value, slope) between finite grid values."""
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if not (math.isfinite(fa) and math.isfinite(fb)):
-            continue
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
+    """Polish every sign change of f = (value, slope) between finite grid values.
+
+    vals and label may hold one row and one name per channel; f then
+    returns one row per channel (see _polish), warnings is one list per
+    channel, and the roots come as one list per channel.
+    """
+    multi = np.ndim(vals) == 2
+    rows = np.atleast_2d(np.asarray(vals, dtype=float))
+    labels, sinks = (label, warnings) if multi else ([label], [warnings])
+    grid = np.asarray(grid, dtype=float)
+    found = [[] for _ in rows]
+    brackets = []  # (channel, slot in found, grid cell)
+    for c, v in enumerate(rows):
+        for i in range(len(grid) - 1):
+            fa, fb = v[i], v[i + 1]
+            if not (math.isfinite(fa) and math.isfinite(fb)):
+                continue
+            if fa == 0.0:
+                found[c].append(float(grid[i]))
+            elif fa * fb < 0.0:
+                brackets.append((c, len(found[c]), i))
+                found[c].append(None)
+    if brackets:
+        c, _, i = (np.array(col) for col in zip(*brackets))
+        roots, errors = _polish(f, grid[i], grid[i + 1], rows[c, i], c if multi else None)
+        for k, (c, j, i) in enumerate(brackets):
+            if k in errors:
+                sinks[c].append(f"WARN {labels[c]}: bracket [{grid[i]}, {grid[i + 1]}] "
+                                f"failed: {errors[k]}")
+            else:
+                found[c][j] = float(roots[k])
+    found = [[r for r in rs if r is not None] for rs in found]
+    return found if multi else found[0]
+
+
+def _frames_at(frame_source, x):
+    """(frame, errors, kept): the frame batch at the points of x that
+    evaluate, errors {i: package error} for those that do not."""
+    try:
+        return frame_source(x), {}, np.arange(len(x))
+    except NilscrollError:
+        errors = {}
+        for i, xi in enumerate(x.tolist()):
             try:
-                roots.append(_polish(f, float(a), float(b), fa))
+                frame_source(xi)
             except NilscrollError as err:
-                warnings.append(f"WARN {label}: bracket [{a}, {b}] failed: {err}")
-    return roots
+                errors[i] = err
+        kept = np.array([i for i in range(len(x)) if i not in errors], dtype=int)
+        return (frame_source(x[kept]) if len(kept) else None), errors, kept
 
 
 def scan_singularities(
@@ -237,89 +339,82 @@ def scan_singularities(
 ) -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
-    Each grid frame gives one curve sample and its classification.  Sign
-    changes of kappa2 (cuspidal-cross-cap candidates) and of the first two
-    components of c_L' (swallowtail candidates: both must vanish within
-    tol_cluster; samples with |B3| <= 1e-6 are NaN and end no bracket) are
-    polished by Newton steps with jet slopes, then classified.  Zeros of B3
-    only show as unbounded curve samples; a non-finite grid frame raises
-    NumericFailure.
+    One batch of grid frames gives the curve samples, their classification
+    and c_L' at each grid s.  Sign changes of kappa2 (cuspidal-cross-cap
+    candidates) and of the first two components of c_L' (swallowtail
+    candidates: both must vanish within tol_cluster; samples with
+    |B3| <= 1e-6 are NaN and end no bracket) are polished together by
+    Newton steps with jet slopes, one frame batch per step, then classified
+    in one batch.  Zeros of B3 only show as unbounded curve samples; a
+    non-finite grid frame raises NumericFailure.
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
     lo, hi = float(s_range[0]), float(s_range[1])
     grid = np.linspace(lo, hi, grid_n)
-    warnings: list[str] = []
 
-    frames = []
-    for s in grid:
-        f = frame_source(s)
-        if not all(map(math.isfinite, [*f.A.value(), *f.B.value(), *f.C.value()])):
-            raise NumericFailure(f"non-finite frame at s={s}")
-        frames.append(f)
-    H = frames[0].H
-    k2_vals = [f.kappa2.value for f in frames]
-
-    def k2_of(s):
-        k2 = frame_source(s).kappa2
-        return k2.value, k2.derivative(1)
+    frames = frame_source(grid)
+    finite = np.isfinite([*frames.A.value(), *frames.B.value(), *frames.C.value()]).all(axis=0)
+    if not finite.all():
+        raise NumericFailure(f"non-finite frame at s={grid[np.argmin(finite)]}")
+    k2_vals = frames.kappa2.value
+    cL = _cL_points(frames)
 
     # singular-curve samples with per-sample classification
+    warnings: list[str] = []
     curve = []
-    for s, f in zip(grid, frames):
-        t = singular_t(f)
-        try:
-            kind = classify_point(f, tol_root).kind
-        except ClassifierInconsistency as err:
-            warnings.append(f"WARN classify at s={s}: {err}")
-            kind = None
-        curve.append((float(s), t, kind))
+    for s, t, p in zip(grid.tolist(), singular_t(frames).tolist(),
+                       _classify(frames, tol_root, cL)):
+        failed = isinstance(p, ClassifierInconsistency)
+        if failed:
+            warnings.append(f"WARN classify at s={s}: {p}")
+        curve.append((s, None if math.isnan(t) else t, None if failed else p.kind))
 
-    points = []
+    # swallowtail candidates: simultaneous roots of cL1 components 1 and 2,
+    # restricted to cells clear of B3 poles (NaN samples end no bracket)
+    b3_margin = 1e-6
+    comp_vals = np.full((2, grid_n), np.nan)
+    cl_warnings = []
+    for i in np.flatnonzero(np.abs(frames.B.x3.value) > b3_margin):
+        if cL[2][i] is not None:
+            cl_warnings.append(f"WARN cL1 at s={grid[i]}: {cL[2][i]}")
+        else:
+            comp_vals[:, i] = cL[0].x1[i], cL[0].x2[i]
 
-    # cuspidal cross cap candidates: roots of kappa2
-    for r in _bracket_roots(k2_of, grid, k2_vals, warnings, "kappa2"):
-        points.append(classify_point(frame_source(r), tol_root))
-    if max(abs(v) for v in k2_vals) <= tol_root:
+    def channels(x):
+        """kappa2, cL1.x1 and cL1.x2 with their slopes at the points x."""
+        values, slopes = np.full((2, 3, len(x)), np.nan)
+        f, failed, kept = _frames_at(frame_source, x)
+        errors = {(c, i): err for i, err in failed.items() for c in range(3)}
+        if f is not None:
+            cL1, cL2, cl_errors = _cL_points(f)
+            values[:, kept] = f.kappa2.value, cL1.x1, cL1.x2
+            slopes[:, kept] = f.kappa2.derivative(1), cL2.x1, cL2.x2
+            for i, err in zip(kept, cl_errors):
+                if err is not None:
+                    errors[1, i] = errors[2, i] = err
+        return values, slopes, errors
+
+    bracket_warnings = [[], [], []]
+    k2_roots, roots1, roots2 = _bracket_roots(
+        channels, grid, np.vstack([k2_vals, comp_vals]), bracket_warnings,
+        ["kappa2", "cL1.x1", "cL1.x2"])
+    warnings += bracket_warnings[0] + cl_warnings + bracket_warnings[1] + bracket_warnings[2]
+
+    # cuspidal cross caps at the roots of kappa2, swallowtails at clustered
+    # roots of the cL1 components
+    centers = [0.5 * (r1 + r2) for r1 in roots1 for r2 in roots2 if abs(r1 - r2) < tol_cluster]
+    targets = k2_roots + centers
+    found = classify_point(frame_source(np.array(targets)), tol_root) if targets else []
+    points = found[: len(k2_roots)]
+    if np.max(np.abs(k2_vals)) <= tol_root:
         # degenerate generator (S(h) identically ~ 0): whole curve non-front
         for s, t, _ in curve:
             kind = (SingularKind.UNBOUNDED if t is None
                     else SingularKind.NON_FRONT_DEGENERATE)
             points.append(SingularPoint(s=s, t=t, kind=kind))
-
-    # swallowtail candidates: simultaneous roots of cL1 components 1 and 2,
-    # restricted to cells clear of B3 poles (NaN samples end no bracket)
-    b3_margin = 1e-6
-
-    def comp(i):
-        def f(s):
-            cL1, cL2 = cL_jets(frame_source(s))
-            return (cL1.x1, cL1.x2)[i], (cL2.x1, cL2.x2)[i]
-
-        return f
-
-    comp_vals = [[], []]
-    for s, f in zip(grid, frames):
-        if abs(f.B.x3.value) > b3_margin:
-            try:
-                cL1, _ = cL_jets(f)
-                comp_vals[0].append(cL1.x1)
-                comp_vals[1].append(cL1.x2)
-                continue
-            except ClassifierInconsistency as err:
-                warnings.append(f"WARN cL1 at s={s}: {err}")
-        comp_vals[0].append(math.nan)
-        comp_vals[1].append(math.nan)
-
-    roots1 = _bracket_roots(comp(0), grid, comp_vals[0], warnings, "cL1.x1")
-    roots2 = _bracket_roots(comp(1), grid, comp_vals[1], warnings, "cL1.x2")
-    for r1 in roots1:
-        for r2 in roots2:
-            if abs(r1 - r2) < tol_cluster:
-                sc = 0.5 * (r1 + r2)
-                pt = classify_point(frame_source(sc), tol_root)
-                if pt.kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER):
-                    points.append(pt)
+    points += [p for p in found[len(k2_roots):]
+               if p.kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER)]
 
     # de-duplicate and sort
     uniq = {}
@@ -331,7 +426,7 @@ def scan_singularities(
 
     return SingularReport(
         generator=generator,
-        H=H,
+        H=frames.H,
         s_range=(lo, hi),
         curve=curve,
         points=points,
@@ -361,20 +456,24 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
                      tol_root=DEFAULT_TOL_ROOT, extra_s=()):
     """Compare front/cross-cap status of f and f^O along the singular curve.
 
-    One frame per sample s classifies both f and its transform f^O.  Front
+    One batch of frames at the samples classifies both f and its transform
+    f^O; the first point whose criteria disagree raises.  Front
     and cuspidal-cross-cap status must be preserved; cuspidal edge vs
     swallowtail kinds may legitimately differ and are only reported.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
-    svals = list(np.linspace(lo, hi, n_samples)) + [float(s) for s in extra_s]
+    svals = np.concatenate([np.linspace(lo, hi, n_samples), np.asarray(extra_s, dtype=float)])
+    f = frame_source(svals)
+    ps = classify_point(f, tol_root, raise_errors=False)
+    qs = classify_point(transform_frame(O, f), tol_root, raise_errors=False)
     rows = []
     all_front_match = True
     all_ccr_match = True
     kind_changes = 0
-    for s in svals:
-        f = frame_source(s)
-        p = classify_point(f, tol_root)
-        q = classify_point(transform_frame(O, f), tol_root)
+    for s, p, q in zip(svals.tolist(), ps, qs):
+        for r in (p, q):
+            if isinstance(r, ClassifierInconsistency):
+                raise r
         if p.kind is SingularKind.UNBOUNDED or q.kind is SingularKind.UNBOUNDED:
             rows.append({"s": s, "kind": p.kind.value, "kind_O": q.kind.value,
                          "front_match": None, "ccr_match": None})

@@ -17,6 +17,11 @@ from .integrate import CurvePath
 from .lorentz import ParaComplex, Vec3L, mdot
 
 POLE_TOL = 1e-10
+# finite-difference checks evaluate frames at s + k*h for these k, and the
+# form check steps by FORMS_FD_STEP
+FORMS_OFFSETS = (-2, -1, 0, 1, 2)
+BOX_OFFSETS = (-1, 0, 1)
+FORMS_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,11 @@ class ScrollSurface:
     def mesh(self, svals, tvals):
         """{"l3": f_L, "nil3": f} on the grid, one row of vertices per s.
 
-        One frame and one curve evaluation per s, broadcast over t with the
-        arithmetic of bscroll_point and nil3_point.
+        One batch of frames and one curve evaluation for all s, broadcast
+        over t with the arithmetic of bscroll_point and nil3_point.
         """
-        B = np.array([self.frame_source(float(s)).B.value().as_array() for s in svals])
-        Bv = Vec3L(*B.T[..., None])
+        B = self.frame_source(np.asarray(svals, dtype=float)).B.value()
+        Bv = Vec3L(*(b[:, None] for b in B))
         gamma, J = self.path.dense_eval(svals)
         gamma = Vec3L(*(g[:, None] for g in gamma))
         t = np.asarray(tvals, dtype=float)[None, :]
@@ -195,7 +200,7 @@ class ScrollSurface:
         h = float(fd_step)
         H = self.H
         grid = {}
-        for i in (-1, 0, 1):
+        for i in BOX_OFFSETS:
             frame = self.frame_source(s + i * h)
             for j in (-2, -1, 0, 1, 2):
                 grid[(i, j)] = _gauss_map(frame, t + j * h, H)
@@ -225,23 +230,31 @@ class ScrollSurface:
             return r_minus, -1
         return r_plus, +1
 
-    def fundamental_forms_fd(self, s, t, fd_step=1e-4):
-        """FD cross-check of the forms from f_L and N_L directly (one frame per s)."""
-        h = float(fd_step)
-        rows = {
-            ds: (self.path.gamma(s + ds), self.frame_source(s + ds)) for ds in (-h, 0.0, h)
-        }
+    def fundamental_forms_fd(self, s, t, fd_step=FORMS_FD_STEP):
+        """FD cross-check of the forms from f_L and N_L directly.
 
-        def p(ds, dt):
-            gamma, frame = rows[ds]
+        Fourth-order central stencils in s on s +- h and s +- 2h (one frame
+        per s), three-point stencils in t, where f_L is linear.
+        """
+        h = float(fd_step)
+        rows = {k: (self.path.gamma(s + k * h), self.frame_source(s + k * h))
+                for k in FORMS_OFFSETS}
+
+        def p(k, dt):
+            gamma, frame = rows[k]
             return (gamma + frame.B.value() * (t + dt)).as_array()
 
-        fs = (p(h, 0) - p(-h, 0)) / (2 * h)
+        def d_s(weights, dt):
+            """sum_k w_k f(s + k h, t + dt) over the s-offsets."""
+            return sum(w * p(k, dt) for k, w in zip(FORMS_OFFSETS, weights) if w)
+
+        first, second = (1, -8, 0, 8, -1), (-1, 16, -30, 16, -1)
+        fs = d_s(first, 0.0) / (12 * h)
+        fss = d_s(second, 0.0) / (12 * h**2)
+        fst = (d_s(first, h) - d_s(first, -h)) / (24 * h**2)
         ft = (p(0, h) - p(0, -h)) / (2 * h)
-        fss = (p(h, 0) - 2 * p(0, 0) + p(-h, 0)) / h**2
-        ftt = (p(0, h) - 2 * p(0, 0) + p(0, -h)) / h**2
-        fst = (p(h, h) - p(h, -h) - p(-h, h) + p(-h, -h)) / (4 * h**2)
-        N = _gauss_map(rows[0.0][1], t, self.H).as_array()
+        ftt = (p(0, h) - 2 * p(0, 0.0) + p(0, -h)) / h**2
+        N = _gauss_map(rows[0][1], t, self.H).as_array()
         eta = np.diag([-1.0, 1.0, 1.0])
 
         def dot(a, b):

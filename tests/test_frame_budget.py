@@ -13,12 +13,13 @@ from nilscroll.singular import invariance_check, scan_singularities
 
 @pytest.fixture
 def evals(monkeypatch):
-    """frame_from_h calls by s, counted by replacing the module attribute."""
+    """Frame evaluations by s, counted by replacing frames.frame_from_h; an
+    array of s counts each of its points, as bench/tracer.py does."""
     counts = Counter()
     original = frames.frame_from_h
 
     def counted(h_ast, H, s, *args, **kwargs):
-        counts[float(s)] += 1
+        counts.update(np.ravel(s).tolist())
         return original(h_ast, H, s, *args, **kwargs)
 
     monkeypatch.setattr(frames, "frame_from_h", counted)

@@ -9,6 +9,7 @@ import pytest
 from nilscroll import hexpr
 from nilscroll.errors import (
     DegenerateGenerator,
+    DomainError,
     InitError,
     NormalizationError,
     NumericFailure,
@@ -196,3 +197,48 @@ def test_flow_preserves_invariants_variable_kappa2():
         non_fs = max(v for k, v in r.items() if not k.startswith("fs_"))
         assert non_fs < 1e-8
         assert f.kappa2.value == pytest.approx(math.sin(f.s), abs=1e-9)
+
+
+def _within_ulps(a, b, n):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.all(np.abs(a - b) <= n * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+MOBIUS2 = hexpr.mobius(hexpr.mobius(TANH, 1.3, 0.4, 0.2, 0.9), -0.7, 1.1, 0.3, 1.2)
+
+
+@pytest.mark.parametrize(
+    "ast", [TANH, hexpr.parse("s + s^3"), hexpr.parse("cot(exp(s)/2)"), MOBIUS2],
+    ids=["tanh", "cubic", "cot", "mobius2"],
+)
+def test_batch_frame_matches_single_points(ast):
+    grid = np.linspace(-1.0, 1.0, 256)
+    batch = frame_from_h(ast, 0.8, grid)
+    assert isinstance(batch.s, np.ndarray) and batch.kappa2.value.shape == (256,)
+    for i in range(0, 256, 5):
+        one = frame_from_h(ast, 0.8, float(grid[i]))
+        assert one.s == batch[i].s == grid[i]
+        for got, want in zip([*batch.A, *batch.B, *batch.C, batch.kappa2],
+                             [*one.A, *one.B, *one.C, one.kappa2]):
+            assert _within_ulps(got.taylor()[:, i], want.taylor()[:, 0], 4)
+
+
+def test_batch_domain_error_names_first_s():
+    grid = np.linspace(-1.0, 1.0, 256)
+    with pytest.raises(DomainError) as err:
+        frame_from_h(hexpr.parse("log(s)"), 1.0, grid)
+    assert err.value.base_point == -1.0
+    # the first s that fails on its own, though log fails earlier in the walk
+    with pytest.raises(DomainError) as err:
+        frame_from_h(hexpr.parse("log(s) + 1/(s - 0.3)"), 1.0, np.array([0.3, -1.0]))
+    assert (err.value.fn, err.value.base_point) == ("div", 0.3)
+
+
+def test_flow_frames_validate_as_one_batch():
+    init = frame_from_h(TANH, 1.0, 0.0)
+    frames = frame_flow_from_curvatures(
+        hexpr.parse("0"), hexpr.parse("2 + sin(s)"), 1.0, init, (0.0, 1.0), n_samples=21
+    )
+    worst = validate_frame(frames).worst
+    assert worst.shape == (21,)
+    assert worst.tolist() == [validate_frame(f).worst for f in frames]

@@ -18,8 +18,12 @@ J_TANH_01 = (math.cosh(2.0) - 1.0) / 2.0 - math.sinh(2.0) / 2.0
 
 
 def source_of(A):
-    """A frame source whose frame at s carries only A = A(s)."""
-    return lambda s: SimpleNamespace(A=SimpleNamespace(value=lambda: Vec3L(*A(s))))
+    """A frame source whose frames at an array of s carry only A = A(s)."""
+    def source(s):
+        values = np.array([A(x) for x in s]).T
+        return SimpleNamespace(A=SimpleNamespace(value=lambda: Vec3L(*values)))
+
+    return source
 
 
 def test_exponential_growth():

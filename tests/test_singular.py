@@ -270,3 +270,35 @@ def test_criteria_equivalence_dense(surfaces):
                 p = classify_point(frame)
                 if "notce" in p.diagnostics:
                     assert abs(p.diagnostics["notce"][1]) < 1e-12, (name, s)
+
+
+def test_brackets_step_together_like_one_at_a_time():
+    from nilscroll.singular import _polish
+
+    def f(s):
+        return np.sin(3 * s) - 0.2, 3 * np.cos(3 * s)
+
+    lo, hi = np.array([0.0, 0.9, -1.2]), np.array([0.5, 1.2, -0.9])
+    roots, errors = _polish(f, lo, hi, f(lo)[0])
+    assert errors == {}
+    for r, a, b in zip(roots, lo, hi):
+        assert r == _polish(lambda s: f(s), float(a), float(b), float(f(a)[0]))
+
+
+def test_scan_isolates_a_bracket_whose_frame_fails():
+    # frames fail only near +1/sqrt(6): that bracket warns, the others polish
+    from nilscroll.errors import DomainError
+
+    base = make_frame_source(CUBIC, 1.0)
+
+    def source(s):
+        hole = np.abs(np.atleast_1d(s) - CCR_S) < 1e-3
+        if hole.any():
+            raise DomainError("log", float(np.atleast_1d(s)[hole][0]))
+        return base(s)
+
+    rep = scan_singularities(source, (-1.0, 1.0))
+    ccr = [p.s for p in rep.points if p.kind is SingularKind.CUSPIDAL_CROSS_CAP]
+    assert ccr == [pytest.approx(-CCR_S, abs=1e-10)]
+    assert len(rep.warnings) == 1
+    assert rep.warnings[0].startswith("WARN kappa2: bracket [0.403")

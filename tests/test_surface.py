@@ -176,3 +176,12 @@ def test_direct_gauss_map_agrees(surfaces):
             assert abs(g1.im - g2.im) < 1e-8, name
             checked += 1
         assert checked > 15
+
+
+def test_forms_fd_clear_of_rounding_floor():
+    # a verify-workload draw (cot, seed 1, call 20) where second differences
+    # at step 1e-4 read 8.8e-7 against the 1e-6 tolerance
+    from nilscroll.cli import run_verify
+
+    report = run_verify("cot(exp(s)/2)", 0.886867965916, (-0.861542340613, 0.708717516208))
+    assert report["checks"]["fundamental_forms_fd"]["residual"] < 1e-7
