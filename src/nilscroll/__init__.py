@@ -12,12 +12,10 @@ from .errors import (
     NilscrollError,
     NormalizationError,
     NoSolutionFound,
-    NotLorentz,
     NumericFailure,
     OrientationBreak,
     OrientationError,
     OutOfRange,
-    PoleError,
     PreconditionError,
     UnboundedCurve,
     UnknownFunction,
@@ -64,14 +62,12 @@ __all__ = [
     "NilscrollError",
     "NormalizationError",
     "NoSolutionFound",
-    "NotLorentz",
     "NumericFailure",
     "NullFrame",
     "OrientationBreak",
     "OrientationError",
     "OutOfRange",
     "ParaComplex",
-    "PoleError",
     "PreconditionError",
     "ScrollSurface",
     "SingularKind",

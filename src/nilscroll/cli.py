@@ -18,14 +18,7 @@ import sys
 import numpy as np
 
 from . import hexpr
-from .errors import (
-    ClassifierInconsistency,
-    InputError,
-    NilscrollError,
-    NumericFailure,
-    PoleError,
-    PreconditionError,
-)
+from .errors import InputError, NilscrollError, NumericFailure, PreconditionError
 from .frames import (
     frame_flow_from_curvatures,
     frame_jets_from_values,
@@ -34,7 +27,7 @@ from .frames import (
 )
 from .integrate import integrate_curve
 from .io_formats import write_curve_csv, write_json, write_obj
-from .lorentz import LorentzTransform, Vec3L, mdot
+from .lorentz import LorentzTransform, Vec3L
 from .singular import (
     DEFAULT_TOL_ROOT,
     classify_point,
@@ -42,10 +35,10 @@ from .singular import (
     invariance_check,
     notce_residuals,
     scan_singularities,
-    singular_t,
     transform_frame,
 )
-from .surface import BOX_OFFSETS, FORMS_FD_STEP, FORMS_OFFSETS, ScrollSurface
+from .surface import ScrollSurface
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,13 +73,6 @@ def _require(args, *names):
             raise PreconditionError(f"--{name} is required for this subcommand")
 
 
-def _build_path(args):
-    """The frame source of --h and its base curve over --s-range."""
-    source = make_frame_source(hexpr.parse(args.h), args.H)
-    s0 = 0.5 * (args.s_range[0] + args.s_range[1])
-    return source, integrate_curve(source, s0, args.s_range)
-
-
 def _emit(args, payload):
     if getattr(args, "report", None):
         write_json(args.report, payload)
@@ -99,7 +85,9 @@ def _emit(args, payload):
 
 def cmd_surface(args) -> int:
     _require(args, "h")
-    surf = ScrollSurface(*_build_path(args))
+    source = make_frame_source(hexpr.parse(args.h), args.H)
+    s0 = 0.5 * (args.s_range[0] + args.s_range[1])
+    surf = ScrollSurface(source, integrate_curve(source, s0, args.s_range))
     ns, nt = args.grid
     verts = surf.mesh(np.linspace(*args.s_range, ns), np.linspace(*args.t_range, nt))
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
@@ -150,129 +138,6 @@ def cmd_singular(args) -> int:
 
 
 # -- verify ----------------------------------------------------------------
-
-
-def _nl_from_g(g):
-    """Fact-sheet normal from the stereographic coordinate, for round trips."""
-    m = g.sqmod()
-    d = 1.0 + m
-    jg = (g - g.conj()).times_j()  # = 2*im(g) as a real number part
-    return np.array([-jg.re / d, -(g + g.conj()).re / d, -(1.0 - m) / d])
-
-
-def _worst(*residuals):
-    """The largest residual; NaN if any is NaN, so that its check fails."""
-    return float(np.max(np.concatenate([np.ravel(r) for r in residuals])))
-
-
-def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
-    """Named invariant checks for one generator; pure, used by tests too.
-
-    Every (s, t) sample is drawn first; the frames at all distinct s the
-    checks touch then come from one batch.
-    """
-    h_ast = hexpr.parse(h_text)
-    args = argparse.Namespace(h=h_text, H=H, s_range=s_range)
-    source, path = _build_path(args)
-    rng = np.random.default_rng(20240817)
-    lo, hi = s_range
-    svals = np.linspace(lo, hi, 41)
-    dual_s = np.linspace(lo, hi, 21)
-    # FD probes step past the sample point; keep them inside the path range
-    pad = 0.02 * (hi - lo)
-    flo, fhi = lo + pad, hi - pad
-
-    def draw(n):
-        return [(float(rng.uniform(flo, fhi)), float(rng.uniform(-2.0, 2.0))) for _ in range(n)]
-
-    form_draws, box_draws, gauss_draws = draw(40), draw(20), draw(40)
-    wanted = [*svals.tolist(), *dual_s.tolist(), path.s0]
-    wanted += [s + k * FORMS_FD_STEP for s, _ in form_draws for k in FORMS_OFFSETS]
-    wanted += [s + k * float(fd_step) for s, _ in box_draws for k in BOX_OFFSETS]
-    wanted += [s for s, _ in gauss_draws]
-    index = {s: i for i, s in enumerate(dict.fromkeys(wanted))}
-    batch = source(np.array(list(index)))
-
-    surf = ScrollSurface(lambda s: batch.take(index[s]), path)
-
-    checks = {}
-
-    def add(name, residual, tol, detail=None):
-        entry = {"residual": float(residual), "tolerance": float(tol),
-                 "pass": bool(residual < tol)}
-        if detail is not None:
-            entry["detail"] = detail
-        checks[name] = entry
-
-    # frame invariants and Frenet-Serret residuals
-    f = batch.take([index[s] for s in svals.tolist()])
-    r = validate_frame(f)
-    Bp = f.B.deriv()
-    Bpp = Bp.deriv()
-    add("frame_invariants", _worst(*(v for k, v in r.items() if not k.startswith("fs_"))), 1e-9)
-    add("frenet_serret", _worst(r["fs_A"], r["fs_B"], r["fs_C"]), 1e-8)
-    add("weierstrass_curvature",
-        _worst(np.abs(mdot(Bp, Bp).value - H * H),
-               np.abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value)), 1e-8)
-
-    # fundamental forms: closed form vs finite differences, plus H/K law
-    ff_res = [0.0]
-    hk_res = [0.0]
-    for s, t in form_draws:
-        forms = surf.fundamental_forms(s, t)
-        fd = surf.fundamental_forms_fd(s, t)
-        ff_res += [np.max(np.abs(forms.I - fd.I)), np.max(np.abs(forms.II - fd.II))]
-        hk_res += [abs(forms.H_mean - H), abs(forms.K_gauss - H * H)]
-    add("fundamental_forms_fd", _worst(ff_res), fd_tol)
-    add("mean_gauss_curvature", _worst(hk_res), 1e-10)
-
-    # d'Alembertian eigenvalue identity, both sign conventions tried
-    box_res = [0.0]
-    signs = set()
-    for s, t in box_draws:
-        r, sign = surf.box_check(s, t, fd_step=fd_step)
-        box_res.append(r)
-        signs.add(sign)
-    box_sign = signs.pop() if len(signs) == 1 else None
-    add("box_eigenvalue", _worst(box_res), 1e-4, detail={"sign": box_sign})
-
-    # normal Gauss map round trip through the unit-normal formula
-    g_res = [0.0]
-    for s, t in gauss_draws:
-        N = surf.gauss_map_L(s, t)
-        try:
-            g = surf.normal_gauss_map(s, t)
-        except PoleError:
-            continue
-        g_res.append(np.max(np.abs(_nl_from_g(g) - N.as_array())))
-    add("gauss_map_roundtrip", _worst(g_res), 1e-10)
-
-    # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
-    dual_sigma = [0.0]
-    dual_gmod = [0.0]
-    kinds = {}
-    f = batch.take([index[s] for s in dual_s.tolist()])
-    for s, t, p in zip(dual_s.tolist(), singular_t(f).tolist(),
-                       classify_point(f, raise_errors=False)):
-        kind = "inconsistent" if isinstance(p, ClassifierInconsistency) else p.kind.value
-        kinds[kind] = kinds.get(kind, 0) + 1
-        if math.isnan(t) or abs(t) > 50.0:
-            continue
-        dual_sigma.append(surf.nil3_jacobian_metrics(s, t)["sigma_min"])
-        dual_gmod.append(abs(surf.normal_gauss_map(s, t).sqmod() - 1.0))
-    add("singular_duality_rank", _worst(dual_sigma), 1e-6)
-    add("singular_duality_gmod", _worst(dual_gmod), 1e-8)
-
-    all_pass = all(c["pass"] for c in checks.values())
-    return {
-        "generator": hexpr.to_str(h_ast),
-        "H": H,
-        "s_range": list(s_range),
-        "checks": checks,
-        "box_sign": box_sign,
-        "singular_kinds": kinds,
-        "all_pass": all_pass,
-    }
 
 
 def cmd_verify(args) -> int:

@@ -30,19 +30,6 @@ class DomainError(InputError):
         return self.args[0]
 
 
-class PoleError(NilscrollError):
-    """Stereographic projection evaluated at (or too close to) its pole."""
-
-
-class NotLorentz(InputError):
-    """A user-supplied matrix fails m^T eta m = eta beyond tolerance."""
-
-    def __init__(self, residual, tol):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(f"matrix is not Lorentz: residual {residual:.3e} > {tol:.1e}")
-
-
 class ExprSyntaxError(InputError):
     """Generator-expression parse failure, with byte offset and expected tokens."""
 

@@ -285,10 +285,15 @@ def _magnus_flow(K_at, s0, Y0, grid, m):
         K = K_at(np.ravel(t[:-1, None] + np.outer(h[:, 0, 0], _GAUSS)))
         K1, K2 = K[0::2], K[1::2]
         E = _expm_so21(0.5 * h * (K1 + K2) + (math.sqrt(3.0) / 12.0) * h * h * (K1 @ K2 - K2 @ K1))
+        # each interval's m step exponentials (m a power of two), multiplied
+        # pairwise in log2(m) batched products; then one product per interval
+        E = E.reshape(-1, m, 3, 3)
+        while E.shape[1] > 1:
+            E = E[:, 0::2] @ E[:, 1::2]
         ys = [Y0]
-        for e in E:
+        for e in E[:, 0]:
             ys.append(ys[-1] @ e)
-        Y[side] = np.array(ys)[m::m][::way]
+        Y[side] = np.array(ys)[1:][::way]
     return Y
 
 

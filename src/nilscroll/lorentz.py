@@ -1,8 +1,9 @@
 """Lorentzian linear algebra in signature (-,+,+).
 
 Vectors, the Minkowski inner product and cross product, paracomplex
-arithmetic, stereographic projections of the de-Sitter 2-space, and a
-rotation-boost-rotation chart of O(2,1).
+arithmetic, and a rotation-boost-rotation chart of O(2,1).  The one
+stereographic chart of the de-Sitter 2-space is the normal Gauss map in
+surface.py.
 
 Vector components may be floats, arrays over a batch of points or
 :class:`~nilscroll.jets.Jet` values; every operation here is written
@@ -16,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotLorentz, PoleError, PreconditionError
+from .errors import PreconditionError
 from .jets import Jet
 
 ETA = np.diag([-1.0, 1.0, 1.0])
-
-EPS_PROJ = 1e-10
 
 
 def _val(x):
@@ -157,49 +156,6 @@ def _pc(x):
     return ParaComplex(float(x), 0.0)
 
 
-# -- stereographic projections of S^2_1 ------------------------------------
-
-
-def _check_on_sphere(p: Vec3L, tol):
-    q = mdot(p, p)
-    if abs(_val(q) - 1.0) > tol:
-        raise ValueError(f"point not on the unit de-Sitter sphere: <p,p> = {_val(q)!r}")
-
-
-def stereo_pi(p: Vec3L, tol=1e-9) -> ParaComplex:
-    """Projection x1/(1+x3) + j x2/(1+x3) from S^2_1 into C'."""
-    _check_on_sphere(p, tol)
-    d = 1.0 + _val(p.x3)
-    if abs(d) <= EPS_PROJ:
-        raise PoleError("stereo_pi pole: 1 + x3 ~ 0")
-    return ParaComplex(_val(p.x1) / d, _val(p.x2) / d)
-
-
-def stereo_pi_inv(z: ParaComplex) -> Vec3L:
-    m = z.sqmod()
-    d = 1.0 - m
-    if abs(d) <= EPS_PROJ:
-        raise PoleError("stereo_pi_inv pole: |z|^2 ~ 1")
-    return Vec3L(2.0 * z.re / d, 2.0 * z.im / d, (1.0 + m) / d)
-
-
-def stereo_piL(p: Vec3L, tol=1e-9) -> ParaComplex:
-    """Projection x1/(1-x3) + j x2/(1-x3) from S^2_1 into C'."""
-    _check_on_sphere(p, tol)
-    d = 1.0 - _val(p.x3)
-    if abs(d) <= EPS_PROJ:
-        raise PoleError("stereo_piL pole: 1 - x3 ~ 0")
-    return ParaComplex(_val(p.x1) / d, _val(p.x2) / d)
-
-
-def stereo_piL_inv(z: ParaComplex) -> Vec3L:
-    m = z.sqmod()
-    d = 1.0 - m
-    if abs(d) <= EPS_PROJ:
-        raise PoleError("stereo_piL_inv pole: |z|^2 ~ 1")
-    return Vec3L(2.0 * z.re / d, 2.0 * z.im / d, -(1.0 + m) / d)
-
-
 # -- O(2,1) ----------------------------------------------------------------
 
 
@@ -243,14 +199,6 @@ class LorentzTransform:
     @classmethod
     def identity(cls):
         return cls.from_params()
-
-    @classmethod
-    def from_matrix(cls, m, tol=1e-9):
-        m = np.asarray(m, dtype=float)
-        res = is_lorentz(m)
-        if res > tol:
-            raise NotLorentz(res, tol)
-        return cls(m=m, params=None)
 
     @property
     def det(self):

@@ -128,6 +128,25 @@ def _cL_points(frame: NullFrame, cross_tol=1e-9):
     return cL1, cL2, errors
 
 
+def _cL_floor(frame: NullFrame):
+    """Rounding floor of the first two components of c_L' at each point.
+
+    8 eps times the sizes of the terms of A + t'B + tB', with A expanded as
+    (S/H^2) B + B''/H^2 (S = -H kappa2): where c_L' cancels to below this,
+    its sign is rounding noise.
+    """
+    H, k2 = frame.H, frame.kappa2.value
+    B3, dB3 = frame.B.x3.value, frame.B.x3.derivative(1)
+    C3, dC3 = frame.C.x3.value, frame.C.x3.derivative(1)
+    with np.errstate(all="ignore"):
+        t = -C3 / (H * B3)
+        tp = (C3 * dB3 - dC3 * B3) / (H * B3 * B3)
+        return [8.0 * np.finfo(float).eps
+                * (np.abs(b.value * k2 / H) + np.abs(b.derivative(2)) / (H * H)
+                   + np.abs(tp * b.value) + np.abs(t * b.derivative(1)))
+                for b in (frame.B.x1, frame.B.x2)]
+
+
 def cL_jets(frame: NullFrame, cross_tol=1e-9):
     """(c_L', c_L'') along the singular curve c(s) = (s, t(s)).
 
@@ -211,7 +230,7 @@ def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT, raise_errors=Tru
 # -- scanning --------------------------------------------------------------
 
 
-def _polish(f, lo, hi, f_lo, chan=None):
+def _polish(f, lo, hi, f_lo, chan=None, floor=0.0):
     """Roots of f in the brackets [lo, hi], f(lo) and f(hi) of opposite signs.
 
     All brackets step together.  f gets the current points of the brackets
@@ -220,10 +239,11 @@ def _polish(f, lo, hi, f_lo, chan=None):
     position): package error} for points it cannot evaluate.  Each bracket
     runs rtsafe (Numerical Recipes): Newton from the midpoint, bisecting
     when a step leaves the bracket or fails to halve the one before the
-    previous, ending when a step does not move x or, as brentq(xtol=1e-15,
-    rtol=8.9e-16), is small.  Returns the roots, NaN where errors[i]
-    stopped bracket i, and errors; a scalar bracket gives a float root and
-    raises its error.
+    previous, ending when |f| is at or below the bracket's floor (the
+    rounding level of f there, one per bracket or one for all), when a step
+    does not move x or, as brentq(xtol=1e-15, rtol=8.9e-16), is small.
+    Returns the roots, NaN where errors[i] stopped bracket i, and errors; a
+    scalar bracket gives a float root and raises its error.
     """
     scalar = np.ndim(lo) == 0
     lo, hi, f_lo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo))
@@ -252,7 +272,7 @@ def _polish(f, lo, hi, f_lo, chan=None):
             for (c, j), err in (out[2] if len(out) > 2 else {}).items():
                 if c == rows[idx[j]]:
                     errors[idx[j]], live[idx[j]] = err, False
-            hit = live & (fx == 0.0)
+            hit = live & (np.abs(fx) <= floor)
             roots[hit] = x[hit]
             live &= ~hit
             for i in np.flatnonzero(live & ~np.isfinite(fx)):
@@ -277,15 +297,18 @@ def _polish(f, lo, hi, f_lo, chan=None):
     return roots, errors
 
 
-def _bracket_roots(f, grid, vals, warnings, label):
+def _bracket_roots(f, grid, vals, warnings, label, floors=None):
     """Polish every sign change of f = (value, slope) between finite grid values.
 
     vals and label may hold one row and one name per channel; f then
     returns one row per channel (see _polish), warnings is one list per
-    channel, and the roots come as one list per channel.
+    channel, and the roots come as one list per channel.  floors (shaped
+    like vals, 0 by default) is the rounding level of f at the grid points;
+    a bracket ends where |f| is at or below the larger of its ends' floors.
     """
     multi = np.ndim(vals) == 2
     rows = np.atleast_2d(np.asarray(vals, dtype=float))
+    floors = np.zeros_like(rows) if floors is None else np.atleast_2d(floors)
     labels, sinks = (label, warnings) if multi else ([label], [warnings])
     grid = np.asarray(grid, dtype=float)
     found = [[] for _ in rows]
@@ -302,7 +325,8 @@ def _bracket_roots(f, grid, vals, warnings, label):
                 found[c].append(None)
     if brackets:
         c, _, i = (np.array(col) for col in zip(*brackets))
-        roots, errors = _polish(f, grid[i], grid[i + 1], rows[c, i], c if multi else None)
+        roots, errors = _polish(f, grid[i], grid[i + 1], rows[c, i], c if multi else None,
+                                np.maximum(floors[c, i], floors[c, i + 1]))
         for k, (c, j, i) in enumerate(brackets):
             if k in errors:
                 sinks[c].append(f"WARN {labels[c]}: bracket [{grid[i]}, {grid[i + 1]}] "
@@ -398,7 +422,7 @@ def scan_singularities(
     bracket_warnings = [[], [], []]
     k2_roots, roots1, roots2 = _bracket_roots(
         channels, grid, np.vstack([k2_vals, comp_vals]), bracket_warnings,
-        ["kappa2", "cL1.x1", "cL1.x2"])
+        ["kappa2", "cL1.x1", "cL1.x2"], np.vstack([np.zeros(grid_n), *_cL_floor(frames)]))
     warnings += bracket_warnings[0] + cl_warnings + bracket_warnings[1] + bracket_warnings[2]
 
     # cuspidal cross caps at the roots of kappa2, swallowtails at clustered

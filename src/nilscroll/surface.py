@@ -1,8 +1,14 @@
 """The CMC B-scroll f_L in L^3 and its dual minimal surface f in Nil_3(H).
 
-Evaluates surface points, the Gauss map N_L = -C - t*H*B, fundamental
-forms, the normal Gauss map g, the signed area density of the Nil_3
-surface, and the d'Alembertian eigenvalue residual used for verification.
+Every query is array code: it takes arrays s, t that broadcast together
+(scalars are a batch of one) and works from one frame batch and at most one
+CurvePath.dense_eval call.  The queries are the mesh vertices, the Gauss
+map N_L = -C - t*H*B and the normal Gauss map g, the fundamental forms in
+closed form and by finite differences, the Jacobian metrics of the Nil_3
+surface and the d'Alembertian eigenvalue residual.  A caller that holds
+the frames at the query's s, or at its stencil rows (see stencil), passes
+them as frames=; otherwise the query evaluates them in one batch.  A
+Gauss-map pole is a mask: g is NaN there and the mask is returned with it.
 """
 
 from __future__ import annotations
@@ -11,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
 from .frames import NullFrame
 from .integrate import CurvePath
-from .lorentz import ParaComplex, Vec3L, mdot
+from .lorentz import ParaComplex, Vec3L, mcross, mdot
 
 POLE_TOL = 1e-10
 # finite-difference checks evaluate frames at s + k*h for these k, and the
@@ -26,12 +31,21 @@ FORMS_FD_STEP = 1e-3
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First/second fundamental forms in the (ds, dt) basis, plus H and K."""
+    """First/second fundamental forms in the (ds, dt) basis, plus H and K.
+
+    I and II are (..., 2, 2) and H_mean, K_gauss (...) over the query's points.
+    """
 
     I: np.ndarray
     II: np.ndarray
-    H_mean: float
-    K_gauss: float
+    H_mean: np.ndarray
+    K_gauss: np.ndarray
+
+
+def stencil(s, offsets, h):
+    """The rows s + k*h of a finite-difference stencil, shape (len(offsets),) + s.shape."""
+    k = np.multiply(offsets, float(h))
+    return k.reshape(k.shape + (1,) * np.ndim(s)) + s
 
 
 def _gauss_map(frame: NullFrame, t, H) -> Vec3L:
@@ -40,18 +54,30 @@ def _gauss_map(frame: NullFrame, t, H) -> Vec3L:
     return -Cv - Bv * (t * H)
 
 
-def _stereo(N: Vec3L) -> ParaComplex:
-    """g = -(N2 + j*N1)/(1 - N3); pole at N3 = 1."""
+def _stereo(N: Vec3L):
+    """(g, pole): g = -(N2 + j*N1)/(1 - N3), NaN where |1 - N3| <= POLE_TOL."""
     d = 1.0 - N.x3
-    if abs(d) <= POLE_TOL:
-        raise PoleError("normal Gauss map pole: N3 ~ 1")
-    return ParaComplex(-N.x2 / d, -N.x1 / d)
+    pole = np.abs(d) <= POLE_TOL
+    d = np.where(pole, np.nan, d)
+    return ParaComplex(-N.x2 / d, -N.x1 / d), pole
+
+
+def _sym(a, b, c):
+    """Symmetric matrices [[a, b], [b, c]], stacked over the broadcast shape."""
+    a, b, c = np.broadcast_arrays(a, b, c)
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def _mat(*rows: Vec3L):
+    """Matrices with the given vector rows, stacked over the broadcast shape."""
+    comps = np.broadcast_arrays(*(c for v in rows for c in v))
+    return np.stack(comps, -1).reshape(comps[0].shape + (len(rows), 3))
 
 
 def _forms(I, II) -> FundamentalForms:
     shape = np.linalg.inv(I) @ II
-    return FundamentalForms(I=I, II=II, H_mean=0.5 * float(np.trace(shape)),
-                            K_gauss=float(np.linalg.det(shape)))
+    return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
+                            K_gauss=np.linalg.det(shape))
 
 
 def _nil3_partials(frame: NullFrame, gamma: Vec3L, t, H):
@@ -60,9 +86,9 @@ def _nil3_partials(frame: NullFrame, gamma: Vec3L, t, H):
     Bp = frame.B.deriv().value()
     dJ = gamma.x1 * Av.x2 - gamma.x2 * Av.x1
     dw = Av.x1 * Bv.x2 + gamma.x1 * Bp.x2 - Av.x2 * Bv.x1 - gamma.x2 * Bp.x1
-    fs = np.array([Av.x1 + t * Bp.x1, Av.x2 + t * Bp.x2,
-                   Av.x3 - t * Bp.x3 + H * dJ + t * H * dw])
-    ft = np.array([Bv.x1, Bv.x2, -Bv.x3 + H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1)])
+    fs = Vec3L(Av.x1 + t * Bp.x1, Av.x2 + t * Bp.x2,
+               Av.x3 - t * Bp.x3 + H * dJ + t * H * dw)
+    ft = Vec3L(Bv.x1, Bv.x2, -Bv.x3 + H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1))
     return fs, ft
 
 
@@ -78,24 +104,30 @@ def _nil3(gamma, J, B, t, H) -> Vec3L:
 class ScrollSurface:
     """B-scroll surface pair generated by a frame source and its base curve.
 
-    A query evaluates the frame once per s it touches.
+    A query evaluates one frame batch for all the s it touches, unless the
+    caller passes the frames it holds.
     """
 
     def __init__(self, frame_source, path: CurvePath):
         self.frame_source = frame_source
         self.path = path
-        self.H = frame_source(path.s0).H
+
+    def _frames(self, s, frames):
+        return self.frame_source(s) if frames is None else frames
+
+    def _stencil_rows(self, s, t, offsets, h, frames):
+        """(t broadcast with s, the stencil rows S, the frames at S.ravel() and a
+        reshape of a frame vector to (3,) + S.shape)."""
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        S = stencil(s, offsets, h)
+        frames = self._frames(S.ravel(), frames)
+        return t, S, frames, lambda v: v.as_array().reshape((3,) + S.shape)
 
     # -- L^3 side ----------------------------------------------------------
 
-    def bscroll_point(self, s, t) -> Vec3L:
-        """f_L(s,t) = gamma(s) + t*B(s)."""
-        frame = self.frame_source(s)
-        gamma = self.path.gamma(s)
-        return gamma + frame.B.value() * t
-
-    def gauss_map_L(self, s, t) -> Vec3L:
-        return _gauss_map(self.frame_source(s), t, self.H)
+    def gauss_map_L(self, s, t, frames=None) -> Vec3L:
+        f = self._frames(s, frames)
+        return _gauss_map(f, t, f.H)
 
     def bscroll_partials(self, s, t):
         """(d/ds f_L, d/dt f_L) = (A + t*B', B)."""
@@ -104,62 +136,55 @@ class ScrollSurface:
         Bp = frame.B.deriv().value()
         return Av + Bp * t, Bv
 
-    def fundamental_forms(self, s, t) -> FundamentalForms:
-        frame = self.frame_source(s)
-        H = self.H
-        k1 = frame.kappa1.value
-        k2 = frame.kappa2.value
-        I = np.array([[2 * t * k1 + t * t * H * H, -1.0], [-1.0, 0.0]])
+    def fundamental_forms(self, s, t, frames=None) -> FundamentalForms:
+        f = self._frames(s, frames)
+        H = f.H
+        k1 = f.kappa1.value
+        k2 = f.kappa2.value
+        I = _sym(2 * t * k1 + t * t * H * H, -1.0, 0.0)
         # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
-        II = np.array([[-k2 + 2 * t * k1 * H + t * t * H**3, -H], [-H, 0.0]])
+        II = _sym(-k2 + 2 * t * k1 * H + t * t * H**3, -H, 0.0)
         return _forms(I, II)
 
     # -- normal Gauss map ---------------------------------------------------
 
-    def normal_gauss_map(self, s, t) -> ParaComplex:
-        """g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t); pole at N3 = 1."""
-        return _stereo(self.gauss_map_L(s, t))
+    def normal_gauss_map(self, s, t, frames=None):
+        """(g, pole): g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t), NaN where
+        the pole mask marks N3 ~ 1."""
+        return _stereo(self.gauss_map_L(s, t, frames))
 
     # -- Nil_3 side ---------------------------------------------------------
-
-    def nil3_point(self, s, t) -> Vec3L:
-        """f = (g1+t*B1, g2+t*B2, g3 - t*B3 + H*J + t*H*(g1*B2 - g2*B1))."""
-        gamma, J = self.path.dense_eval(s)
-        return _nil3(gamma, J, self.frame_source(s).B.value(), t, self.H)
 
     def mesh(self, svals, tvals):
         """{"l3": f_L, "nil3": f} on the grid, one row of vertices per s.
 
-        One batch of frames and one curve evaluation for all s, broadcast
-        over t with the arithmetic of bscroll_point and nil3_point.
+        f_L = gamma + t*B and f = (g1+t*B1, g2+t*B2, g3 - t*B3 + H*J +
+        t*H*(g1*B2 - g2*B1)): one batch of frames and one curve evaluation
+        for all s, broadcast over t.
         """
-        B = self.frame_source(np.asarray(svals, dtype=float)).B.value()
-        Bv = Vec3L(*(b[:, None] for b in B))
+        f = self.frame_source(np.asarray(svals, dtype=float))
+        Bv = Vec3L(*(b[:, None] for b in f.B.value()))
         gamma, J = self.path.dense_eval(svals)
         gamma = Vec3L(*(g[:, None] for g in gamma))
         t = np.asarray(tvals, dtype=float)[None, :]
-        points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, self.H)}
+        points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, f.H)}
         return {k: np.stack(list(p), axis=-1).reshape(-1, 3) for k, p in points.items()}
 
-    def nil3_partials(self, s, t):
-        """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface."""
-        gamma, _ = self.path.dense_eval(s)
-        return _nil3_partials(self.frame_source(s), gamma, t, self.H)
-
-    def _tangents_E(self, s, t):
+    def _tangents_E(self, s, t, frames):
         """(frame, fs, ft, fs_E, ft_E): the Jacobian rows and their components
-        in the left-invariant frame E_i, from one frame at s."""
+        in the left-invariant frame E_i, from one frame batch at s."""
+        frame = self._frames(s, frames)
+        H = frame.H
         gamma, J = self.path.dense_eval(s)
-        frame = self.frame_source(s)
-        fs, ft = _nil3_partials(frame, gamma, t, self.H)
-        p = _nil3(gamma, J, frame.B.value(), t, self.H)
+        fs, ft = _nil3_partials(frame, gamma, t, H)
+        p = _nil3(gamma, J, frame.B.value(), t, H)
 
         def E(v):
-            return np.array([v[0], v[1], v[2] + self.H * (p.x2 * v[0] - p.x1 * v[1])])
+            return Vec3L(v.x1, v.x2, v.x3 + H * (p.x2 * v.x1 - p.x1 * v.x2))
 
         return frame, fs, ft, E(fs), E(ft)
 
-    def nil3_jacobian_metrics(self, s, t):
+    def nil3_jacobian_metrics(self, s, t, frames=None):
         """Smallest singular value of the Jacobian and the signed area density.
 
         The density uses the g_R-orthonormal left-invariant frame and the
@@ -167,46 +192,45 @@ class ScrollSurface:
         normal Gauss map (projectively (N2, -N1, 1) from N = N_L), so its
         sign flips across a non-degenerate singular curve.
         """
-        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
-        sigma_min = float(np.linalg.svd(np.vstack([fs, ft]), compute_uv=False)[-1])
-        N = _gauss_map(frame, t, self.H)
-        n_dir = np.array([N.x2, -N.x1, 1.0])
-        n_E = n_dir / np.linalg.norm(n_dir)
-        lam = float(np.linalg.det(np.vstack([fs_E, ft_E, n_E])))
+        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t, frames)
+        sigma_min = np.linalg.svd(_mat(fs, ft), compute_uv=False)[..., -1]
+        N = _gauss_map(frame, t, frame.H)
+        n_dir = Vec3L(N.x2, -N.x1, 1.0)
+        n_E = n_dir / np.sqrt(N.x2 * N.x2 + N.x1 * N.x1 + 1.0)
+        lam = np.linalg.det(_mat(fs_E, ft_E, n_E))
         return {"sigma_min": sigma_min, "lambda": lam}
 
-    def nil3_gauss_map_direct(self, s, t) -> ParaComplex:
-        """Normal Gauss map of the Nil_3 surface from its own unit normal.
+    def nil3_gauss_map_direct(self, s, t, frames=None):
+        """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.
 
         Independent of N_L: frame components of the tangents, Lorentzian
         normal direction eta*(ft x fs), g_+-normalization, stereographic
-        coordinate.  Shares g with the dual B-scroll away from poles.
+        coordinate.  Shares g with the dual B-scroll away from poles; the
+        mask marks a normal that is not spacelike or has n3 ~ -1.
         """
-        _, _, _, u, v = self._tangents_E(s, t)
-        cr = np.cross(u, v)
-        nd = np.array([-cr[0], cr[1], cr[2]])  # eta applied
-        norm2 = -nd[0] ** 2 + nd[1] ** 2 + nd[2] ** 2
-        if norm2 <= 0:
-            raise PoleError("normal not spacelike (singular or degenerate point)")
-        n = nd / np.sqrt(norm2)
-        if abs(1.0 + n[2]) <= POLE_TOL:
-            raise PoleError("direct Gauss map pole: n3 ~ -1")
-        return ParaComplex(n[0] / (1.0 + n[2]), n[1] / (1.0 + n[2]))
+        _, _, _, u, v = self._tangents_E(s, t, frames)
+        nd = mcross(u, v)
+        norm2 = mdot(nd, nd)
+        pole = norm2 <= 0
+        n = nd / np.sqrt(np.where(pole, np.nan, norm2))
+        pole |= np.abs(1.0 + n.x3) <= POLE_TOL
+        d = np.where(pole, np.nan, 1.0 + n.x3)
+        return ParaComplex(n.x1 / d, n.x2 / d), pole
 
     # -- verification quantities -------------------------------------------
 
-    def box_check(self, s, t, fd_step=1e-3):
-        """(residual, matched_sign); sign -1 means Box N_L = -2 H^2 N_L fits."""
+    def box_check(self, s, t, fd_step=1e-3, frames=None):
+        """(residual, matched_sign) per point from the frames at the rows
+        stencil(s, BOX_OFFSETS, fd_step); sign -1 means Box N_L = -2 H^2 N_L fits."""
         h = float(fd_step)
-        H = self.H
-        grid = {}
-        for i in BOX_OFFSETS:
-            frame = self.frame_source(s + i * h)
-            for j in (-2, -1, 0, 1, 2):
-                grid[(i, j)] = _gauss_map(frame, t + j * h, H)
+        t, _, frames, rows = self._stencil_rows(s, t, BOX_OFFSETS, h, frames)
+        H = frames.H
+        _, B, C = (rows(v) for v in frames.values())
+        tt = stencil(t, (-2, -1, 0, 1, 2), h)
+        grid = -C[:, :, None] - B[:, :, None] * (tt * H)  # N_L at (s + i h, t + j h)
 
         def arr(i, j):
-            return grid[(i, j)].as_array()
+            return grid[:, i + 1, j + 2]
 
         def u_t(i, j):
             return (arr(i, j + 1) - arr(i, j - 1)) / (2 * h)
@@ -218,48 +242,50 @@ class ScrollSurface:
         dP_ds = -(u_t(1, 0) - u_t(-1, 0)) / (2 * h)
 
         def Q(j):
-            tt = t + j * h
-            return -u_s(j) - (tt * H) ** 2 * u_t(0, j)
+            return -u_s(j) - (tt[j + 2] * H) ** 2 * u_t(0, j)
 
         dQ_dt = (Q(1) - Q(-1)) / (2 * h)
         box = dP_ds + dQ_dt
         N = arr(0, 0)
-        r_plus = float(np.linalg.norm(box - 2 * H * H * N))
-        r_minus = float(np.linalg.norm(box + 2 * H * H * N))
-        if r_minus <= r_plus:
-            return r_minus, -1
-        return r_plus, +1
+        r_plus = np.linalg.norm(box - 2 * H * H * N, axis=0)
+        r_minus = np.linalg.norm(box + 2 * H * H * N, axis=0)
+        minus = r_minus <= r_plus
+        return np.where(minus, r_minus, r_plus)[()], np.where(minus, -1, 1)[()]
 
-    def fundamental_forms_fd(self, s, t, fd_step=FORMS_FD_STEP):
+    def fundamental_forms_fd(self, s, t, fd_step=FORMS_FD_STEP, frames=None):
         """FD cross-check of the forms from f_L and N_L directly.
 
-        Fourth-order central stencils in s on s +- h and s +- 2h (one frame
-        per s), three-point stencils in t, where f_L is linear.
+        Fourth-order central stencils in s on the rows stencil(s,
+        FORMS_OFFSETS, fd_step) (one frame per row), three-point stencils
+        in t, where f_L is linear.
         """
         h = float(fd_step)
-        rows = {k: (self.path.gamma(s + k * h), self.frame_source(s + k * h))
-                for k in FORMS_OFFSETS}
+        t, S, frames, rows = self._stencil_rows(s, t, FORMS_OFFSETS, h, frames)
+        H = frames.H
+        gamma = rows(self.path.dense_eval(S.ravel())[0])
+        _, B, C = (rows(v) for v in frames.values())
+        c = FORMS_OFFSETS.index(0)
 
-        def p(k, dt):
-            gamma, frame = rows[k]
-            return (gamma + frame.B.value() * (t + dt)).as_array()
+        def p(dt):
+            """f_L(s + k h, t + dt) at every s-offset k."""
+            return gamma + B * (t + dt)
 
         def d_s(weights, dt):
             """sum_k w_k f(s + k h, t + dt) over the s-offsets."""
-            return sum(w * p(k, dt) for k, w in zip(FORMS_OFFSETS, weights) if w)
+            rows_dt = p(dt)
+            return sum(w * rows_dt[:, k] for k, w in enumerate(weights) if w)
 
         first, second = (1, -8, 0, 8, -1), (-1, 16, -30, 16, -1)
         fs = d_s(first, 0.0) / (12 * h)
         fss = d_s(second, 0.0) / (12 * h**2)
         fst = (d_s(first, h) - d_s(first, -h)) / (24 * h**2)
-        ft = (p(0, h) - p(0, -h)) / (2 * h)
-        ftt = (p(0, h) - 2 * p(0, 0.0) + p(0, -h)) / h**2
-        N = _gauss_map(rows[0][1], t, self.H).as_array()
-        eta = np.diag([-1.0, 1.0, 1.0])
+        ft = (p(h)[:, c] - p(-h)[:, c]) / (2 * h)
+        ftt = (p(h)[:, c] - 2 * p(0.0)[:, c] + p(-h)[:, c]) / h**2
+        N = -C[:, c] - B[:, c] * (t * H)
 
         def dot(a, b):
-            return float(a @ eta @ b)
+            return mdot(Vec3L(*a), Vec3L(*b))
 
-        I = np.array([[dot(fs, fs), dot(fs, ft)], [dot(fs, ft), dot(ft, ft)]])
-        II = np.array([[dot(fss, N), dot(fst, N)], [dot(fst, N), dot(ftt, N)]])
+        I = _sym(dot(fs, fs), dot(fs, ft), dot(ft, ft))
+        II = _sym(dot(fss, N), dot(fst, N), dot(ftt, N))
         return _forms(I, II)

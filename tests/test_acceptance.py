@@ -4,6 +4,7 @@ Each test prints a single PASS/FAIL line (run pytest with -s or check the
 captured output) and asserts at the stated tolerance.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -122,22 +123,21 @@ def test_acceptance_05_closed_form_surface_match():
     _, surf = make_surface("tanh(s)")
     err12 = 0.0
     off_L, off_N = [], []
-    for s in np.linspace(-1.0, 1.0, 101):
-        for t in np.linspace(-2.0, 2.0, 11):
-            s, t = float(s), float(t)
-            fL = surf.bscroll_point(s, t)
-            fN = surf.nil3_point(s, t)
-            e1 = 0.5 * (math.sinh(2 * s) + t * math.cosh(2 * s))
-            e2 = 0.5 * (2 * s - t)
-            err12 = max(
-                err12, abs(fL.x1 - e1), abs(fL.x2 - e2),
-                abs(fN.x1 - e1), abs(fN.x2 - e2),
-            )
-            off_L.append(fL.x3 - (-0.5 * (math.cosh(2 * s) + t * math.sinh(2 * s))))
-            off_N.append(
-                fN.x3
-                - 0.5 * (-0.5 - s * t * math.cosh(2 * s) + (-s + t / 2) * math.sinh(2 * s))
-            )
+    svals, tvals = np.linspace(-1.0, 1.0, 101), np.linspace(-2.0, 2.0, 11)
+    verts = surf.mesh(svals, tvals)  # rows s-major, t inner
+    points = zip(itertools.product(svals.tolist(), tvals.tolist()), verts["l3"], verts["nil3"])
+    for (s, t), fL, fN in points:
+        e1 = 0.5 * (math.sinh(2 * s) + t * math.cosh(2 * s))
+        e2 = 0.5 * (2 * s - t)
+        err12 = max(
+            err12, abs(fL[0] - e1), abs(fL[1] - e2),
+            abs(fN[0] - e1), abs(fN[1] - e2),
+        )
+        off_L.append(fL[2] - (-0.5 * (math.cosh(2 * s) + t * math.sinh(2 * s))))
+        off_N.append(
+            fN[2]
+            - 0.5 * (-0.5 - s * t * math.cosh(2 * s) + (-s + t / 2) * math.sinh(2 * s))
+        )
     spread = max(np.ptp(off_L), np.ptp(off_N))
     ok = err12 < 1e-8 and spread < 1e-8
     report(5, f"closed-form f_L/f match (err {err12:.1e}, offset spread {spread:.1e})", ok)
@@ -203,7 +203,7 @@ def test_acceptance_09_singular_set_duality():
         t = singular_t(src(s))
         m = surf.nil3_jacobian_metrics(s, t)
         worst_sigma = max(worst_sigma, m["sigma_min"])
-        worst_g = max(worst_g, abs(surf.normal_gauss_map(s, t).sqmod() - 1.0))
+        worst_g = max(worst_g, abs(surf.normal_gauss_map(s, t)[0].sqmod() - 1.0))
         min_off = min(min_off, surf.nil3_jacobian_metrics(s, t + 0.1)["sigma_min"])
         min_off = min(min_off, surf.nil3_jacobian_metrics(s, t - 0.1)["sigma_min"])
         lam = [surf.nil3_jacobian_metrics(s, t + d)["lambda"] for d in (-0.05, 0.05)]

@@ -14,7 +14,7 @@ from nilscroll.cli import main
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
 from nilscroll.io_formats import fmt17, load_schema
-from nilscroll.surface import ScrollSurface
+from nilscroll.verify import run_verify
 
 
 def run(tmp_path, *argv):
@@ -225,7 +225,7 @@ def test_verify_degenerate_generator(tmp_path):
 def test_verify_nan_residual_fails():
     # a zero FD step makes every box residual NaN, which must not pass
     with np.errstate(divide="ignore", invalid="ignore"):
-        payload = cli.run_verify("tanh(s)", 1.0, (-1.0, 1.0), fd_step=0.0)
+        payload = run_verify("tanh(s)", 1.0, (-1.0, 1.0), fd_step=0.0)
     box = payload["checks"]["box_eigenvalue"]
     assert math.isnan(box["residual"]) and not box["pass"]
     assert not payload["all_pass"]
@@ -396,11 +396,22 @@ def test_surface_vertices_match_scroll_surface(tmp_path):
         "--t-range", "-3:3", "--out", "m",
     )
     assert code == 0
-    # the curve takes frames in batches; the point queries hit 120 distinct s
-    source = make_frame_source(hexpr.parse("tanh(s)"), 0.7)
-    cached = functools.lru_cache(maxsize=None)(source)
-    surf = ScrollSurface(cached, integrate_curve(source, 0.0, (-1.2, 1.2)))
-    for target, point in (("l3", surf.bscroll_point), ("nil3", surf.nil3_point)):
+    # per-point oracle: one frame and one curve point at a time, 120 distinct s
+    H = 0.7
+    source = make_frame_source(hexpr.parse("tanh(s)"), H)
+    path = integrate_curve(source, 0.0, (-1.2, 1.2))
+    source = functools.lru_cache(maxsize=None)(source)
+
+    def l3(s, t):
+        g, B = path.gamma(s), source(s).B.value()
+        return g.x1 + B.x1 * t, g.x2 + B.x2 * t, g.x3 + B.x3 * t
+
+    def nil3(s, t):
+        (g, J), B = path.dense_eval(s), source(s).B.value()
+        return (g.x1 + t * B.x1, g.x2 + t * B.x2,
+                g.x3 - t * B.x3 + H * J + t * H * (g.x1 * B.x2 - g.x2 * B.x1))
+
+    for target, point in (("l3", l3), ("nil3", nil3)):
         lines = (tmp_path / f"m_{target}.obj").read_text().splitlines()
         got = [line for line in lines if line.startswith("v ")]
         want = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilscroll import frames, hexpr
-from nilscroll.cli import run_verify
+from nilscroll.verify import run_verify
 from nilscroll.lorentz import LorentzTransform
 from nilscroll.singular import invariance_check, scan_singularities
 

@@ -1,4 +1,4 @@
-"""Minkowski linear algebra, paracomplex numbers, and O(2,1)."""
+"""Minkowski linear algebra, paracomplex numbers, the stereographic chart, and O(2,1)."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilscroll.errors import NotLorentz, PoleError
 from nilscroll.jets import Jet
 from nilscroll.lorentz import (
     E1,
@@ -20,11 +19,9 @@ from nilscroll.lorentz import (
     is_lorentz,
     mcross,
     mdot,
-    stereo_pi,
-    stereo_pi_inv,
-    stereo_piL,
-    stereo_piL_inv,
 )
+from nilscroll.surface import _stereo
+from nilscroll.verify import _nl_from_g
 
 finite = st.floats(-5.0, 5.0)
 vec = st.builds(Vec3L, finite, finite, finite)
@@ -72,25 +69,31 @@ def test_paracomplex_algebra():
 
 
 def test_stereo_round_trips():
-    p = Vec3L(0.3, 0.4, math.sqrt(1 + 0.3**2 - 0.4**2))
-    assert mdot(p, p) == pytest.approx(1.0)
-    z = stereo_pi(p)
-    q = stereo_pi_inv(z)
-    for a, b in zip(p, q):
-        assert a == pytest.approx(b, abs=1e-12)
-    zL = stereo_piL(p)
-    qL = stereo_piL_inv(zL)
-    for a, b in zip(p, qL):
-        assert a == pytest.approx(b, abs=1e-12)
+    # points of S^2_1 (<p, p> = 1) through g and back through _nl_from_g
+    x1 = np.array([0.3, -1.2, 0.0, 2.0, 0.3])
+    x2 = np.array([0.4, 0.5, 0.9, -1.5, 0.4])
+    x3 = np.sqrt(1 + x1**2 - x2**2) * np.array([-1, -1, -1, -1, 1])
+    p = Vec3L(x1, x2, x3)
+    assert np.allclose(mdot(p, p), 1.0)
+    g, pole = _stereo(p)
+    assert not pole.any()
+    assert np.allclose(_nl_from_g(g), p.as_array(), atol=1e-12)
 
 
 def test_stereo_pole_and_off_sphere():
-    with pytest.raises(PoleError):
-        stereo_pi(Vec3L(0.0, 0.0, -1.0))
-    with pytest.raises(PoleError):
-        stereo_piL(Vec3L(0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        stereo_pi(Vec3L(5.0, 0.0, 1.0))
+    # the pole N3 = 1 is masked, not raised; the other rows are untouched
+    g, pole = _stereo(Vec3L(np.array([0.0, 0.3]), np.array([0.0, 0.4]),
+                            np.array([1.0, -math.sqrt(1 + 0.09 - 0.16)])))
+    assert pole.tolist() == [True, False]
+    assert math.isnan(g.re[0]) and math.isnan(g.im[0])
+    assert np.allclose(_nl_from_g(g)[:, 1], [0.3, 0.4, -math.sqrt(0.93)], atol=1e-12)
+    # the inverse always lands on S^2_1, so an off-sphere point does not come back
+    off = Vec3L(5.0, 0.0, 0.5)
+    g, pole = _stereo(off)
+    assert not pole
+    back = _nl_from_g(g)
+    assert mdot(Vec3L(*back), Vec3L(*back)) == pytest.approx(1.0)
+    assert not np.allclose(back, off.as_array(), atol=1e-6)
 
 
 def test_lorentz_from_params_is_lorentz():
@@ -102,14 +105,6 @@ def test_lorentz_from_params_is_lorentz():
     T = LorentzTransform.from_params(chi=0.3, time_reverse=True)
     assert T.det == pytest.approx(-1.0)
     assert is_lorentz(T.m) < 1e-12
-
-
-def test_from_matrix_validation():
-    O = LorentzTransform.from_params(chi=0.7)
-    again = LorentzTransform.from_matrix(O.m)
-    assert np.allclose(again.m, O.m)
-    with pytest.raises(NotLorentz):
-        LorentzTransform.from_matrix(np.eye(3) * 2.0)
 
 
 @settings(max_examples=40, deadline=None)

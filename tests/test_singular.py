@@ -302,3 +302,23 @@ def test_scan_isolates_a_bracket_whose_frame_fails():
     assert ccr == [pytest.approx(-CCR_S, abs=1e-10)]
     assert len(rep.warnings) == 1
     assert rep.warnings[0].startswith("WARN kappa2: bracket [0.403")
+
+
+def test_polish_stops_at_the_rounding_floor():
+    # a Mobius image of s + s^3 (scan workload, seed 715, call 34): the
+    # cL1.x2 bracket near 0.488 reaches |c_L'| ~ 1e-15, the rounding noise of
+    # its terms, in 5 steps; Newton steps there are noise, and stepping on
+    # bisected the whole bracket again, 29 steps in all
+    h = ("((-0.998129871827)*(s + s^3) + (-1.00783083637))"
+         "/((-0.0330395472522)*(s + s^3) + (-1.59131597866))")
+    src = make_frame_source(hexpr.parse(h), 0.549436717934)
+    calls = []
+
+    def counted(s):
+        calls.append(np.size(s))
+        return src(s)
+
+    report = scan_singularities(counted, (-1.0, 1.0))
+    assert len(calls) <= 1 + 8 + 1  # grid, polishing steps, classification
+    caps = [p.s for p in report.points if p.kind is SingularKind.CUSPIDAL_CROSS_CAP]
+    assert caps == pytest.approx([-1 / math.sqrt(6), 1 / math.sqrt(6)], abs=1e-12)
