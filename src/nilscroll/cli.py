@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -231,6 +232,7 @@ def cmd_family(args) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nilscroll",

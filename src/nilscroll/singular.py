@@ -8,6 +8,11 @@ cross-check the e3-parallel test on c_L' against the NotCE residual
 r1 = (kappa2/H) B3^2 - 1.  r2 = 2 A3 B3 + 1 - C3^2 = 1 - <e3, e3> (with
 e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
 frame-validity residual, not a criterion.
+
+On a valid frame c_L' is parallel to e3 exactly where r1 = 0, so the scan
+looks for swallowtails as roots of r1, which is finite wherever the frame
+is (c_L' has poles at B3 = 0), and for cuspidal cross caps as roots of
+kappa2: two scalar channels, each root a candidate of its own.
 """
 
 from __future__ import annotations
@@ -126,25 +131,6 @@ def _cL_points(frame: NullFrame, cross_tol=1e-9):
         for comp, val in zip(full, part):
             comp[keep] = val
     return cL1, cL2, errors
-
-
-def _cL_floor(frame: NullFrame):
-    """Rounding floor of the first two components of c_L' at each point.
-
-    8 eps times the sizes of the terms of A + t'B + tB', with A expanded as
-    (S/H^2) B + B''/H^2 (S = -H kappa2): where c_L' cancels to below this,
-    its sign is rounding noise.
-    """
-    H, k2 = frame.H, frame.kappa2.value
-    B3, dB3 = frame.B.x3.value, frame.B.x3.derivative(1)
-    C3, dC3 = frame.C.x3.value, frame.C.x3.derivative(1)
-    with np.errstate(all="ignore"):
-        t = -C3 / (H * B3)
-        tp = (C3 * dB3 - dC3 * B3) / (H * B3 * B3)
-        return [8.0 * np.finfo(float).eps
-                * (np.abs(b.value * k2 / H) + np.abs(b.derivative(2)) / (H * H)
-                   + np.abs(tp * b.value) + np.abs(t * b.derivative(1)))
-                for b in (frame.B.x1, frame.B.x2)]
 
 
 def cL_jets(frame: NullFrame, cross_tol=1e-9):
@@ -353,6 +339,17 @@ def _frames_at(frame_source, x):
         return (frame_source(x[kept]) if len(kept) else None), errors, kept
 
 
+def _r1_channel(frame: NullFrame):
+    """(r1, r1', floor) at each point: the NotCE residual r1 = (kappa2/H) B3^2 - 1,
+    its slope (kappa2' B3^2 + 2 kappa2 B3 B3')/H from the frame jets, and its
+    rounding floor 8 eps |kappa2 B3^2/H|, below which its sign is noise."""
+    H, k2, dk2 = frame.H, frame.kappa2.value, frame.kappa2.derivative(1)
+    B3, dB3 = frame.B.x3.value, frame.B.x3.derivative(1)
+    r1 = notce_residuals(frame)[0]
+    slope = (dk2 * B3 * B3 + 2.0 * k2 * B3 * dB3) / H
+    return r1, slope, 8.0 * np.finfo(float).eps * np.abs(r1 + 1.0)
+
+
 def scan_singularities(
     frame_source,
     s_range,
@@ -363,14 +360,17 @@ def scan_singularities(
 ) -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
-    One batch of grid frames gives the curve samples, their classification
-    and c_L' at each grid s.  Sign changes of kappa2 (cuspidal-cross-cap
-    candidates) and of the first two components of c_L' (swallowtail
-    candidates: both must vanish within tol_cluster; samples with
-    |B3| <= 1e-6 are NaN and end no bracket) are polished together by
-    Newton steps with jet slopes, one frame batch per step, then classified
-    in one batch.  Zeros of B3 only show as unbounded curve samples; a
-    non-finite grid frame raises NumericFailure.
+    One batch of grid frames gives the curve samples and their
+    classification.  Two channels, both finite wherever the frame is, are
+    bracketed at grid sign changes: kappa2 (cuspidal-cross-cap candidates)
+    and the NotCE residual r1 (swallowtail candidates: on a valid frame
+    c_L' is parallel to e3 exactly where r1 = 0).  Their brackets are
+    polished together by Newton steps with jet slopes, one frame batch per
+    step, and the roots are classified in one batch; points closer than
+    tol_cluster are reported once.  A sign flip of B1 = H(1+h^2)/(2h')
+    between grid nodes is flagged as a cell where h' changes sign.  Zeros
+    of B3 only show as unbounded curve samples; a non-finite grid frame
+    raises NumericFailure.
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
@@ -382,53 +382,42 @@ def scan_singularities(
     if not finite.all():
         raise NumericFailure(f"non-finite frame at s={grid[np.argmin(finite)]}")
     k2_vals = frames.kappa2.value
-    cL = _cL_points(frames)
 
     # singular-curve samples with per-sample classification
     warnings: list[str] = []
     curve = []
     for s, t, p in zip(grid.tolist(), singular_t(frames).tolist(),
-                       _classify(frames, tol_root, cL)):
+                       _classify(frames, tol_root, _cL_points(frames))):
         failed = isinstance(p, ClassifierInconsistency)
         if failed:
             warnings.append(f"WARN classify at s={s}: {p}")
         curve.append((s, None if math.isnan(t) else t, None if failed else p.kind))
 
-    # swallowtail candidates: simultaneous roots of cL1 components 1 and 2,
-    # restricted to cells clear of B3 poles (NaN samples end no bracket)
-    b3_margin = 1e-6
-    comp_vals = np.full((2, grid_n), np.nan)
-    cl_warnings = []
-    for i in np.flatnonzero(np.abs(frames.B.x3.value) > b3_margin):
-        if cL[2][i] is not None:
-            cl_warnings.append(f"WARN cL1 at s={grid[i]}: {cL[2][i]}")
-        else:
-            comp_vals[:, i] = cL[0].x1[i], cL[0].x2[i]
+    # the sign of B1 is that of h' (times H): a zero of h' or an even-order
+    # pole of h lies in each cell where it flips
+    B1 = frames.B.x1.value
+    warnings += [f"WARN h' changes sign in [{grid[i]}, {grid[i + 1]}]"
+                 for i in np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)]
 
     def channels(x):
-        """kappa2, cL1.x1 and cL1.x2 with their slopes at the points x."""
-        values, slopes = np.full((2, 3, len(x)), np.nan)
+        """kappa2 and r1 with their slopes at the points x."""
+        values, slopes = np.full((2, 2, len(x)), np.nan)
         f, failed, kept = _frames_at(frame_source, x)
-        errors = {(c, i): err for i, err in failed.items() for c in range(3)}
         if f is not None:
-            cL1, cL2, cl_errors = _cL_points(f)
-            values[:, kept] = f.kappa2.value, cL1.x1, cL1.x2
-            slopes[:, kept] = f.kappa2.derivative(1), cL2.x1, cL2.x2
-            for i, err in zip(kept, cl_errors):
-                if err is not None:
-                    errors[1, i] = errors[2, i] = err
-        return values, slopes, errors
+            r1, dr1, _ = _r1_channel(f)
+            values[:, kept] = f.kappa2.value, r1
+            slopes[:, kept] = f.kappa2.derivative(1), dr1
+        return values, slopes, {(c, i): err for i, err in failed.items() for c in range(2)}
 
-    bracket_warnings = [[], [], []]
-    k2_roots, roots1, roots2 = _bracket_roots(
-        channels, grid, np.vstack([k2_vals, comp_vals]), bracket_warnings,
-        ["kappa2", "cL1.x1", "cL1.x2"], np.vstack([np.zeros(grid_n), *_cL_floor(frames)]))
-    warnings += bracket_warnings[0] + cl_warnings + bracket_warnings[1] + bracket_warnings[2]
+    r1_vals, _, r1_floor = _r1_channel(frames)
+    bracket_warnings = [[], []]
+    k2_roots, r1_roots = _bracket_roots(
+        channels, grid, np.vstack([k2_vals, r1_vals]), bracket_warnings,
+        ["kappa2", "r1"], np.vstack([np.zeros(grid_n), r1_floor]))
+    warnings += bracket_warnings[0] + bracket_warnings[1]
 
-    # cuspidal cross caps at the roots of kappa2, swallowtails at clustered
-    # roots of the cL1 components
-    centers = [0.5 * (r1 + r2) for r1 in roots1 for r2 in roots2 if abs(r1 - r2) < tol_cluster]
-    targets = k2_roots + centers
+    # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
+    targets = k2_roots + r1_roots
     found = classify_point(frame_source(np.array(targets)), tol_root) if targets else []
     points = found[: len(k2_roots)]
     if np.max(np.abs(k2_vals)) <= tol_root:

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 
 from . import hexpr
-from .errors import ClassifierInconsistency
+from .errors import ClassifierInconsistency, PreconditionError
 from .frames import make_frame_source, validate_frame
 from .integrate import integrate_curve
 from .lorentz import mdot
@@ -41,11 +41,15 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     """
     h_ast = hexpr.parse(h_text)
     lo, hi = s_range
+    # FD probes reach 2 FORMS_FD_STEP (forms) and fd_step (box) past a draw;
+    # keep every probe inside the path range
+    pad = max(0.02 * (hi - lo), 2.0 * FORMS_FD_STEP, fd_step)
+    if not hi - lo > 2.0 * pad:
+        raise PreconditionError(
+            f"s-range {lo}:{hi} is too short for the finite-difference probes (pad {pad})")
     source = make_frame_source(h_ast, H)
     surf = ScrollSurface(source, integrate_curve(source, 0.5 * (lo + hi), s_range))
     rng = np.random.default_rng(20240817)
-    # FD probes step past the sample point; keep them inside the path range
-    pad = 0.02 * (hi - lo)
 
     def draw(n):
         """n samples (s, t), s drawn before t for each, as two arrays."""

@@ -114,7 +114,8 @@ def test_domain_error_names_offset_or_s(tmp_path, h, message):
      ("frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 nan"),
      ("family", "--h", "tanh(s)", "--find-notce", "--s", "nan"),
      ("verify", "--h", "tanh(s)", "--fd-step", "0"),
-     ("verify", "--h", "tanh(s)", "--fd-step", "nan")],
+     ("verify", "--h", "tanh(s)", "--fd-step", "nan"),
+     ("verify", "--h", "tanh(s)", "--s-range", "0.2:0.203")],
 )
 def test_precondition_exit_2(tmp_path, argv):
     code, _, err = run(tmp_path, *argv)
@@ -420,3 +421,21 @@ def test_surface_vertices_match_scroll_surface(tmp_path):
             for t in np.linspace(-3.0, 3.0, 30)
         ]
         assert got == want
+
+
+def test_singular_flags_a_sign_change_of_h_prime(tmp_path):
+    # h' = 2s changes sign at 0, between grid nodes 127 and 128; r1 = -5/8
+    code, _, _ = run(tmp_path, "singular", "--h", "s^2", "--out", "sq")
+    assert code == 0
+    payload = json.loads((tmp_path / "sq.json").read_text())
+    assert payload["points"] == []
+    a, b = np.linspace(-1.0, 1.0, 256)[127:129]
+    assert payload["warnings"] == [f"WARN h' changes sign in [{a}, {b}]"]
+
+
+def test_verify_short_range(tmp_path):
+    # the draws keep every finite-difference probe on the base curve
+    code, _, _ = run(tmp_path, "verify", "--h", "tanh(s)", "--s-range", "0.2:0.25",
+                     "--report", "v.json")
+    assert code == 0
+    assert json.loads((tmp_path / "v.json").read_text())["all_pass"]

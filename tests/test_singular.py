@@ -305,10 +305,10 @@ def test_scan_isolates_a_bracket_whose_frame_fails():
 
 
 def test_polish_stops_at_the_rounding_floor():
-    # a Mobius image of s + s^3 (scan workload, seed 715, call 34): the
-    # cL1.x2 bracket near 0.488 reaches |c_L'| ~ 1e-15, the rounding noise of
-    # its terms, in 5 steps; Newton steps there are noise, and stepping on
-    # bisected the whole bracket again, 29 steps in all
+    # a Mobius image of s + s^3 (scan workload, seed 715, call 34): a scan on
+    # the components of c_L' reached |c_L'| ~ 1e-15, the rounding noise of
+    # its terms, near 0.488 in 5 steps; Newton steps there are noise, and
+    # stepping on bisected the whole bracket again, 29 steps in all
     h = ("((-0.998129871827)*(s + s^3) + (-1.00783083637))"
          "/((-0.0330395472522)*(s + s^3) + (-1.59131597866))")
     src = make_frame_source(hexpr.parse(h), 0.549436717934)
@@ -322,3 +322,36 @@ def test_polish_stops_at_the_rounding_floor():
     assert len(calls) <= 1 + 8 + 1  # grid, polishing steps, classification
     caps = [p.s for p in report.points if p.kind is SingularKind.CUSPIDAL_CROSS_CAP]
     assert caps == pytest.approx([-1 / math.sqrt(6), 1 / math.sqrt(6)], abs=1e-12)
+
+
+def test_scan_finds_the_swallowtail_inside_a_double_sign_change_cell():
+    # a Mobius image of tanh (scan workload, seed 10): one component of c_L'
+    # crosses zero twice inside the grid cell [0.7098, 0.7176], so a scan on
+    # sign changes of c_L' brackets only the swallowtail near -0.48
+    h = ("((-1.2037144981)*(tanh(s)) + 0.249623785959)"
+         "/(0.0952157528429*(tanh(s)) + 0.431928333643)")
+    src = make_frame_source(hexpr.parse(h), 1.77376241597)
+    rep = scan_singularities(src, (-1.0, 1.0))
+    sw = [p.s for p in rep.points if p.kind is SingularKind.SWALLOWTAIL]
+    assert sw == [pytest.approx(-0.4825228057, abs=1e-10), pytest.approx(0.7145718755, abs=1e-10)]
+    assert rep.warnings == []
+
+
+@pytest.mark.parametrize("H", [0.5, 1.7])
+@pytest.mark.parametrize("text", ["tanh(s)", "s + s^3", "cot(exp(s)/2)"])
+def test_notce_residual_is_the_schwarzian_ratio(text, H):
+    # r1 = (kappa2/H) B3^2 - 1 = -N h^2/h'^4 - 1, N = h'h''' - (3/2)h''^2: no H
+    ast = hexpr.parse(text)
+    s = np.linspace(-1.0, 1.0, 2001)
+    h = hexpr.eval_jet(ast, s, 3)
+    h0, h1, h2, h3 = (h.derivative(k) for k in range(4))
+    want = -(h1 * h3 - 1.5 * h2 * h2) * h0 * h0 / h1**4 - 1.0
+    r1, _ = notce_residuals(make_frame_source(ast, H)(s))
+    assert np.max(np.abs(r1 - want) / np.maximum(np.abs(want), 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("H", [0.5, 2.0])
+def test_scan_tanh_swallowtail_closed_form_at_any_H(H):
+    rep = scan_singularities(make_frame_source(hexpr.parse("tanh(s)"), H), (0.1, 1.0))
+    sw = [p.s for p in rep.points if p.kind is SingularKind.SWALLOWTAIL]
+    assert sw == [pytest.approx(S_PLUS, abs=1e-12)]
