@@ -332,8 +332,10 @@ def main(argv=None) -> int:
         s = getattr(args, "s", None)
         if s is not None and not math.isfinite(s):
             raise PreconditionError(f"--s must be finite, got {args.s!r}")
-        if not 0.0 < getattr(args, "fd_step", 1.0) < math.inf:
-            raise PreconditionError(f"--fd-step must be finite and > 0, got {args.fd_step!r}")
+        for flag in ("fd_step", "fd_tol", "tol_root"):
+            if not 0.0 < getattr(args, flag, 1.0) < math.inf:
+                raise PreconditionError(f"--{flag.replace('_', '-')} must be finite and > 0, "
+                                        f"got {getattr(args, flag)!r}")
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

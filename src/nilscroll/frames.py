@@ -29,7 +29,6 @@ from . import hexpr
 from .errors import (
     DegenerateGenerator,
     InitError,
-    NilscrollError,
     NormalizationError,
     NumericFailure,
     OrientationError,
@@ -92,30 +91,19 @@ def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
 
     B = -(H/(2h')) (-1-h^2, 1-h^2, 2h), C = B'/H,
     A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.  s is a float
-    or a 1-D array (one AST walk for the batch).  A package error names the
-    first s, in array order, that raises it on its own; overflow gives
-    non-finite components, which the caller checks.
+    or a 1-D array (one AST walk for the batch).  A float s outside h's
+    domain, or with |h'(s)| < 1e-12, raises DomainError or
+    DegenerateGenerator; in a batch such a point, like one that overflows,
+    gets a frame that is NaN in every coefficient (see raise_first).
     """
     if H == 0.0:
         raise ValueError("H must be non-zero")
-    try:
-        return _frame_from_h(h_ast, H, s, order)
-    except NilscrollError:
-        # the error of the first point that fails alone, as a loop would meet it
-        for x in np.ravel(s).tolist() if np.ndim(s) else ():
-            _frame_from_h(h_ast, H, x, order)
-        raise
-
-
-def _frame_from_h(h_ast, H, s, order):
     with np.errstate(all="ignore"):
         h = hexpr.eval_jet(h_ast, s, order)
         hp = h.deriv()
         flat = np.abs(hp.taylor()[0]) < 1e-12
-        if flat.any():
-            i = int(np.argmax(flat))
-            raise DegenerateGenerator(
-                f"|h'({hp.point(i)})| = {abs(hp.taylor()[0, i]):.3e} < 1e-12")
+        if flat.any() and not h.batched:
+            raise DegenerateGenerator(f"|h'({h.base_point})| = {abs(hp.value):.3e} < 1e-12")
         S = schwarzian(h)
         h2 = h * h
         scale = (-H / 2.0) / hp
@@ -125,8 +113,30 @@ def _frame_from_h(h_ast, H, s, order):
         n = min(S.order, Bpp.x1.order)
         A = B.truncate(n) * (S.truncate(n) / (H * H)) + Bpp.truncate(n) / (H * H)
         kappa2 = -S / H
+    # one pass over every coefficient: a point's frame is finite throughout or NaN throughout
+    jets = (*A, *B, *C, kappa2)
+    bad = flat | ~np.isfinite(np.concatenate([j.taylor() for j in jets])).all(axis=0)
+    if bad.any():
+        for j in jets:
+            j.taylor()[:, bad] = np.nan
     kappa1 = Jet.constant(0.0, kappa2.order, base_point=h.base_point)
     return NullFrame(s=h.base_point, A=A, B=B, C=C, kappa1=kappa1, kappa2=kappa2, H=H)
+
+
+def raise_first(evaluate, s, bad, message="non-finite frame at s={}"):
+    """Raise for the first s, in array order, where bad holds: the error of
+    evaluate (a frame source) at that s alone, else NumericFailure naming s."""
+    if np.any(bad):
+        x = float(np.ravel(s)[np.argmax(np.ravel(bad))])
+        evaluate(x)
+        raise NumericFailure(message.format(x))
+
+
+def finite_frames(frame_source, s):
+    """The frames at s for a consumer that needs every one (see raise_first)."""
+    f = frame_source(s)
+    raise_first(frame_source, s, ~np.isfinite(f.kappa2.value))
+    return f
 
 
 def make_frame_source(h_ast, H: float, order: int = DEFAULT_ORDER):
@@ -208,12 +218,11 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 def _curvature(ast, s, order):
-    """Curvature jet over s; a non-finite coefficient raises NumericFailure
-    naming the first such s."""
+    """Curvature jet over s; the first s with a non-finite coefficient
+    raises (see raise_first)."""
     k = hexpr.eval_jet(ast, s, order)
-    bad = ~np.isfinite(k.taylor()).all(axis=0)
-    if bad.any():
-        raise NumericFailure(f"overflow in the curvature at s={k.point(int(np.argmax(bad)))}")
+    raise_first(lambda x: hexpr.eval_jet(ast, x, order), s,
+                ~np.isfinite(k.taylor()).all(axis=0), "overflow in the curvature at s={}")
     return k
 
 

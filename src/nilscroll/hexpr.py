@@ -320,7 +320,9 @@ def _eval(node, seed):
 def eval_jet(ast, s, order: int = jets.DEFAULT_ORDER) -> Jet:
     """Jet of the denoted function at s (a float or a 1-D array), to the given order.
 
-    Overflow gives inf or NaN coefficients rather than a warning.
+    Overflow gives inf or NaN coefficients rather than a warning, and so
+    does a point of an array s outside a function's domain; a float s
+    raises DomainError there.
     """
     seed = Jet.variable(s, order)
     with np.errstate(all="ignore"):

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from .errors import NumericFailure, OutOfRange
+from .frames import raise_first
 from .lorentz import Vec3L
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
@@ -113,9 +114,9 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
     A(s) comes from the frame source, one batch per degree's new nodes;
-    gamma and J are zero at s0.  Raises
-    NumericFailure when A is not finite at a node, or when a panel
-    narrower than _MIN_PANEL times the range still does not resolve it.
+    gamma and J are zero at s0.  The first node of a batch where A is not
+    finite raises (see frames.raise_first), and a panel narrower than
+    _MIN_PANEL times the range that still does not resolve A NumericFailure.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not lo <= s0 <= hi or not lo < hi:
@@ -131,9 +132,8 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
             if new:
                 A = frame_source(np.array(new)).A.value().as_array().T
                 A_nodes.update(zip(new, A))
-                bad = ~np.isfinite(A).all(axis=1)
-                if bad.any():
-                    raise NumericFailure(f"A(s) is not finite at s={float(new[np.argmax(bad)])!r}")
+                raise_first(frame_source, new, ~np.isfinite(A).all(axis=1),
+                            "A(s) is not finite at s={!r}")
             v = np.array([A_nodes[x] for x in s])
             c = _cheb_coeffs(v)
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):

@@ -11,8 +11,10 @@ Coefficients are stored in Taylor form (c_k = f^(k)(s)/k!) as one array of
 shape (K+1, N).  A jet built at a float s is a batch of one whose accessors
 return floats; built at an array of s they return arrays.  Every recurrence
 adds its terms elementwise in a fixed order, so a point gets the same bits
-alone or in any batch.  Overflow shows as inf or NaN in the coefficients;
-callers that evaluate jets wrap them in ``np.errstate``.
+alone or in any batch.  Overflow shows as inf or NaN in the coefficients,
+and so does a batch point outside a function's domain, while a jet at a
+float raises DomainError there; callers that evaluate jets wrap them in
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -146,9 +148,13 @@ class Jet:
         return self._tc[:n], other._tc[:n]
 
     def _domain(self, bad, fn, message=None):
-        """DomainError naming the first base point where bad holds."""
-        if np.any(bad):
-            raise DomainError(fn, self.point(int(np.argmax(bad))), message)
+        """The jet with NaN coefficients at the batch points where bad holds
+        (outside fn's domain); a jet at a float raises DomainError there."""
+        if not np.any(bad):
+            return self
+        if not self.batched:
+            raise DomainError(fn, self.base_point, message)
+        return Jet(np.where(bad, np.nan, self._tc), self.base_point)
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -185,8 +191,8 @@ class Jet:
             if np.any(np.equal(other, 0.0)):
                 raise DomainError("div", self.point(0), "division by zero")
             return self * (1.0 / other)
+        other = other._domain(other.taylor()[0] == 0.0, "div", "division by a jet with zero value")
         a, b = self._coerce(other)
-        self._domain(b[0] == 0.0, "div", "division by a jet with zero value")
         return Jet(_quotient(a, b), self.base_point)
 
     def __rtruediv__(self, other):
@@ -220,8 +226,7 @@ def exp(a: Jet) -> Jet:
 
 
 def log(a: Jet) -> Jet:
-    a._domain(a.taylor()[0] <= 0.0, "log")
-    t = a.taylor()
+    t = a._domain(a.taylor()[0] <= 0.0, "log").taylor()
     out = np.empty_like(t)
     out[0] = np.log(t[0])
     if len(t) > 1:
@@ -250,14 +255,12 @@ def _trig_pair(a: Jet, hyperbolic: bool):
 
 def tan(a):
     s, c = _trig_pair(a, False)
-    a._domain(c.taylor()[0] == 0.0, "tan")
-    return s / c
+    return s / c._domain(c.taylor()[0] == 0.0, "tan")
 
 
 def cot(a):
     s, c = _trig_pair(a, False)
-    a._domain(s.taylor()[0] == 0.0, "cot")
-    return c / s
+    return c / s._domain(s.taylor()[0] == 0.0, "cot")
 
 
 def tanh(a):
@@ -268,7 +271,7 @@ def tanh(a):
 def sqrt(a: Jet) -> Jet:
     t = a.taylor()
     # sqrt(0) has no derivative, but its value is fine in an order-0 jet
-    a._domain((t[0] < 0.0) | ((t[0] == 0.0) & (len(t) > 1)), "sqrt")
+    t = a._domain((t[0] < 0.0) | ((t[0] == 0.0) & (len(t) > 1)), "sqrt").taylor()
     r = t.copy()
     r[0] = np.sqrt(t[0])
     for k in range(1, len(t)):
@@ -300,14 +303,13 @@ def pow_const(a: Jet, p) -> Jet:
     """
     if float(p).is_integer():
         p = int(p)
-        if p == 0:
-            return Jet.constant(1.0, a.order, a.base_point)
+        if p == 0:  # 1, but NaN where the value of a is (outside a function's domain)
+            return Jet.constant(1.0, a.order, a.base_point) + 0.0 * a.value
         out = a
         for _ in range(abs(p) - 1):
             out = out * a
         return 1.0 / out if p < 0 else out
-    t = a.taylor()
-    a._domain(t[0] <= 0.0, "pow", "non-integer power of a non-positive base")
+    t = a._domain(a.taylor()[0] <= 0.0, "pow", "non-integer power of a non-positive base").taylor()
     w = np.zeros_like(t)
     w[0] = np.power(t[0], p)
     for k in range(1, len(t)):
@@ -325,7 +327,7 @@ def schwarzian(h: Jet) -> Jet:
     if h.order < 3:
         raise ValueError("schwarzian needs a jet of order >= 3")
     d1 = h.deriv()
-    h._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes")
+    d1 = d1._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes")
     d2 = d1.deriv()
     d3 = d2.deriv()
     r1 = d3 / d1

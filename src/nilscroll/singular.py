@@ -32,7 +32,7 @@ from .errors import (
     PreconditionError,
     UnboundedCurve,
 )
-from .frames import B3_UNBOUNDED_TOL, NullFrame
+from .frames import B3_UNBOUNDED_TOL, NullFrame, finite_frames
 from .lorentz import E1, ETA, LorentzTransform, Vec3L, mcross
 
 DEFAULT_TOL_ROOT = 1e-10
@@ -220,16 +220,17 @@ def _polish(f, lo, hi, f_lo, chan=None, floor=0.0):
     """Roots of f in the brackets [lo, hi], f(lo) and f(hi) of opposite signs.
 
     All brackets step together.  f gets the current points of the brackets
-    still stepping and returns (values, slopes) there: one row per channel
-    when chan names each bracket's channel, optionally with {(channel,
-    position): package error} for points it cannot evaluate.  Each bracket
-    runs rtsafe (Numerical Recipes): Newton from the midpoint, bisecting
-    when a step leaves the bracket or fails to halve the one before the
-    previous, ending when |f| is at or below the bracket's floor (the
-    rounding level of f there, one per bracket or one for all), when a step
-    does not move x or, as brentq(xtol=1e-15, rtol=8.9e-16), is small.
-    Returns the roots, NaN where errors[i] stopped bracket i, and errors; a
-    scalar bracket gives a float root and raises its error.
+    still stepping and returns (values, slopes) there, one row per channel
+    when chan names each bracket's channel.  Each bracket runs rtsafe
+    (Numerical Recipes): Newton from the midpoint, bisecting when a step
+    leaves the bracket or fails to halve the one before the previous,
+    ending when |f| is at or below the bracket's floor (the rounding level
+    of f there, one per bracket or one for all), when a step does not move
+    x or, as brentq(xtol=1e-15, rtol=8.9e-16), is small.  A value that is
+    not finite stops its bracket with the package error that f raises at
+    that point alone, else a NumericFailure naming the value.  Returns the
+    roots, NaN where errors[i] stopped bracket i, and errors; a scalar
+    bracket gives a float root and raises its error.
     """
     scalar = np.ndim(lo) == 0
     lo, hi, f_lo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo))
@@ -255,14 +256,15 @@ def _polish(f, lo, hi, f_lo, chan=None, floor=0.0):
                 break
             out = f(x[idx])
             fx, slope = pick(out[0], idx), pick(out[1], idx)
-            for (c, j), err in (out[2] if len(out) > 2 else {}).items():
-                if c == rows[idx[j]]:
-                    errors[idx[j]], live[idx[j]] = err, False
             hit = live & (np.abs(fx) <= floor)
             roots[hit] = x[hit]
             live &= ~hit
             for i in np.flatnonzero(live & ~np.isfinite(fx)):
                 errors[i], live[i] = NumericFailure(f"value {fx[i]} at s={x[i]}"), False
+                try:
+                    f(float(x[i]))
+                except NilscrollError as err:
+                    errors[i] = err
             below = (fx < 0.0) == (f_lo < 0.0)
             lo = np.where(live & below, x, lo)
             hi = np.where(live & ~below, x, hi)
@@ -291,6 +293,7 @@ def _bracket_roots(f, grid, vals, warnings, label, floors=None):
     channel, and the roots come as one list per channel.  floors (shaped
     like vals, 0 by default) is the rounding level of f at the grid points;
     a bracket ends where |f| is at or below the larger of its ends' floors.
+    A bracket that fails warns with its error.
     """
     multi = np.ndim(vals) == 2
     rows = np.atleast_2d(np.asarray(vals, dtype=float))
@@ -323,22 +326,6 @@ def _bracket_roots(f, grid, vals, warnings, label, floors=None):
     return found if multi else found[0]
 
 
-def _frames_at(frame_source, x):
-    """(frame, errors, kept): the frame batch at the points of x that
-    evaluate, errors {i: package error} for those that do not."""
-    try:
-        return frame_source(x), {}, np.arange(len(x))
-    except NilscrollError:
-        errors = {}
-        for i, xi in enumerate(x.tolist()):
-            try:
-                frame_source(xi)
-            except NilscrollError as err:
-                errors[i] = err
-        kept = np.array([i for i in range(len(x)) if i not in errors], dtype=int)
-        return (frame_source(x[kept]) if len(kept) else None), errors, kept
-
-
 def _r1_channel(frame: NullFrame):
     """(r1, r1', floor) at each point: the NotCE residual r1 = (kappa2/H) B3^2 - 1,
     its slope (kappa2' B3^2 + 2 kappa2 B3 B3')/H from the frame jets, and its
@@ -367,20 +354,19 @@ def scan_singularities(
     c_L' is parallel to e3 exactly where r1 = 0).  Their brackets are
     polished together by Newton steps with jet slopes, one frame batch per
     step, and the roots are classified in one batch; points closer than
-    tol_cluster are reported once.  A sign flip of B1 = H(1+h^2)/(2h')
-    between grid nodes is flagged as a cell where h' changes sign.  Zeros
-    of B3 only show as unbounded curve samples; a non-finite grid frame
-    raises NumericFailure.
+    tol_cluster are reported once.  A NaN frame ends its bracket with a
+    warning that gives the point's own error.  A sign flip of
+    B1 = H(1+h^2)/(2h') between grid nodes is flagged as a cell where h'
+    changes sign.  Zeros of B3 only show as unbounded curve samples; the
+    first grid or root frame that is not finite raises (see
+    frames.raise_first).
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
     lo, hi = float(s_range[0]), float(s_range[1])
     grid = np.linspace(lo, hi, grid_n)
 
-    frames = frame_source(grid)
-    finite = np.isfinite([*frames.A.value(), *frames.B.value(), *frames.C.value()]).all(axis=0)
-    if not finite.all():
-        raise NumericFailure(f"non-finite frame at s={grid[np.argmin(finite)]}")
+    frames = finite_frames(frame_source, grid)
     k2_vals = frames.kappa2.value
 
     # singular-curve samples with per-sample classification
@@ -400,14 +386,11 @@ def scan_singularities(
                  for i in np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)]
 
     def channels(x):
-        """kappa2 and r1 with their slopes at the points x."""
-        values, slopes = np.full((2, 2, len(x)), np.nan)
-        f, failed, kept = _frames_at(frame_source, x)
-        if f is not None:
-            r1, dr1, _ = _r1_channel(f)
-            values[:, kept] = f.kappa2.value, r1
-            slopes[:, kept] = f.kappa2.derivative(1), dr1
-        return values, slopes, {(c, i): err for i, err in failed.items() for c in range(2)}
+        """kappa2 and r1 with their slopes at the points x (a float x whose
+        frame fails raises), NaN where the frame is."""
+        f = frame_source(x)
+        r1, dr1, _ = _r1_channel(f)
+        return np.array([f.kappa2.value, r1]), np.array([f.kappa2.derivative(1), dr1])
 
     r1_vals, _, r1_floor = _r1_channel(frames)
     bracket_warnings = [[], []]
@@ -417,8 +400,8 @@ def scan_singularities(
     warnings += bracket_warnings[0] + bracket_warnings[1]
 
     # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
-    targets = k2_roots + r1_roots
-    found = classify_point(frame_source(np.array(targets)), tol_root) if targets else []
+    targets = np.array(k2_roots + r1_roots)
+    found = classify_point(finite_frames(frame_source, targets), tol_root) if len(targets) else []
     points = found[: len(k2_roots)]
     if np.max(np.abs(k2_vals)) <= tol_root:
         # degenerate generator (S(h) identically ~ 0): whole curve non-front
@@ -476,7 +459,7 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     svals = np.concatenate([np.linspace(lo, hi, n_samples), np.asarray(extra_s, dtype=float)])
-    f = frame_source(svals)
+    f = finite_frames(frame_source, svals)
     ps = classify_point(f, tol_root, raise_errors=False)
     qs = classify_point(transform_frame(O, f), tol_root, raise_errors=False)
     rows = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import NullFrame
+from .frames import NullFrame, finite_frames
 from .integrate import CurvePath
 from .lorentz import ParaComplex, Vec3L, mcross, mdot
 
@@ -113,7 +113,7 @@ class ScrollSurface:
         self.path = path
 
     def _frames(self, s, frames):
-        return self.frame_source(s) if frames is None else frames
+        return finite_frames(self.frame_source, s) if frames is None else frames
 
     def _stencil_rows(self, s, t, offsets, h, frames):
         """(t broadcast with s, the stencil rows S, the frames at S.ravel() and a
@@ -131,7 +131,7 @@ class ScrollSurface:
 
     def bscroll_partials(self, s, t):
         """(d/ds f_L, d/dt f_L) = (A + t*B', B)."""
-        frame = self.frame_source(s)
+        frame = self._frames(s, None)
         Av, Bv, _ = frame.values()
         Bp = frame.B.deriv().value()
         return Av + Bp * t, Bv
@@ -162,7 +162,7 @@ class ScrollSurface:
         t*H*(g1*B2 - g2*B1)): one batch of frames and one curve evaluation
         for all s, broadcast over t.
         """
-        f = self.frame_source(np.asarray(svals, dtype=float))
+        f = self._frames(np.asarray(svals, dtype=float), None)
         Bv = Vec3L(*(b[:, None] for b in f.B.value()))
         gamma, J = self.path.dense_eval(svals)
         gamma = Vec3L(*(g[:, None] for g in gamma))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import hexpr
 from .errors import ClassifierInconsistency, PreconditionError
-from .frames import make_frame_source, validate_frame
+from .frames import finite_frames, make_frame_source, validate_frame
 from .integrate import integrate_curve
 from .lorentz import mdot
 from .singular import classify_point, singular_t
@@ -61,7 +61,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
               stencil(form_s, FORMS_OFFSETS, FORMS_FD_STEP).ravel(),
               stencil(box_s, BOX_OFFSETS, fd_step).ravel(), gauss_s]
     distinct, rows = np.unique(np.concatenate(groups), return_inverse=True)
-    batch = source(distinct)
+    batch = finite_frames(source, distinct)
     f, f_dual, f_form, f_stencil, f_box, f_gauss = (
         batch.take(r) for r in np.split(rows, np.cumsum([len(g) for g in groups])[:-1]))
 

@@ -115,6 +115,10 @@ def test_domain_error_names_offset_or_s(tmp_path, h, message):
      ("family", "--h", "tanh(s)", "--find-notce", "--s", "nan"),
      ("verify", "--h", "tanh(s)", "--fd-step", "0"),
      ("verify", "--h", "tanh(s)", "--fd-step", "nan"),
+     ("singular", "--h", "s + s^3", "--tol-root", "nan"),
+     ("singular", "--h", "s + s^3", "--tol-root", "-1"),
+     ("verify", "--h", "tanh(s)", "--fd-tol", "nan"),
+     ("verify", "--h", "tanh(s)", "--fd-tol", "-1"),
      ("verify", "--h", "tanh(s)", "--s-range", "0.2:0.203")],
 )
 def test_precondition_exit_2(tmp_path, argv):
@@ -439,3 +443,23 @@ def test_verify_short_range(tmp_path):
                      "--report", "v.json")
     assert code == 0
     assert json.loads((tmp_path / "v.json").read_text())["all_pass"]
+
+
+@pytest.mark.parametrize("argv", [("surface",), ("singular",), ("verify",),
+                                  ("family", "--boost", "0.3")])
+def test_first_bad_s_in_array_order_wins(tmp_path, argv):
+    # the walk meets log's failure first, at s >= 0.5; s = -1.0 comes first
+    code, _, err = run(tmp_path, argv[0], "--h", "log(0.5 - s) + 1/(s + 1)", *argv[1:])
+    assert code == 2
+    assert err == "error: division by a jet with zero value at s=-1.0\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_frame_curvature_domain_error_names_its_s(tmp_path):
+    # the march from 0.6 meets the log hole at its first Gauss node below 0.5;
+    # the curvature there is NaN, and that point alone raises its DomainError
+    code, _, err = run(tmp_path, "frame", "--kappa2", "2 + 0*log(s - 0.5)",
+                       "--init-frame", "1 1 0 0.5 -0.5 0 0 0 -1",
+                       "--s-range", "0:1", "--s", "0.6")
+    assert code == 2
+    assert err == "error: log out of domain at s=0.4978867513459481\n"

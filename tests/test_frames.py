@@ -16,6 +16,7 @@ from nilscroll.errors import (
     OrientationError,
 )
 from nilscroll.frames import (
+    finite_frames,
     frame_flow_from_curvatures,
     frame_from_B,
     frame_from_h,
@@ -226,12 +227,36 @@ def test_batch_frame_matches_single_points(ast):
 def test_batch_domain_error_names_first_s():
     grid = np.linspace(-1.0, 1.0, 256)
     with pytest.raises(DomainError) as err:
-        frame_from_h(hexpr.parse("log(s)"), 1.0, grid)
+        finite_frames(make_frame_source(hexpr.parse("log(s)"), 1.0), grid)
     assert err.value.base_point == -1.0
     # the first s that fails on its own, though log fails earlier in the walk
     with pytest.raises(DomainError) as err:
-        frame_from_h(hexpr.parse("log(s) + 1/(s - 0.3)"), 1.0, np.array([0.3, -1.0]))
+        finite_frames(make_frame_source(hexpr.parse("log(s) + 1/(s - 0.3)"), 1.0),
+                      np.array([0.3, -1.0]))
     assert (err.value.fn, err.value.base_point) == ("div", 0.3)
+
+
+@pytest.mark.parametrize("text", [
+    "log(s)", "sqrt(s)", "s^0.5", "s + s^1.5", "cot(s) + s", "s + 1/s", "1/(s - 0.5)", "s^3",
+    "s^2", "sqrt(s^2)", "log(s^2)", "s + 0*log((s - 0.3)^2 - 0.01)", "s + log(s)^0", "tanh(s)"])
+def test_batch_frame_is_nan_exactly_where_a_lone_point_raises(text):
+    # 0 and 0.5 are nodes; a batched log at a negative base has a NaN value
+    # but finite derivatives, so the whole frame must go NaN, not numpy's
+    # part, and a zero power must keep the NaN of its base
+    grid = np.linspace(-1.0, 1.0, 257)
+    h = hexpr.parse(text)
+    f = frame_from_h(h, 1.0, grid)
+    coeffs = np.concatenate([j.taylor() for j in (*f.A, *f.B, *f.C, f.kappa2)])
+    raises = []
+    for x in grid.tolist():
+        try:
+            frame_from_h(h, 1.0, x)
+        except (DomainError, DegenerateGenerator):
+            raises.append(x)
+    nan = np.isnan(coeffs).all(axis=0)
+    assert grid[nan].tolist() == raises
+    assert np.isfinite(coeffs[:, ~nan]).all()
+    assert bool(raises) == (text != "tanh(s)")
 
 
 def test_flow_frames_validate_as_one_batch():

@@ -287,21 +287,45 @@ def test_brackets_step_together_like_one_at_a_time():
 
 def test_scan_isolates_a_bracket_whose_frame_fails():
     # frames fail only near +1/sqrt(6): that bracket warns, the others polish
-    from nilscroll.errors import DomainError
-
     base = make_frame_source(CUBIC, 1.0)
 
     def source(s):
         hole = np.abs(np.atleast_1d(s) - CCR_S) < 1e-3
-        if hole.any():
-            raise DomainError("log", float(np.atleast_1d(s)[hole][0]))
-        return base(s)
+        f = base(s)
+        for jet in (*f.A, *f.B, *f.C, f.kappa2):
+            jet.taylor()[:, hole] = np.nan
+        return f
 
     rep = scan_singularities(source, (-1.0, 1.0))
     ccr = [p.s for p in rep.points if p.kind is SingularKind.CUSPIDAL_CROSS_CAP]
     assert ccr == [pytest.approx(-CCR_S, abs=1e-10)]
     assert len(rep.warnings) == 1
     assert rep.warnings[0].startswith("WARN kappa2: bracket [0.403")
+
+
+def test_scan_across_a_log_hole_evaluates_once_per_batch(monkeypatch):
+    # the zero factor keeps h = s + s^3 outside a log hole of half-width 1e-3
+    # around +1/sqrt(6): the polishing step that lands in it ends that
+    # bracket, and the point's own error, met alone, is the warning's reason
+    from nilscroll import frames
+
+    calls, original = [], frames.frame_from_h
+
+    def counted(h_ast, H, s, order=5):
+        calls.append(np.size(s) if np.ndim(s) else float(s))
+        return original(h_ast, H, s, order)
+
+    monkeypatch.setattr(frames, "frame_from_h", counted)
+    h = hexpr.parse("s + s^3 + 0*log((s - 0.4082482904638631)^2 - 1e-6)")
+    rep = scan_singularities(make_frame_source(h, 1.0), (-1.0, 1.0))
+    assert [(p.s, p.kind) for p in rep.points] == [
+        (-0.408248290463863, SingularKind.CUSPIDAL_CROSS_CAP)]
+    assert rep.warnings == [
+        "WARN kappa2: bracket [0.4039215686274509, 0.4117647058823528] failed: "
+        "log out of domain at s=0.40784313725490184"]
+    # the grid, one batch per polishing step, the classification; the lone point
+    assert [c for c in calls if isinstance(c, int)] == [256, 2, 1, 1, 1, 1]
+    assert [c for c in calls if isinstance(c, float)] == [0.40784313725490184]
 
 
 def test_polish_stops_at_the_rounding_floor():
