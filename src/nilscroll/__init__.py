@@ -17,7 +17,6 @@ from .errors import (
     OrientationError,
     OutOfRange,
     PreconditionError,
-    UnboundedCurve,
     UnknownFunction,
 )
 from .frames import (
@@ -73,7 +72,6 @@ __all__ = [
     "SingularKind",
     "SingularPoint",
     "SingularReport",
-    "UnboundedCurve",
     "UnknownFunction",
     "Vec3L",
     "classify_point",

@@ -325,8 +325,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
         H = getattr(args, "H", 1.0)
-        if H == 0.0 or not math.isfinite(H):
-            raise PreconditionError(f"H must be finite and non-zero, got {H!r}")
+        if not sys.float_info.min <= H * H <= sys.float_info.max:  # the frames divide by H^2
+            raise PreconditionError(f"H must be finite and non-zero, with H^2 a normal float, "
+                                    f"got {H!r}")
         if getattr(args, "samples", 1) < 1:
             raise PreconditionError(f"--samples must be >= 1, got {args.samples}")
         s = getattr(args, "s", None)

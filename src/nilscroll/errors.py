@@ -70,10 +70,6 @@ class NumericFailure(NilscrollError):
     """A computed value is not finite, or an approximation does not converge."""
 
 
-class UnboundedCurve(NilscrollError):
-    """B_3 ~ 0: the singular curve t(s) escapes to infinity at this s."""
-
-
 class ClassifierInconsistency(NilscrollError):
     """Two mathematically equivalent singularity criteria disagree numerically."""
 

@@ -170,8 +170,10 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         end = j.sum()
         both = np.zeros((max(len(j), len(g)), 4))
         both[: len(g), :3], both[: len(j), 3] = g, j
-        # trailing rows below rounding in every column only cost Clenshaw steps
+        # trailing rows below rounding in every column only cost Clenshaw steps;
+        # the first row stays, so A = 0 gives the zero curve
         big = np.abs(both) > np.finfo(float).eps * np.max(np.abs(both), axis=0)
+        big[0] = True
         coef.append(both[: np.nonzero(big.any(axis=1))[0][-1] + 1])
     origin = _cheb_eval(breaks, coef, np.array([s0]))[0]
     return CurvePath(s0=s0, breaks=breaks, coef=coef, origin=origin, A_nodes=A_nodes)

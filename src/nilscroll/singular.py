@@ -9,6 +9,8 @@ r1 = (kappa2/H) B3^2 - 1.  r2 = 2 A3 B3 + 1 - C3^2 = 1 - <e3, e3> (with
 e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
 frame-validity residual, not a criterion.
 
+classify_point is the one classifier: it decides every point of a frame
+batch in one array pass and reports c_L' and c_L'' in its diagnostics.
 On a valid frame c_L' is parallel to e3 exactly where r1 = 0, so the scan
 looks for swallowtails as roots of r1, which is finite wherever the frame
 is (c_L' has poles at B3 = 0), and for cuspidal cross caps as roots of
@@ -30,13 +32,15 @@ from .errors import (
     NumericFailure,
     OrientationBreak,
     PreconditionError,
-    UnboundedCurve,
 )
 from .frames import B3_UNBOUNDED_TOL, NullFrame, finite_frames
 from .lorentz import E1, ETA, LorentzTransform, Vec3L, mcross
 
 DEFAULT_TOL_ROOT = 1e-10
-DEFAULT_TOL_CLUSTER = 1e-6
+# scan points closer than this are reported once
+TOL_CLUSTER = 1e-6
+# the two routes to c_L' must agree to this, relative to 1 + |c_L'|
+CROSS_TOL = 1e-9
 # one criterion clearly zero while the other is clearly nonzero
 INCONSISTENCY_GAP = 1e-6
 
@@ -91,23 +95,24 @@ def singular_t(frame: NullFrame):
     return None if unbounded else float(t)
 
 
-def _cL_points(frame: NullFrame, cross_tol=1e-9):
-    """(c_L', c_L'', errors) at each point of the frame, as arrays.
+def _cL_points(frame: NullFrame):
+    """(c_L', c_L'', unbounded, gap) at each point of the frame, as arrays.
 
-    errors[i] is the package error of point i (UnboundedCurve, or the
-    ClassifierInconsistency of routes that disagree) or None; c_L' and c_L''
-    are NaN at unbounded points.
+    c_L' = d/ds f_L(s, t(s)) along the singular curve c(s) = (s, t(s)) is
+    computed twice: by jet differentiation of gamma + t(s) B(s) and from the
+    closed form A + (-A3/B3 - kappa2/H + C3^2/B3^2) B - (C3/B3) C.  unbounded
+    marks |B3| < B3_UNBOUNDED_TOL, where c_L' and c_L'' are NaN; gap is the
+    difference of the two routes where it exceeds CROSS_TOL * (1 + |c_L'|),
+    else 0.
     """
-    s = np.atleast_1d(frame.s)
     B3 = np.atleast_1d(frame.B.x3.value)
     unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
-    errors = [UnboundedCurve(f"B3({x}) ~ 0") if u else None
-              for x, u in zip(s.tolist(), unbounded)]
-    cL1, cL2 = (Vec3L(*np.full((3, len(s)), np.nan)) for _ in range(2))
+    cL1, cL2 = (Vec3L(*np.full((3, len(B3)), np.nan)) for _ in range(2))
+    gap = np.zeros(len(B3))
     keep = np.flatnonzero(~unbounded)
     if not len(keep):
-        return cL1, cL2, errors
-    f = frame.take(keep) if len(keep) < len(s) else frame
+        return cL1, cL2, unbounded, gap
+    f = frame.take(keep) if len(keep) < len(B3) else frame
     H = f.H
     with np.errstate(all="ignore"):
         t = -f.C.x3 / (f.B.x3 * H)
@@ -124,29 +129,11 @@ def _cL_points(frame: NullFrame, cross_tol=1e-9):
         closed = Av + Bv * coef - Cv * (Cv.x3 / Bv.x3)
         diff = np.atleast_1d((closed - d1).max_abs())
         scale = 1.0 + np.atleast_1d(d1.max_abs())
-    for j in np.flatnonzero(diff > cross_tol * scale):
-        errors[keep[j]] = ClassifierInconsistency(
-            f"c_L' closed form vs jet route differ by {diff[j]:.3e} at s={s[keep[j]]}")
+        gap[keep] = np.where(diff > CROSS_TOL * scale, diff, 0.0)
     for full, part in ((cL1, d1), (cL2, d2)):
         for comp, val in zip(full, part):
             comp[keep] = val
-    return cL1, cL2, errors
-
-
-def cL_jets(frame: NullFrame, cross_tol=1e-9):
-    """(c_L', c_L'') along the singular curve c(s) = (s, t(s)).
-
-    Computed twice: by jet differentiation of gamma + t(s) B(s) and from
-    the closed form A + (-A3/B3 - kappa2/H + C3^2/B3^2) B - (C3/B3) C; the
-    two routes must agree or classification is aborted.  A batch frame
-    gives array components and raises for the first point in error.
-    """
-    cL1, cL2, errors = _cL_points(frame, cross_tol)
-    if any(errors):
-        raise next(filter(None, errors))
-    if frame.kappa2.batched:
-        return cL1, cL2
-    return (Vec3L(*(float(c[0]) for c in cL1)), Vec3L(*(float(c[0]) for c in cL2)))
+    return cL1, cL2, unbounded, gap
 
 
 def notce_residuals(frame: NullFrame):
@@ -157,16 +144,23 @@ def notce_residuals(frame: NullFrame):
     return r1, r2
 
 
-def _classify(frame: NullFrame, tol_root, cL):
-    """One SingularPoint, or the ClassifierInconsistency that stops it, per
-    point of the frame; cL is _cL_points(frame)."""
+def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT, raise_errors=True):
+    """Kind of the singular-curve point at each of the frame's s.
+
+    A single-point frame gives one SingularPoint, a batch a list in order;
+    every point's diagnostics hold S(h), kappa2 and their slopes and, where
+    t(s) is bounded, c_L' ("cL1"), c_L'' ("cL2") and the NotCE residuals.
+    Where the two c_L' routes, or the parallel test and the NotCE residual
+    r1, disagree, ClassifierInconsistency is raised for the first such
+    point; with raise_errors=False it takes that point's place in the list.
+    """
     s = np.atleast_1d(frame.s).tolist()
     H = frame.H
     k2 = np.atleast_1d(frame.kappa2.value)
     k2p = np.atleast_1d(frame.kappa2.derivative(1))
     with np.errstate(all="ignore"):
         t = np.atleast_1d(np.divide(-frame.C.x3.value, H * frame.B.x3.value))
-    cL1, cL2, errors = cL
+    cL1, cL2, unbounded, gap = _cL_points(frame)
     r1, r2 = (np.atleast_1d(r) for r in notce_residuals(frame))
     pa = np.maximum(np.abs(cL1.x1), np.abs(cL1.x2))
     front = np.abs(k2) > tol_root
@@ -183,79 +177,54 @@ def _classify(frame: NullFrame, tol_root, cL):
     out = []
     for i, (x, c1i, c2i) in enumerate(zip(s, c1, c2)):
         diag = dict(zip(("S_h", "S_h_prime", "kappa2", "kappa2_prime"), (c[i] for c in cols)))
-        if isinstance(errors[i], UnboundedCurve):
+        if unbounded[i]:
             out.append(SingularPoint(s=x, t=None, kind=SingularKind.UNBOUNDED, diagnostics=diag))
             continue
-        if errors[i] is not None:
-            out.append(errors[i])
-            continue
         diag.update({"cL1": c1i, "cL2": c2i, "notce": (float(r1[i]), float(r2[i]))})
-        if clash[i]:
-            out.append(ClassifierInconsistency(
-                f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={x}"))
+        if gap[i] or clash[i]:
+            err = ClassifierInconsistency(
+                f"c_L' closed form vs jet route differ by {gap[i]:.3e} at s={x}" if gap[i] else
+                f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={x}")
+            if raise_errors:
+                raise err
+            out.append(err)
             continue
         out.append(SingularPoint(s=x, t=float(t[i]), kind=SingularKind(kind[i]), diagnostics=diag))
-    return out
-
-
-def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT, raise_errors=True):
-    """Kind of the singular-curve point at each of the frame's s.
-
-    A single-point frame gives one SingularPoint, a batch a list in order.
-    Where the parallel test and the NotCE residual (or the two c_L' routes)
-    disagree, ClassifierInconsistency is raised for the first such point;
-    with raise_errors=False it takes that point's place in the list.
-    """
-    out = _classify(frame, tol_root, _cL_points(frame))
-    errors = [p for p in out if isinstance(p, ClassifierInconsistency)]
-    if raise_errors and errors:
-        raise errors[0]
     return out if frame.kappa2.batched else out[0]
 
 
 # -- scanning --------------------------------------------------------------
 
 
-def _polish(f, lo, hi, f_lo, chan=None, floor=0.0):
+def _polish(f, lo, hi, f_lo, chan, floor):
     """Roots of f in the brackets [lo, hi], f(lo) and f(hi) of opposite signs.
 
     All brackets step together.  f gets the current points of the brackets
-    still stepping and returns (values, slopes) there, one row per channel
-    when chan names each bracket's channel.  Each bracket runs rtsafe
-    (Numerical Recipes): Newton from the midpoint, bisecting when a step
-    leaves the bracket or fails to halve the one before the previous,
-    ending when |f| is at or below the bracket's floor (the rounding level
-    of f there, one per bracket or one for all), when a step does not move
-    x or, as brentq(xtol=1e-15, rtol=8.9e-16), is small.  A value that is
-    not finite stops its bracket with the package error that f raises at
-    that point alone, else a NumericFailure naming the value.  Returns the
-    roots, NaN where errors[i] stopped bracket i, and errors; a scalar
-    bracket gives a float root and raises its error.
+    still stepping and returns (values, slopes) there, one row per channel;
+    chan names each bracket's channel.  Each bracket runs rtsafe (Numerical
+    Recipes): Newton from the midpoint, bisecting when a step leaves the
+    bracket or fails to halve the one before the previous, ending when |f|
+    is at or below the bracket's floor (the rounding level of f there),
+    when a step does not move x or, as brentq(xtol=1e-15, rtol=8.9e-16), is
+    small.  A value that is not finite stops its bracket with the package
+    error that f raises at that point alone, else a NumericFailure naming
+    the value.  Returns the roots, NaN where errors[i] stopped bracket i,
+    and errors.
     """
-    scalar = np.ndim(lo) == 0
-    lo, hi, f_lo = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo))
     n = len(lo)
-    rows = np.zeros(n, int) if chan is None else np.asarray(chan)
     x = 0.5 * (lo + hi)
     dx = dx_old = hi - lo
     roots = np.full(n, np.nan)
     errors = {}
     live = np.ones(n, bool)
-
-    def pick(v, idx):
-        """Each stepping bracket's own channel of f's output, full length."""
-        v = np.asarray(v, dtype=float)
-        out = np.full(n, np.nan)
-        out[idx] = v[rows[idx], np.arange(len(idx))] if v.ndim == 2 else v
-        return out
-
     with np.errstate(all="ignore"):
         for _ in range(200):
             idx = np.flatnonzero(live)
             if not len(idx):
                 break
-            out = f(x[idx])
-            fx, slope = pick(out[0], idx), pick(out[1], idx)
+            # each stepping bracket's own channel of f's rows, full length
+            fx, slope = np.full((2, n), np.nan)
+            fx[idx], slope[idx] = (v[chan[idx], np.arange(len(idx))] for v in f(x[idx]))
             hit = live & (np.abs(fx) <= floor)
             roots[hit] = x[hit]
             live &= ~hit
@@ -278,52 +247,34 @@ def _polish(f, lo, hi, f_lo, chan=None, floor=0.0):
             live &= ~done
     for i in np.flatnonzero(live):
         errors[i] = NumericFailure(f"no convergence in [{lo[i]}, {hi[i]}] after 200 steps")
-    if scalar:
-        if errors:
-            raise errors[0]
-        return float(roots[0])
     return roots, errors
 
 
-def _bracket_roots(f, grid, vals, warnings, label, floors=None):
-    """Polish every sign change of f = (value, slope) between finite grid values.
+def _bracket_roots(f, grid, vals, labels, floors):
+    """Roots of each channel of f = (values, slopes) between finite grid values.
 
-    vals and label may hold one row and one name per channel; f then
-    returns one row per channel (see _polish), warnings is one list per
-    channel, and the roots come as one list per channel.  floors (shaped
-    like vals, 0 by default) is the rounding level of f at the grid points;
-    a bracket ends where |f| is at or below the larger of its ends' floors.
-    A bracket that fails warns with its error.
+    vals and floors hold one row per channel over the grid, labels one name;
+    f returns one row per channel (see _polish).  A grid value of exactly 0
+    is a root, and every sign change is polished, each bracket ending where
+    |f| is at or below the larger of its ends' floors (the rounding level of
+    f at the grid points).  Returns (roots, warnings): the roots of each
+    channel in grid order, and a warning giving the error of each bracket
+    that fails, channel by channel.
     """
-    multi = np.ndim(vals) == 2
-    rows = np.atleast_2d(np.asarray(vals, dtype=float))
-    floors = np.zeros_like(rows) if floors is None else np.atleast_2d(floors)
-    labels, sinks = (label, warnings) if multi else ([label], [warnings])
-    grid = np.asarray(grid, dtype=float)
-    found = [[] for _ in rows]
-    brackets = []  # (channel, slot in found, grid cell)
-    for c, v in enumerate(rows):
-        for i in range(len(grid) - 1):
-            fa, fb = v[i], v[i + 1]
-            if not (math.isfinite(fa) and math.isfinite(fb)):
-                continue
-            if fa == 0.0:
-                found[c].append(float(grid[i]))
-            elif fa * fb < 0.0:
-                brackets.append((c, len(found[c]), i))
-                found[c].append(None)
-    if brackets:
-        c, _, i = (np.array(col) for col in zip(*brackets))
-        roots, errors = _polish(f, grid[i], grid[i + 1], rows[c, i], c if multi else None,
-                                np.maximum(floors[c, i], floors[c, i + 1]))
-        for k, (c, j, i) in enumerate(brackets):
-            if k in errors:
-                sinks[c].append(f"WARN {labels[c]}: bracket [{grid[i]}, {grid[i + 1]}] "
-                                f"failed: {errors[k]}")
-            else:
-                found[c][j] = float(roots[k])
-    found = [[r for r in rs if r is not None] for rs in found]
-    return found if multi else found[0]
+    a, b = vals[:, :-1], vals[:, 1:]
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(a) & np.isfinite(b)
+        cross = finite & (a * b < 0.0)
+    c, i = np.nonzero(finite & (a == 0.0) | cross)
+    k = np.flatnonzero(cross[c, i])
+    lo, hi = grid[i[k]], grid[i[k] + 1]
+    roots, errors = _polish(f, lo, hi, a[c[k], i[k]], c[k],
+                            np.maximum(floors[c[k], i[k]], floors[c[k], i[k] + 1]))
+    found = grid[i]
+    found[k] = roots  # NaN where the bracket failed
+    warnings = [f"WARN {labels[c[k[m]]]}: bracket [{lo[m]}, {hi[m]}] failed: {errors[m]}"
+                for m in sorted(errors)]
+    return [found[(c == n) & ~np.isnan(found)].tolist() for n in range(len(vals))], warnings
 
 
 def _r1_channel(frame: NullFrame):
@@ -342,20 +293,19 @@ def scan_singularities(
     s_range,
     grid_n: int = 256,
     tol_root: float = DEFAULT_TOL_ROOT,
-    tol_cluster: float = DEFAULT_TOL_CLUSTER,
     generator: str = "",
 ) -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
-    One batch of grid frames gives the curve samples and their
-    classification.  Two channels, both finite wherever the frame is, are
-    bracketed at grid sign changes: kappa2 (cuspidal-cross-cap candidates)
-    and the NotCE residual r1 (swallowtail candidates: on a valid frame
-    c_L' is parallel to e3 exactly where r1 = 0).  Their brackets are
-    polished together by Newton steps with jet slopes, one frame batch per
-    step, and the roots are classified in one batch; points closer than
-    tol_cluster are reported once.  A NaN frame ends its bracket with a
-    warning that gives the point's own error.  A sign flip of
+    One batch of grid frames gives the curve samples, classified by one
+    classify_point call.  Two channels, both finite wherever the frame is,
+    are bracketed at grid sign changes: kappa2 (cuspidal-cross-cap
+    candidates) and the NotCE residual r1 (swallowtail candidates: on a
+    valid frame c_L' is parallel to e3 exactly where r1 = 0).  Their
+    brackets are polished together by Newton steps with jet slopes, one
+    frame batch per step, and the roots are classified in one batch; points
+    closer than TOL_CLUSTER are reported once.  A NaN frame ends its bracket
+    with a warning that gives the point's own error.  A sign flip of
     B1 = H(1+h^2)/(2h') between grid nodes is flagged as a cell where h'
     changes sign.  Zeros of B3 only show as unbounded curve samples; the
     first grid or root frame that is not finite raises (see
@@ -373,7 +323,7 @@ def scan_singularities(
     warnings: list[str] = []
     curve = []
     for s, t, p in zip(grid.tolist(), singular_t(frames).tolist(),
-                       _classify(frames, tol_root, _cL_points(frames))):
+                       classify_point(frames, tol_root, raise_errors=False)):
         failed = isinstance(p, ClassifierInconsistency)
         if failed:
             warnings.append(f"WARN classify at s={s}: {p}")
@@ -393,11 +343,10 @@ def scan_singularities(
         return np.array([f.kappa2.value, r1]), np.array([f.kappa2.derivative(1), dr1])
 
     r1_vals, _, r1_floor = _r1_channel(frames)
-    bracket_warnings = [[], []]
-    k2_roots, r1_roots = _bracket_roots(
-        channels, grid, np.vstack([k2_vals, r1_vals]), bracket_warnings,
-        ["kappa2", "r1"], np.vstack([np.zeros(grid_n), r1_floor]))
-    warnings += bracket_warnings[0] + bracket_warnings[1]
+    (k2_roots, r1_roots), bracket_warnings = _bracket_roots(
+        channels, grid, np.vstack([k2_vals, r1_vals]), ["kappa2", "r1"],
+        np.vstack([np.zeros(grid_n), r1_floor]))
+    warnings += bracket_warnings
 
     # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
     targets = np.array(k2_roots + r1_roots)
@@ -415,7 +364,7 @@ def scan_singularities(
     # de-duplicate and sort
     uniq = {}
     for p in points:
-        key = round(p.s / max(tol_cluster, 1e-12))
+        key = round(p.s / TOL_CLUSTER)
         if key not in uniq or p.kind != SingularKind.CUSPIDAL_EDGE:
             uniq[key] = p
     points = sorted(uniq.values(), key=lambda p: p.s)

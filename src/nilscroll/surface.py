@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericFailure
 from .frames import NullFrame, finite_frames
 from .integrate import CurvePath
 from .lorentz import ParaComplex, Vec3L, mcross, mdot
@@ -75,7 +76,10 @@ def _mat(*rows: Vec3L):
 
 
 def _forms(I, II) -> FundamentalForms:
-    shape = np.linalg.inv(I) @ II
+    try:
+        shape = np.linalg.inv(I) @ II
+    except np.linalg.LinAlgError:
+        raise NumericFailure("singular first fundamental form") from None
     return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
                             K_gauss=np.linalg.det(shape))
 

@@ -23,7 +23,6 @@ from nilscroll.jets import schwarzian
 from nilscroll.lorentz import LorentzTransform
 from nilscroll.singular import (
     SingularKind,
-    cL_jets,
     classify_point,
     find_notce_transform,
     notce_residuals,
@@ -112,10 +111,10 @@ def test_acceptance_04_tanh_swallowtails():
     ok = len(sw) == 1 and abs(sw[0].s - S_PLUS) < 1e-8
     c2_want = np.array([-6 * math.sqrt(2.0), 2 * math.sqrt(6.0), 2 * math.sqrt(3.0)])
     for s, sign in ((S_PLUS, 1.0), (S_MINUS, -1.0)):
-        c1, c2 = cL_jets(src(s))
-        ok &= np.max(np.abs(c1.as_array() - [0, 0, sign * math.sqrt(2)])) < 1e-8
+        diag = classify_point(src(s)).diagnostics
+        ok &= np.max(np.abs(np.array(diag["cL1"]) - [0, 0, sign * math.sqrt(2)])) < 1e-8
         want = c2_want * np.array([sign, sign, 1.0])
-        ok &= np.max(np.abs(c2.as_array() - want)) < 1e-6
+        ok &= np.max(np.abs(np.array(diag["cL2"]) - want)) < 1e-6
     report(4, f"swallowtail at s+={S_PLUS:.10f} with c_L', c_L'' golden jets", ok)
 
 

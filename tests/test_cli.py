@@ -119,7 +119,10 @@ def test_domain_error_names_offset_or_s(tmp_path, h, message):
      ("singular", "--h", "s + s^3", "--tol-root", "-1"),
      ("verify", "--h", "tanh(s)", "--fd-tol", "nan"),
      ("verify", "--h", "tanh(s)", "--fd-tol", "-1"),
-     ("verify", "--h", "tanh(s)", "--s-range", "0.2:0.203")],
+     ("verify", "--h", "tanh(s)", "--s-range", "0.2:0.203"),
+     ("singular", "--h", "tanh(s)", "--H", "1e-200"),
+     ("verify", "--h", "tanh(s)", "--H", "1e160"),
+     ("family", "--h", "tanh(s)", "--find-notce", "--H", "1e200")],
 )
 def test_precondition_exit_2(tmp_path, argv):
     code, _, err = run(tmp_path, *argv)
@@ -136,6 +139,13 @@ def test_stray_value_error_exit_3(tmp_path, monkeypatch):
     code, _, err = run(tmp_path, "singular", "--h", "tanh(s)")
     assert code == 3
     assert err.startswith("internal error: ValueError")
+
+
+def test_singular_first_form_is_a_numeric_failure(tmp_path):
+    # at |s| ~ 1e6 the stencil's first fundamental form is singular to rounding
+    code, _, err = run(tmp_path, "verify", "--h", "s+s^3", "--s-range", "-1e6:1e6")
+    assert code == 3
+    assert err == "numeric failure: singular first fundamental form\n"
 
 
 def test_parse_error_exit_2(tmp_path):
@@ -317,10 +327,18 @@ def test_zero_H_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("H", ["1e-200", "-1e160"])
+def test_H_whose_square_is_not_a_normal_float_exit_2(tmp_path, H):
+    # the frames divide by H^2: blame H, not the generator
+    code, _, err = run(tmp_path, "singular", "--h", "tanh(s)", "--H", H)
+    assert code == 2
+    assert err.startswith("error: H must be finite and non-zero")
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--H", "nan"), ("--H", "inf"), ("--H", "-inf"), ("--s-range", "-inf:1"),
-     ("--s-range", "0:nan"), ("--t-range", "0:inf")],
+     ("--s-range", "0:nan"), ("--t-range", "0:inf"), ("--H", "1e-200"), ("--H", "1e200")],
 )
 def test_non_finite_input_exit_2(tmp_path, flag, value):
     code, _, _ = run(

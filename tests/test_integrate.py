@@ -50,6 +50,13 @@ def test_harmonic_oscillator_both_directions():
         assert J == pytest.approx(math.sin(s) - s, abs=1e-9)
 
 
+def test_zero_A_gives_the_zero_curve():
+    # every coefficient is 0: the trim of negligible trailing rows keeps one
+    path = integrate_curve(source_of(lambda s: (0.0, 0.0, 0.0)), 0.0, (-1.0, 1.0))
+    g, J = path.dense_eval(np.linspace(-1.0, 1.0, 5))
+    assert np.all(g.as_array() == 0.0) and np.all(J == 0.0)
+
+
 def test_dense_output_off_grid():
     src = make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     path = integrate_curve(src, 0.0, (0.0, 1.0))

@@ -8,16 +8,17 @@ import pytest
 
 from nilscroll import hexpr
 from nilscroll.errors import (
+    ClassifierInconsistency,
     NoSolutionFound,
     OrientationBreak,
     PreconditionError,
-    UnboundedCurve,
 )
 from nilscroll.frames import make_frame_source
 from nilscroll.lorentz import ETA, LorentzTransform
 from nilscroll.singular import (
     SingularKind,
-    cL_jets,
+    _bracket_roots,
+    _polish,
     classify_point,
     find_notce_transform,
     invariance_check,
@@ -41,25 +42,26 @@ def test_singular_t_values(tanh_source):
     assert t == pytest.approx(-2.0 / math.tanh(1.0), rel=1e-12)
 
 
-def test_cL_jets_unbounded(tanh_source):
-    with pytest.raises(UnboundedCurve):
-        cL_jets(tanh_source(0.0))
+def cL_of(frame):
+    """(c_L', c_L'') of a single-point frame, from its classification."""
+    diag = classify_point(frame).diagnostics
+    return np.array(diag["cL1"]), np.array(diag["cL2"])
 
 
 def test_cL_jets_swallowtail_golden(tanh_source):
-    c1, c2 = cL_jets(tanh_source(S_PLUS))
-    assert c1.as_array() == pytest.approx(
+    c1, c2 = cL_of(tanh_source(S_PLUS))
+    assert c1 == pytest.approx(
         np.array([0.0, 0.0, math.sqrt(2.0)]), abs=1e-8
     )
-    assert c2.as_array() == pytest.approx(
+    assert c2 == pytest.approx(
         np.array([-6 * math.sqrt(2.0), 2 * math.sqrt(6.0), 2 * math.sqrt(3.0)]),
         abs=1e-6,
     )
-    c1m, c2m = cL_jets(tanh_source(S_MINUS))
-    assert c1m.as_array() == pytest.approx(
+    c1m, c2m = cL_of(tanh_source(S_MINUS))
+    assert c1m == pytest.approx(
         np.array([0.0, 0.0, -math.sqrt(2.0)]), abs=1e-8
     )
-    assert c2m.as_array() == pytest.approx(
+    assert c2m == pytest.approx(
         np.array([6 * math.sqrt(2.0), -2 * math.sqrt(6.0), 2 * math.sqrt(3.0)]),
         abs=1e-6,
     )
@@ -71,9 +73,9 @@ def test_cL_e3_component_identity(any_source):
         f = source(s)
         if singular_t(f) is None:
             continue
-        c1, _ = cL_jets(f)
+        c1, _ = cL_of(f)
         want = -f.kappa2.value * f.B.x3.value / f.H
-        assert c1.x3 == pytest.approx(want, abs=1e-10), name
+        assert c1[2] == pytest.approx(want, abs=1e-10), name
 
 
 def test_classify_cuspidal_edge(tanh_source):
@@ -103,6 +105,18 @@ def test_classify_unbounded(tanh_source):
     p = classify_point(tanh_source(0.0))
     assert p.kind is SingularKind.UNBOUNDED
     assert p.t is None
+
+
+def test_classifier_inconsistency_takes_its_points_place(tanh_source):
+    # C off the unit sphere at s = 0.4 only: the two routes to c_L' disagree
+    f = tanh_source(np.array([0.2, 0.4, 0.0]))
+    bad = dataclasses.replace(f, C=f.C * np.array([1.0, 1.01, 1.01]))
+    p, err, q = classify_point(bad, raise_errors=False)
+    assert p.kind is SingularKind.CUSPIDAL_EDGE and q.kind is SingularKind.UNBOUNDED
+    assert isinstance(err, ClassifierInconsistency)
+    assert str(err).startswith("c_L' closed form vs jet route differ by") and "s=0.4" in str(err)
+    with pytest.raises(ClassifierInconsistency, match="s=0.4"):
+        classify_point(bad)
 
 
 def test_classify_degenerate_line():
@@ -154,18 +168,23 @@ def test_scan_grid_validation(tanh_source):
         scan_singularities(tanh_source, (0.0, 1.0), grid_n=4)
 
 
-def test_root_polish_falls_back_to_bisection():
-    from nilscroll.singular import _bracket_roots, _polish
+def one_channel(f):
+    """f = (value, slope) of an array of s as one channel row each."""
+    return lambda s: tuple(np.array([v + 0.0 * s]) for v in f(s))
 
+
+def test_root_polish_falls_back_to_bisection():
     root = 2.0945514815423265  # of s^3 - 2 s - 5
     # exact slope (Newton), zero slope and wrong-signed slope (bisection)
     for slope in (lambda s: 3 * s * s - 2, lambda s: 0.0, lambda s: -1.0):
-        got = _polish(lambda s: (s**3 - 2 * s - 5, slope(s)), 2.0, 3.0, -1.0)
-        assert got == pytest.approx(root, abs=4e-15)
+        got, errors = _polish(one_channel(lambda s: (s**3 - 2 * s - 5, slope(s))),
+                              np.array([2.0]), np.array([3.0]), np.array([-1.0]),
+                              np.zeros(1, int), 0.0)
+        assert errors == {} and got[0] == pytest.approx(root, abs=4e-15)
     # a package error while polishing becomes a warning for that bracket
-    warnings = []
-    roots = _bracket_roots(lambda s: (math.nan, 1.0), [0.0, 1.0], [-1.0, 1.0],
-                           warnings, "nan")
+    (roots,), warnings = _bracket_roots(one_channel(lambda s: (math.nan, 1.0)),
+                                        np.array([0.0, 1.0]), np.array([[-1.0, 1.0]]),
+                                        ["nan"], np.zeros((1, 2)))
     assert roots == [] and len(warnings) == 1 and "WARN nan" in warnings[0]
 
 
@@ -273,16 +292,37 @@ def test_criteria_equivalence_dense(surfaces):
 
 
 def test_brackets_step_together_like_one_at_a_time():
-    from nilscroll.singular import _polish
-
-    def f(s):
-        return np.sin(3 * s) - 0.2, 3 * np.cos(3 * s)
-
+    f = one_channel(lambda s: (np.sin(3 * s) - 0.2, 3 * np.cos(3 * s)))
     lo, hi = np.array([0.0, 0.9, -1.2]), np.array([0.5, 1.2, -0.9])
-    roots, errors = _polish(f, lo, hi, f(lo)[0])
+    roots, errors = _polish(f, lo, hi, f(lo)[0][0], np.zeros(3, int), 0.0)
     assert errors == {}
     for r, a, b in zip(roots, lo, hi):
-        assert r == _polish(lambda s: f(s), float(a), float(b), float(f(a)[0]))
+        alone, _ = _polish(f, np.array([a]), np.array([b]), f(np.array([a]))[0][0],
+                           np.zeros(1, int), 0.0)
+        assert r == alone[0]
+
+
+def test_brackets_of_two_channels_in_one_pass():
+    # channel a: an exact 0 at s = 1, a NaN cell, a sign change on [4, 5];
+    # channel b: a bracket on [0, 1] whose f is NaN, a sign change on [3, 4]
+    def f(s):
+        return (np.array([s * s - 20.0, np.where(s < 1.0, np.nan, 3.2 - s)]),
+                np.array([2.0 * s, -np.ones_like(s)]))
+
+    grid = np.arange(6.0)
+    vals = np.array([[1.0, 0.0, -1.0, np.nan, -4.0, 5.0],
+                     [-1.0, 1.0, 2.0, 2.0, -2.0, -3.0]])
+    (a, b), warnings = _bracket_roots(f, grid, vals, ["a", "b"], np.zeros((2, 6)))
+    assert a == [1.0, pytest.approx(math.sqrt(20.0), abs=1e-14)]
+    assert b == [pytest.approx(3.2, abs=1e-14)]
+    assert warnings == ["WARN b: bracket [0.0, 1.0] failed: value nan at s=0.5"]
+    # the warnings of channel a come first, whatever their cells
+    (a, b), warnings = _bracket_roots(
+        lambda s: (np.full((2, np.size(s)), np.nan),) * 2, grid[:4],
+        np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, 1.0, 1.0]]), ["a", "b"], np.zeros((2, 4)))
+    assert a == b == []
+    assert warnings == ["WARN a: bracket [1.0, 2.0] failed: value nan at s=1.5",
+                        "WARN b: bracket [0.0, 1.0] failed: value nan at s=0.5"]
 
 
 def test_scan_isolates_a_bracket_whose_frame_fails():
