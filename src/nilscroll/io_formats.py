@@ -1,21 +1,18 @@
 """Deterministic OBJ / CSV / JSON serialization for the CLI.
 
-OBJ files carry v/f records only; CSV is RFC-4180 with a header row and
-fixed 17-significant-digit numbers (the golden-file medium); JSON uses the
-shortest round-trip float representation with sorted keys.
+OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
+header row, the golden-file medium) use fixed 17-significant-digit numbers;
+JSON uses the shortest round-trip float representation with sorted keys.
+An OBJ block is one C-level `%` pass and the CSV one join; each number has
+the bytes of `format(x, ".17g")`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from importlib import resources
 
-
-def fmt17(x) -> str:
-    """Fixed 17-significant-digit decimal, the CSV golden-file format."""
-    return format(float(x), ".17g")
+import numpy as np
 
 
 def write_obj(path, vertices, ns: int, nt: int):
@@ -23,31 +20,24 @@ def write_obj(path, vertices, ns: int, nt: int):
 
     Faces are quads over consecutive grid cells, 1-based indices.
     """
-    if len(vertices) != ns * nt:
-        raise ValueError(f"expected {ns * nt} vertices, got {len(vertices)}")
-    lines = []
-    for v in vertices:
-        lines.append(f"v {fmt17(v[0])} {fmt17(v[1])} {fmt17(v[2])}")
-    for i in range(ns - 1):
-        for j in range(nt - 1):
-            a = i * nt + j + 1
-            b = a + 1
-            c = a + nt + 1
-            d = a + nt
-            lines.append(f"f {a} {b} {c} {d}")
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.shape != (ns * nt, 3):
+        raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {vertices.shape}")
+    a = (np.arange(ns - 1)[:, None] * nt + np.arange(1, nt)).ravel()
+    faces = np.stack([a, a + 1, a + nt + 1, a + nt], axis=1)
+    text = ("v %.17g %.17g %.17g\n" * len(vertices) % tuple(vertices.ravel().tolist())
+            + "f %d %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def write_curve_csv(path, rows):
-    """CSV of (s, t) singular-curve samples; t is blank for unbounded rows."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(["s", "t"])
-    for s, t in rows:
-        w.writerow([fmt17(s), "" if t is None else fmt17(t)])
+    """CSV of (s, t) singular-curve samples; t is blank for unbounded rows.
+    Fields are only numbers, so none is quoted."""
+    text = "s,t\r\n" + "".join("%.17g,%s\r\n" % (s, "" if t is None else "%.17g" % t)
+                               for s, t in rows)
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 def write_json(path, payload):

@@ -307,9 +307,11 @@ def scan_singularities(
     closer than TOL_CLUSTER are reported once.  A NaN frame ends its bracket
     with a warning that gives the point's own error.  A sign flip of
     B1 = H(1+h^2)/(2h') between grid nodes is flagged as a cell where h'
-    changes sign.  Zeros of B3 only show as unbounded curve samples; the
-    first grid or root frame that is not finite raises (see
-    frames.raise_first).
+    changes sign.  A degenerate generator (|kappa2| <= tol_root on the whole
+    grid) reports every grid sample as non_front_degenerate (or unbounded),
+    and its kappa2 is not bracketed.  Zeros of B3 only show as unbounded
+    curve samples; the first grid or root frame that is not finite raises
+    (see frames.raise_first).
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
@@ -342,18 +344,21 @@ def scan_singularities(
         r1, dr1, _ = _r1_channel(f)
         return np.array([f.kappa2.value, r1]), np.array([f.kappa2.derivative(1), dr1])
 
+    # a degenerate generator (S(h) identically ~ 0) has kappa2 only in its
+    # rounding noise: its sign changes are not roots, so its channel is left out
+    degenerate = np.max(np.abs(k2_vals)) <= tol_root
     r1_vals, _, r1_floor = _r1_channel(frames)
     (k2_roots, r1_roots), bracket_warnings = _bracket_roots(
-        channels, grid, np.vstack([k2_vals, r1_vals]), ["kappa2", "r1"],
-        np.vstack([np.zeros(grid_n), r1_floor]))
+        channels, grid, np.vstack([np.where(degenerate, np.nan, k2_vals), r1_vals]),
+        ["kappa2", "r1"], np.vstack([np.zeros(grid_n), r1_floor]))
     warnings += bracket_warnings
 
     # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
     targets = np.array(k2_roots + r1_roots)
     found = classify_point(finite_frames(frame_source, targets), tol_root) if len(targets) else []
     points = found[: len(k2_roots)]
-    if np.max(np.abs(k2_vals)) <= tol_root:
-        # degenerate generator (S(h) identically ~ 0): whole curve non-front
+    if degenerate:
+        # the whole curve is non-front
         for s, t, _ in curve:
             kind = (SingularKind.UNBOUNDED if t is None
                     else SingularKind.NON_FRONT_DEGENERATE)

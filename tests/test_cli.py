@@ -13,7 +13,7 @@ from nilscroll import cli, hexpr
 from nilscroll.cli import main
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
-from nilscroll.io_formats import fmt17, load_schema
+from nilscroll.io_formats import load_schema
 from nilscroll.verify import run_verify
 
 
@@ -438,7 +438,7 @@ def test_surface_vertices_match_scroll_surface(tmp_path):
         lines = (tmp_path / f"m_{target}.obj").read_text().splitlines()
         got = [line for line in lines if line.startswith("v ")]
         want = [
-            "v " + " ".join(fmt17(x) for x in point(float(s), float(t)))
+            "v " + " ".join(format(x, ".17g") for x in point(float(s), float(t)))
             for s in np.linspace(-1.2, 1.2, 120)
             for t in np.linspace(-3.0, 3.0, 30)
         ]
@@ -453,6 +453,18 @@ def test_singular_flags_a_sign_change_of_h_prime(tmp_path):
     assert payload["points"] == []
     a, b = np.linspace(-1.0, 1.0, 256)[127:129]
     assert payload["warnings"] == [f"WARN h' changes sign in [{a}, {b}]"]
+
+
+@pytest.mark.parametrize("h", ["(2*s+1)/(s-3)", "1/s"])
+def test_degenerate_generator_reports_only_its_grid(tmp_path, h):
+    # S(h) = 0: kappa2 is rounding noise (it reads -0.0 at some s), and its
+    # sign changes are not roots; every grid sample is reported, nothing else
+    code, _, _ = run(tmp_path, "singular", "--h", h, "--H", "0.8", "--s-range", "-1:1",
+                     "--out", "deg")
+    assert code == 0
+    points = json.loads((tmp_path / "deg.json").read_text())["points"]
+    assert [p["s"] for p in points] == np.linspace(-1.0, 1.0, 256).tolist()
+    assert {p["kind"] for p in points} == {"non_front_degenerate"}
 
 
 def test_verify_short_range(tmp_path):
