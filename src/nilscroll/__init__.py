@@ -32,6 +32,7 @@ from .integrate import CurvePath, integrate_curve
 from .jets import Jet, schwarzian
 from .lorentz import ETA, LorentzTransform, Vec3L, is_lorentz, mcross, mdot
 from .singular import (
+    Classification,
     SingularKind,
     SingularPoint,
     SingularReport,
@@ -47,6 +48,7 @@ from .surface import FundamentalForms, ScrollSurface
 __version__ = "0.1.0"
 
 __all__ = [
+    "Classification",
     "ClassifierInconsistency",
     "CurvePath",
     "DegenerateGenerator",

@@ -11,9 +11,11 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -105,13 +107,6 @@ def cmd_surface(args) -> int:
 # -- singular --------------------------------------------------------------
 
 
-def _point_payload(p) -> dict:
-    diag = {}
-    for k, v in p.diagnostics.items():
-        diag[k] = list(v) if isinstance(v, tuple) else v
-    return {"s": p.s, "t": p.t, "kind": p.kind.value, "diagnostics": diag}
-
-
 def cmd_singular(args) -> int:
     _require(args, "h")
     h_ast = hexpr.parse(args.h)
@@ -128,12 +123,13 @@ def cmd_singular(args) -> int:
         "generator": report.generator,
         "H": report.H,
         "s_range": list(report.s_range),
-        "points": [_point_payload(p) for p in report.points],
+        "points": [{"s": p.s, "t": p.t, "kind": p.kind.value, "diagnostics": p.diagnostics}
+                   for p in report.points],
         "curve_csv_path": csv_path,
         "warnings": report.warnings,
     }
     with output_set() as stage:
-        write_curve_csv(stage(csv_path), [(s, t) for s, t, _ in report.curve])
+        write_curve_csv(stage(csv_path), report.curve.s, report.curve.t)
         write_json(stage(json_path), payload)
     print(json_path)
     print(csv_path)
@@ -295,21 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = {"--s-range", "--t-range", "--boost", "--rot", "--s", "--H"}
-
-
 def _merge_negative_values(argv):
-    """Join flag/value pairs whose value starts with '-' (e.g. --s-range -1:1)."""
+    """Join flag/value pairs whose value starts with '-' (e.g. --s-range -1:1),
+    for every option of build_parser's subcommands that takes one value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {o for p in sub.choices.values() for a in p._actions if a.nargs is None
+             for o in a.option_strings}
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -317,7 +310,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
+    argv = _merge_negative_values(argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as err:
@@ -336,7 +329,15 @@ def main(argv=None) -> int:
             if not 0.0 < getattr(args, flag, 1.0) < math.inf:
                 raise PreconditionError(f"--{flag.replace('_', '-')} must be finite and > 0, "
                                         f"got {getattr(args, flag)!r}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not when the interpreter exits
+        return code
+    except BrokenPipeError:  # stdout's reader is gone; send the exit flush to devnull
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # not a file
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print("error: cannot write <stdout>: Broken pipe", file=sys.stderr)
+        return EXIT_INPUT
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -74,11 +74,12 @@ def write_obj(path, vertices, ns: int, nt: int):
         fh.write(text)
 
 
-def write_curve_csv(path, rows):
-    """CSV of (s, t) singular-curve samples; t is blank for unbounded rows.
-    Fields are only numbers, so none is quoted."""
-    text = "s,t\r\n" + "".join("%.17g,%s\r\n" % (s, "" if t is None else "%.17g" % t)
-                               for s, t in rows)
+def write_curve_csv(path, s, t):
+    """CSV of the singular-curve samples at the arrays s and t, one row
+    each; t is blank where it is NaN (unbounded).  Fields are only
+    numbers, so none is quoted."""
+    text = "s,t\r\n" + "".join("%.17g,%s\r\n" % (x, "" if y != y else "%.17g" % y)
+                               for x, y in zip(s.tolist(), t.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(text)
 

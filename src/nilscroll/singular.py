@@ -10,11 +10,14 @@ e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
 frame-validity residual, not a criterion.
 
 classify_point is the one classifier: it decides every point of a frame
-batch in one array pass and reports c_L' and c_L'' in its diagnostics.
-On a valid frame c_L' is parallel to e3 exactly where r1 = 0, so the scan
-looks for swallowtails as roots of r1, which is finite wherever the frame
-is (c_L' has poles at B3 = 0), and for cuspidal cross caps as roots of
-kappa2: two scalar channels, each root a candidate of its own.
+batch in one array pass and returns the columns as one Classification
+table (kinds, t, kappa2, c_L', c_L'', the NotCE residuals and the
+inconsistent points).  Only a single point or a point that a scan reports
+becomes a SingularPoint object.  On a valid frame c_L' is parallel to e3
+exactly where r1 = 0, so the scan looks for swallowtails as roots of r1,
+which is finite wherever the frame is (c_L' has poles at B3 = 0), and for
+cuspidal cross caps as roots of kappa2: two scalar channels, each root a
+candidate of its own.
 """
 
 from __future__ import annotations
@@ -54,11 +57,7 @@ class SingularKind(str, Enum):
     UNBOUNDED = "unbounded"
 
 
-FRONT_KINDS = {
-    SingularKind.CUSPIDAL_EDGE,
-    SingularKind.SWALLOWTAIL,
-    SingularKind.FRONT_OTHER,
-}
+FRONT_KINDS = {SingularKind.CUSPIDAL_EDGE, SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER}
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,55 @@ class SingularPoint:
         return self.kind in FRONT_KINDS
 
 
+@dataclass(frozen=True)
+class Classification:
+    """classify_point's verdict on a frame batch, one column per quantity.
+
+    s, t (NaN where the curve is unbounded), kind (SingularKind values),
+    kappa2, kappa2_prime, r1 and r2 hold one entry per point, cL1 and cL2
+    (c_L' and c_L'', NaN where t is unbounded) one column each of shape
+    (3, N).  errors maps the index of each point whose criteria disagree
+    to its ClassifierInconsistency; such a point keeps its other columns.
+    """
+
+    s: np.ndarray
+    t: np.ndarray
+    kind: np.ndarray
+    kappa2: np.ndarray
+    kappa2_prime: np.ndarray
+    cL1: np.ndarray
+    cL2: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    H: float
+    errors: dict
+
+    def raise_first(self):
+        """Raise the inconsistency of the first point, in order, that has one."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+    def point(self, i) -> SingularPoint:
+        """Point i as a SingularPoint (raising its inconsistency, if any): its
+        diagnostics hold S(h), kappa2 and their slopes and, where t(s) is
+        bounded, c_L' ("cL1"), c_L'' ("cL2") and the NotCE residuals."""
+        if i in self.errors:
+            raise self.errors[i]
+        k2, k2p, t = float(self.kappa2[i]), float(self.kappa2_prime[i]), float(self.t[i])
+        diag = {"S_h": -k2 * self.H, "S_h_prime": -k2p * self.H, "kappa2": k2, "kappa2_prime": k2p}
+        if not math.isnan(t):
+            diag.update(cL1=self.cL1[:, i].tolist(), cL2=self.cL2[:, i].tolist(),
+                        notce=[float(self.r1[i]), float(self.r2[i])])
+        return SingularPoint(s=float(self.s[i]), t=None if math.isnan(t) else t,
+                             kind=SingularKind(self.kind[i]), diagnostics=diag)
+
+
 @dataclass
 class SingularReport:
     generator: str
     H: float
     s_range: tuple
-    curve: list  # (s, t or None, kind) samples along the singular curve
+    curve: Classification  # the grid samples along the singular curve
     points: list  # refined special SingularPoints, sorted by s
     warnings: list
 
@@ -96,8 +138,8 @@ def singular_t(frame: NullFrame):
 
 
 def _cL_points(frame: NullFrame):
-    """(c_L', c_L'', unbounded, gap) at each point of the frame, as arrays
-    (c_L' and c_L'' of shape (3, N)).
+    """(c_L', c_L'', unbounded, gap) at each point of a frame batch, as
+    arrays (c_L' and c_L'' of shape (3, N)).
 
     c_L' = d/ds f_L(s, t(s)) along the singular curve c(s) = (s, t(s)) is
     computed twice: by jet differentiation of gamma + t(s) B(s) and from the
@@ -106,7 +148,7 @@ def _cL_points(frame: NullFrame):
     difference of the two routes where it exceeds CROSS_TOL * (1 + |c_L'|),
     else 0.
     """
-    B3 = np.atleast_1d(frame.B[2].value)
+    B3 = frame.B[2].value
     unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
     cL1, cL2 = np.full((2, 3, len(B3)), np.nan)
     gap = np.zeros(len(B3))
@@ -138,53 +180,36 @@ def notce_residuals(frame: NullFrame):
     return r1, r2
 
 
-def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT, raise_errors=True):
+def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT):
     """Kind of the singular-curve point at each of the frame's s.
 
-    A single-point frame gives one SingularPoint, a batch a list in order;
-    every point's diagnostics hold S(h), kappa2 and their slopes and, where
-    t(s) is bounded, c_L' ("cL1"), c_L'' ("cL2") and the NotCE residuals.
+    A batch gives its Classification, decided in one array pass; a
+    single-point frame gives its SingularPoint (Classification.point).
     Where the two c_L' routes, or the parallel test and the NotCE residual
-    r1, disagree, ClassifierInconsistency is raised for the first such
-    point; with raise_errors=False it takes that point's place in the list.
+    r1, disagree, the point's ClassifierInconsistency goes to the table's
+    errors; a single point raises it.
     """
-    s = np.atleast_1d(frame.s).tolist()
-    H = frame.H
-    k2 = np.atleast_1d(frame.kappa2.value)
-    k2p = np.atleast_1d(frame.kappa2.derivative(1))
-    with np.errstate(all="ignore"):
-        t = np.atleast_1d(np.divide(-frame.C[2].value, H * frame.B[2].value))
-    cL1, cL2, unbounded, gap = _cL_points(frame)
-    r1, r2 = (np.atleast_1d(r) for r in notce_residuals(frame))
+    f = frame if frame.kappa2.batched else frame.take([0])
+    H, k2, k2p = f.H, f.kappa2.value, f.kappa2.derivative(1)
+    cL1, cL2, unbounded, gap = _cL_points(f)
+    r1, r2 = notce_residuals(f)
     pa = np.maximum(np.abs(cL1[0]), np.abs(cL1[1]))
     front = np.abs(k2) > tol_root
     parallel = pa < tol_root
     clash = front & (parallel != (np.abs(r1) < tol_root)) & (
         np.maximum(pa, np.abs(r1)) > INCONSISTENCY_GAP)
     kind = np.select(
-        [~front & (np.abs(k2p) > tol_root), ~front, ~parallel,
+        [unbounded, ~front & (np.abs(k2p) > tol_root), ~front, ~parallel,
          np.maximum(np.abs(cL2[0]), np.abs(cL2[1])) > tol_root],
-        ["cuspidal_cross_cap", "non_front_degenerate", "cuspidal_edge", "swallowtail"],
-        "front_other")
-    cols = [(-k2 * H).tolist(), (-k2p * H).tolist(), k2.tolist(), k2p.tolist()]
-    c1, c2 = zip(*cL1.tolist()), zip(*cL2.tolist())
-    out = []
-    for i, (x, c1i, c2i) in enumerate(zip(s, c1, c2)):
-        diag = dict(zip(("S_h", "S_h_prime", "kappa2", "kappa2_prime"), (c[i] for c in cols)))
-        if unbounded[i]:
-            out.append(SingularPoint(s=x, t=None, kind=SingularKind.UNBOUNDED, diagnostics=diag))
-            continue
-        diag.update({"cL1": c1i, "cL2": c2i, "notce": (float(r1[i]), float(r2[i]))})
-        if gap[i] or clash[i]:
-            err = ClassifierInconsistency(
-                f"c_L' closed form vs jet route differ by {gap[i]:.3e} at s={x}" if gap[i] else
-                f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={x}")
-            if raise_errors:
-                raise err
-            out.append(err)
-            continue
-        out.append(SingularPoint(s=x, t=float(t[i]), kind=SingularKind(kind[i]), diagnostics=diag))
-    return out if frame.kappa2.batched else out[0]
+        ["unbounded", "cuspidal_cross_cap", "non_front_degenerate", "cuspidal_edge",
+         "swallowtail"], "front_other")
+    errors = {i: ClassifierInconsistency(
+        f"c_L' closed form vs jet route differ by {gap[i]:.3e} at s={float(f.s[i])}" if gap[i] else
+        f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={float(f.s[i])}")
+        for i in np.flatnonzero((gap > 0.0) | clash).tolist()}
+    table = Classification(s=f.s, t=singular_t(f), kind=kind, kappa2=k2, kappa2_prime=k2p,
+                           cL1=cL1, cL2=cL2, r1=r1, r2=r2, H=H, errors=errors)
+    return table if frame.kappa2.batched else table.point(0)
 
 
 # -- scanning --------------------------------------------------------------
@@ -292,20 +317,21 @@ def scan_singularities(
     """Locate and classify the isolated special points of the singular curve.
 
     One batch of grid frames gives the curve samples, classified by one
-    classify_point call.  Two channels, both finite wherever the frame is,
-    are bracketed at grid sign changes: kappa2 (cuspidal-cross-cap
-    candidates) and the NotCE residual r1 (swallowtail candidates: on a
-    valid frame c_L' is parallel to e3 exactly where r1 = 0).  Their
-    brackets are polished together by Newton steps with jet slopes, one
-    frame batch per step, and the roots are classified in one batch; points
-    closer than TOL_CLUSTER are reported once.  A NaN frame ends its bracket
-    with a warning that gives the point's own error.  A sign flip of
-    B1 = H(1+h^2)/(2h') between grid nodes is flagged as a cell where h'
-    changes sign.  A degenerate generator (|kappa2| <= tol_root on the whole
-    grid) reports every grid sample as non_front_degenerate (or unbounded),
-    and its kappa2 is not bracketed.  Zeros of B3 only show as unbounded
-    curve samples; the first grid or root frame that is not finite raises
-    (see frames.raise_first).
+    classify_point call whose table is the report's curve; each grid point
+    whose criteria disagree gives a "WARN classify" line.  Two channels,
+    both finite wherever the frame is, are bracketed at grid sign changes:
+    kappa2 (cuspidal-cross-cap candidates) and the NotCE residual r1
+    (swallowtail candidates: on a valid frame c_L' is parallel to e3 exactly
+    where r1 = 0).  Their brackets are polished together by Newton steps
+    with jet slopes, one frame batch per step, and the roots are classified
+    in one batch; points closer than TOL_CLUSTER are reported once.  A NaN
+    frame ends its bracket with a warning that gives the point's own error.
+    A sign flip of B1 = H(1+h^2)/(2h') between grid nodes is flagged as a
+    cell where h' changes sign.  A degenerate generator (|kappa2| <=
+    tol_root on the whole grid) reports every grid sample as
+    non_front_degenerate (or unbounded), and its kappa2 is not bracketed.
+    Zeros of B3 only show as unbounded curve samples; the first grid or root
+    frame that is not finite raises (see frames.raise_first).
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
@@ -313,17 +339,11 @@ def scan_singularities(
     grid = np.linspace(lo, hi, grid_n)
 
     frames = finite_frames(frame_source, grid)
-    k2_vals = frames.kappa2.value
 
-    # singular-curve samples with per-sample classification
-    warnings: list[str] = []
-    curve = []
-    for s, t, p in zip(grid.tolist(), singular_t(frames).tolist(),
-                       classify_point(frames, tol_root, raise_errors=False)):
-        failed = isinstance(p, ClassifierInconsistency)
-        if failed:
-            warnings.append(f"WARN classify at s={s}: {p}")
-        curve.append((s, None if math.isnan(t) else t, None if failed else p.kind))
+    # the singular curve at the grid, classified in one pass
+    curve = classify_point(frames, tol_root)
+    warnings = [f"WARN classify at s={float(curve.s[i])}: {err}"
+                for i, err in sorted(curve.errors.items())]
 
     # the sign of B1 is that of h' (times H): a zero of h' or an even-order
     # pole of h lies in each cell where it flips
@@ -340,25 +360,26 @@ def scan_singularities(
 
     # a degenerate generator (S(h) identically ~ 0) has kappa2 only in its
     # rounding noise: its sign changes are not roots, so its channel is left out
-    degenerate = np.max(np.abs(k2_vals)) <= tol_root
+    degenerate = np.max(np.abs(curve.kappa2)) <= tol_root
     r1_vals, _, r1_floor = _r1_channel(frames)
     (k2_roots, r1_roots), bracket_warnings = _bracket_roots(
-        channels, grid, np.vstack([np.where(degenerate, np.nan, k2_vals), r1_vals]),
+        channels, grid, np.vstack([np.where(degenerate, np.nan, curve.kappa2), r1_vals]),
         ["kappa2", "r1"], np.vstack([np.zeros(grid_n), r1_floor]))
     warnings += bracket_warnings
 
-    # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
-    targets = np.array(k2_roots + r1_roots)
-    found = classify_point(finite_frames(frame_source, targets), tol_root) if len(targets) else []
-    points = found[: len(k2_roots)]
+    points = []
     if degenerate:
-        # the whole curve is non-front
-        for s, t, _ in curve:
-            kind = (SingularKind.UNBOUNDED if t is None
-                    else SingularKind.NON_FRONT_DEGENERATE)
-            points.append(SingularPoint(s=s, t=t, kind=kind))
-    points += [p for p in found[len(k2_roots):]
-               if p.kind in (SingularKind.SWALLOWTAIL, SingularKind.FRONT_OTHER)]
+        # the whole curve is non-front, and kappa2 has no roots
+        points = [SingularPoint(s=s, t=None, kind=SingularKind.UNBOUNDED) if math.isnan(t)
+                  else SingularPoint(s=s, t=t, kind=SingularKind.NON_FRONT_DEGENERATE)
+                  for s, t in zip(curve.s.tolist(), curve.t.tolist())]
+    # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
+    if k2_roots or r1_roots:
+        found = classify_point(finite_frames(frame_source, np.array(k2_roots + r1_roots)), tol_root)
+        found.raise_first()
+        report = np.isin(found.kind, ["swallowtail", "front_other"])
+        report[: len(k2_roots)] = True
+        points += [found.point(i) for i in np.flatnonzero(report).tolist()]
 
     # de-duplicate and sort
     uniq = {}
@@ -394,51 +415,25 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     """Compare front/cross-cap status of f and f^O along the singular curve.
 
     One batch of frames at the samples classifies both f and its transform
-    f^O; the first point whose criteria disagree raises.  Front
-    and cuspidal-cross-cap status must be preserved; cuspidal edge vs
-    swallowtail kinds may legitimately differ and are only reported.
+    f^O; the first point whose criteria disagree, f before f^O, raises.
+    Front and cuspidal-cross-cap status must be preserved at the points
+    where both curves are bounded; cuspidal edge vs swallowtail kinds may
+    legitimately differ and are only counted.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     svals = np.concatenate([np.linspace(lo, hi, n_samples), np.asarray(extra_s, dtype=float)])
     f = finite_frames(frame_source, svals)
-    ps = classify_point(f, tol_root, raise_errors=False)
-    qs = classify_point(transform_frame(O, f), tol_root, raise_errors=False)
-    rows = []
-    all_front_match = True
-    all_ccr_match = True
-    kind_changes = 0
-    for s, p, q in zip(svals.tolist(), ps, qs):
-        for r in (p, q):
-            if isinstance(r, ClassifierInconsistency):
-                raise r
-        if p.kind is SingularKind.UNBOUNDED or q.kind is SingularKind.UNBOUNDED:
-            rows.append({"s": s, "kind": p.kind.value, "kind_O": q.kind.value,
-                         "front_match": None, "ccr_match": None})
-            continue
-        front_match = p.is_front == q.is_front
-        ccr_match = (p.kind is SingularKind.CUSPIDAL_CROSS_CAP) == (
-            q.kind is SingularKind.CUSPIDAL_CROSS_CAP
-        )
-        all_front_match &= front_match
-        all_ccr_match &= ccr_match
-        if p.kind != q.kind:
-            kind_changes += 1
-        rows.append(
-            {
-                "s": s,
-                "t": p.t,
-                "t_O": q.t,
-                "kind": p.kind.value,
-                "kind_O": q.kind.value,
-                "front_match": front_match,
-                "ccr_match": ccr_match,
-            }
-        )
+    p, q = classify_point(f, tol_root), classify_point(transform_frame(O, f), tol_root)
+    errors = q.errors | p.errors  # f's error wins where both have one
+    if errors:
+        raise errors[min(errors)]
+    on = (p.kind != "unbounded") & (q.kind != "unbounded")
+    front = [np.isin(c.kind[on], [k.value for k in FRONT_KINDS]) for c in (p, q)]
+    ccr = [c.kind[on] == "cuspidal_cross_cap" for c in (p, q)]
     return {
-        "front_preserved": all_front_match,
-        "ccr_preserved": all_ccr_match,
-        "kind_changes": kind_changes,
-        "samples": rows,
+        "front_preserved": bool(np.all(front[0] == front[1])),
+        "ccr_preserved": bool(np.all(ccr[0] == ccr[1])),
+        "kind_changes": int(np.count_nonzero(p.kind[on] != q.kind[on])),
     }
 
 

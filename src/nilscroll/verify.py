@@ -7,16 +7,14 @@ over its samples, through the array queries of ScrollSurface.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from . import hexpr
-from .errors import ClassifierInconsistency, PreconditionError
+from .errors import PreconditionError
 from .frames import finite_frames, make_frame_source, validate_frame
 from .integrate import integrate_curve
 from .lorentz import mdot
-from .singular import classify_point, singular_t
+from .singular import classify_point
 from .surface import BOX_OFFSETS, FORMS_FD_STEP, FORMS_OFFSETS, ScrollSurface, stencil
 
 
@@ -104,13 +102,14 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     add("gauss_map_roundtrip", _worst(np.abs(_nl_from_g(g) - N.as_array())[:, ~pole]), 1e-10)
 
     # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
-    kinds = Counter("inconsistent" if isinstance(p, ClassifierInconsistency) else p.kind.value
-                    for p in classify_point(f_dual, raise_errors=False))
-    t = singular_t(f_dual)
-    on = np.flatnonzero(np.abs(t) <= 50.0)  # bounded, not NaN
+    table = classify_point(f_dual)
+    kind = table.kind.copy()
+    kind[list(table.errors)] = "inconsistent"
+    kinds = dict(zip(*(a.tolist() for a in np.unique(kind, return_counts=True))))
+    on = np.flatnonzero(np.abs(table.t) <= 50.0)  # bounded, not NaN
     f_on = f_dual.take(on)
-    metrics = surf.nil3_jacobian_metrics(dual_s[on], t[on], frames=f_on)
-    g, _ = surf.normal_gauss_map(dual_s[on], t[on], frames=f_on)
+    metrics = surf.nil3_jacobian_metrics(dual_s[on], table.t[on], frames=f_on)
+    g, _ = surf.normal_gauss_map(dual_s[on], table.t[on], frames=f_on)
     add("singular_duality_rank", _worst(metrics["sigma_min"]), 1e-6)
     add("singular_duality_gmod", _worst(np.abs(g[0] * g[0] - g[1] * g[1] - 1.0)), 1e-8)
 
@@ -120,6 +119,6 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         "s_range": list(s_range),
         "checks": checks,
         "box_sign": box_sign,
-        "singular_kinds": dict(kinds),
+        "singular_kinds": kinds,
         "all_pass": all(c["pass"] for c in checks.values()),
     }

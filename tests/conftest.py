@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from nilscroll import hexpr
 from nilscroll.frames import make_frame_source
+from nilscroll.jets import stack
 from nilscroll.integrate import integrate_curve
 from nilscroll.surface import ScrollSurface
 
@@ -38,3 +41,20 @@ def surfaces():
         path = integrate_curve(src, 0.0, (-1.3, 1.3))
         out[text] = ScrollSurface(src, path)
     return out
+
+
+@pytest.fixture(scope="session")
+def c_off_sphere():
+    """off(at): a stand-in for make_frame_source whose frames have C scaled by
+    1.01 at the s values in at.  C leaves the unit sphere there, so the two
+    routes to c_L' disagree: a ClassifierInconsistency at each bounded one."""
+
+    def off(at):
+        def make(h_ast, H):
+            def source(s):
+                f = make_frame_source(h_ast, H)(s)
+                scale = np.where(np.isin(s, at), 1.01, 1.0)
+                return dataclasses.replace(f, Y=stack([f.A, f.B, f.C * scale]))
+            return source
+        return make
+    return off

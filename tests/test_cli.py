@@ -538,3 +538,87 @@ def test_frame_curvature_domain_error_names_its_s(tmp_path):
                        "--s-range", "0:1", "--s", "0.6")
     assert code == 2
     assert err == "error: log out of domain at s=0.4978867513459481\n"
+
+
+def test_singular_keeps_an_inconsistent_grid_row(tmp_path, monkeypatch, c_off_sphere):
+    # C off the unit sphere at one grid point: that sample warns, its CSV row stays
+    grid = np.linspace(-1.0, 1.0, 256)
+    monkeypatch.setattr(cli, "make_frame_source", c_off_sphere([grid[179]]))
+    code, _, _ = run(tmp_path, "singular", "--h", "tanh(s)", "--out", "c")
+    assert code == 0
+    warnings = json.loads((tmp_path / "c.json").read_text())["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith(
+        f"WARN classify at s={grid[179]}: c_L' closed form vs jet route differ by")
+    rows = (tmp_path / "c_curve.csv").read_text().splitlines()
+    assert len(rows) == 257
+    s, t = rows[180].split(",")
+    assert float(s) == grid[179] and math.isfinite(float(t))
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("frame", "--kappa2=-s", "--init-frame", "1 1 0 0.5 -0.5 0 0 0 -1", "--s", "0",
+     "--s-range", "0:1", "--samples", "2000"),
+    ("verify", "--h", "tanh(s)"),
+    ("singular", "--h", "tanh(s)", "--out", "p"),
+])
+def test_closed_stdout_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdout", ClosedStdout())
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write <stdout>: Broken pipe\n"
+
+
+# a value starting with '-' for every option that takes one
+DASH_VALUES = {
+    "--h": "-s+s^3", "--H": "-0.5", "--s-range": "-1:0.5", "--t-range": "-1:1",
+    "--grid": "-3x4", "--target": "-l3", "--out": "-o", "--grid-n": "-16",
+    "--tol-root": "-1e-10", "--fd-step": "-1e-3", "--fd-tol": "-1e-6", "--report": "-r",
+    "--kappa1": "-s", "--kappa2": "-s", "--init-frame": "-1 -1 0 -0.5 0.5 0 0 0 1",
+    "--s": "-0.25", "--samples": "-1", "--boost": "-0.4", "--rot": "-0.3",
+}
+BASE_ARGV = {
+    "surface": ["--h", "tanh(s)", "--grid", "6x3"],
+    "singular": ["--h", "tanh(s)", "--grid-n", "32"],
+    "verify": ["--h", "tanh(s)"],
+    "frame": ["--kappa2", "2", "--init-frame", "1 1 0 0.5 -0.5 0 0 0 -1", "--samples", "5"],
+    "family": ["--h", "tanh(s)", "--samples", "5"],
+}
+
+
+def _value_options():
+    """(subcommand, option) for every option of the parser that takes one value."""
+    import argparse
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, o) for name, p in sub.choices.items() for a in p._actions
+            if a.nargs is None for o in a.option_strings]
+
+
+@pytest.mark.parametrize("command, flag", _value_options())
+def test_dash_leading_value_as_a_separate_argument(tmp_path, command, flag):
+    # "--flag -x" and "--flag=-x" are one input: same exit code and output
+    argv = [command, *BASE_ARGV[command]]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    spaced = run(tmp_path / "a", *argv, flag, DASH_VALUES[flag])
+    joined = run(tmp_path / "b", *argv, f"{flag}={DASH_VALUES[flag]}")
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
+
+
+def test_singular_with_a_dash_leading_generator(tmp_path):
+    code, out, err = run(tmp_path, "singular", "--h", "-s+s^3", "--out", "m")
+    assert (code, out, err) == (0, "m.json\nm_curve.csv\n", "")
+    assert json.loads((tmp_path / "m.json").read_text())["generator"] == "-s + s^3"

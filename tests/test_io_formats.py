@@ -58,5 +58,7 @@ def test_obj_rejects_a_wrong_vertex_shape(tmp_path, shape):
     [],
 ])
 def test_csv_bytes_match_the_csv_module(tmp_path, rows):
-    write_curve_csv(tmp_path / "c.csv", rows)
+    s = np.array([x for x, _ in rows], dtype=float)
+    t = np.array([np.nan if y is None else y for _, y in rows], dtype=float)
+    write_curve_csv(tmp_path / "c.csv", s, t)
     assert (tmp_path / "c.csv").read_bytes() == reference_csv(rows)

@@ -112,12 +112,28 @@ def test_classifier_inconsistency_takes_its_points_place(tanh_source):
     # C off the unit sphere at s = 0.4 only: the two routes to c_L' disagree
     f = tanh_source(np.array([0.2, 0.4, 0.0]))
     bad = dataclasses.replace(f, Y=stack([f.A, f.B, f.C * np.array([1.0, 1.01, 1.01])]))
-    p, err, q = classify_point(bad, raise_errors=False)
+    table = classify_point(bad)
+    p, q = table.point(0), table.point(2)
     assert p.kind is SingularKind.CUSPIDAL_EDGE and q.kind is SingularKind.UNBOUNDED
+    assert list(table.errors) == [1]
+    err = table.errors[1]
     assert isinstance(err, ClassifierInconsistency)
     assert str(err).startswith("c_L' closed form vs jet route differ by") and "s=0.4" in str(err)
-    with pytest.raises(ClassifierInconsistency, match="s=0.4"):
-        classify_point(bad)
+    # the point keeps its row; every way to it raises
+    assert table.s[1] == 0.4 and np.isfinite(table.t[1])
+    for reach in (table.raise_first, lambda: table.point(1), lambda: classify_point(bad.take(1))):
+        with pytest.raises(ClassifierInconsistency, match="s=0.4"):
+            reach()
+
+
+@pytest.mark.parametrize("text", ["tanh(s)", "s + s^3", "cot(exp(s)/2)"])
+def test_table_rows_are_the_single_point_classifications(text):
+    f = make_frame_source(hexpr.parse(text), 1.0)(np.linspace(-1.0, 1.0, 257))
+    table = classify_point(f)
+    assert table.errors == {} and table.kind.shape == table.t.shape == (257,)
+    # bit for bit in s, t, kind and diagnostics: repr shows every float exactly
+    for i in range(257):
+        assert repr(table.point(i)) == repr(classify_point(f.take(i)))
 
 
 def test_classify_degenerate_line():
@@ -155,13 +171,11 @@ def test_scan_tanh_swallowtail(tanh_source):
 
 def test_scan_curve_samples(tanh_source):
     rep = scan_singularities(tanh_source, (-0.5, 0.5), grid_n=64)
-    assert len(rep.curve) == 64
-    kinds = {k for _, _, k in rep.curve}
-    assert SingularKind.CUSPIDAL_EDGE in kinds
+    curve = rep.curve
+    assert np.array_equal(curve.s, np.linspace(-0.5, 0.5, 64)) and curve.errors == {}
+    assert SingularKind.CUSPIDAL_EDGE.value in curve.kind
     # t near s=0 blows up; the unbounded grid sample may or may not be hit
-    for s, t, kind in rep.curve:
-        if kind is SingularKind.UNBOUNDED:
-            assert t is None
+    assert np.array_equal(np.isnan(curve.t), curve.kind == SingularKind.UNBOUNDED.value)
 
 
 def test_scan_grid_validation(tanh_source):
@@ -218,6 +232,19 @@ def test_invariance_check_identity(tanh_source):
     assert rep["front_preserved"]
     assert rep["ccr_preserved"]
     assert rep["kind_changes"] == 0
+
+
+def test_invariance_check_raises_the_first_inconsistency(c_off_sphere):
+    # samples 0.1, 0.2, ..., 1.0; C off the unit sphere at 0.4 and 0.7
+    O = LorentzTransform.from_params(chi=0.4)
+    source = c_off_sphere([0.4, 0.7])(hexpr.parse("tanh(s)"), 1.0)
+    with pytest.raises(ClassifierInconsistency) as raised:
+        invariance_check(source, O, (0.1, 1.0), n_samples=10)
+    assert "s=0.4" in str(raised.value)
+    # f's message, before its image's
+    f = source(np.linspace(0.1, 1.0, 10))
+    assert str(raised.value) == str(classify_point(f).errors[3])
+    assert str(raised.value) != str(classify_point(transform_frame(O, f)).errors[3])
 
 
 def test_invariance_check_boost_preserves_ccr():

@@ -159,3 +159,13 @@ def test_run_verify_matches_recorded(args, all_pass, box_sign, kinds):
     assert report["all_pass"] is all_pass
     assert report["box_sign"] == box_sign
     assert report["singular_kinds"] == kinds
+
+
+def test_run_verify_counts_an_inconsistent_point(monkeypatch, c_off_sphere):
+    # C off the unit sphere at one of the 21 duality samples
+    from nilscroll import verify
+
+    monkeypatch.setattr(verify, "make_frame_source",
+                        c_off_sphere([np.linspace(-1.0, 1.0, 21)[14]]))
+    report = run_verify("tanh(s)", 1.0, (-1.0, 1.0))
+    assert report["singular_kinds"] == {"cuspidal_edge": 19, "inconsistent": 1, "unbounded": 1}
