@@ -30,7 +30,7 @@ from .frames import (
 from .hexpr import eval_jet, eval_real, mobius, parse, to_str
 from .integrate import CurvePath, integrate_curve
 from .jets import Jet, schwarzian
-from .lorentz import ETA, LorentzTransform, Vec3L, is_lorentz, mcross, mdot
+from .lorentz import ETA, LorentzTransform, is_lorentz, mcross, mdot
 from .singular import (
     Classification,
     SingularKind,
@@ -74,7 +74,6 @@ __all__ = [
     "SingularPoint",
     "SingularReport",
     "UnknownFunction",
-    "Vec3L",
     "classify_point",
     "eval_jet",
     "eval_real",

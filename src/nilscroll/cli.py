@@ -100,7 +100,7 @@ def cmd_surface(args) -> int:
     with output_set() as stage:
         for target in targets:
             write_obj(stage(f"{args.out}_{target}.obj"), verts[target], ns, nt)
-    print("\n".join(f"{args.out}_{target}.obj" for target in targets))
+        print("\n".join(f"{args.out}_{target}.obj" for target in targets), flush=True)
     return EXIT_OK
 
 
@@ -131,8 +131,7 @@ def cmd_singular(args) -> int:
     with output_set() as stage:
         write_curve_csv(stage(csv_path), report.curve.s, report.curve.t)
         write_json(stage(json_path), payload)
-    print(json_path)
-    print(csv_path)
+        print(json_path, csv_path, sep="\n", flush=True)
     return EXIT_OK
 
 
@@ -248,27 +247,27 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", type=_parse_grid, default=(120, 30),
                            metavar="NSxNT")
 
-    p = sub.add_parser("surface", help="write OBJ meshes")
+    p = sub.add_parser("surface", help="write OBJ meshes", allow_abbrev=False)
     common(p, t_range=True, grid=True)
     p.add_argument("--target", choices=["l3", "nil3", "both"], default="both")
     p.add_argument("--out", default="surface")
     p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("singular", help="singular-curve report")
+    p = sub.add_parser("singular", help="singular-curve report", allow_abbrev=False)
     common(p)
     p.add_argument("--out", default="singular")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--tol-root", type=float, default=DEFAULT_TOL_ROOT)
     p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
     common(p)
     p.add_argument("--fd-step", type=float, default=1e-3)
     p.add_argument("--fd-tol", type=float, default=1e-6)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("frame", help="Frenet-Serret flow from curvatures")
+    p = sub.add_parser("frame", help="Frenet-Serret flow from curvatures", allow_abbrev=False)
     common(p)
     p.add_argument("--kappa1", default="0")
     p.add_argument("--kappa2")
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("family", help="O(2,1) transforms and invariance")
+    p = sub.add_parser("family", help="O(2,1) transforms and invariance", allow_abbrev=False)
     common(p)
     p.add_argument("--boost", type=float, default=0.0)
     p.add_argument("--rot", type=float, default=0.0)

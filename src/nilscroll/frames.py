@@ -5,7 +5,8 @@ direction B, or from prescribed curvature functions via the Frenet-Serret
 flow.  A frame is one Taylor array Y[k, v, i] (coefficient k of component
 i of A, B, C for v = 0, 1, 2) over its batch of points, so every
 s-derivative needed downstream is exact; finite differences survive only
-as test oracles.
+as test oracles.  Y.value, of shape (3, 3) or (3, 3, N) for a batch, holds
+the vectors A, B, C (see lorentz), and Y.deriv().value holds A', B', C'.
 
 Frenet-Serret system (column convention, kappa3 = H constant):
 
@@ -36,7 +37,7 @@ from .errors import (
     OrientationError,
 )
 from .jets import DEFAULT_ORDER, Jet, schwarzian, stack
-from .lorentz import Vec3L, det3, mcross, mdot
+from .lorentz import det3, mcross, mdot
 
 B3_UNBOUNDED_TOL = 1e-10
 
@@ -59,11 +60,6 @@ class NullFrame:
     A = property(lambda self: self.Y[0], doc="A as a vector jet (a view of Y)")
     B = property(lambda self: self.Y[1], doc="B as a vector jet (a view of Y)")
     C = property(lambda self: self.Y[2], doc="C as a vector jet (a view of Y)")
-
-    def values(self):
-        """(A, B, C) as vectors of values (floats, or arrays for a batch)."""
-        Y0 = self.Y.value
-        return tuple(Vec3L(*v) for v in (Y0 if self.Y.batched else Y0.tolist()))
 
     def take(self, idx):
         """The frame at the points idx of a batch; an int gives a single-point frame."""
@@ -141,11 +137,11 @@ def finite_frames(frame_source, s):
     return f
 
 
-def make_frame_source(h_ast, H: float, order: int = DEFAULT_ORDER):
+def make_frame_source(h_ast, H: float):
     """Callable s -> NullFrame for the generator h."""
 
     def source(s):
-        return frame_from_h(h_ast, H, s, order)
+        return frame_from_h(h_ast, H, s)
 
     return source
 
@@ -182,8 +178,8 @@ def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:
 def validate_frame(f: NullFrame) -> FrameResiduals:
     """Residuals of all frame invariants (arrays for a batch); the caller
     picks thresholds."""
-    dA, dB, dC = (Vec3L(*v.deriv().value) for v in f.Y)
-    Av, Bv, Cv = f.values()
+    dA, dB, dC = f.Y.deriv().value
+    Av, Bv, Cv = f.Y.value
     r = FrameResiduals()
     with np.errstate(all="ignore"):
         r["norm_A"] = np.abs(mdot(Av, Av))
@@ -192,13 +188,13 @@ def validate_frame(f: NullFrame) -> FrameResiduals:
         r["norm_C"] = np.abs(mdot(Cv, Cv) - 1.0)
         r["orth_AC"] = np.abs(mdot(Av, Cv))
         r["orth_BC"] = np.abs(mdot(Bv, Cv))
-        r["cross_AB_C"] = (mcross(Av, Bv) - Cv).max_abs()
+        r["cross_AB_C"] = np.abs(mcross(Av, Bv) - Cv).max(axis=0)
         r["det_ABC"] = np.abs(det3(Av, Bv, Cv) - 1.0)
 
         k1, k2, H = f.kappa1.value, f.kappa2.value, f.H
-        r["fs_A"] = (dA - (Av * k1 + Cv * k2)).max_abs()
-        r["fs_B"] = (dB - (Bv * (-k1) + Cv * H)).max_abs()
-        r["fs_C"] = (dC - (Av * H + Bv * k2)).max_abs()
+        r["fs_A"] = np.abs(dA - (Av * k1 + Cv * k2)).max(axis=0)
+        r["fs_B"] = np.abs(dB - (Bv * (-k1) + Cv * H)).max(axis=0)
+        r["fs_C"] = np.abs(dC - (Av * H + Bv * k2)).max(axis=0)
 
         Bp = f.B.deriv()
         r["b_sqnorm"] = np.abs(mdot(Bp, Bp).value - H * H)
@@ -232,8 +228,8 @@ def frame_jets_from_values(Av, Bv, Cv, kappa1_ast, kappa2_ast, H, s, order=DEFAU
 
     Taylor coefficients beyond order zero follow recursively from the
     Frenet-Serret relations with the prescribed curvature jets.  Av, Bv, Cv
-    are vectors of 3 values (a Vec3L, list or array) at a float s, or of 3
-    arrays at a 1-D array s.
+    are vectors of 3 values (a list or array) at a float s, or of 3 arrays
+    at a 1-D array s.
     """
     k1 = _curvature(kappa1_ast, s, order)
     k2 = _curvature(kappa2_ast, s, order)
@@ -310,7 +306,6 @@ def frame_flow_from_curvatures(
     init: NullFrame,
     s_range,
     n_samples: int = 101,
-    order: int = DEFAULT_ORDER,
 ):
     """Integrate the Frenet-Serret system Y' = Y K(s) over s_range.
 
@@ -363,5 +358,4 @@ def frame_flow_from_curvatures(
                         f"with {m} steps per sample interval")
             m, prev = 2 * m, Y
 
-    return frame_jets_from_values(*np.transpose(Y, (2, 1, 0)), kappa1_ast, kappa2_ast, H,
-                                  grid, order=order)
+    return frame_jets_from_values(*np.transpose(Y, (2, 1, 0)), kappa1_ast, kappa2_ast, H, grid)

@@ -16,7 +16,6 @@ from numpy.polynomial import chebyshev as C
 
 from .errors import NumericFailure, OutOfRange
 from .frames import raise_first
-from .lorentz import Vec3L
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
 # its last n/8 + 1 coefficients is below _CHEB_TOL times the largest |A| on
@@ -91,11 +90,10 @@ class CurvePath:
         """Ordered (s, gamma, J, gamma') tuples at the Chebyshev nodes."""
         nodes = sorted(self.A_nodes)
         gamma, J = self.dense_eval(nodes)
-        return [(s, Vec3L(*g), float(j), Vec3L(*self.A_nodes[s]))
-                for s, g, j in zip(nodes, zip(*gamma), J)]
+        return [(s, g, float(j), self.A_nodes[s]) for s, g, j in zip(nodes, gamma.T, J)]
 
     def dense_eval(self, s):
-        """(gamma, J) at s; for an array of s, componentwise arrays."""
+        """(gamma, J) at a float or 1-D array s; gamma has shape (3,) + np.shape(s)."""
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
         bad = (flat < self.s_min - 1e-12) | (flat > self.s_max + 1e-12)
@@ -103,10 +101,10 @@ class CurvePath:
             raise OutOfRange(f"s={flat[bad][0]} outside [{self.s_min}, {self.s_max}]")
         y = _cheb_eval(self.breaks, self.coef, flat) - self.origin
         if s.ndim == 0:
-            return Vec3L(*y[0, :3]), float(y[0, 3])
-        return Vec3L(*y[:, :3].T), y[:, 3]
+            return y[0, :3], float(y[0, 3])
+        return y[:, :3].T, y[:, 3]
 
-    def gamma(self, s) -> Vec3L:
+    def gamma(self, s) -> np.ndarray:
         return self.dense_eval(s)[0]
 
 

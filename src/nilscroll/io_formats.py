@@ -29,7 +29,8 @@ def output_set():
     symlink), or path itself when that is a device or a pipe such as
     /dev/stdout, which cannot be replaced.  When the body is done, every
     temporary replaces its file; on any failure the temporaries are
-    removed, and an OSError becomes an OutputError naming the path that
+    removed, and an OSError other than BrokenPipeError (stdout's reader is
+    gone: cli.main reports it) becomes an OutputError naming the path that
     could not be written.  A directory at a path fails before the body
     writes the path.
     """
@@ -48,6 +49,8 @@ def output_set():
         for out, path in names.items():
             if out != path:
                 os.replace(out, os.path.realpath(path))
+    except BrokenPipeError:
+        raise
     except OSError as err:  # a write error names no file: it is the last one staged
         path = names.get(err.filename, list(names.values())[-1])
         raise OutputError(f"cannot write {path}: {err.strerror or err}") from None

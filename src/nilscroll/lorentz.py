@@ -1,13 +1,15 @@
 """Lorentzian linear algebra in signature (-,+,+).
 
-Vectors of values, the Minkowski inner product and cross product, and a
+The Minkowski inner product and cross product, and a
 rotation-boost-rotation chart of O(2,1).  The one stereographic chart of
 the de-Sitter 2-space is the normal Gauss map in surface.py, whose g is a
 pair of arrays (re, im).
 
-mdot, mcross and det3 unpack their arguments along the component axis: a
-Vec3L of floats or arrays, an array of shape (3, ...) or a vector
-:class:`~nilscroll.jets.Jet` (whose products are jet products).
+A vector of values is an array of shape (3, ...): the first axis holds the
+components, any further axes a batch of points.  mdot, mcross and det3
+unpack their arguments along that axis; mdot and det3 also take a vector
+:class:`~nilscroll.jets.Jet`, whose products are jet products, and mcross
+returns an array.
 LorentzTransform.apply maps the vectors of a vector or frame jet.
 """
 
@@ -24,60 +26,19 @@ from .jets import Jet
 ETA = np.diag([-1.0, 1.0, 1.0])
 
 
-@dataclass(frozen=True)
-class Vec3L:
-    """Vector in Lorentz-Minkowski 3-space with float- or array-valued components."""
-
-    x1: object
-    x2: object
-    x3: object
-
-    def __iter__(self):
-        return iter((self.x1, self.x2, self.x3))
-
-    def __add__(self, other):
-        return Vec3L(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
-
-    def __sub__(self, other):
-        return Vec3L(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
-
-    def __mul__(self, a):
-        return Vec3L(self.x1 * a, self.x2 * a, self.x3 * a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, a):
-        return Vec3L(self.x1 / a, self.x2 / a, self.x3 / a)
-
-    def __neg__(self):
-        return Vec3L(-self.x1, -self.x2, -self.x3)
-
-    def max_abs(self):
-        """Largest |component|, per point for array components; NaN if any is NaN."""
-        return np.maximum(np.maximum(np.abs(self.x1), np.abs(self.x2)), np.abs(self.x3))
-
-    def as_array(self):
-        return np.array([self.x1, self.x2, self.x3])
-
-
-E1 = Vec3L(1.0, 0.0, 0.0)
-E2 = Vec3L(0.0, 1.0, 0.0)
-E3 = Vec3L(0.0, 0.0, 1.0)
-
-
 def mdot(u, v):
     """Minkowski inner product -u1*v1 + u2*v2 + u3*v3."""
     (u1, u2, u3), (v1, v2, v3) = u, v
     return -u1 * v1 + u2 * v2 + u3 * v3
 
 
-def mcross(u, v) -> Vec3L:
+def mcross(u, v) -> np.ndarray:
     """Minkowski cross product, fixed by <u x v, w> = det(u, v, w).
 
     Equals eta applied to the Euclidean cross product.
     """
     (u1, u2, u3), (v1, v2, v3) = u, v
-    return Vec3L(-(u2 * v3 - u3 * v2), u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+    return np.array([-(u2 * v3 - u3 * v2), u3 * v1 - u1 * v3, u1 * v2 - u2 * v1])
 
 
 def det3(u, v, w):

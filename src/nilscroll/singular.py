@@ -37,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .frames import B3_UNBOUNDED_TOL, NullFrame, finite_frames
-from .lorentz import E1, ETA, LorentzTransform, mcross
+from .lorentz import ETA, LorentzTransform, mcross
 
 DEFAULT_TOL_ROOT = 1e-10
 # scan points closer than this are reported once
@@ -174,9 +174,9 @@ def _cL_points(frame: NullFrame):
 
 def notce_residuals(frame: NullFrame):
     """(r1, r2) = ((kappa2/H) B3^2 - 1, 2 A3 B3 + 1 - C3^2): NotCE, frame validity."""
-    Av, Bv, Cv = frame.values()
-    r1 = (frame.kappa2.value / frame.H) * Bv.x3**2 - 1.0
-    r2 = 2.0 * Av.x3 * Bv.x3 + 1.0 - Cv.x3**2
+    A3, B3, C3 = (v[2].value for v in frame.Y)  # floats at one point, for NoSolutionFound
+    r1 = (frame.kappa2.value / frame.H) * B3**2 - 1.0
+    r2 = 2.0 * A3 * B3 + 1.0 - C3**2
     return r1, r2
 
 
@@ -449,10 +449,10 @@ def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8) -> Lorent
     H = frame.H
     if k2 / H <= 0:
         raise PreconditionError(f"kappa2/H = {k2 / H:.3e} <= 0: no solution exists")
-    A, _, C = frame.values()
+    A, _, C = frame.Y.value
     w = C - A * math.sqrt(H / k2)
-    u0 = (E1 + w * w.x1) / math.sqrt(1.0 + w.x1 * w.x1)
-    rows = [u.as_array() for u in (u0, mcross(w, u0), w)]  # (O^-1)^T
+    u0 = (np.array([1.0, 0.0, 0.0]) + w * w[0]) / math.sqrt(1.0 + w[0] * w[0])
+    rows = [u0, mcross(w, u0), w]  # (O^-1)^T
     O = LorentzTransform(m=ETA @ np.array(rows) @ ETA)
     residuals = notce_residuals(transform_frame(O, frame))
     if not max(abs(r) for r in residuals) < residual_tol:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NumericFailure
 from .frames import NullFrame, finite_frames
 from .integrate import CurvePath
-from .lorentz import Vec3L, mcross, mdot
+from .lorentz import mcross, mdot
 
 POLE_TOL = 1e-10
 # finite-difference checks evaluate frames at s + k*h for these k, and the
@@ -50,18 +50,18 @@ def stencil(s, offsets, h):
     return k.reshape(k.shape + (1,) * np.ndim(s)) + s
 
 
-def _gauss_map(frame: NullFrame, t, H) -> Vec3L:
-    """N_L = -C - t*H*B."""
-    _, Bv, Cv = frame.values()
-    return -Cv - Bv * (t * H)
+def _gauss_map(frame: NullFrame, t, H) -> np.ndarray:
+    """N_L = -C - t*H*B, componentwise so that t broadcasts with the frame's s."""
+    _, Bv, Cv = frame.Y.value
+    return np.array([-c - b * (t * H) for b, c in zip(Bv, Cv)])
 
 
-def _stereo(N: Vec3L):
+def _stereo(N):
     """((re, im), pole): g = -(N2 + j*N1)/(1 - N3), NaN where |1 - N3| <= POLE_TOL."""
-    d = 1.0 - N.x3
+    d = 1.0 - N[2]
     pole = np.abs(d) <= POLE_TOL
     d = np.where(pole, np.nan, d)
-    return (-N.x2 / d, -N.x1 / d), pole
+    return (-N[1] / d, -N[0] / d), pole
 
 
 def _sym(a, b, c):
@@ -70,7 +70,7 @@ def _sym(a, b, c):
     return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
 
 
-def _mat(*rows: Vec3L):
+def _mat(*rows):
     """Matrices with the given vector rows, stacked over the broadcast shape."""
     comps = np.broadcast_arrays(*(c for v in rows for c in v))
     return np.stack(comps, -1).reshape(comps[0].shape + (len(rows), 3))
@@ -85,24 +85,24 @@ def _forms(I, II) -> FundamentalForms:
                             K_gauss=np.linalg.det(shape))
 
 
-def _nil3_partials(frame: NullFrame, gamma: Vec3L, t, H):
-    """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface."""
-    Av, Bv, _ = frame.values()
-    Bp = Vec3L(*frame.B.deriv().value)
-    dJ = gamma.x1 * Av.x2 - gamma.x2 * Av.x1
-    dw = Av.x1 * Bv.x2 + gamma.x1 * Bp.x2 - Av.x2 * Bv.x1 - gamma.x2 * Bp.x1
-    fs = Vec3L(Av.x1 + t * Bp.x1, Av.x2 + t * Bp.x2,
-               Av.x3 - t * Bp.x3 + H * dJ + t * H * dw)
-    ft = Vec3L(Bv.x1, Bv.x2, -Bv.x3 + H * (gamma.x1 * Bv.x2 - gamma.x2 * Bv.x1))
+def _nil3_partials(frame: NullFrame, gamma, t, H):
+    """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface, as 3-tuples."""
+    Av, Bv, _ = frame.Y.value
+    Bp = frame.B.deriv().value
+    dJ = gamma[0] * Av[1] - gamma[1] * Av[0]
+    dw = Av[0] * Bv[1] + gamma[0] * Bp[1] - Av[1] * Bv[0] - gamma[1] * Bp[0]
+    fs = (Av[0] + t * Bp[0], Av[1] + t * Bp[1],
+          Av[2] - t * Bp[2] + H * dJ + t * H * dw)
+    ft = (Bv[0], Bv[1], -Bv[2] + H * (gamma[0] * Bv[1] - gamma[1] * Bv[0]))
     return fs, ft
 
 
-def _nil3(gamma, J, B, t, H) -> Vec3L:
-    """Nil_3 point from the curve (gamma, J), the ruling B and t; arrays broadcast."""
-    return Vec3L(
-        gamma.x1 + t * B.x1,
-        gamma.x2 + t * B.x2,
-        gamma.x3 - t * B.x3 + H * J + t * H * (gamma.x1 * B.x2 - gamma.x2 * B.x1),
+def _nil3(gamma, J, B, t, H):
+    """Nil_3 point (a 3-tuple) from the curve (gamma, J), the ruling B and t; arrays broadcast."""
+    return (
+        gamma[0] + t * B[0],
+        gamma[1] + t * B[1],
+        gamma[2] - t * B[2] + H * J + t * H * (gamma[0] * B[1] - gamma[1] * B[0]),
     )
 
 
@@ -126,20 +126,19 @@ class ScrollSurface:
         s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
         S = stencil(s, offsets, h)
         frames = self._frames(S.ravel(), frames)
-        return t, S, frames, lambda v: v.as_array().reshape((3,) + S.shape)
+        return t, S, frames, lambda v: v.reshape((3,) + S.shape)
 
     # -- L^3 side ----------------------------------------------------------
 
-    def gauss_map_L(self, s, t, frames=None) -> Vec3L:
+    def gauss_map_L(self, s, t, frames=None) -> np.ndarray:
         f = self._frames(s, frames)
         return _gauss_map(f, t, f.H)
 
     def bscroll_partials(self, s, t):
         """(d/ds f_L, d/dt f_L) = (A + t*B', B)."""
         frame = self._frames(s, None)
-        Av, Bv, _ = frame.values()
-        Bp = Vec3L(*frame.B.deriv().value)
-        return Av + Bp * t, Bv
+        Av, Bv, _ = frame.Y.value
+        return np.array([a + bp * t for a, bp in zip(Av, frame.B.deriv().value)]), Bv
 
     def fundamental_forms(self, s, t, frames=None) -> FundamentalForms:
         f = self._frames(s, frames)
@@ -168,24 +167,24 @@ class ScrollSurface:
         for all s, broadcast over t.
         """
         f = self._frames(np.asarray(svals, dtype=float), None)
-        Bv = Vec3L(*f.B.value[:, :, None])
+        Bv = f.B.value[:, :, None]
         gamma, J = self.path.dense_eval(svals)
-        gamma = Vec3L(*(g[:, None] for g in gamma))
+        gamma = gamma[:, :, None]
         t = np.asarray(tvals, dtype=float)[None, :]
         points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, f.H)}
         return {k: np.stack(list(p), axis=-1).reshape(-1, 3) for k, p in points.items()}
 
     def _tangents_E(self, s, t, frames):
         """(frame, fs, ft, fs_E, ft_E): the Jacobian rows and their components
-        in the left-invariant frame E_i, from one frame batch at s."""
+        in the left-invariant frame E_i (3-tuples), from one frame batch at s."""
         frame = self._frames(s, frames)
         H = frame.H
         gamma, J = self.path.dense_eval(s)
         fs, ft = _nil3_partials(frame, gamma, t, H)
-        p = _nil3(gamma, J, frame.values()[1], t, H)
+        p = _nil3(gamma, J, frame.B.value, t, H)
 
         def E(v):
-            return Vec3L(v.x1, v.x2, v.x3 + H * (p.x2 * v.x1 - p.x1 * v.x2))
+            return (v[0], v[1], v[2] + H * (p[1] * v[0] - p[0] * v[1]))
 
         return frame, fs, ft, E(fs), E(ft)
 
@@ -200,8 +199,8 @@ class ScrollSurface:
         frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t, frames)
         sigma_min = np.linalg.svd(_mat(fs, ft), compute_uv=False)[..., -1]
         N = _gauss_map(frame, t, frame.H)
-        n_dir = Vec3L(N.x2, -N.x1, 1.0)
-        n_E = n_dir / np.sqrt(N.x2 * N.x2 + N.x1 * N.x1 + 1.0)
+        norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
+        n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
         lam = np.linalg.det(_mat(fs_E, ft_E, n_E))
         return {"sigma_min": sigma_min, "lambda": lam}
 
@@ -218,9 +217,9 @@ class ScrollSurface:
         norm2 = mdot(nd, nd)
         pole = norm2 <= 0
         n = nd / np.sqrt(np.where(pole, np.nan, norm2))
-        pole |= np.abs(1.0 + n.x3) <= POLE_TOL
-        d = np.where(pole, np.nan, 1.0 + n.x3)
-        return (n.x1 / d, n.x2 / d), pole
+        pole |= np.abs(1.0 + n[2]) <= POLE_TOL
+        d = np.where(pole, np.nan, 1.0 + n[2])
+        return (n[0] / d, n[1] / d), pole
 
     # -- verification quantities -------------------------------------------
 
@@ -230,7 +229,7 @@ class ScrollSurface:
         h = float(fd_step)
         t, _, frames, rows = self._stencil_rows(s, t, BOX_OFFSETS, h, frames)
         H = frames.H
-        _, B, C = (rows(v) for v in frames.values())
+        _, B, C = (rows(v) for v in frames.Y.value)
         tt = stencil(t, (-2, -1, 0, 1, 2), h)
         grid = -C[:, :, None] - B[:, :, None] * (tt * H)  # N_L at (s + i h, t + j h)
 
@@ -268,7 +267,7 @@ class ScrollSurface:
         t, S, frames, rows = self._stencil_rows(s, t, FORMS_OFFSETS, h, frames)
         H = frames.H
         gamma = rows(self.path.dense_eval(S.ravel())[0])
-        _, B, C = (rows(v) for v in frames.values())
+        _, B, C = (rows(v) for v in frames.Y.value)
         c = FORMS_OFFSETS.index(0)
 
         def p(dt):
@@ -288,9 +287,6 @@ class ScrollSurface:
         ftt = (p(h)[:, c] - 2 * p(0.0)[:, c] + p(-h)[:, c]) / h**2
         N = -C[:, c] - B[:, c] * (t * H)
 
-        def dot(a, b):
-            return mdot(Vec3L(*a), Vec3L(*b))
-
-        I = _sym(dot(fs, fs), dot(fs, ft), dot(ft, ft))
-        II = _sym(dot(fss, N), dot(fst, N), dot(ftt, N))
+        I = _sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft))
+        II = _sym(mdot(fss, N), mdot(fst, N), mdot(ftt, N))
         return _forms(I, II)

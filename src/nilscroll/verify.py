@@ -99,7 +99,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     # normal Gauss map round trip through the unit-normal formula, off its poles
     N = surf.gauss_map_L(gauss_s, gauss_t, frames=f_gauss)
     g, pole = surf.normal_gauss_map(gauss_s, gauss_t, frames=f_gauss)
-    add("gauss_map_roundtrip", _worst(np.abs(_nl_from_g(g) - N.as_array())[:, ~pole]), 1e-10)
+    add("gauss_map_roundtrip", _worst(np.abs(_nl_from_g(g) - N)[:, ~pole]), 1e-10)
 
     # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
     table = classify_point(f_dual)

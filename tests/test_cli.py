@@ -471,13 +471,13 @@ def test_surface_vertices_match_scroll_surface(tmp_path):
     source = functools.lru_cache(maxsize=None)(source)
 
     def l3(s, t):
-        g, B = path.gamma(s), source(s).values()[1]
-        return g.x1 + B.x1 * t, g.x2 + B.x2 * t, g.x3 + B.x3 * t
+        g, B = path.gamma(s), source(s).B.value
+        return g[0] + B[0] * t, g[1] + B[1] * t, g[2] + B[2] * t
 
     def nil3(s, t):
-        (g, J), B = path.dense_eval(s), source(s).values()[1]
-        return (g.x1 + t * B.x1, g.x2 + t * B.x2,
-                g.x3 - t * B.x3 + H * J + t * H * (g.x1 * B.x2 - g.x2 * B.x1))
+        (g, J), B = path.dense_eval(s), source(s).B.value
+        return (g[0] + t * B[0], g[1] + t * B[1],
+                g[2] - t * B[2] + H * J + t * H * (g[0] * B[1] - g[1] * B[0]))
 
     for target, point in (("l3", l3), ("nil3", nil3)):
         lines = (tmp_path / f"m_{target}.obj").read_text().splitlines()
@@ -577,6 +577,32 @@ def test_closed_stdout_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err == "error: cannot write <stdout>: Broken pipe\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("singular", "--h", "-s+s^3", "--out", "x"),
+    ("surface", "--h", "tanh(s)", "--grid", "6x3", "--out", "x"),
+])
+def test_closed_stdout_pipe_leaves_no_file(tmp_path, argv):
+    # the paths are printed before the files are committed, so a stdout pipe
+    # whose reader has gone fails the whole set
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "nilscroll.cli", *argv], cwd=tmp_path,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b"error: cannot write <stdout>: Broken pipe\n"
+    assert not list(tmp_path.iterdir())
 
 
 # a value starting with '-' for every option that takes one
@@ -616,6 +642,16 @@ def test_dash_leading_value_as_a_separate_argument(tmp_path, command, flag):
     joined = run(tmp_path / "b", *argv, f"{flag}={DASH_VALUES[flag]}")
     assert spaced == joined
     assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--h", "tanh(s)", "--s-r", "-1:1"),
+    ("surface", "--h", "tanh(s)", "--grid", "6x3", "--t-r", "-1:1"),
+])
+def test_abbreviated_option_forms_agree(tmp_path, argv):
+    # "--abbrev -x" and "--abbrev=-x" give the same exit code
+    *head, flag, value = argv
+    assert run(tmp_path, *head, flag, value)[0] == run(tmp_path, *head, f"{flag}={value}")[0]
 
 
 def test_singular_with_a_dash_leading_generator(tmp_path):

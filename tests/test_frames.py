@@ -40,11 +40,17 @@ def tanh_exact(s):
 @pytest.mark.parametrize("s", [-1.0, -0.3, 0.0, 0.5, 1.2])
 def test_tanh_frame_golden(s):
     f = frame_from_h(TANH, 1.0, s)
-    Av, Bv, Cv = f.values()
+    Av, Bv, Cv = f.Y.value
     Ae, Be, Ce = tanh_exact(s)
-    assert Av.as_array() == pytest.approx(Ae, abs=1e-12)
-    assert Bv.as_array() == pytest.approx(Be, abs=1e-12)
-    assert Cv.as_array() == pytest.approx(Ce, abs=1e-12)
+    assert Av == pytest.approx(Ae, abs=1e-12)
+    assert Bv == pytest.approx(Be, abs=1e-12)
+    assert Cv == pytest.approx(Ce, abs=1e-12)
+    # d/ds and d^2/ds^2 of tanh_exact
+    ch, sh = math.cosh(2 * s), math.sinh(2 * s)
+    d1 = [[2 * sh, 0.0, -2 * ch], [sh, 0.0, -ch], [2 * ch, 0.0, -2 * sh]]
+    d2 = [[4 * ch, 0.0, -4 * sh], [2 * ch, 0.0, -2 * sh], [4 * sh, 0.0, -4 * ch]]
+    assert f.Y.derivative(1) == pytest.approx(np.array(d1), abs=1e-12)
+    assert f.Y.derivative(2) == pytest.approx(np.array(d2), abs=1e-12)
     assert f.kappa2.value == pytest.approx(2.0, abs=1e-12)
     assert f.kappa1.value == 0.0
 
@@ -113,7 +119,7 @@ def test_frame_from_B_normalization_errors():
 
 def test_frame_jets_from_values_matches_closed_form():
     f = frame_from_h(TANH, 1.0, 0.3)
-    Av, Bv, Cv = f.values()
+    Av, Bv, Cv = f.Y.value
     g = frame_jets_from_values(
         Av, Bv, Cv, hexpr.parse("0"), hexpr.parse("2"), 1.0, 0.3
     )

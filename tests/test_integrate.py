@@ -30,9 +30,9 @@ def test_exponential_growth():
     path = integrate_curve(source_of(lambda s: (math.exp(s), 1.0, 0.0)), 0.0, (0.0, 2.0))
     for s in np.linspace(0.0, 2.0, 21):
         g, J = path.dense_eval(s)
-        assert g.x1 + 1.0 == pytest.approx(math.exp(s), rel=1e-9)
-        assert g.x2 == pytest.approx(s, abs=1e-12)
-        assert g.x3 == 0.0
+        assert g[0] + 1.0 == pytest.approx(math.exp(s), rel=1e-9)
+        assert g[1] == pytest.approx(s, abs=1e-12)
+        assert g[2] == 0.0
         assert J == pytest.approx(2 * math.exp(s) - s - s * math.exp(s) - 2, abs=1e-9)
 
 
@@ -44,8 +44,8 @@ def test_harmonic_oscillator_both_directions():
     )
     for s in np.linspace(-3.0, 3.0, 61):
         g, J = path.dense_eval(s)
-        assert g.x1 == pytest.approx(math.sin(s), abs=1e-9)
-        assert g.x2 == pytest.approx(math.cos(s) - 1.0, abs=1e-9)
+        assert g[0] == pytest.approx(math.sin(s), abs=1e-9)
+        assert g[1] == pytest.approx(math.cos(s) - 1.0, abs=1e-9)
         assert J == pytest.approx(math.sin(s) - s, abs=1e-9)
 
 
@@ -53,7 +53,7 @@ def test_zero_A_gives_the_zero_curve():
     # every coefficient is 0: the trim of negligible trailing rows keeps one
     path = integrate_curve(source_of(lambda s: (0.0, 0.0, 0.0)), 0.0, (-1.0, 1.0))
     g, J = path.dense_eval(np.linspace(-1.0, 1.0, 5))
-    assert np.all(g.as_array() == 0.0) and np.all(J == 0.0)
+    assert np.all(g == 0.0) and np.all(J == 0.0)
 
 
 def test_dense_output_off_grid():
@@ -62,9 +62,9 @@ def test_dense_output_off_grid():
     # off the Chebyshev nodes
     for s in (0.123456, 0.654321, 0.999):
         g = path.gamma(s)
-        assert g.x1 == pytest.approx(math.sinh(2 * s) / 2, abs=1e-10)
-        assert g.x2 == pytest.approx(s, abs=1e-10)
-        assert g.x3 == pytest.approx((1 - math.cosh(2 * s)) / 2, abs=1e-10)
+        assert g[0] == pytest.approx(math.sinh(2 * s) / 2, abs=1e-10)
+        assert g[1] == pytest.approx(s, abs=1e-10)
+        assert g[2] == pytest.approx((1 - math.cosh(2 * s)) / 2, abs=1e-10)
 
 
 def test_curve_area_integral_golden():
@@ -80,7 +80,7 @@ def test_curve_anchor_and_range():
     src = make_frame_source(hexpr.parse("s + s^3"), 1.0)
     path = integrate_curve(src, 0.25, (-1.0, 1.0))
     g = path.gamma(0.25)
-    assert abs(g.x1) < 1e-14 and abs(g.x2) < 1e-14 and abs(g.x3) < 1e-14
+    assert abs(g[0]) < 1e-14 and abs(g[1]) < 1e-14 and abs(g[2]) < 1e-14
     assert path.s_min <= -1.0 + 1e-12
     assert path.s_max >= 1.0 - 1e-12
     with pytest.raises(OutOfRange):
@@ -95,7 +95,7 @@ def test_gamma_prime_is_A():
     h = 1e-5
     for s in (-0.6, 0.1, 0.8):
         Av = src(s).A.value
-        fd = (path.gamma(s + h).as_array() - path.gamma(s - h).as_array()) / (2 * h)
+        fd = (path.gamma(s + h) - path.gamma(s - h)) / (2 * h)
         assert fd == pytest.approx(Av, abs=1e-8)
 
 
@@ -116,7 +116,7 @@ def test_stiff_curve_splits_panels():
     h = 1e-5
     for s in (-0.7, -0.1, 0.05, 0.4, 0.9):
         Av = src(s).A.value
-        fd = (path.gamma(s + h).as_array() - path.gamma(s - h).as_array()) / (2 * h)
+        fd = (path.gamma(s + h) - path.gamma(s - h)) / (2 * h)
         # |gamma| reaches 4e4, so rounding alone puts ~4e-6 into the quotient
         assert fd == pytest.approx(Av, abs=5e-5)
 

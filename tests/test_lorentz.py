@@ -8,27 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilscroll.jets import Jet, stack
-from nilscroll.lorentz import (
-    E1,
-    E2,
-    E3,
-    LorentzTransform,
-    Vec3L,
-    det3,
-    is_lorentz,
-    mcross,
-    mdot,
-)
+from nilscroll.lorentz import LorentzTransform, det3, is_lorentz, mcross, mdot
 from nilscroll.surface import _stereo
 from nilscroll.verify import _nl_from_g
 
 finite = st.floats(-5.0, 5.0)
-vec = st.builds(Vec3L, finite, finite, finite)
+vec = st.tuples(finite, finite, finite).map(np.array)
+E1, E2, E3 = np.eye(3)
 
 
 def vjet(u):
     """The vector of values u as an order-0 vector jet at one point."""
-    return Jet(u.as_array()[None, :, None])
+    return Jet(u[None, :, None])
 
 
 def test_signature():
@@ -40,10 +31,8 @@ def test_signature():
 
 def test_cross_basis():
     # fixed by <u x v, w> = det(u, v, w)
-    c = mcross(E2, E3)
-    assert (c.x1, c.x2, c.x3) == (-1.0, 0.0, 0.0)
-    c = mcross(E1, E2)
-    assert (c.x1, c.x2, c.x3) == (0.0, 0.0, 1.0)
+    assert mcross(E2, E3).tolist() == [-1.0, 0.0, 0.0]
+    assert mcross(E1, E2).tolist() == [0.0, 0.0, 1.0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -67,27 +56,26 @@ def test_stereo_round_trips():
     x1 = np.array([0.3, -1.2, 0.0, 2.0, 0.3])
     x2 = np.array([0.4, 0.5, 0.9, -1.5, 0.4])
     x3 = np.sqrt(1 + x1**2 - x2**2) * np.array([-1, -1, -1, -1, 1])
-    p = Vec3L(x1, x2, x3)
+    p = np.array([x1, x2, x3])
     assert np.allclose(mdot(p, p), 1.0)
     g, pole = _stereo(p)
     assert not pole.any()
-    assert np.allclose(_nl_from_g(g), p.as_array(), atol=1e-12)
+    assert np.allclose(_nl_from_g(g), p, atol=1e-12)
 
 
 def test_stereo_pole_and_off_sphere():
     # the pole N3 = 1 is masked, not raised; the other rows are untouched
-    g, pole = _stereo(Vec3L(np.array([0.0, 0.3]), np.array([0.0, 0.4]),
-                            np.array([1.0, -math.sqrt(1 + 0.09 - 0.16)])))
+    g, pole = _stereo(np.array([[0.0, 0.3], [0.0, 0.4], [1.0, -math.sqrt(1 + 0.09 - 0.16)]]))
     assert pole.tolist() == [True, False]
     assert math.isnan(g[0][0]) and math.isnan(g[1][0])
     assert np.allclose(_nl_from_g(g)[:, 1], [0.3, 0.4, -math.sqrt(0.93)], atol=1e-12)
     # the inverse always lands on S^2_1, so an off-sphere point does not come back
-    off = Vec3L(5.0, 0.0, 0.5)
+    off = np.array([5.0, 0.0, 0.5])
     g, pole = _stereo(off)
     assert not pole
     back = _nl_from_g(g)
-    assert mdot(Vec3L(*back), Vec3L(*back)) == pytest.approx(1.0)
-    assert not np.allclose(back, off.as_array(), atol=1e-6)
+    assert mdot(back, back) == pytest.approx(1.0)
+    assert not np.allclose(back, off, atol=1e-6)
 
 
 def test_lorentz_from_params_is_lorentz():
@@ -117,7 +105,7 @@ def test_cross_equivariance(u, v, chi):
         LorentzTransform.from_params(chi=chi),
         LorentzTransform.from_params(chi=chi, reflect=True),
     ):
-        lhs = mcross(O.apply(vjet(u)).value, O.apply(vjet(v)).value).as_array()
+        lhs = mcross(O.apply(vjet(u)).value, O.apply(vjet(v)).value)
         rhs = O.det * O.apply(vjet(mcross(u, v))).value
         assert np.allclose(lhs, rhs, atol=1e-8)
 

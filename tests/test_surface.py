@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nilscroll.lorentz import E3, mdot
+from nilscroll.lorentz import mdot
 from nilscroll.singular import singular_t
 from nilscroll.surface import _nil3_partials
 
@@ -30,7 +30,7 @@ def test_bscroll_closed_form(tanh_surface):
 def test_gauss_map_golden(tanh_surface, tanh_source):
     # t = 0: N_L = -C
     N = tanh_surface.gauss_map_L(0.3, 0.0)
-    assert N.as_array() == pytest.approx(
+    assert N == pytest.approx(
         np.array([-math.sinh(0.6), 0.0, math.cosh(0.6)]), abs=1e-12
     )
     # <N_L, N_L> = 1 and <N_L, e3> = 0 on the singular curve
@@ -39,7 +39,7 @@ def test_gauss_map_golden(tanh_surface, tanh_source):
         t = singular_t(f)
         N = tanh_surface.gauss_map_L(s, t)
         assert mdot(N, N) == pytest.approx(1.0, abs=1e-12)
-        assert mdot(N, E3) == pytest.approx(0.0, abs=1e-12)
+        assert mdot(N, [0.0, 0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_partials_match_fd(tanh_surface):
@@ -49,8 +49,8 @@ def test_partials_match_fd(tanh_surface):
         p = lambda ds, dt: vertex(tanh_surface, s + ds, t + dt)[0]
         fd_s = (p(h, 0) - p(-h, 0)) / (2 * h)
         fd_t = (p(0, h) - p(0, -h)) / (2 * h)
-        assert fs.as_array() == pytest.approx(fd_s, abs=1e-6)
-        assert ft.as_array() == pytest.approx(fd_t, abs=1e-6)
+        assert fs == pytest.approx(fd_s, abs=1e-6)
+        assert ft == pytest.approx(fd_t, abs=1e-6)
 
 
 def test_first_form_entries(tanh_surface):
@@ -119,8 +119,8 @@ def test_gauss_map_modulus_on_singular_set(tanh_surface, tanh_source):
 def test_gauss_map_pole(tanh_surface, tanh_source):
     # N3 = 1 along cosh(2s) + t*sinh(2s)/2... solve at fixed s for t
     f = tanh_source(0.5)
-    _, Bv, Cv = f.values()
-    t_pole = (1.0 + Cv.x3) / (-Bv.x3)  # -C3 - t*B3 = 1
+    _, Bv, Cv = f.Y.value
+    t_pole = (1.0 + Cv[2]) / (-Bv[2])  # -C3 - t*B3 = 1
     (re, im), pole = tanh_surface.normal_gauss_map(0.5, t_pole)
     assert pole and math.isnan(re) and math.isnan(im)
 
@@ -150,7 +150,7 @@ def test_nil3_partials_match_fd(tanh_surface, tanh_source):
     h = 1e-6
     for (s, t) in [(0.35, 0.4), (-0.8, 1.3)]:
         gamma, _ = tanh_surface.path.dense_eval(s)
-        fs, ft = (v.as_array() for v in _nil3_partials(tanh_source(s), gamma, t, 1.0))
+        fs, ft = (np.array(v) for v in _nil3_partials(tanh_source(s), gamma, t, 1.0))
         p = lambda ds, dt: vertex(tanh_surface, s + ds, t + dt)[1]
         assert fs == pytest.approx((p(h, 0) - p(-h, 0)) / (2 * h), abs=1e-6)
         assert ft == pytest.approx((p(0, h) - p(0, -h)) / (2 * h), abs=1e-6)

@@ -58,8 +58,8 @@ def test_batched_fd_forms_match_partials(draws):
 def box_oracle(source, s, t, h):
     """The d'Alembertian stencil at one point, one frame per s-row."""
     def N(i, j):
-        _, B, C = source(s + i * h).values()
-        return (-C - B * ((t + j * h) * H)).as_array()
+        _, B, C = source(s + i * h).Y.value
+        return -C - B * ((t + j * h) * H)
 
     def u_t(i, j):
         return (N(i, j + 1) - N(i, j - 1)) / (2 * h)
@@ -84,6 +84,21 @@ def test_batched_box_matches_per_point_stencil(draws):
     assert sign.tolist() == [w[1] for w in want]
 
 
+def test_one_s_against_three_t(draws):
+    # a single-point frame broadcasts over t: each column of a vector is its own t
+    surf, _, s, t = draws
+    si, ts = float(s[0]), t[:3]
+    N = surf.gauss_map_L(si, ts)
+    fs, _ = surf.bscroll_partials(si, ts)
+    g, _ = surf.normal_gauss_map(si, ts)
+    m = surf.nil3_jacobian_metrics(si, ts)
+    for i, ti in enumerate(ts.tolist()):
+        close(N[:, i], surf.gauss_map_L(si, ti))
+        close(fs[:, i], surf.bscroll_partials(si, ti)[0])
+        close([g[0][i], g[1][i]], list(surf.normal_gauss_map(si, ti)[0]))
+        close(m["lambda"][i], surf.nil3_jacobian_metrics(si, ti)["lambda"])
+
+
 def test_batch_rows_equal_single_points(draws):
     # a batch of 40 and 40 batches of one give the same rows
     surf, _, s, t = draws
@@ -102,7 +117,7 @@ def test_batch_rows_equal_single_points(draws):
             for name in ("I", "II", "H_mean", "K_gauss"):
                 close(getattr(got, name)[i], getattr(want, name))
         close(batch["box"][0][i], surf.box_check(si, ti)[0])
-        close(batch["N"].as_array()[:, i], surf.gauss_map_L(si, ti).as_array())
+        close(batch["N"][:, i], surf.gauss_map_L(si, ti))
         for key, query in (("g", surf.normal_gauss_map), ("direct", surf.nil3_gauss_map_direct)):
             g, pole = query(si, ti)
             assert batch[key][1][i] == pole
@@ -114,8 +129,8 @@ def test_batch_rows_equal_single_points(draws):
 
 def test_gauss_pole_is_masked_in_a_batch(tanh_surface, tanh_source):
     # N3 = 1 at t_pole: -C3 - t*B3 = 1 with H = 1
-    _, Bv, Cv = tanh_source(0.5).values()
-    t_pole = (1.0 + Cv.x3) / (-Bv.x3)
+    _, Bv, Cv = tanh_source(0.5).Y.value
+    t_pole = (1.0 + Cv[2]) / (-Bv[2])
     s = np.array([0.1, 0.5, -0.3])
     t = np.array([0.7, t_pole, -1.2])
     g, pole = tanh_surface.normal_gauss_map(s, t)
