@@ -169,7 +169,7 @@ def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:
     orient = H * det3(B.value, Bp.value, Bpp.value)
     if orient <= 0.0:
         raise OrientationError(f"H*det(B,B',B'') = {orient:.3e} <= 0")
-    kappa2 = mdot(Bpp, Bpp) * (-1.0 / (2.0 * H**3))
+    kappa2 = mdot(Bpp, Bpp) * (-1.0 / (2.0 * H * H * H))
     A = B * (-kappa2 / H) + Bpp / (H * H)
     kappa1 = Jet.constant(0.0, kappa2.order, base_point=s)
     return NullFrame(s=s, Y=stack([A, B, Bp / H]), kappa1=kappa1, kappa2=kappa2, H=H)

@@ -2,10 +2,10 @@
 
 OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
 header row, the golden-file medium) use fixed 17-significant-digit numbers;
-JSON uses the shortest round-trip float representation with sorted keys.
-An OBJ block is one C-level `%` pass and the CSV one join; each number has
-the bytes of `format(x, ".17g")`.  A command writes its files as one
-output_set: all of them or none.
+JSON uses the shortest round-trip float representation with sorted keys
+and holds only finite numbers.  An OBJ block and the CSV are each one
+C-level `%` pass; each number has the bytes of `format(x, ".17g")`.  A
+command writes its files as one output_set: all of them or none.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import OutputError
+from .errors import NumericFailure, OutputError
 
 
 @contextlib.contextmanager
@@ -79,18 +79,34 @@ def write_obj(path, vertices, ns: int, nt: int):
 
 def write_curve_csv(path, s, t):
     """CSV of the singular-curve samples at the arrays s and t, one row
-    each; t is blank where it is NaN (unbounded).  Fields are only
-    numbers, so none is quoted."""
-    text = "s,t\r\n" + "".join("%.17g,%s\r\n" % (x, "" if y != y else "%.17g" % y)
-                               for x, y in zip(s.tolist(), t.tolist()))
+    each; t is blank where it is NaN (unbounded; s never is).  Fields are
+    only numbers, so none is quoted."""
+    text = "s,t\r\n" + ("%.17g,%.17g\r\n" * len(s) % tuple(
+        np.column_stack([s, t]).ravel().tolist())).replace(",nan\r\n", ",\r\n")
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
+def json_text(payload):
+    """A report's JSON text, newline included.  JSON has no NaN or
+    infinity: a number that is not finite raises NumericFailure naming it."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericFailure(f"non-finite report value {_non_finite(payload, '')}") from None
+
+
+def _non_finite(obj, path):
+    """'path = value' of the first number in obj, keys sorted, that is not finite."""
+    if isinstance(obj, (dict, list, tuple)):
+        items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
+        return next(filter(None, (_non_finite(v, f"{path}/{k}") for k, v in items)), None)
+    return f"{path} = {obj}" if isinstance(obj, float) and not np.isfinite(obj) else None
+
+
 def write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(json_text(payload))
 
 
 def load_schema(name: str) -> dict:

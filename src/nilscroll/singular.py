@@ -15,9 +15,9 @@ table (kinds, t, kappa2, c_L', c_L'', the NotCE residuals and the
 inconsistent points).  Only a single point or a point that a scan reports
 becomes a SingularPoint object.  On a valid frame c_L' is parallel to e3
 exactly where r1 = 0, so the scan looks for swallowtails as roots of r1,
-which is finite wherever the frame is (c_L' has poles at B3 = 0), and for
-cuspidal cross caps as roots of kappa2: two scalar channels, each root a
-candidate of its own.
+finite wherever the frame is (c_L' has poles at B3 = 0), and for cuspidal
+cross caps as roots of kappa2: two channels, each root a candidate of its
+own, polished by Halley steps from Taylor seeds that the grid jets give.
 """
 
 from __future__ import annotations
@@ -215,38 +215,31 @@ def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT):
 # -- scanning --------------------------------------------------------------
 
 
-def _polish(f, lo, hi, f_lo, chan, floor):
-    """Roots of f in the brackets [lo, hi], f(lo) and f(hi) of opposite signs.
+def _polish(f, lo, hi, x, f_lo, chan, floor):
+    """Roots of f in the brackets [lo, hi] (f(lo), f(hi) of opposite signs,
+    or lo = hi), stepping from the points x in them.
 
-    All brackets step together.  f gets the current points of the brackets
-    still stepping and returns (values, slopes) there, one row per channel;
-    chan names each bracket's channel.  Each bracket runs rtsafe (Numerical
-    Recipes): Newton from the midpoint, bisecting when a step leaves the
-    bracket or fails to halve the one before the previous, ending when |f|
-    is at or below the bracket's floor (the rounding level of f there),
-    when a step does not move x or, as brentq(xtol=1e-15, rtol=8.9e-16), is
-    small.  A value that is not finite stops its bracket with the package
-    error that f raises at that point alone, else a NumericFailure naming
-    the value.  Returns the roots, NaN where errors[i] stopped bracket i,
-    and errors.
+    Each round f gets every bracket's x and returns (values, slopes,
+    curvatures), one row per channel; chan names each bracket's channel.
+    Each bracket runs rtsafe (Numerical Recipes) with Halley steps
+    2ff'/(2f'^2 - ff''), bisecting when a step leaves the bracket or fails
+    to halve the one before the previous.  It stops at its evaluated x, the
+    root, once |f| is at or below its floor (f's rounding level there) or
+    its next step does not move x or, as brentq(xtol=1e-15, rtol=8.9e-16),
+    is small; it keeps that x, so the last round evaluates every root.  A
+    non-finite value stops its bracket with the package error f raises at
+    that point alone, else a NumericFailure naming it.  Returns the roots,
+    NaN where errors[i] stopped bracket i, and errors.
     """
     n = len(lo)
-    x = 0.5 * (lo + hi)
     dx = dx_old = hi - lo
-    roots = np.full(n, np.nan)
-    errors = {}
-    live = np.ones(n, bool)
+    errors, live = {}, np.ones(n, bool)
     with np.errstate(all="ignore"):
         for _ in range(200):
-            idx = np.flatnonzero(live)
-            if not len(idx):
+            if not live.any():
                 break
-            # each stepping bracket's own channel of f's rows, full length
-            fx, slope = np.full((2, n), np.nan)
-            fx[idx], slope[idx] = (v[chan[idx], np.arange(len(idx))] for v in f(x[idx]))
-            hit = live & (np.abs(fx) <= floor)
-            roots[hit] = x[hit]
-            live &= ~hit
+            fx, slope, curv = (v[chan, np.arange(n)] for v in f(x))  # each bracket's channel
+            hit = np.abs(fx) <= floor
             for i in np.flatnonzero(live & ~np.isfinite(fx)):
                 errors[i], live[i] = NumericFailure(f"value {fx[i]} at s={x[i]}"), False
                 try:
@@ -254,66 +247,58 @@ def _polish(f, lo, hi, f_lo, chan, floor):
                 except NilscrollError as err:
                     errors[i] = err
             below = (fx < 0.0) == (f_lo < 0.0)
-            lo = np.where(live & below, x, lo)
-            hi = np.where(live & ~below, x, hi)
-            step = np.where(slope != 0.0, fx / slope, np.inf)
-            newton = ((lo < x - step) & (x - step < hi) | (x - step == x)) & (
+            lo, hi = np.where(live & below, x, lo), np.where(live & ~below, x, hi)
+            den = 2.0 * slope * slope - fx * curv
+            step = np.where(den != 0.0, 2.0 * fx * slope / den, np.inf)
+            halley = ((lo < x - step) & (x - step < hi) | (x - step == x)) & (
                 np.abs(step) <= 0.5 * np.abs(dx_old))
-            dx_old, dx = dx, np.where(live, np.where(newton, -step, 0.5 * (lo + hi) - x), dx)
-            x = np.where(live, x + dx, x)
-            done = live & (np.abs(dx) < 0.5 * (1e-15 + 8.9e-16 * np.abs(x)))
-            roots[done] = x[done]
-            live &= ~done
+            dx_old, dx = dx, np.where(live, np.where(halley, -step, 0.5 * (lo + hi) - x), dx)
+            live &= ~(hit | (np.abs(dx) < 0.5 * (1e-15 + 8.9e-16 * np.abs(x))))
+            x = np.where(live, x + dx, x)  # a bracket that has stopped keeps its x
     for i in np.flatnonzero(live):
         errors[i] = NumericFailure(f"no convergence in [{lo[i]}, {hi[i]}] after 200 steps")
-    return roots, errors
+    x[list(errors)] = np.nan  # x is a new array once a round has run
+    return x, errors
 
 
-def _bracket_roots(f, grid, vals, labels, floors):
-    """Roots of each channel of f = (values, slopes) between finite grid values.
+def _bracket_roots(f, grid, jets, labels, floors):
+    """Roots of each channel of f between finite grid values.
 
-    vals and floors hold one row per channel over the grid, labels one name;
-    f returns one row per channel (see _polish).  A grid value of exactly 0
-    is a root, and every sign change is polished, each bracket ending where
-    |f| is at or below the larger of its ends' floors (the rounding level of
-    f at the grid points).  Returns (roots, warnings): the roots of each
-    channel in grid order, and a warning giving the error of each bracket
-    that fails, channel by channel.
+    jets holds the channels' values, slopes and curvatures over the grid,
+    shape (3, channels, grid), and f the same rows at its points (see
+    _polish); floors and labels give each channel's rounding level on the
+    grid and its name.  A grid zero is a bracket of width 0; a sign change
+    steps from the small root of the order-2 Taylor model at the end with
+    the smaller |f| (the midpoint if that is not inside) down to its ends'
+    larger floor.  Returns each channel's roots in grid order and a warning
+    for each bracket that fails, channel by channel.
     """
-    a, b = vals[:, :-1], vals[:, 1:]
+    a, b = jets[0, :, :-1], jets[0, :, 1:]
     with np.errstate(all="ignore"):
-        finite = np.isfinite(a) & np.isfinite(b)
-        cross = finite & (a * b < 0.0)
-    c, i = np.nonzero(finite & (a == 0.0) | cross)
-    k = np.flatnonzero(cross[c, i])
-    lo, hi = grid[i[k]], grid[i[k] + 1]
-    roots, errors = _polish(f, lo, hi, a[c[k], i[k]], c[k],
-                            np.maximum(floors[c[k], i[k]], floors[c[k], i[k] + 1]))
-    found = grid[i]
-    found[k] = roots  # NaN where the bracket failed
-    warnings = [f"WARN {labels[c[k[m]]]}: bracket [{lo[m]}, {hi[m]}] failed: {errors[m]}"
+        cross = np.isfinite(a) & np.isfinite(b) & (a * b < 0.0)
+        c, i = np.nonzero(np.isfinite(b) & (a == 0.0) | cross)
+        lo, hi = grid[i], np.where(cross[c, i], grid[i + 1], grid[i])
+        end = np.where(np.abs(b[c, i]) < np.abs(a[c, i]), i + 1, i)
+        f0, f1, f2 = jets[:, c, end]
+        x = grid[end] + 2.0 * f0 / -(f1 + np.sign(f1) * np.sqrt(f1 * f1 - 2.0 * f0 * f2))
+    roots, errors = _polish(f, lo, hi, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)),
+                            a[c, i], c, np.maximum(floors[c, i], floors[c, i + 1]))
+    warnings = [f"WARN {labels[c[m]]}: bracket [{lo[m]}, {hi[m]}] failed: {errors[m]}"
                 for m in sorted(errors)]
-    return [found[(c == n) & ~np.isnan(found)].tolist() for n in range(len(vals))], warnings
+    return [roots[(c == k) & ~np.isnan(roots)].tolist() for k in range(len(labels))], warnings
 
 
-def _r1_channel(frame: NullFrame):
-    """(r1, r1', floor) at each point: the NotCE residual r1 = (kappa2/H) B3^2 - 1,
-    its slope (kappa2' B3^2 + 2 kappa2 B3 B3')/H from the frame jets, and its
-    rounding floor 8 eps |kappa2 B3^2/H|, below which its sign is noise."""
-    H, k2, dk2 = frame.H, frame.kappa2.value, frame.kappa2.derivative(1)
-    B3, dB3 = frame.B[2].value, frame.B[2].derivative(1)
-    r1 = notce_residuals(frame)[0]
-    slope = (dk2 * B3 * B3 + 2.0 * k2 * B3 * dB3) / H
-    return r1, slope, 8.0 * np.finfo(float).eps * np.abs(r1 + 1.0)
+def _channels(frame: NullFrame):
+    """jets[k, c]: the k-th derivative (k <= 2, from the frame jets) of channel c,
+    kappa2 and the NotCE residual r1 = (kappa2/H) B3^2 - 1, over a frame batch."""
+    (k2, dk2, ddk2), (B3, dB3, ddB3) = (j.coeffs[:3] for j in (frame.kappa2, frame.B[2]))
+    slope = (dk2 * B3 * B3 + 2.0 * k2 * B3 * dB3) / frame.H
+    curv = (ddk2 * B3 * B3 + 4.0 * dk2 * B3 * dB3 + 2.0 * k2 * (dB3 * dB3 + B3 * ddB3)) / frame.H
+    return np.array([[k2, notce_residuals(frame)[0]], [dk2, slope], [ddk2, curv]])
 
 
-def scan_singularities(
-    frame_source,
-    s_range,
-    grid_n: int = 256,
-    tol_root: float = DEFAULT_TOL_ROOT,
-    generator: str = "",
-) -> SingularReport:
+def scan_singularities(frame_source, s_range, grid_n: int = 256,
+                       tol_root: float = DEFAULT_TOL_ROOT, generator: str = "") -> SingularReport:
     """Locate and classify the isolated special points of the singular curve.
 
     One batch of grid frames gives the curve samples, classified by one
@@ -322,16 +307,17 @@ def scan_singularities(
     both finite wherever the frame is, are bracketed at grid sign changes:
     kappa2 (cuspidal-cross-cap candidates) and the NotCE residual r1
     (swallowtail candidates: on a valid frame c_L' is parallel to e3 exactly
-    where r1 = 0).  Their brackets are polished together by Newton steps
-    with jet slopes, one frame batch per step, and the roots are classified
-    in one batch; points closer than TOL_CLUSTER are reported once.  A NaN
+    where r1 = 0).  Their brackets step together from Taylor seeds of the
+    grid jets by Halley steps, one frame batch per round, and the last
+    round's frames, at the roots, are classified; points closer than
+    TOL_CLUSTER are reported once.  A NaN
     frame ends its bracket with a warning that gives the point's own error.
     A sign flip of B1 = H(1+h^2)/(2h') between grid nodes is flagged as a
     cell where h' changes sign.  A degenerate generator (|kappa2| <=
     tol_root on the whole grid) reports every grid sample as
     non_front_degenerate (or unbounded), and its kappa2 is not bracketed.
-    Zeros of B3 only show as unbounded curve samples; the first grid or root
-    frame that is not finite raises (see frames.raise_first).
+    Zeros of B3 only show as unbounded curve samples; the first grid frame
+    that is not finite raises (see frames.raise_first).
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
@@ -351,21 +337,24 @@ def scan_singularities(
     warnings += [f"WARN h' changes sign in [{grid[i]}, {grid[i + 1]}]"
                  for i in np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)]
 
+    last = None  # the last round's frames: those at every root
+
     def channels(x):
-        """kappa2 and r1 with their slopes at the points x (a float x whose
-        frame fails raises), NaN where the frame is."""
+        """Channel jets at x, NaN where the frame is; a float x whose frame fails raises."""
+        nonlocal last
         f = frame_source(x)
-        r1, dr1, _ = _r1_channel(f)
-        return np.array([f.kappa2.value, r1]), np.array([f.kappa2.derivative(1), dr1])
+        last = f if np.ndim(x) else last
+        return _channels(f)
 
     # a degenerate generator (S(h) identically ~ 0) has kappa2 only in its
     # rounding noise: its sign changes are not roots, so its channel is left out
     degenerate = np.max(np.abs(curve.kappa2)) <= tol_root
-    r1_vals, _, r1_floor = _r1_channel(frames)
-    (k2_roots, r1_roots), bracket_warnings = _bracket_roots(
-        channels, grid, np.vstack([np.where(degenerate, np.nan, curve.kappa2), r1_vals]),
-        ["kappa2", "r1"], np.vstack([np.zeros(grid_n), r1_floor]))
-    warnings += bracket_warnings
+    jets = _channels(frames)
+    # r1 = kappa2 B3^2/H - 1 has its sign in the noise below 8 eps |kappa2 B3^2/H|
+    floors = np.array([np.zeros(grid_n), 8.0 * np.finfo(float).eps * np.abs(jets[0, 1] + 1.0)])
+    jets[0, 0] = np.where(degenerate, np.nan, jets[0, 0])
+    (k2_roots, r1_roots), more = _bracket_roots(channels, grid, jets, ["kappa2", "r1"], floors)
+    warnings += more
 
     points = []
     if degenerate:
@@ -375,7 +364,8 @@ def scan_singularities(
                   for s, t in zip(curve.s.tolist(), curve.t.tolist())]
     # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
     if k2_roots or r1_roots:
-        found = classify_point(finite_frames(frame_source, np.array(k2_roots + r1_roots)), tol_root)
+        row = {s: i for i, s in enumerate(last.s.tolist())}
+        found = classify_point(last.take([row[s] for s in k2_roots + r1_roots]), tol_root)
         found.raise_first()
         report = np.isin(found.kind, ["swallowtail", "front_other"])
         report[: len(k2_roots)] = True
@@ -389,14 +379,8 @@ def scan_singularities(
             uniq[key] = p
     points = sorted(uniq.values(), key=lambda p: p.s)
 
-    return SingularReport(
-        generator=generator,
-        H=frames.H,
-        s_range=(lo, hi),
-        curve=curve,
-        points=points,
-        warnings=warnings,
-    )
+    return SingularReport(generator=generator, H=frames.H, s_range=(lo, hi), curve=curve,
+                          points=points, warnings=warnings)
 
 
 # -- O(2,1) family ---------------------------------------------------------

@@ -147,7 +147,7 @@ class ScrollSurface:
         k2 = f.kappa2.value
         I = _sym(2 * t * k1 + t * t * H * H, -1.0, 0.0)
         # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
-        II = _sym(-k2 + 2 * t * k1 * H + t * t * H**3, -H, 0.0)
+        II = _sym(-k2 + 2 * t * k1 * H + t * t * (H * H * H), -H, 0.0)
         return _forms(I, II)
 
     # -- normal Gauss map ---------------------------------------------------

@@ -81,7 +81,7 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
     add("frenet_serret", _worst(r["fs_A"], r["fs_B"], r["fs_C"]), 1e-8)
     add("weierstrass_curvature",
         _worst(np.abs(mdot(Bp, Bp).value - H * H),
-               np.abs(mdot(Bpp, Bpp).value + 2.0 * H**3 * f.kappa2.value)), 1e-8)
+               np.abs(mdot(Bpp, Bpp).value + 2.0 * (H * H * H) * f.kappa2.value)), 1e-8)
 
     # fundamental forms: closed form vs finite differences, plus H/K law
     forms = surf.fundamental_forms(form_s, form_t, frames=f_form)

@@ -246,6 +246,19 @@ def test_verify_nan_residual_fails():
     assert not payload["all_pass"]
 
 
+@pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
+@pytest.mark.parametrize("H", ["1e100", "1e150"])
+def test_verify_non_finite_residual_is_a_numeric_failure(tmp_path, H, report):
+    # at 1e100 the box and Gauss-map residuals overflow to NaN and inf, which
+    # JSON cannot hold; at 1e150 H^3 itself overflows
+    code, out, err = run(tmp_path, "verify", "--h", "s^3+s", "--H", H,
+                         *(["--report", "r.json"] if report else []))
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: non-finite report value /checks/")
+    assert err.count("\n") == 1 and "internal error" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_determinism(tmp_path):
     args = ("verify", "--h", "tanh(s)", "--s-range", "-1:1", "--report", "v.json")
     (tmp_path / "a").mkdir()

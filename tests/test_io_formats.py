@@ -1,12 +1,14 @@
-"""OBJ and CSV writers, byte for byte against per-line reference writers."""
+"""OBJ, CSV and JSON writers, byte for byte against reference writers."""
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
-from nilscroll.io_formats import write_curve_csv, write_obj
+from nilscroll.errors import NumericFailure
+from nilscroll.io_formats import json_text, write_curve_csv, write_obj
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, 1.0, -1e-7, 0.1, -2.5e-310, 123456789.125]
 
@@ -62,3 +64,12 @@ def test_csv_bytes_match_the_csv_module(tmp_path, rows):
     t = np.array([np.nan if y is None else y for _, y in rows], dtype=float)
     write_curve_csv(tmp_path / "c.csv", s, t)
     assert (tmp_path / "c.csv").read_bytes() == reference_csv(rows)
+
+
+def test_json_text_holds_only_finite_numbers():
+    payload = {"b": [1.0, {"y": 2.5, "x": -0.0}], "a": "nan", "c": None}
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # the first non-finite number in key order is named by its path
+    payload["b"][1].update(z=float("nan"), w=-float("inf"))
+    with pytest.raises(NumericFailure, match="^non-finite report value /b/1/w = -inf$"):
+        json_text(payload)

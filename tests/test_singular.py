@@ -184,21 +184,29 @@ def test_scan_grid_validation(tanh_source):
 
 
 def one_channel(f):
-    """f = (value, slope) of an array of s as one channel row each."""
+    """f = (value, slope, curvature) of an array of s as one channel row each."""
     return lambda s: tuple(np.array([v + 0.0 * s]) for v in f(s))
+
+
+def midpoint_jets(vals):
+    """Grid jets of the channel rows vals with NaN slopes and curvatures: no
+    Taylor seed, so every bracket starts from its midpoint."""
+    return np.stack([vals, np.full_like(vals, np.nan), np.full_like(vals, np.nan)])
 
 
 def test_root_polish_falls_back_to_bisection():
     root = 2.0945514815423265  # of s^3 - 2 s - 5
-    # exact slope (Newton), zero slope and wrong-signed slope (bisection)
-    for slope in (lambda s: 3 * s * s - 2, lambda s: 0.0, lambda s: -1.0):
-        got, errors = _polish(one_channel(lambda s: (s**3 - 2 * s - 5, slope(s))),
-                              np.array([2.0]), np.array([3.0]), np.array([-1.0]),
-                              np.zeros(1, int), 0.0)
+    # exact slope and curvature (Halley), zero slope and wrong-signed slope
+    # (bisection)
+    for slope, curv in ((lambda s: 3 * s * s - 2, lambda s: 6 * s),
+                        (lambda s: 0.0, lambda s: 0.0), (lambda s: -1.0, lambda s: 0.0)):
+        got, errors = _polish(one_channel(lambda s: (s**3 - 2 * s - 5, slope(s), curv(s))),
+                              np.array([2.0]), np.array([3.0]), np.array([2.5]),
+                              np.array([-1.0]), np.zeros(1, int), 0.0)
         assert errors == {} and got[0] == pytest.approx(root, abs=4e-15)
     # a package error while polishing becomes a warning for that bracket
-    (roots,), warnings = _bracket_roots(one_channel(lambda s: (math.nan, 1.0)),
-                                        np.array([0.0, 1.0]), np.array([[-1.0, 1.0]]),
+    (roots,), warnings = _bracket_roots(one_channel(lambda s: (math.nan, 1.0, 0.0)),
+                                        np.array([0.0, 1.0]), midpoint_jets(np.array([[-1.0, 1.0]])),
                                         ["nan"], np.zeros((1, 2)))
     assert roots == [] and len(warnings) == 1 and "WARN nan" in warnings[0]
 
@@ -326,13 +334,13 @@ def test_criteria_equivalence_dense(surfaces):
 
 
 def test_brackets_step_together_like_one_at_a_time():
-    f = one_channel(lambda s: (np.sin(3 * s) - 0.2, 3 * np.cos(3 * s)))
+    f = one_channel(lambda s: (np.sin(3 * s) - 0.2, 3 * np.cos(3 * s), -9 * np.sin(3 * s)))
     lo, hi = np.array([0.0, 0.9, -1.2]), np.array([0.5, 1.2, -0.9])
-    roots, errors = _polish(f, lo, hi, f(lo)[0][0], np.zeros(3, int), 0.0)
+    roots, errors = _polish(f, lo, hi, 0.5 * (lo + hi), f(lo)[0][0], np.zeros(3, int), 0.0)
     assert errors == {}
     for r, a, b in zip(roots, lo, hi):
-        alone, _ = _polish(f, np.array([a]), np.array([b]), f(np.array([a]))[0][0],
-                           np.zeros(1, int), 0.0)
+        alone, _ = _polish(f, np.array([a]), np.array([b]), np.array([0.5 * (a + b)]),
+                           f(np.array([a]))[0][0], np.zeros(1, int), 0.0)
         assert r == alone[0]
 
 
@@ -341,19 +349,21 @@ def test_brackets_of_two_channels_in_one_pass():
     # channel b: a bracket on [0, 1] whose f is NaN, a sign change on [3, 4]
     def f(s):
         return (np.array([s * s - 20.0, np.where(s < 1.0, np.nan, 3.2 - s)]),
-                np.array([2.0 * s, -np.ones_like(s)]))
+                np.array([2.0 * s, -np.ones_like(s)]),
+                np.array([np.full_like(s, 2.0), np.zeros_like(s)]))
 
     grid = np.arange(6.0)
     vals = np.array([[1.0, 0.0, -1.0, np.nan, -4.0, 5.0],
                      [-1.0, 1.0, 2.0, 2.0, -2.0, -3.0]])
-    (a, b), warnings = _bracket_roots(f, grid, vals, ["a", "b"], np.zeros((2, 6)))
+    (a, b), warnings = _bracket_roots(f, grid, midpoint_jets(vals), ["a", "b"], np.zeros((2, 6)))
     assert a == [1.0, pytest.approx(math.sqrt(20.0), abs=1e-14)]
     assert b == [pytest.approx(3.2, abs=1e-14)]
     assert warnings == ["WARN b: bracket [0.0, 1.0] failed: value nan at s=0.5"]
     # the warnings of channel a come first, whatever their cells
     (a, b), warnings = _bracket_roots(
-        lambda s: (np.full((2, np.size(s)), np.nan),) * 2, grid[:4],
-        np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, 1.0, 1.0]]), ["a", "b"], np.zeros((2, 4)))
+        lambda s: (np.full((2, np.size(s)), np.nan),) * 3, grid[:4],
+        midpoint_jets(np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, 1.0, 1.0]])), ["a", "b"],
+        np.zeros((2, 4)))
     assert a == b == []
     assert warnings == ["WARN a: bracket [1.0, 2.0] failed: value nan at s=1.5",
                         "WARN b: bracket [0.0, 1.0] failed: value nan at s=0.5"]
@@ -379,8 +389,8 @@ def test_scan_isolates_a_bracket_whose_frame_fails():
 
 def test_scan_across_a_log_hole_evaluates_once_per_batch(monkeypatch):
     # the zero factor keeps h = s + s^3 outside a log hole of half-width 1e-3
-    # around +1/sqrt(6): the polishing step that lands in it ends that
-    # bracket, and the point's own error, met alone, is the warning's reason
+    # around +1/sqrt(6): the Taylor seed that lands in it ends that bracket,
+    # and the point's own error, met alone, is the warning's reason
     from nilscroll import frames
 
     calls, original = [], frames.frame_from_h
@@ -393,13 +403,66 @@ def test_scan_across_a_log_hole_evaluates_once_per_batch(monkeypatch):
     h = hexpr.parse("s + s^3 + 0*log((s - 0.4082482904638631)^2 - 1e-6)")
     rep = scan_singularities(make_frame_source(h, 1.0), (-1.0, 1.0))
     assert [(p.s, p.kind) for p in rep.points] == [
-        (-0.408248290463863, SingularKind.CUSPIDAL_CROSS_CAP)]
+        (-0.40824829046386296, SingularKind.CUSPIDAL_CROSS_CAP)]
     assert rep.warnings == [
         "WARN kappa2: bracket [0.4039215686274509, 0.4117647058823528] failed: "
-        "log out of domain at s=0.40784313725490184"]
-    # the grid, one batch per polishing step, the classification; the lone point
-    assert [c for c in calls if isinstance(c, int)] == [256, 2, 1, 1, 1, 1]
-    assert [c for c in calls if isinstance(c, float)] == [0.40784313725490184]
+        "log out of domain at s=0.40824828726233553"]
+    # the grid, two polishing rounds of both brackets (the last classifies
+    # the root), and the failed point alone between them
+    assert calls == [256, 2, 0.40824828726233553, 2]
+
+
+MOBIUS_CUBIC = ("((-0.998129871827)*(s + s^3) + (-1.00783083637))"
+                "/((-0.0330395472522)*(s + s^3) + (-1.59131597866))", 0.549436717934)
+MOBIUS_TANH = ("((-1.2037144981)*(tanh(s)) + 0.249623785959)"
+               "/(0.0952157528429*(tanh(s)) + 0.431928333643)", 1.77376241597)
+SCANNED = [("tanh(s)", 1.3), ("s + s^3", 0.8), ("cot(exp(s)/2)", 1.0), MOBIUS_CUBIC, MOBIUS_TANH]
+
+
+def recorded_scan(text, H):
+    """(report, source, batches) of a scan on -1:1 that keeps every batch of s."""
+    src, batches = make_frame_source(hexpr.parse(text), H), []
+
+    def source(s):
+        batches.append(np.copy(s))
+        return src(s)
+
+    return scan_singularities(source, (-1.0, 1.0)), src, batches
+
+
+@pytest.mark.parametrize("text", ["tanh(s)", "s + s^3"])
+def test_scan_polishes_in_two_batches(text):
+    # the Taylor seeds from the grid jets are within ~1e-8 of the roots, and
+    # one Halley step from there reaches them: the grid, then two rounds
+    _, _, batches = recorded_scan(text, 1.0)
+    assert [np.size(b) for b in batches] == [256, 2, 2]
+
+
+@pytest.mark.parametrize("text, H", SCANNED)
+def test_scan_classifies_its_roots_on_the_last_batch(text, H):
+    report, src, batches = recorded_scan(text, H)
+    assert report.points
+    for p in report.points:
+        assert p.s in batches[-1].tolist()
+        assert repr(p) == repr(classify_point(src(p.s)))  # bit for bit
+
+
+@pytest.mark.parametrize("text, H", SCANNED)
+def test_scan_roots_match_brentq(text, H):
+    from scipy.optimize import brentq
+
+    report, src, _ = recorded_scan(text, H)
+    for p in report.points:
+        if p.kind is SingularKind.CUSPIDAL_CROSS_CAP:
+            def channel(s):
+                return src(s).kappa2.value
+        else:
+            assert p.kind is SingularKind.SWALLOWTAIL
+
+            def channel(s):
+                return notce_residuals(src(s))[0]
+        want = brentq(channel, p.s - 1e-3, p.s + 1e-3, xtol=1e-15, rtol=8.9e-16)
+        assert p.s == pytest.approx(want, abs=4e-15)
 
 
 def test_polish_stops_at_the_rounding_floor():
