@@ -52,8 +52,8 @@ def _parse_range(text: str):
     if len(parts) != 2:
         raise ValueError(f"range must be lo:hi, got {text!r}")
     lo, hi = float(parts[0]), float(parts[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"range needs finite ends, got {text!r}")
+    if not math.isfinite(hi - lo):  # an end, or the width, is not finite
+        raise ValueError(f"range needs finite ends and width, got {text!r}")
     if not lo < hi:
         raise ValueError(f"range needs lo < hi, got {text!r}")
     return lo, hi
@@ -139,9 +139,7 @@ def cmd_singular(args) -> int:
 
 def cmd_verify(args) -> int:
     _require(args, "h")
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual (see _emit)
-        payload = run_verify(args.h, args.H, args.s_range, fd_step=args.fd_step,
-                             fd_tol=args.fd_tol)
+    payload = run_verify(args.h, args.H, args.s_range, fd_step=args.fd_step, fd_tol=args.fd_tol)
     _emit(args, payload)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
@@ -328,7 +326,8 @@ def main(argv=None) -> int:
             if not 0.0 < getattr(args, flag, 1.0) < math.inf:
                 raise PreconditionError(f"--{flag.replace('_', '-')} must be finite and > 0, "
                                         f"got {getattr(args, flag)!r}")
-        code = args.func(args)
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite value; commands report it
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not when the interpreter exits
         return code
     except BrokenPipeError:  # stdout's reader is gone; send the exit flush to devnull

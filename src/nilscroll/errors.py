@@ -31,11 +31,10 @@ class DomainError(InputError):
 
 
 class ExprSyntaxError(InputError):
-    """Generator-expression parse failure, with byte offset and expected tokens."""
+    """Generator-expression parse failure, with its byte offset."""
 
-    def __init__(self, message, offset, expected=()):
+    def __init__(self, message, offset):
         self.offset = offset
-        self.expected = frozenset(expected)
         super().__init__(f"{message} at offset {offset}")
 
 

@@ -105,7 +105,7 @@ def _tokens(text: str):
             try:
                 val = float(lit)
             except ValueError:
-                raise ExprSyntaxError(f"bad number {lit!r}", i, {"number"}) from None
+                raise ExprSyntaxError(f"bad number {lit!r}", i) from None
             toks.append(("num", i, val))
             i = j
             continue
@@ -116,7 +116,7 @@ def _tokens(text: str):
             toks.append(("name", i, text[i:j]))
             i = j
             continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i, set())
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
     toks.append(("end", n))
     return toks
 
@@ -126,7 +126,6 @@ def _tokens(text: str):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.toks = _tokens(text)
         self.pos = 0
 
@@ -141,14 +140,14 @@ class _Parser:
     def expect(self, kind):
         t = self.peek()
         if t[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, got {t[0]!r}", t[1], {kind})
+            raise ExprSyntaxError(f"expected {kind!r}, got {t[0]!r}", t[1])
         return self.next()
 
     def parse(self):
         node = self.expr()
         t = self.peek()
         if t[0] != "end":
-            raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1], {"end"})
+            raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1])
         return node
 
     def expr(self):
@@ -201,9 +200,7 @@ class _Parser:
                 self.expect(")")
                 return Fn(name, arg, offset=t[1])
             raise UnknownFunction(name, t[1])
-        raise ExprSyntaxError(
-            f"unexpected token {t[0]!r}", t[1], {"number", "name", "(", "-"}
-        )
+        raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1])
 
 
 def parse(text: str) -> ExprAst:
@@ -247,20 +244,6 @@ def to_str(node, parent_prec=0) -> str:
 # -- evaluation ------------------------------------------------------------
 
 
-def _contains_var(node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num, Const)):
-        return False
-    if isinstance(node, Neg):
-        return _contains_var(node.child)
-    if isinstance(node, Fn):
-        return _contains_var(node.arg)
-    if isinstance(node, Bin):
-        return _contains_var(node.left) or _contains_var(node.right)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def _constant(fn, x, *args):
     """fn at the value of a constant sub-expression, an order-0 jet at no s."""
     return fn(Jet([x], base_point=None), *args).value
@@ -287,11 +270,9 @@ def _eval(node, seed):
     if isinstance(node, Bin):
         a = _eval(node.left, seed)
         if node.op == "^":
-            if _contains_var(node.right):
-                raise ExprSyntaxError(
-                    "exponent must be constant", node.offset, {"constant"}
-                )
             p = _eval(node.right, seed)
+            if isinstance(p, Jet):  # only a constant sub-expression evaluates to a float
+                raise ExprSyntaxError("exponent must be constant", node.offset)
             try:
                 if isinstance(a, Jet):
                     return jets.pow_const(a, p)

@@ -1,10 +1,10 @@
 """Piecewise-Chebyshev quadrature for the base curve.
 
 The base null curve gamma' = A(s) and its Heisenberg area integral
-J' = gamma1*A2 - gamma2*A1 are quadratures.  A is interpolated on nested
-Chebyshev-Lobatto points of each panel, the degree is chosen by tail decay
-and a panel that does not converge is split (the chebfun construction:
-Battles & Trefethen, SISC 2004), then the series are integrated exactly.
+J' = gamma1*A2 - gamma2*A1 are quadratures.  A is sampled on nested
+Chebyshev-Lobatto points of each panel in at most two frame batches, the
+degree is chosen by tail decay, a panel that does not converge is split
+(chebfun: Battles & Trefethen, SISC 2004); the series are integrated exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .frames import raise_first
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
 # its last n/8 + 1 coefficients is below _CHEB_TOL times the largest |A| on
-# it; each degree's nodes contain the previous degree's nodes.
+# it; each degree's nodes are a stride of the top degree's nodes.
 _CHEB_TOL = 1e-13
 _CHEB_DEGREES = (16, 32, 64, 128)
 # panels narrower than this fraction of the curve's range are not split
@@ -29,8 +29,8 @@ _MIN_PANEL = 1e-8
 def _lobatto(n):
     """n + 1 Chebyshev-Lobatto points on [-1, 1], ascending.
 
-    In the sine form the points of degree n are bitwise the even points of
-    degree 2n, so a doubling reuses every frame already computed.
+    In the sine form the points of degree n are bitwise every (m/n)-th
+    point of degree m when m/n is a power of two.
     """
     return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
 
@@ -47,18 +47,28 @@ def _cheb_coeffs(v):
     return c
 
 
-def _cheb_eval(breaks, coef, s):
-    """Rows of the piecewise series at the points s (a 1-D array).
+def _clenshaw(c, x):
+    """C.chebval(x, c) at one float x, bit for bit: the same steps on Python
+    floats, one column at a time, without numpy's dispatch per step."""
+    out = []
+    for col in c.reshape(len(c), -1).T.tolist():
+        c0, c1 = col[-2:] if len(col) > 1 else (col[0], 0)
+        for ci in col[-3::-1]:
+            c0, c1 = ci - c1, c0 + c1 * (2 * x)
+        out.append(c0 + c1 * x)
+    return np.reshape(out, c.shape[1:])
 
-    Clenshaw's recurrence is elementwise: a point gets the same bits alone
-    or in a batch.
-    """
-    panel = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(coef) - 1)
-    out = np.empty((len(s), coef[0].shape[1]))
-    for p in np.unique(panel):
-        a, b = breaks[p], breaks[p + 1]
-        x = np.clip((s[panel == p] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-        out[panel == p] = C.chebval(x, coef[p]).T
+
+def _chebint(c, k, scl):
+    """C.chebint(c, lbnd=-1, k=[k], scl=scl) bit for bit, with its loop over
+    the coefficients as two array statements."""
+    c = c * scl
+    if len(c) == 1 and np.all(c[0] == 0):
+        return c + k
+    m2 = 2.0 * np.arange(len(c) + 1).reshape((-1,) + (1,) * (c.ndim - 1))
+    out = np.concatenate([c[:1] * 0, c[:1], c[1:] / m2[2:]])
+    out[1:-2] -= c[2:] / m2[1:-2]
+    out[0] += k - _clenshaw(out, -1.0)
     return out
 
 
@@ -93,13 +103,22 @@ class CurvePath:
         return [(s, g, float(j), self.A_nodes[s]) for s, g, j in zip(nodes, gamma.T, J)]
 
     def dense_eval(self, s):
-        """(gamma, J) at a float or 1-D array s; gamma has shape (3,) + np.shape(s)."""
+        """(gamma, J) at a float or 1-D array s; gamma has shape (3,) + np.shape(s).
+
+        Clenshaw's recurrence is elementwise: a point gets the same bits alone
+        or in a batch.
+        """
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
         bad = (flat < self.s_min - 1e-12) | (flat > self.s_max + 1e-12)
         if np.any(bad):
             raise OutOfRange(f"s={flat[bad][0]} outside [{self.s_min}, {self.s_max}]")
-        y = _cheb_eval(self.breaks, self.coef, flat) - self.origin
+        panel = np.clip(np.searchsorted(self.breaks, flat, side="right") - 1, 0, len(self.coef) - 1)
+        y = np.empty((len(flat), 4))
+        for p in np.unique(panel):
+            a, b = self.breaks[p], self.breaks[p + 1]
+            x = np.clip((flat[panel == p] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
+            y[panel == p] = C.chebval(x, self.coef[p]).T - self.origin
         if s.ndim == 0:
             return y[0, :3], float(y[0, 3])
         return y[:, :3].T, y[:, 3]
@@ -111,7 +130,7 @@ class CurvePath:
 def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
-    A(s) comes from the frame source, one batch per degree's new nodes;
+    A(s) comes from the frame source, in at most two batches per panel;
     gamma and J are zero at s0.  The first node of a batch where A is not
     finite raises (see frames.raise_first), and a panel narrower than
     _MIN_PANEL times the range that still does not resolve A NumericFailure.
@@ -123,16 +142,18 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
 
     def fit(a, b):
         """Coefficients of A on [a, b], or None if no degree resolves it."""
+        top = _CHEB_DEGREES[-1]
+        s = (0.5 * (a + b) + 0.5 * (b - a) * _lobatto(top)).tolist()
+        s[0], s[-1] = a, b
         for n in _CHEB_DEGREES:
-            s = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(n)
-            s[0], s[-1] = a, b
-            new = [x for x in s if x not in A_nodes]
-            if new:
+            nodes = s[:: top // n]
+            if any(x not in A_nodes for x in nodes):  # fetch degree 2n's new nodes too
+                new = [x for x in s[:: max(top // (2 * n), 1)] if x not in A_nodes]
                 A = frame_source(np.array(new)).A.value.T
                 A_nodes.update(zip(new, A))
                 raise_first(frame_source, new, ~np.isfinite(A).all(axis=1),
                             "A(s) is not finite at s={!r}")
-            v = np.array([A_nodes[x] for x in s])
+            v = np.array([A_nodes[x] for x in nodes])
             c = _cheb_coeffs(v)
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):
                 return c
@@ -156,15 +177,18 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     # the right end of its panel is the sum of its coefficients
     gammas, end = [], np.zeros(3)
     for a, b, c in panels:
-        gammas.append(C.chebint(c, lbnd=-1, k=[end], scl=0.5 * (b - a)))
+        gammas.append(_chebint(c, end, 0.5 * (b - a)))
         end = gammas[-1].sum(axis=0)
-    g0 = _cheb_eval(breaks, gammas, np.array([s0]))[0]
+    p0 = min(int(np.searchsorted(breaks, s0, side="right")) - 1, len(panels) - 1)
+    a0, b0, _ = panels[p0]
+    x0 = min(max((s0 - 0.5 * (a0 + b0)) / (0.5 * (b0 - a0)), -1.0), 1.0)
+    g0 = _clenshaw(gammas[p0], x0)
     coef, end = [], 0.0
     for (a, b, c), g in zip(panels, gammas):
         # J' from gamma shifted to vanish at s0, as an exact series product
         g1, g2 = C.chebsub(g[:, 0], g0[:1]), C.chebsub(g[:, 1], g0[1:2])
         dJ = C.chebsub(C.chebmul(g1, c[:, 1]), C.chebmul(g2, c[:, 0]))
-        j = C.chebint(dJ, lbnd=-1, k=[end], scl=0.5 * (b - a))
+        j = _chebint(dJ, end, 0.5 * (b - a))
         end = j.sum()
         both = np.zeros((max(len(j), len(g)), 4))
         both[: len(g), :3], both[: len(j), 3] = g, j
@@ -173,5 +197,5 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         big = np.abs(both) > np.finfo(float).eps * np.max(np.abs(both), axis=0)
         big[0] = True
         coef.append(both[: np.nonzero(big.any(axis=1))[0][-1] + 1])
-    origin = _cheb_eval(breaks, coef, np.array([s0]))[0]
+    origin = _clenshaw(coef[p0], x0)
     return CurvePath(s0=s0, breaks=breaks, coef=coef, origin=origin, A_nodes=A_nodes)

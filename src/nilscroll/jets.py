@@ -214,9 +214,6 @@ class Jet:
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order, self.base_point) / self
 
-    def __pow__(self, p):
-        return pow_const(self, p)
-
 
 def stack(jets):
     """The jet with the given jets as its components, at their lowest order."""

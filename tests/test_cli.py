@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import time
+import warnings
 
 import jsonschema
 import numpy as np
@@ -156,6 +157,27 @@ def test_parse_error_exit_2(tmp_path):
 def test_bad_range_exit_2(tmp_path):
     code, _, _ = run(tmp_path, "singular", "--h", "tanh(s)", "--s-range", "1:0")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["surface", "singular", "verify", "frame", "family"])
+def test_range_of_overflowing_width_exit_2(tmp_path, command):
+    # both ends are finite, but hi - lo is not
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run(tmp_path, command, "--h", "tanh(s)", "--s-range", "-1e308:1e308")
+    assert (code, out, seen) == (2, "", [])
+    assert "argument --s-range" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_surface_overflowing_t_range_is_one_numeric_failure(tmp_path):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = run(tmp_path, "surface", "--h", "tanh(s)", "--t-range", "0:1e308",
+                             "--grid", "3x3", "--out", "m")
+    assert (code, out, seen) == (3, "", [])
+    assert err.splitlines() == ["numeric failure: non-finite mesh vertex"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_singular_report_and_schema(tmp_path):

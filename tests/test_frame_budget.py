@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from nilscroll import frames, hexpr
+from nilscroll.integrate import integrate_curve
 from nilscroll.verify import run_verify
 from nilscroll.lorentz import LorentzTransform
 from nilscroll.singular import invariance_check, scan_singularities
+from nilscroll.surface import ScrollSurface
 
 
 @pytest.fixture
@@ -24,6 +26,20 @@ def evals(monkeypatch):
 
     monkeypatch.setattr(frames, "frame_from_h", counted)
     return counts
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The number of points of each frames.frame_from_h call, in order."""
+    sizes = []
+    original = frames.frame_from_h
+
+    def counted(h_ast, H, s, *args, **kwargs):
+        sizes.append(np.size(s))
+        return original(h_ast, H, s, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "frame_from_h", counted)
+    return sizes
 
 
 def test_scan_evaluates_each_grid_s_once(evals):
@@ -43,3 +59,34 @@ def test_invariance_check_one_frame_per_sample(evals):
 def test_verify_frame_budget(evals):
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
     assert sum(evals.values()) <= 450
+
+
+@pytest.mark.parametrize("h, H, s_range, sizes", [
+    # resolved at degree 32: its 33 nodes in one batch
+    ("tanh(s)", 0.7, (-0.75, 0.75), [33]),
+    # degree 128: degree 32's nodes, then the 96 more of degree 128
+    ("s + s^3", 1.0, (-1.0, 1.0), [33, 96]),
+])
+def test_curve_fits_a_panel_in_at_most_two_batches(batches, h, H, s_range, sizes):
+    integrate_curve(frames.make_frame_source(hexpr.parse(h), H), 0.0, s_range)
+    assert batches == sizes
+
+
+def test_curve_split_panels_evaluate_each_s_once(evals, batches):
+    src = frames.make_frame_source(hexpr.parse("s + 100000*s^3"), 1.0)
+    path = integrate_curve(src, 0.0, (-1.0, 1.0))
+    assert len(path.breaks) > 2
+    assert set(evals.values()) == {1}
+    # at most two batches for each panel tried: P kept ones and P - 1 split
+    assert len(batches) <= 2 * (2 * (len(path.breaks) - 1) - 1)
+
+
+def test_surface_frame_budget(evals, batches):
+    # the curve's nodes in one batch, the mesh's 120 rows in another; only
+    # the range ends are both a curve node and a mesh row
+    src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
+    surf = ScrollSurface(src, integrate_curve(src, 0.0, (-1.0, 1.0)))
+    surf.mesh(np.linspace(-1.0, 1.0, 120), np.linspace(-2.0, 2.0, 30))
+    assert batches == [33, 120]
+    assert {s for s, n in evals.items() if n > 1} == {-1.0, 1.0}
+    assert max(evals.values()) == 2

@@ -65,6 +65,9 @@ def test_unknown_function_and_name():
 def test_variable_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
         hexpr.eval_real(hexpr.parse("2^s"), 1.0)
+    # a nested one is named by its own '^'
+    with pytest.raises(ExprSyntaxError, match="at offset 4$"):
+        hexpr.eval_real(hexpr.parse("2^(2^s)"), 1.0)
 
 
 def test_domain_error_carries_offset():

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 from nilscroll import hexpr
 from nilscroll.errors import NumericFailure, OutOfRange
 from nilscroll.frames import make_frame_source
-from nilscroll.integrate import integrate_curve
+from nilscroll.integrate import _CHEB_DEGREES, _chebint, _clenshaw, _lobatto, integrate_curve
 
 # Heisenberg area integral for tanh over [0, 1]:
 # integral of sinh(2s)/2 - s*cosh(2s) ds = (cosh2 - 1)/2 - sinh2/2
@@ -132,3 +133,46 @@ def test_curve_unresolved_panel_names_s():
     src = make_frame_source(hexpr.parse("s^2"), 1.0)
     with pytest.raises(NumericFailure, match=r"near s=-?\d"):
         integrate_curve(src, 0.5, (-1.0, 2.0))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def seeded_series(n, shape):
+    """n coefficients (rows of the given shape) of both signs over 24 decades."""
+    rng = np.random.default_rng(1000 * n + len(shape))
+    return rng.standard_normal((n,) + shape) * 10.0 ** rng.uniform(-12, 12, (n,) + shape)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+def test_loop_free_chebint_is_numpys_bit_for_bit(n, shape):
+    c = seeded_series(n, shape)
+    k = np.linspace(-2.5, 7.0, 3) if shape else -2.5
+    for const, scl in ((0.0, 1.0), (k, 0.3), (k, 1.7e-3)):
+        got, ref = _chebint(c, const, scl), C.chebint(c, lbnd=-1, k=[const], scl=scl)
+        assert np.array_equal(got, ref) and same_bits(got, ref)
+    # a one-term zero series is numpy's special case: the constant alone
+    zero = np.zeros((1,) + shape)
+    assert same_bits(_chebint(zero, k, 0.3), C.chebint(zero, lbnd=-1, k=[k], scl=0.3))
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4,)])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+def test_scalar_clenshaw_is_chebval_bit_for_bit(n, shape):
+    c = seeded_series(n, shape)
+    for x in (-1.0, -0.37, 0.0, 1.0):
+        assert same_bits(_clenshaw(c, x), C.chebval(x, c))
+        # an array of one point, as for a series evaluated over an array of s
+        assert same_bits(_clenshaw(c, x), C.chebval(np.array([x]), c)[..., 0])
+
+
+def test_lobatto_degrees_are_strides_of_the_top_degree():
+    top = _CHEB_DEGREES[-1]
+    for a, b in ((-1.0, 1.0), (-0.7, 0.3)):
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(top)
+        for n in _CHEB_DEGREES:
+            assert same_bits(_lobatto(top)[:: top // n], _lobatto(n))
+            assert same_bits(nodes[:: top // n], 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(n))
