@@ -47,25 +47,28 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
+
+# argparse prints an ArgumentTypeError's message; for any other error of a
+# type= function it names the function instead
 def _parse_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"range must be lo:hi, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, text.split(":"))
+    except ValueError:  # not two parts, or a part that is not a number
+        raise argparse.ArgumentTypeError(f"range must be lo:hi, got {text!r}") from None
     if not math.isfinite(hi - lo):  # an end, or the width, is not finite
-        raise ValueError(f"range needs finite ends and width, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range needs finite ends and width, got {text!r}")
     if not lo < hi:
-        raise ValueError(f"range needs lo < hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range needs lo < hi, got {text!r}")
     return lo, hi
 
 
 def _parse_grid(text: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"grid must be NSxNT, got {text!r}")
-    ns, nt = int(parts[0]), int(parts[1])
+    try:
+        ns, nt = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be NSxNT, got {text!r}") from None
     if ns < 2 or nt < 2:
-        raise ValueError("grid needs at least 2x2")
+        raise argparse.ArgumentTypeError(f"grid needs at least 2x2, got {text!r}")
     return ns, nt
 
 
@@ -139,7 +142,7 @@ def cmd_singular(args) -> int:
 
 def cmd_verify(args) -> int:
     _require(args, "h")
-    payload = run_verify(args.h, args.H, args.s_range, fd_step=args.fd_step, fd_tol=args.fd_tol)
+    payload = run_verify(args.h, args.H, args.s_range)
     _emit(args, payload)
     return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
@@ -260,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
     common(p)
-    p.add_argument("--fd-step", type=float, default=1e-3)
-    p.add_argument("--fd-tol", type=float, default=1e-6)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
@@ -322,10 +323,8 @@ def main(argv=None) -> int:
         s = getattr(args, "s", None)
         if s is not None and not math.isfinite(s):
             raise PreconditionError(f"--s must be finite, got {args.s!r}")
-        for flag in ("fd_step", "fd_tol", "tol_root"):
-            if not 0.0 < getattr(args, flag, 1.0) < math.inf:
-                raise PreconditionError(f"--{flag.replace('_', '-')} must be finite and > 0, "
-                                        f"got {getattr(args, flag)!r}")
+        if not 0.0 < getattr(args, "tol_root", 1.0) < math.inf:
+            raise PreconditionError(f"--tol-root must be finite and > 0, got {args.tol_root!r}")
         with np.errstate(all="ignore"):  # overflow shows as a non-finite value; commands report it
             code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not when the interpreter exits

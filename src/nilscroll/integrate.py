@@ -9,7 +9,7 @@ degree is chosen by tail decay, a panel that does not converge is split
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -125,6 +125,20 @@ class CurvePath:
 
     def gamma(self, s) -> np.ndarray:
         return self.dense_eval(s)[0]
+
+    def jets(self, s, A):
+        """(gamma, J) at s as jets one order above the vector jet A of the
+        frames at s: gamma = [gamma(s), A_0, A_1/2, ...] and J the
+        antiderivative of the jet gamma1*A2 - gamma2*A1."""
+        gamma, J = self.dense_eval(s)
+        gamma = A.antideriv(gamma)
+        return gamma, (gamma[0] * A[1] - gamma[1] * A[0]).antideriv(J)
+
+    def deriv(self):
+        """The path of (gamma', J'): each panel's series differentiated."""
+        coef = [C.chebder(c, scl=2.0 / (b - a))
+                for c, a, b in zip(self.coef, self.breaks[:-1], self.breaks[1:])]
+        return replace(self, coef=coef, origin=np.zeros(4))
 
 
 def integrate_curve(frame_source, s0, s_range) -> CurvePath:

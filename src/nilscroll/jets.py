@@ -13,12 +13,13 @@ batch axis, so a Minkowski vector (shape (3,)) or a whole frame (shape
 (3, 3)) is a jet like a scalar one.  Arithmetic broadcasts a scalar jet
 against the components of another; indexing or iterating a jet selects
 along its first component axis.  A jet built at a float s is a batch of
-one whose accessors return floats (arrays over the components); built at
-an array of s they return arrays.  Every recurrence adds its terms
-elementwise in a fixed order, so a point gets the same bits alone or in any
-batch.  Overflow shows as inf or NaN in the coefficients, and so does a
-batch point outside a function's domain, while a jet at a float raises
-DomainError there; callers that evaluate jets wrap them in
+one whose accessors return floats (arrays over the components), or arrays
+where an array operand widened its batch axis (one s against several t);
+built at an array of s they return arrays.  Every recurrence adds its
+terms elementwise in a fixed order, so a point gets the same bits alone or
+in any batch.  Overflow shows as inf or NaN in the coefficients, and so
+does a batch point outside a function's domain, while a jet at a float
+raises DomainError there; callers that evaluate jets wrap them in
 ``np.errstate``.
 """
 
@@ -98,7 +99,9 @@ class Jet:
         return isinstance(self.base_point, np.ndarray)
 
     def _out(self, row):
-        if self.batched:
+        """row, with the batch axis of a single jet dropped; an array operand
+        may have widened that axis, and then it stays."""
+        if self.batched or row.shape[-1] != 1:
             return row
         return float(row[0]) if row.ndim == 1 else row[..., 0]
 
@@ -144,6 +147,14 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         return Jet(_scaled_tail(self._tc), self.base_point)
+
+    def antideriv(self, value):
+        """Jet of the antiderivative with the given value at the base points,
+        one order higher (deriv() undoes it)."""
+        tc = self._tc
+        k = np.arange(1, len(tc) + 1).reshape((-1,) + (1,) * (tc.ndim - 1))
+        return Jet(np.concatenate([np.reshape(value, (1,) + tc.shape[1:]), tc / k]),
+                   self.base_point)
 
     def __repr__(self):
         return f"Jet({self.coeffs!r}, base_point={self.base_point!r})"

@@ -4,10 +4,11 @@ Every query is array code: it takes arrays s, t that broadcast together
 (scalars are a batch of one) and works from one frame batch and at most one
 CurvePath.dense_eval call.  The queries are the mesh vertices, the Gauss
 map N_L = -C - t*H*B and the normal Gauss map g, the fundamental forms in
-closed form and by finite differences, the Jacobian metrics of the Nil_3
-surface and the d'Alembertian eigenvalue residual.  A caller that holds
-the frames at the query's s, or at its stencil rows (see stencil), passes
-them as frames=; otherwise the query evaluates them in one batch.  A
+closed form and from the frame's jets, the Jacobian metrics of the Nil_3
+surface and the d'Alembertian eigenvalue residual.  Every s-derivative is
+read off the jets of the frame and of the base curve; there are no finite
+differences.  A caller that holds the frames at the query's s passes them
+as frames=; otherwise the query evaluates them in one batch.  A
 Gauss-map pole is a mask: g is NaN there and the mask is returned with it.
 The paracomplex g = re + j*im (j^2 = +1) is the pair of arrays (re, im).
 """
@@ -24,11 +25,6 @@ from .integrate import CurvePath
 from .lorentz import mcross, mdot
 
 POLE_TOL = 1e-10
-# finite-difference checks evaluate frames at s + k*h for these k, and the
-# form check steps by FORMS_FD_STEP
-FORMS_OFFSETS = (-2, -1, 0, 1, 2)
-BOX_OFFSETS = (-1, 0, 1)
-FORMS_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -42,12 +38,6 @@ class FundamentalForms:
     II: np.ndarray
     H_mean: np.ndarray
     K_gauss: np.ndarray
-
-
-def stencil(s, offsets, h):
-    """The rows s + k*h of a finite-difference stencil, shape (len(offsets),) + s.shape."""
-    k = np.multiply(offsets, float(h))
-    return k.reshape(k.shape + (1,) * np.ndim(s)) + s
 
 
 def _gauss_map(frame: NullFrame, t, H) -> np.ndarray:
@@ -85,18 +75,6 @@ def _forms(I, II) -> FundamentalForms:
                             K_gauss=np.linalg.det(shape))
 
 
-def _nil3_partials(frame: NullFrame, gamma, t, H):
-    """Coordinate Jacobian rows (d/ds f, d/dt f) of the Nil_3 surface, as 3-tuples."""
-    Av, Bv, _ = frame.Y.value
-    Bp = frame.B.deriv().value
-    dJ = gamma[0] * Av[1] - gamma[1] * Av[0]
-    dw = Av[0] * Bv[1] + gamma[0] * Bp[1] - Av[1] * Bv[0] - gamma[1] * Bp[0]
-    fs = (Av[0] + t * Bp[0], Av[1] + t * Bp[1],
-          Av[2] - t * Bp[2] + H * dJ + t * H * dw)
-    ft = (Bv[0], Bv[1], -Bv[2] + H * (gamma[0] * Bv[1] - gamma[1] * Bv[0]))
-    return fs, ft
-
-
 def _nil3(gamma, J, B, t, H):
     """Nil_3 point (a 3-tuple) from the curve (gamma, J), the ruling B and t; arrays broadcast."""
     return (
@@ -120,25 +98,11 @@ class ScrollSurface:
     def _frames(self, s, frames):
         return finite_frames(self.frame_source, s) if frames is None else frames
 
-    def _stencil_rows(self, s, t, offsets, h, frames):
-        """(t broadcast with s, the stencil rows S, the frames at S.ravel() and a
-        reshape of a frame vector to (3,) + S.shape)."""
-        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-        S = stencil(s, offsets, h)
-        frames = self._frames(S.ravel(), frames)
-        return t, S, frames, lambda v: v.reshape((3,) + S.shape)
-
     # -- L^3 side ----------------------------------------------------------
 
     def gauss_map_L(self, s, t, frames=None) -> np.ndarray:
         f = self._frames(s, frames)
         return _gauss_map(f, t, f.H)
-
-    def bscroll_partials(self, s, t):
-        """(d/ds f_L, d/dt f_L) = (A + t*B', B)."""
-        frame = self._frames(s, None)
-        Av, Bv, _ = frame.Y.value
-        return np.array([a + bp * t for a, bp in zip(Av, frame.B.deriv().value)]), Bv
 
     def fundamental_forms(self, s, t, frames=None) -> FundamentalForms:
         f = self._frames(s, frames)
@@ -179,9 +143,13 @@ class ScrollSurface:
         in the left-invariant frame E_i (3-tuples), from one frame batch at s."""
         frame = self._frames(s, frames)
         H = frame.H
-        gamma, J = self.path.dense_eval(s)
-        fs, ft = _nil3_partials(frame, gamma, t, H)
-        p = _nil3(gamma, J, frame.B.value, t, H)
+        gamma, J = self.path.jets(s, frame.A)
+        f = _nil3(gamma, J, frame.B, t, H)  # jets in s
+        p = tuple(c.value for c in f)
+        fs = tuple(c.deriv().value for c in f)
+        # f is affine in t: f_t is the coefficient of t in _nil3
+        g, B = gamma.value, frame.B.value
+        ft = (B[0], B[1], -B[2] + H * (g[0] * B[1] - g[1] * B[0]))
 
         def E(v):
             return (v[0], v[1], v[2] + H * (p[1] * v[0] - p[0] * v[1]))
@@ -197,7 +165,10 @@ class ScrollSurface:
         sign flips across a non-degenerate singular curve.
         """
         frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t, frames)
-        sigma_min = np.linalg.svd(_mat(fs, ft), compute_uv=False)[..., -1]
+        M = _mat(fs, ft)
+        finite = np.isfinite(M).all(axis=(-2, -1))  # LAPACK's SVD fails on inf or NaN
+        sigma_min = np.where(finite, np.linalg.svd(
+            np.where(finite[..., None, None], M, 0.0), compute_uv=False)[..., -1], np.nan)
         N = _gauss_map(frame, t, frame.H)
         norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
         n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
@@ -223,70 +194,35 @@ class ScrollSurface:
 
     # -- verification quantities -------------------------------------------
 
-    def box_check(self, s, t, fd_step=1e-3, frames=None):
-        """(residual, matched_sign) per point from the frames at the rows
-        stencil(s, BOX_OFFSETS, fd_step); sign -1 means Box N_L = -2 H^2 N_L fits."""
-        h = float(fd_step)
-        t, _, frames, rows = self._stencil_rows(s, t, BOX_OFFSETS, h, frames)
-        H = frames.H
-        _, B, C = (rows(v) for v in frames.Y.value)
-        tt = stencil(t, (-2, -1, 0, 1, 2), h)
-        grid = -C[:, :, None] - B[:, :, None] * (tt * H)  # N_L at (s + i h, t + j h)
+    def jet_forms(self, s, t, frames=None):
+        """(I, II) of f_L = gamma + t*B, each (..., 2, 2), from the frame's
+        jets: f_s = A + t*B', f_t = B, f_ss = A' + t*B'', f_st = B', f_tt = 0."""
+        f = self._frames(s, frames)
+        A, B, _ = f.Y
+        Bp = B.deriv()
+        fs = A + Bp * t  # a jet, whose derivative is f_ss
+        fss, fs, ft, fst = fs.deriv().value, fs.value, B.value, Bp.value
+        N = _gauss_map(f, t, f.H)
+        return (_sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft)),
+                _sym(mdot(fss, N), mdot(fst, N), 0.0))
 
-        def arr(i, j):
-            return grid[:, i + 1, j + 2]
+    def box_eigenvalue(self, s, t, frames=None):
+        """(residual, matched_sign) per point; sign -1 means Box N_L = -2 H^2 N_L fits.
 
-        def u_t(i, j):
-            return (arr(i, j + 1) - arr(i, j - 1)) / (2 * h)
-
-        def u_s(j):
-            return (arr(1, j) - arr(-1, j)) / (2 * h)
-
-        # P = g^{ss} u_s + g^{st} u_t = -u_t ;  Q = g^{ts} u_s + g^{tt} u_t
-        dP_ds = -(u_t(1, 0) - u_t(-1, 0)) / (2 * h)
-
-        def Q(j):
-            return -u_s(j) - (tt[j + 2] * H) ** 2 * u_t(0, j)
-
-        dQ_dt = (Q(1) - Q(-1)) / (2 * h)
-        box = dP_ds + dQ_dt
-        N = arr(0, 0)
+        Box u = d_s(g^st u_t) + d_t(g^ts u_s + g^tt u_t) in the coordinates
+        (s, t), where g^ss = 0, g^st = -1, g^tt = -(2 t kappa1 + t^2 H^2)
+        and sqrt|det I| = 1.  The partials of N_L = -C - t*H*B come from the
+        jets: u_t = -H B, u_st = -H B' and u_tt = 0, so Box N_L =
+        -2 u_st - (2 kappa1 + 2 t H^2) u_t, and the residual of the matching
+        sign reduces to |2H (B' + kappa1 B - H C)|, which the Frenet-Serret
+        equation for B makes zero up to rounding.
+        """
+        f = self._frames(s, frames)
+        H = f.H
+        u_t, u_st = f.B * -H, f.B.deriv() * -H
+        box = (u_st * -2.0 - u_t * (2.0 * f.kappa1.value + 2.0 * t * H * H)).value
+        N = _gauss_map(f, t, H)
         r_plus = np.linalg.norm(box - 2 * H * H * N, axis=0)
         r_minus = np.linalg.norm(box + 2 * H * H * N, axis=0)
         minus = r_minus <= r_plus
         return np.where(minus, r_minus, r_plus)[()], np.where(minus, -1, 1)[()]
-
-    def fundamental_forms_fd(self, s, t, fd_step=FORMS_FD_STEP, frames=None):
-        """FD cross-check of the forms from f_L and N_L directly.
-
-        Fourth-order central stencils in s on the rows stencil(s,
-        FORMS_OFFSETS, fd_step) (one frame per row), three-point stencils
-        in t, where f_L is linear.
-        """
-        h = float(fd_step)
-        t, S, frames, rows = self._stencil_rows(s, t, FORMS_OFFSETS, h, frames)
-        H = frames.H
-        gamma = rows(self.path.dense_eval(S.ravel())[0])
-        _, B, C = (rows(v) for v in frames.Y.value)
-        c = FORMS_OFFSETS.index(0)
-
-        def p(dt):
-            """f_L(s + k h, t + dt) at every s-offset k."""
-            return gamma + B * (t + dt)
-
-        def d_s(weights, dt):
-            """sum_k w_k f(s + k h, t + dt) over the s-offsets."""
-            rows_dt = p(dt)
-            return sum(w * rows_dt[:, k] for k, w in enumerate(weights) if w)
-
-        first, second = (1, -8, 0, 8, -1), (-1, 16, -30, 16, -1)
-        fs = d_s(first, 0.0) / (12 * h)
-        fss = d_s(second, 0.0) / (12 * h**2)
-        fst = (d_s(first, h) - d_s(first, -h)) / (24 * h**2)
-        ft = (p(h)[:, c] - p(-h)[:, c]) / (2 * h)
-        ftt = (p(h)[:, c] - 2 * p(0.0)[:, c] + p(-h)[:, c]) / h**2
-        N = -C[:, c] - B[:, c] * (t * H)
-
-        I = _sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft))
-        II = _sym(mdot(fss, N), mdot(fst, N), mdot(ftt, N))
-        return _forms(I, II)

@@ -10,12 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import hexpr
-from .errors import PreconditionError
 from .frames import finite_frames, make_frame_source, validate_frame
 from .integrate import integrate_curve
 from .lorentz import mdot
 from .singular import classify_point
-from .surface import BOX_OFFSETS, FORMS_FD_STEP, FORMS_OFFSETS, ScrollSurface, stencil
+from .surface import ScrollSurface
 
 
 def _nl_from_g(g):
@@ -32,36 +31,29 @@ def _worst(*residuals):
     return float(np.max(np.concatenate([[0.0], *(np.ravel(r) for r in residuals)])))
 
 
-def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
+def run_verify(h_text, H, s_range):
     """Named invariant checks for one generator; pure, used by tests too.
 
     The samples are seeded (the same draws on every run), the surface
     queries take them as arrays, and one frame batch serves every check.
+    Every derivative comes from the jets of the frames and the base curve.
     """
     h_ast = hexpr.parse(h_text)
     lo, hi = s_range
-    # FD probes reach 2 FORMS_FD_STEP (forms) and fd_step (box) past a draw;
-    # keep every probe inside the path range
-    pad = max(0.02 * (hi - lo), 2.0 * FORMS_FD_STEP, fd_step)
-    if not hi - lo > 2.0 * pad:
-        raise PreconditionError(
-            f"s-range {lo}:{hi} is too short for the finite-difference probes (pad {pad})")
     source = make_frame_source(h_ast, H)
     surf = ScrollSurface(source, integrate_curve(source, 0.5 * (lo + hi), s_range))
     rng = np.random.default_rng(20240817)
 
     def draw(n):
         """n samples (s, t), s drawn before t for each, as two arrays."""
-        return rng.uniform((lo + pad, -2.0), (hi - pad, 2.0), size=(n, 2)).T
+        return rng.uniform((lo, -2.0), (hi, 2.0), size=(n, 2)).T
 
     (form_s, form_t), (box_s, box_t), (gauss_s, gauss_t) = draw(40), draw(20), draw(40)
     dual_s = np.linspace(lo, hi, 21)
-    groups = [np.linspace(lo, hi, 41), dual_s, form_s,
-              stencil(form_s, FORMS_OFFSETS, FORMS_FD_STEP).ravel(),
-              stencil(box_s, BOX_OFFSETS, fd_step).ravel(), gauss_s]
+    groups = [np.linspace(lo, hi, 41), dual_s, form_s, box_s, gauss_s]
     distinct, rows = np.unique(np.concatenate(groups), return_inverse=True)
     batch = finite_frames(source, distinct)
-    f, f_dual, f_form, f_stencil, f_box, f_gauss = (
+    f, f_dual, f_form, f_box, f_gauss = (
         batch.take(r) for r in np.split(rows, np.cumsum([len(g) for g in groups])[:-1]))
 
     checks = {}
@@ -83,23 +75,35 @@ def run_verify(h_text, H, s_range, fd_step=1e-3, fd_tol=1e-6):
         _worst(np.abs(mdot(Bp, Bp).value - H * H),
                np.abs(mdot(Bpp, Bpp).value + 2.0 * (H * H * H) * f.kappa2.value)), 1e-8)
 
-    # fundamental forms: closed form vs finite differences, plus H/K law
+    # fundamental forms: closed form vs the frame's jets, plus H/K law
     forms = surf.fundamental_forms(form_s, form_t, frames=f_form)
-    fd = surf.fundamental_forms_fd(form_s, form_t, frames=f_stencil)
-    add("fundamental_forms_fd", _worst(np.abs(forms.I - fd.I), np.abs(forms.II - fd.II)), fd_tol)
+    I, II = surf.jet_forms(form_s, form_t, frames=f_form)
+    add("fundamental_forms", _worst(np.abs(forms.I - I), np.abs(forms.II - II)), 1e-6)
     add("mean_gauss_curvature",
         _worst(np.abs(forms.H_mean - H), np.abs(forms.K_gauss - H * H)), 1e-10)
 
+    # base curve: the series' derivatives against A and gamma1*A2 - gamma2*A1,
+    # relative to the sizes of A and gamma*A
+    gamma, A = surf.path.dense_eval(form_s)[0], f_form.A.value
+    dgamma, dJ = surf.path.deriv().dense_eval(form_s)
+    size = np.max(np.abs(A))
+    add("base_curve", _worst(np.abs(dgamma - A) / size,
+                             np.abs(dJ - (gamma[0] * A[1] - gamma[1] * A[0]))
+                             / (np.max(np.abs(gamma)) * size)), 1e-10)
+
     # d'Alembertian eigenvalue identity, both sign conventions tried
-    box_res, signs = surf.box_check(box_s, box_t, fd_step=fd_step, frames=f_box)
+    box_res, signs = surf.box_eigenvalue(box_s, box_t, frames=f_box)
     signs = set(signs.tolist())
     box_sign = signs.pop() if len(signs) == 1 else None
     add("box_eigenvalue", _worst(box_res), 1e-4, detail={"sign": box_sign})
 
-    # normal Gauss map round trip through the unit-normal formula, off its poles
+    # normal Gauss map round trip through the unit-normal formula, off its
+    # poles, relative to |N| (1 + re^2 + im^2) / |1 + re^2 - im^2|
     N = surf.gauss_map_L(gauss_s, gauss_t, frames=f_gauss)
     g, pole = surf.normal_gauss_map(gauss_s, gauss_t, frames=f_gauss)
-    add("gauss_map_roundtrip", _worst(np.abs(_nl_from_g(g) - N)[:, ~pole]), 1e-10)
+    re2, im2 = g[0] * g[0], g[1] * g[1]
+    scale = np.linalg.norm(N, axis=0) * (1.0 + re2 + im2) / np.abs(1.0 + re2 - im2)
+    add("gauss_map_roundtrip", _worst((np.abs(_nl_from_g(g) - N) / scale)[:, ~pole]), 1e-10)
 
     # singular-set duality: rank drop and |g|^2 = 1 on t(s) = -C3/(H B3)
     table = classify_point(f_dual)

@@ -45,16 +45,17 @@ def surfaces():
 
 @pytest.fixture(scope="session")
 def c_off_sphere():
-    """off(at): a stand-in for make_frame_source whose frames have C scaled by
-    1.01 at the s values in at.  C leaves the unit sphere there, so the two
-    routes to c_L' disagree: a ClassifierInconsistency at each bounded one."""
+    """off(at, scale=1.01): a stand-in for make_frame_source whose frames have
+    C scaled by scale at the s values in at.  C leaves the unit sphere there,
+    so the two routes to c_L' disagree: a ClassifierInconsistency at each
+    bounded one."""
 
-    def off(at):
+    def off(at, scale=1.01):
         def make(h_ast, H):
             def source(s):
                 f = make_frame_source(h_ast, H)(s)
-                scale = np.where(np.isin(s, at), 1.01, 1.0)
-                return dataclasses.replace(f, Y=stack([f.A, f.B, f.C * scale]))
+                scale_at = np.where(np.isin(s, at), scale, 1.0)
+                return dataclasses.replace(f, Y=stack([f.A, f.B, f.C * scale_at]))
             return source
         return make
     return off

@@ -15,6 +15,7 @@ from nilscroll.cli import main
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
 from nilscroll.io_formats import load_schema
+from nilscroll.surface import ScrollSurface
 from nilscroll.verify import run_verify
 
 
@@ -114,13 +115,13 @@ def test_domain_error_names_offset_or_s(tmp_path, h, message):
      ("family", "--h", "tanh(s)", "--boost", "0.4", "--samples", "0"),
      ("frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 nan"),
      ("family", "--h", "tanh(s)", "--find-notce", "--s", "nan"),
-     ("verify", "--h", "tanh(s)", "--fd-step", "0"),
-     ("verify", "--h", "tanh(s)", "--fd-step", "nan"),
+     ("verify",),
+     ("verify", "--h", "tanh(s)", "--H", "0"),
      ("singular", "--h", "s + s^3", "--tol-root", "nan"),
      ("singular", "--h", "s + s^3", "--tol-root", "-1"),
-     ("verify", "--h", "tanh(s)", "--fd-tol", "nan"),
-     ("verify", "--h", "tanh(s)", "--fd-tol", "-1"),
-     ("verify", "--h", "tanh(s)", "--s-range", "0.2:0.203"),
+     ("verify", "--h", "tanh(s)", "--H", "nan"),
+     ("surface", "--h", "tanh(s)", "--H", "-inf"),
+     ("frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 -1", "--s", "inf"),
      ("singular", "--h", "tanh(s)", "--H", "1e-200"),
      ("verify", "--h", "tanh(s)", "--H", "1e160"),
      ("family", "--h", "tanh(s)", "--find-notce", "--H", "1e200")],
@@ -143,10 +144,15 @@ def test_stray_value_error_exit_3(tmp_path, monkeypatch):
 
 
 def test_singular_first_form_is_a_numeric_failure(tmp_path):
-    # at |s| ~ 1e6 the stencil's first fundamental form is singular to rounding
-    code, _, err = run(tmp_path, "verify", "--h", "s+s^3", "--s-range", "-1e6:1e6")
+    # t^2 H^2 overflows in the closed-form first fundamental form, and its
+    # inverse meets a zero pivot
+    code, _, err = run(tmp_path, "verify", "--h", "tanh(s)", "--H", "1.3e154")
     assert code == 3
     assert err == "numeric failure: singular first fundamental form\n"
+    # at |s| ~ 1e6 the frames miss their invariants: a verification failure
+    code, out, err = run(tmp_path, "verify", "--h", "s+s^3", "--s-range", "-1e6:1e6")
+    assert (code, err) == (1, "")
+    assert not json.loads(out)["checks"]["frame_invariants"]["pass"]
 
 
 def test_parse_error_exit_2(tmp_path):
@@ -157,6 +163,10 @@ def test_parse_error_exit_2(tmp_path):
 def test_bad_range_exit_2(tmp_path):
     code, _, _ = run(tmp_path, "singular", "--h", "tanh(s)", "--s-range", "1:0")
     assert code == 2
+    # the message keeps the rule that was broken
+    code, _, err = run(tmp_path, "verify", "--h", "tanh(s)", "--s-range", "1:0")
+    assert code == 2
+    assert err.endswith("error: argument --s-range: range needs lo < hi, got '1:0'\n")
 
 
 @pytest.mark.parametrize("command", ["surface", "singular", "verify", "frame", "family"])
@@ -236,17 +246,24 @@ def test_verify_pass_and_schema(tmp_path):
     assert payload["box_sign"] in (-1, 1)
 
 
-def test_verify_corrupted_tolerance_fails(tmp_path):
+def test_verify_corrupted_tolerance_fails(tmp_path, monkeypatch):
+    # negative control: II from the jets off by 1e-6, the forms tolerance
+    jet_forms = ScrollSurface.jet_forms
+
+    def corrupted(self, s, t, frames=None):
+        I, II = jet_forms(self, s, t, frames)
+        return I, II + 1e-6
+
+    monkeypatch.setattr(ScrollSurface, "jet_forms", corrupted)
     code, _, _ = run(
         tmp_path,
-        "verify", "--h", "tanh(s)", "--s-range", "-1:1",
-        "--fd-tol", "1e-16", "--report", "v.json",
+        "verify", "--h", "tanh(s)", "--s-range", "-1:1", "--report", "v.json",
     )
     assert code == 1
     payload = json.loads((tmp_path / "v.json").read_text())
-    assert not payload["checks"]["fundamental_forms_fd"]["pass"]
+    assert not payload["checks"]["fundamental_forms"]["pass"]
     # only the corrupted check fails
-    others = [c for k, c in payload["checks"].items() if k != "fundamental_forms_fd"]
+    others = [c for k, c in payload["checks"].items() if k != "fundamental_forms"]
     assert all(c["pass"] for c in others)
 
 
@@ -259,20 +276,24 @@ def test_verify_degenerate_generator(tmp_path):
     assert set(payload["singular_kinds"]) == {"non_front_degenerate"}
 
 
-def test_verify_nan_residual_fails():
-    # a zero FD step makes every box residual NaN, which must not pass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        payload = run_verify("tanh(s)", 1.0, (-1.0, 1.0), fd_step=0.0)
-    box = payload["checks"]["box_eigenvalue"]
-    assert math.isnan(box["residual"]) and not box["pass"]
+def test_verify_nan_residual_fails(monkeypatch, c_off_sphere):
+    # C is NaN at one of the 41 invariant samples (not a duality sample), so
+    # the frame-invariant residual is NaN, which must not pass
+    from nilscroll import verify
+
+    monkeypatch.setattr(verify, "make_frame_source",
+                        c_off_sphere([np.linspace(-1.0, 1.0, 41)[1]], np.nan))
+    payload = run_verify("tanh(s)", 1.0, (-1.0, 1.0))
+    check = payload["checks"]["frame_invariants"]
+    assert math.isnan(check["residual"]) and not check["pass"]
     assert not payload["all_pass"]
 
 
 @pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
 @pytest.mark.parametrize("H", ["1e100", "1e150"])
 def test_verify_non_finite_residual_is_a_numeric_failure(tmp_path, H, report):
-    # at 1e100 the box and Gauss-map residuals overflow to NaN and inf, which
-    # JSON cannot hold; at 1e150 H^3 itself overflows
+    # at 1e100 t H^3 B overflows to inf in the box residual, which JSON
+    # cannot hold; at 1e150 H^3 itself overflows
     code, out, err = run(tmp_path, "verify", "--h", "s^3+s", "--H", H,
                          *(["--report", "r.json"] if report else []))
     assert code == 3 and out == ""
@@ -535,6 +556,14 @@ def test_singular_flags_a_sign_change_of_h_prime(tmp_path):
     assert payload["warnings"] == [f"WARN h' changes sign in [{a}, {b}]"]
 
 
+def test_verify_non_finite_jacobian_is_a_numeric_failure(tmp_path):
+    # at |s| ~ 1e150 the Nil_3 Jacobian overflows: its smallest singular
+    # value is NaN, not a LAPACK error
+    code, out, err = run(tmp_path, "verify", "--h", "s", "--s-range", "-1e150:1e150")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: non-finite report value /checks/")
+
+
 @pytest.mark.parametrize("h", ["(2*s+1)/(s-3)", "1/s"])
 def test_degenerate_generator_reports_only_its_grid(tmp_path, h):
     # S(h) = 0: kappa2 is rounding noise (it reads -0.0 at some s), and its
@@ -548,11 +577,12 @@ def test_degenerate_generator_reports_only_its_grid(tmp_path, h):
 
 
 def test_verify_short_range(tmp_path):
-    # the draws keep every finite-difference probe on the base curve
-    code, _, _ = run(tmp_path, "verify", "--h", "tanh(s)", "--s-range", "0.2:0.25",
-                     "--report", "v.json")
-    assert code == 0
-    assert json.loads((tmp_path / "v.json").read_text())["all_pass"]
+    # no derivative needs a step, so no range is too short
+    for s_range in ("0.2:0.25", "0.2:0.203"):
+        code, _, _ = run(tmp_path, "verify", "--h", "tanh(s)", "--s-range", s_range,
+                         "--report", "v.json")
+        assert code == 0
+        assert json.loads((tmp_path / "v.json").read_text())["all_pass"]
 
 
 @pytest.mark.parametrize("argv", [("surface",), ("singular",), ("verify",),
@@ -644,7 +674,7 @@ def test_closed_stdout_pipe_leaves_no_file(tmp_path, argv):
 DASH_VALUES = {
     "--h": "-s+s^3", "--H": "-0.5", "--s-range": "-1:0.5", "--t-range": "-1:1",
     "--grid": "-3x4", "--target": "-l3", "--out": "-o", "--grid-n": "-16",
-    "--tol-root": "-1e-10", "--fd-step": "-1e-3", "--fd-tol": "-1e-6", "--report": "-r",
+    "--tol-root": "-1e-10", "--report": "-r",
     "--kappa1": "-s", "--kappa2": "-s", "--init-frame": "-1 -1 0 -0.5 0.5 0 0 0 1",
     "--s": "-0.25", "--samples": "-1", "--boost": "-0.4", "--rot": "-0.3",
 }

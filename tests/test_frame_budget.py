@@ -56,9 +56,11 @@ def test_invariance_check_one_frame_per_sample(evals):
     assert sum(evals.values()) == 50
 
 
-def test_verify_frame_budget(evals):
+def test_verify_frame_budget(evals, batches):
+    # the curve's 33 nodes, then the 141 distinct s of the checks' draws
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
     assert sum(evals.values()) <= 450
+    assert batches == [33, 141]
 
 
 @pytest.mark.parametrize("h, H, s_range, sizes", [

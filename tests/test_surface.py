@@ -5,15 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from fd_oracles import box_check, fundamental_forms_fd
 from nilscroll.lorentz import mdot
 from nilscroll.singular import singular_t
-from nilscroll.surface import _nil3_partials
 
 
 def vertex(surf, s, t):
     """(f_L, f) at one (s, t), from the batched mesh."""
     v = surf.mesh([s], [t])
     return v["l3"][0], v["nil3"][0]
+
+
+def bscroll_partials(surf, s, t):
+    """(f_s, f_t) of f_L = gamma + t*B, from the jets of the curve and the frame."""
+    f = surf.frame_source(s)
+    gamma, _ = surf.path.jets(s, f.A)
+    return (gamma + f.B * t).deriv().value, f.B.value
 
 
 def test_bscroll_closed_form(tanh_surface):
@@ -45,7 +52,7 @@ def test_gauss_map_golden(tanh_surface, tanh_source):
 def test_partials_match_fd(tanh_surface):
     h = 1e-6
     for (s, t) in [(0.4, 0.7), (-0.6, -1.2)]:
-        fs, ft = tanh_surface.bscroll_partials(s, t)
+        fs, ft = bscroll_partials(tanh_surface, s, t)
         p = lambda ds, dt: vertex(tanh_surface, s + ds, t + dt)[0]
         fd_s = (p(h, 0) - p(-h, 0)) / (2 * h)
         fd_t = (p(0, h) - p(0, -h)) / (2 * h)
@@ -55,8 +62,10 @@ def test_partials_match_fd(tanh_surface):
 
 def test_first_form_entries(tanh_surface):
     for (s, t) in [(0.2, 0.9), (-0.7, -1.1), (0.0, 0.0)]:
-        fs, ft = tanh_surface.bscroll_partials(s, t)
+        fs, ft = bscroll_partials(tanh_surface, s, t)
         ff = tanh_surface.fundamental_forms(s, t)
+        I, _ = tanh_surface.jet_forms(s, t)
+        assert I == pytest.approx(ff.I, abs=1e-12)
         assert mdot(fs, fs) == pytest.approx(ff.I[0, 0], abs=1e-9)
         assert mdot(fs, ft) == pytest.approx(-1.0, abs=1e-9)
         assert mdot(ft, ft) == pytest.approx(0.0, abs=1e-9)
@@ -72,7 +81,7 @@ def test_forms_match_fd_oracle(surfaces):
             s = float(rng.uniform(-1.0, 1.0))
             t = float(rng.uniform(-2.0, 2.0))
             a = surf.fundamental_forms(s, t)
-            b = surf.fundamental_forms_fd(s, t)
+            b = fundamental_forms_fd(surf, s, t)
             assert np.max(np.abs(a.I - b.I)) < 1e-6, name
             assert np.max(np.abs(a.II - b.II)) < 1e-6, name
 
@@ -89,13 +98,16 @@ def test_mean_and_gauss_curvature(surfaces):
 
 
 def test_box_identity_and_scaling(tanh_surface):
-    r1, sign1 = tanh_surface.box_check(0.5, 0.2, 1e-3)
-    assert r1 < 1e-4
+    r1, sign1 = tanh_surface.box_eigenvalue(0.5, 0.2)
+    assert r1 < 1e-12
     assert sign1 == -1
-    r0, _ = tanh_surface.box_check(0.5, 0.0, 1e-3)
-    assert r0 < 1e-4
-    # second-order scheme: doubling the step roughly quadruples the residual
-    r2, _ = tanh_surface.box_check(0.5, 0.2, 2e-3)
+    r0, _ = tanh_surface.box_eigenvalue(0.5, 0.0)
+    assert r0 < 1e-12
+    # the finite-difference oracle agrees, and it is a second-order scheme:
+    # doubling the step roughly quadruples its residual
+    r1, sign1 = box_check(tanh_surface, 0.5, 0.2, 1e-3)
+    assert r1 < 1e-4 and sign1 == -1
+    r2, _ = box_check(tanh_surface, 0.5, 0.2, 2e-3)
     assert 2.0 < r2 / r1 < 6.5
 
 
@@ -146,11 +158,11 @@ def test_nil3_closed_form_modulo_constant(tanh_surface):
     assert np.ptp(offsets) < 1e-10  # constant left-translation freedom
 
 
-def test_nil3_partials_match_fd(tanh_surface, tanh_source):
+def test_nil3_partials_match_fd(tanh_surface):
     h = 1e-6
     for (s, t) in [(0.35, 0.4), (-0.8, 1.3)]:
-        gamma, _ = tanh_surface.path.dense_eval(s)
-        fs, ft = (np.array(v) for v in _nil3_partials(tanh_source(s), gamma, t, 1.0))
+        _, fs, ft, _, _ = tanh_surface._tangents_E(s, t, None)
+        fs, ft = np.array(fs), np.array(ft)
         p = lambda ds, dt: vertex(tanh_surface, s + ds, t + dt)[1]
         assert fs == pytest.approx((p(h, 0) - p(-h, 0)) / (2 * h), abs=1e-6)
         assert ft == pytest.approx((p(0, h) - p(0, -h)) / (2 * h), abs=1e-6)
@@ -188,8 +200,8 @@ def test_direct_gauss_map_agrees(surfaces):
 
 def test_forms_fd_clear_of_rounding_floor():
     # a verify-workload draw (cot, seed 1, call 20) where second differences
-    # at step 1e-4 read 8.8e-7 against the 1e-6 tolerance
+    # at step 1e-4 read 8.8e-7 against the 1e-6 tolerance; the jets have no step
     from nilscroll.verify import run_verify
 
     report = run_verify("cot(exp(s)/2)", 0.886867965916, (-0.861542340613, 0.708717516208))
-    assert report["checks"]["fundamental_forms_fd"]["residual"] < 1e-7
+    assert report["checks"]["fundamental_forms"]["residual"] < 1e-12
