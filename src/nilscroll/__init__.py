@@ -27,10 +27,10 @@ from .frames import (
     make_frame_source,
     validate_frame,
 )
-from .hexpr import eval_jet, eval_real, mobius, parse, to_str
+from .hexpr import eval_jet, mobius, parse, to_str
 from .integrate import CurvePath, integrate_curve
 from .jets import Jet, schwarzian
-from .lorentz import ETA, LorentzTransform, is_lorentz, mcross, mdot
+from .lorentz import ETA, LorentzTransform, mcross, mdot
 from .singular import (
     Classification,
     SingularKind,
@@ -76,14 +76,12 @@ __all__ = [
     "UnknownFunction",
     "classify_point",
     "eval_jet",
-    "eval_real",
     "find_notce_transform",
     "frame_flow_from_curvatures",
     "frame_from_B",
     "frame_from_h",
     "integrate_curve",
     "invariance_check",
-    "is_lorentz",
     "make_frame_source",
     "mcross",
     "mdot",

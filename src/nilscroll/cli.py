@@ -28,7 +28,7 @@ from .frames import (
     validate_frame,
 )
 from .integrate import integrate_curve
-from .io_formats import json_text, output_set, write_curve_csv, write_json, write_obj
+from .io_formats import json_text, obj_texts, output_set, write_curve_csv, write_json, write_obj
 from .lorentz import LorentzTransform
 from .singular import (
     DEFAULT_TOL_ROOT,
@@ -99,9 +99,10 @@ def cmd_surface(args) -> int:
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
     if not all(np.all(np.isfinite(verts[k])) for k in targets):
         raise NumericFailure("non-finite mesh vertex")
+    texts = obj_texts([verts[k] for k in targets], ns, nt)
     with output_set() as stage:
-        for target in targets:
-            write_obj(stage(f"{args.out}_{target}.obj"), verts[target], ns, nt)
+        for target in targets:  # one text alive at a time
+            write_obj(stage(f"{args.out}_{target}.obj"), next(texts))
         print("\n".join(f"{args.out}_{target}.obj" for target in targets), flush=True)
     return EXIT_OK
 

@@ -313,11 +313,6 @@ def eval_jet(ast, s, order: int = jets.DEFAULT_ORDER) -> Jet:
     return out
 
 
-def eval_real(ast, s):
-    """Value of the denoted function at s: a float, or an array for an array of s."""
-    return eval_jet(ast, s, 0).value
-
-
 def mobius(ast, a, b, c, d) -> ExprAst:
     """AST for (a*h + b)/(c*h + d) applied to the given h AST."""
     if a * d - b * c == 0.0:

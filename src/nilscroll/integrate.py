@@ -95,13 +95,6 @@ class CurvePath:
     def s_max(self):
         return float(self.breaks[-1])
 
-    @property
-    def samples(self):
-        """Ordered (s, gamma, J, gamma') tuples at the Chebyshev nodes."""
-        nodes = sorted(self.A_nodes)
-        gamma, J = self.dense_eval(nodes)
-        return [(s, g, float(j), self.A_nodes[s]) for s, g, j in zip(nodes, gamma.T, J)]
-
     def dense_eval(self, s):
         """(gamma, J) at a float or 1-D array s; gamma has shape (3,) + np.shape(s).
 
@@ -122,9 +115,6 @@ class CurvePath:
         if s.ndim == 0:
             return y[0, :3], float(y[0, 3])
         return y[:, :3].T, y[:, 3]
-
-    def gamma(self, s) -> np.ndarray:
-        return self.dense_eval(s)[0]
 
     def jets(self, s, A):
         """(gamma, J) at s as jets one order above the vector jet A of the

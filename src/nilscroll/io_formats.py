@@ -4,8 +4,9 @@ OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
 header row, the golden-file medium) use fixed 17-significant-digit numbers;
 JSON uses the shortest round-trip float representation with sorted keys
 and holds only finite numbers.  An OBJ block and the CSV are each one
-C-level `%` pass; each number has the bytes of `format(x, ".17g")`.  A
-command writes its files as one output_set: all of them or none.
+C-level `%` pass; each number has the bytes of `format(x, ".17g")`, and
+obj_texts formats the text a command's meshes share once.  A command
+writes its files as one output_set: all of them or none.
 """
 
 from __future__ import annotations
@@ -61,18 +62,35 @@ def output_set():
                     os.remove(out)
 
 
-def write_obj(path, vertices, ns: int, nt: int):
-    """Wavefront OBJ: ns*nt vertices in row-major (s outer, t inner) order.
+def obj_texts(meshes, ns: int, nt: int):
+    """Yield the Wavefront OBJ text of each mesh in turn: its ns*nt vertices
+    in row-major (s outer, t inner) order, then quads over consecutive grid
+    cells, 1-based indices.
 
-    Faces are quads over consecutive grid cells, 1-based indices.
+    Every mesh is checked before the first text.  The face block is
+    formatted once for all meshes, and so is each distinct pair of x1, x2
+    columns (the Nil_3 mesh shares L^3's), as one "v x1 x2 " head per vertex.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.shape != (ns * nt, 3):
-        raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {vertices.shape}")
+    meshes = [np.asarray(v, dtype=float) for v in meshes]
+    for v in meshes:
+        if v.shape != (ns * nt, 3):
+            raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {v.shape}")
     a = (np.arange(ns - 1)[:, None] * nt + np.arange(1, nt)).ravel()
-    faces = np.stack([a, a + 1, a + nt + 1, a + nt], axis=1)
-    text = ("v %.17g %.17g %.17g\n" * len(vertices) % tuple(vertices.ravel().tolist())
-            + "f %d %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
+    faces = "f %d %d %d %d\n" * len(a) % tuple(
+        np.stack([a, a + 1, a + nt + 1, a + nt], axis=1).ravel().tolist())
+    heads = {}  # the x1, x2 columns' bytes -> their row heads
+    rows = [None] * (2 * ns * nt)  # head, x3 of each vertex
+    for v in meshes:
+        key = v[:, :2].tobytes()
+        if key not in heads:
+            heads[key] = ("v %.17g %.17g \n" * len(v) % tuple(v[:, :2].ravel().tolist())
+                          ).splitlines()
+        rows[0::2], rows[1::2] = heads[key], v[:, 2].tolist()
+        yield "%s%.17g\n" * len(v) % tuple(rows) + faces
+
+
+def write_obj(path, text):
+    """Write one text of obj_texts to path."""
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 

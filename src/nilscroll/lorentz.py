@@ -60,12 +60,6 @@ def _boost(chi):
     return np.array([[c, s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def is_lorentz(m) -> float:
-    """Max-entry residual of m^T eta m - eta."""
-    m = np.asarray(m, dtype=float)
-    return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
-
-
 @dataclass(frozen=True)
 class LorentzTransform:
     """Element of O(2,1), with its rotation-boost-rotation parameters when known."""
@@ -86,10 +80,6 @@ class LorentzTransform:
         if time_reverse:
             m = m @ np.diag([-1.0, 1.0, 1.0])
         return cls(m=m, params=(phi, chi, psi, reflect, time_reverse))
-
-    @classmethod
-    def identity(cls):
-        return cls.from_params()
 
     @property
     def det(self):

@@ -67,10 +67,6 @@ class SingularPoint:
     kind: SingularKind
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def is_front(self):
-        return self.kind in FRONT_KINDS
-
 
 @dataclass(frozen=True)
 class Classification:

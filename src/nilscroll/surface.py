@@ -110,6 +110,8 @@ class ScrollSurface:
         k1 = f.kappa1.value
         k2 = f.kappa2.value
         I = _sym(2 * t * k1 + t * t * H * H, -1.0, 0.0)
+        if not np.isfinite(I).all():  # the frames are finite: t^2 H^2 or 2 t kappa1 overflowed
+            raise NumericFailure(f"overflow in the first fundamental form at H={H:g}")
         # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
         II = _sym(-k2 + 2 * t * k1 * H + t * t * (H * H * H), -H, 0.0)
         return _forms(I, II)

@@ -65,6 +65,16 @@ def test_surface_both_targets(tmp_path):
     assert body.count("\nf ") + body.startswith("f ") == 23 * 5
 
 
+def test_surface_both_targets_equal_separate_runs(tmp_path):
+    # both targets format their shared text once; each file keeps its bytes
+    args = ("surface", "--h", "cot(exp(s)/2)", "--H", "-0.37", "--grid", "9x5", "--out")
+    assert run(tmp_path, *args, "both", "--target", "both")[0] == 0
+    for target in ("l3", "nil3"):
+        assert run(tmp_path, *args, target, "--target", target)[0] == 0
+        assert (tmp_path / f"both_{target}.obj").read_bytes() == (
+            tmp_path / f"{target}_{target}.obj").read_bytes()
+
+
 def test_surface_determinism(tmp_path):
     args = (
         "surface", "--h", "s + s^3", "--s-range", "-1:1", "--t-range", "-2:2",
@@ -144,11 +154,11 @@ def test_stray_value_error_exit_3(tmp_path, monkeypatch):
 
 
 def test_singular_first_form_is_a_numeric_failure(tmp_path):
-    # t^2 H^2 overflows in the closed-form first fundamental form, and its
-    # inverse meets a zero pivot
+    # t^2 H^2 overflows in the closed-form first fundamental form: named
+    # before its inverse meets a zero pivot
     code, _, err = run(tmp_path, "verify", "--h", "tanh(s)", "--H", "1.3e154")
     assert code == 3
-    assert err == "numeric failure: singular first fundamental form\n"
+    assert err == "numeric failure: overflow in the first fundamental form at H=1.3e+154\n"
     # at |s| ~ 1e6 the frames miss their invariants: a verification failure
     code, out, err = run(tmp_path, "verify", "--h", "s+s^3", "--s-range", "-1e6:1e6")
     assert (code, err) == (1, "")
@@ -527,7 +537,7 @@ def test_surface_vertices_match_scroll_surface(tmp_path):
     source = functools.lru_cache(maxsize=None)(source)
 
     def l3(s, t):
-        g, B = path.gamma(s), source(s).B.value
+        g, B = path.dense_eval(s)[0], source(s).B.value
         return g[0] + B[0] * t, g[1] + B[1] * t, g[2] + B[2] * t
 
     def nil3(s, t):

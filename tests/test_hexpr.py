@@ -11,6 +11,11 @@ from nilscroll.errors import DomainError, ExprSyntaxError, UnknownFunction
 from nilscroll.jets import Jet
 
 
+def eval_real(ast, s):
+    """Value of the denoted function at s: a float, or an array for an array of s."""
+    return hexpr.eval_jet(ast, s, 0).value
+
+
 @pytest.mark.parametrize(
     "text,s,expected",
     [
@@ -27,20 +32,20 @@ from nilscroll.jets import Jet
     ],
 )
 def test_eval_real(text, s, expected):
-    assert hexpr.eval_real(hexpr.parse(text), s) == pytest.approx(expected, rel=1e-15)
+    assert eval_real(hexpr.parse(text), s) == pytest.approx(expected, rel=1e-15)
 
 
 def test_unicode_minus():
-    assert hexpr.eval_real(hexpr.parse("−2 + s"), 1.0) == -1.0
+    assert eval_real(hexpr.parse("−2 + s"), 1.0) == -1.0
 
 
 def test_eval_jet_matches_real():
     ast = hexpr.parse("tanh(s) / (1 + s^2)")
     j = hexpr.eval_jet(ast, 0.4, 5)
     assert isinstance(j, Jet)
-    assert j.value == pytest.approx(hexpr.eval_real(ast, 0.4), rel=1e-15)
+    assert j.value == pytest.approx(eval_real(ast, 0.4), rel=1e-15)
     h = 1e-5
-    fd = (hexpr.eval_real(ast, 0.4 + h) - hexpr.eval_real(ast, 0.4 - h)) / (2 * h)
+    fd = (eval_real(ast, 0.4 + h) - eval_real(ast, 0.4 - h)) / (2 * h)
     assert j.derivative(1) == pytest.approx(fd, abs=1e-9)
 
 
@@ -64,31 +69,31 @@ def test_unknown_function_and_name():
 
 def test_variable_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
-        hexpr.eval_real(hexpr.parse("2^s"), 1.0)
+        eval_real(hexpr.parse("2^s"), 1.0)
     # a nested one is named by its own '^'
     with pytest.raises(ExprSyntaxError, match="at offset 4$"):
-        hexpr.eval_real(hexpr.parse("2^(2^s)"), 1.0)
+        eval_real(hexpr.parse("2^(2^s)"), 1.0)
 
 
 def test_domain_error_carries_offset():
     with pytest.raises(DomainError) as err:
-        hexpr.eval_real(hexpr.parse("1 + log(s)"), -1.0)
+        eval_real(hexpr.parse("1 + log(s)"), -1.0)
     assert err.value.offset == 4
 
 
 def test_division_by_zero():
     with pytest.raises(DomainError):
-        hexpr.eval_real(hexpr.parse("1 / (s - 1)"), 1.0)
+        eval_real(hexpr.parse("1 / (s - 1)"), 1.0)
 
 
 @pytest.mark.parametrize(
     "text,evaluate,base_point,offset",
-    [("1 / (s - 0.5)", hexpr.eval_real, 0.5, 2),
-     ("log(s - 2)", hexpr.eval_real, 0.5, 0),
+    [("1 / (s - 0.5)", eval_real, 0.5, 2),
+     ("log(s - 2)", eval_real, 0.5, 0),
      ("log(s - 2)", hexpr.eval_jet, 0.5, 0),
      ("s / 0", hexpr.eval_jet, 0.5, 2),
      ("1/0 + s", hexpr.eval_jet, None, 1),
-     ("s + sqrt(-1)", hexpr.eval_real, None, 4),
+     ("s + sqrt(-1)", eval_real, None, 4),
      ("(-1)^0.5 * s", hexpr.eval_jet, None, 4)],
 )
 def test_domain_error_location(text, evaluate, base_point, offset):
@@ -109,7 +114,7 @@ def test_to_str_round_trip(text, s=0.37):
     ast = hexpr.parse(text)
     printed = hexpr.to_str(ast)
     again = hexpr.parse(printed)
-    assert hexpr.eval_real(again, s) == pytest.approx(hexpr.eval_real(ast, s), rel=1e-15)
+    assert eval_real(again, s) == pytest.approx(eval_real(ast, s), rel=1e-15)
     # fixed point: printing the reparse gives the same text
     assert hexpr.to_str(again) == printed
 
@@ -119,7 +124,7 @@ def test_mobius_builder():
     mb = hexpr.mobius(ast, 2.0, 1.0, 0.5, 1.0)
     s = 0.3
     h = s + s**3
-    assert hexpr.eval_real(mb, s) == pytest.approx((2 * h + 1) / (0.5 * h + 1), rel=1e-14)
+    assert eval_real(mb, s) == pytest.approx((2 * h + 1) / (0.5 * h + 1), rel=1e-14)
     with pytest.raises(ValueError):
         hexpr.mobius(ast, 1.0, 2.0, 1.0, 2.0)
 
@@ -129,4 +134,4 @@ def test_mobius_builder():
 def test_parse_eval_stability(s):
     ast = hexpr.parse("sinh(s)*cosh(s) - s / (2 + cos(s))")
     expected = math.sinh(s) * math.cosh(s) - s / (2 + math.cos(s))
-    assert hexpr.eval_real(ast, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert eval_real(ast, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)

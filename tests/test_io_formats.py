@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nilscroll.errors import NumericFailure
-from nilscroll.io_formats import json_text, write_curve_csv, write_obj
+from nilscroll.io_formats import json_text, obj_texts, write_curve_csv, write_obj
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, 1.0, -1e-7, 0.1, -2.5e-310, 123456789.125]
 
@@ -36,21 +36,34 @@ def reference_csv(rows):
     return buf.getvalue().encode()
 
 
+def edge_mesh(rng, n):
+    """n random vertices of wide magnitude, each column led by EDGE_VALUES."""
+    vertices = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    vertices[: len(EDGE_VALUES)] = np.array(EDGE_VALUES)[:n, None]
+    return vertices
+
+
 @pytest.mark.parametrize("ns, nt", [(2, 2), (4, 3), (3, 7)])
 def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
     rng = np.random.default_rng(ns * nt)
-    vertices = rng.normal(size=(ns * nt, 3)) * 10.0 ** rng.integers(-20, 20, (ns * nt, 3))
-    vertices.flat[: len(EDGE_VALUES)] = EDGE_VALUES
-    write_obj(tmp_path / "m.obj", vertices, ns, nt)
-    got = (tmp_path / "m.obj").read_bytes()
-    assert got == reference_obj(vertices, ns, nt)
-    assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
+    a, b, c = (edge_mesh(rng, ns * nt) for _ in range(3))
+    b[:, :2] = a[:, :2]  # shares x1, x2 with a, as the Nil_3 mesh does with L^3's
+    c[:, :2] = a[:, 1::-1]  # a's x1, x2 swapped: the same numbers, no shared column
+    meshes = [a, b, c, a]
+    for i, text in enumerate(obj_texts(meshes, ns, nt)):
+        write_obj(tmp_path / f"m{i}.obj", text)
+    for i, vertices in enumerate(meshes):
+        got = (tmp_path / f"m{i}.obj").read_bytes()
+        assert got == reference_obj(vertices, ns, nt)
+        assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (5, 3), (18,)])
 def test_obj_rejects_a_wrong_vertex_shape(tmp_path, shape):
+    # every mesh is checked before the first text
     with pytest.raises(ValueError, match=r"shape \(6, 3\)"):
-        write_obj(tmp_path / "m.obj", np.zeros(shape), 2, 3)
+        for text in obj_texts([np.zeros((6, 3)), np.zeros(shape)], 2, 3):
+            write_obj(tmp_path / "m.obj", text)
     assert not (tmp_path / "m.obj").exists()
 
 

@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilscroll.jets import Jet, stack
-from nilscroll.lorentz import LorentzTransform, det3, is_lorentz, mcross, mdot
+from nilscroll.lorentz import ETA, LorentzTransform, det3, mcross, mdot
 from nilscroll.surface import _stereo
 from nilscroll.verify import _nl_from_g
 
 finite = st.floats(-5.0, 5.0)
 vec = st.tuples(finite, finite, finite).map(np.array)
 E1, E2, E3 = np.eye(3)
+
+
+def is_lorentz(m) -> float:
+    """Max-entry residual of m^T eta m - eta."""
+    m = np.asarray(m, dtype=float)
+    return float(np.max(np.abs(m.T @ ETA @ m - ETA)))
 
 
 def vjet(u):

@@ -1,13 +1,18 @@
 """Surface pair: B-scroll in L^3, dual Nil_3 surface, Gauss maps, forms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fd_oracles import box_check, fundamental_forms_fd
+from nilscroll import hexpr
+from nilscroll.frames import make_frame_source
+from nilscroll.integrate import integrate_curve
 from nilscroll.lorentz import mdot
 from nilscroll.singular import singular_t
+from nilscroll.surface import ScrollSurface
 
 
 def vertex(surf, s, t):
@@ -137,11 +142,14 @@ def test_gauss_map_pole(tanh_surface, tanh_source):
     assert pole and math.isnan(re) and math.isnan(im)
 
 
-def test_nil3_shares_first_two_coordinates(tanh_surface):
-    for (s, t) in [(0.3, 0.8), (-0.5, -1.0)]:
-        fL, fN = vertex(tanh_surface, s, t)
-        assert fN[0] == pytest.approx(fL[0], abs=1e-12)
-        assert fN[1] == pytest.approx(fL[1], abs=1e-12)
+def test_nil3_shares_first_two_coordinates():
+    # bit for bit: f = (g1 + t*B1, g2 + t*B2, ...) and f_L = g + B*t, and
+    # the OBJ writer formats these shared columns once
+    for h, H in itertools.product(("tanh(s)", "s + s^3", "cot(exp(s)/2)"), (1.0, -0.37, 2.9)):
+        source = make_frame_source(hexpr.parse(h), H)
+        surf = ScrollSurface(source, integrate_curve(source, 0.0, (-1.3, 1.3)))
+        mesh = surf.mesh(np.linspace(-1.3, 1.3, 40), np.linspace(-3.0, 3.0, 7))
+        assert mesh["nil3"][:, :2].tobytes() == mesh["l3"][:, :2].tobytes()
 
 
 def test_nil3_closed_form_modulo_constant(tanh_surface):
