@@ -151,22 +151,18 @@ def cmd_verify(args) -> int:
 # -- frame -----------------------------------------------------------------
 
 
-def _parse_init_frame(text: str, k1_ast, k2_ast, H, s):
-    try:
-        vals = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        vals = []
-    if len(vals) != 9:
-        raise PreconditionError(f"--init-frame needs 9 numbers (A B C), got {text!r}")
-    return frame_jets_from_values(vals[0:3], vals[3:6], vals[6:9], k1_ast, k2_ast, H, s)
-
-
 def cmd_frame(args) -> int:
     _require(args, "kappa2", "init-frame")
     k1_ast = hexpr.parse(args.kappa1)
     k2_ast = hexpr.parse(args.kappa2)
     s0 = args.s if args.s is not None else args.s_range[0]
-    init = _parse_init_frame(args.init_frame, k1_ast, k2_ast, args.H, s0)
+    try:
+        vals = [float(tok) for tok in args.init_frame.replace(",", " ").split()]
+    except ValueError:
+        vals = []
+    if len(vals) != 9:
+        raise PreconditionError(f"--init-frame needs 9 numbers (A B C), got {args.init_frame!r}")
+    init = frame_jets_from_values(vals[0:3], vals[3:6], vals[6:9], k1_ast, k2_ast, args.H, s0)
     frames = frame_flow_from_curvatures(
         k1_ast, k2_ast, args.H, init, args.s_range, n_samples=args.samples
     )
@@ -205,7 +201,7 @@ def cmd_family(args) -> int:
         r1, r2 = notce_residuals(g)
         kind = classify_point(g).kind
         payload["transform"] = {
-            "matrix": [[float(x) for x in row] for row in O.m],
+            "matrix": O.m.tolist(),
             "params": list(O.params[:3]) if O.params else None,
             "residuals": [r1, r2],
             "kind_at_s": kind.value,
@@ -213,14 +209,8 @@ def cmd_family(args) -> int:
         }
     else:
         O = LorentzTransform.from_params(phi=args.rot, chi=args.boost)
-        report = invariance_check(source, O, args.s_range, n_samples=args.samples)
-        payload["transform"] = {"matrix": [[float(x) for x in row] for row in O.m],
-                               "boost": args.boost, "rot": args.rot}
-        payload["invariance"] = {
-            "front_preserved": report["front_preserved"],
-            "ccr_preserved": report["ccr_preserved"],
-            "kind_changes": report["kind_changes"],
-        }
+        payload["invariance"] = invariance_check(source, O, args.s_range, n_samples=args.samples)
+        payload["transform"] = {"matrix": O.m.tolist(), "boost": args.boost, "rot": args.rot}
     _emit(args, payload)
     return EXIT_OK
 

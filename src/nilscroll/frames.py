@@ -138,12 +138,9 @@ def finite_frames(frame_source, s):
 
 
 def make_frame_source(h_ast, H: float):
-    """Callable s -> NullFrame for the generator h."""
-
-    def source(s):
-        return frame_from_h(h_ast, H, s)
-
-    return source
+    """Callable s -> NullFrame for the generator h (frame_from_h, looked up
+    at each call)."""
+    return lambda s: frame_from_h(h_ast, H, s)
 
 
 def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:
@@ -280,6 +277,8 @@ def _magnus_flow(K_at, s0, Y0, grid, m):
     Y = np.empty((len(grid), 3, 3))
     Y[grid == s0] = Y0
     for side, way in ((grid > s0, 1), (grid < s0, -1)):
+        if not side.any():
+            continue
         stops = np.concatenate([[s0], grid[side][::way]])
         t = np.interp(np.arange((len(stops) - 1) * m + 1) / m, np.arange(len(stops)), stops)
         h = np.diff(t)[:, None, None]
@@ -288,14 +287,15 @@ def _magnus_flow(K_at, s0, Y0, grid, m):
         K1, K2 = K[0::2], K[1::2]
         E = _expm_so21(0.5 * h * (K1 + K2) + (math.sqrt(3.0) / 12.0) * h * h * (K1 @ K2 - K2 @ K1))
         # each interval's m step exponentials (m a power of two), multiplied
-        # pairwise in log2(m) batched products; then one product per interval
+        # pairwise in log2(m) batched products; then the prefix products
+        # P[k] = E[0] ... E[k] in ceil(log2 n) batched steps (Hillis & Steele)
         E = E.reshape(-1, m, 3, 3)
         while E.shape[1] > 1:
             E = E[:, 0::2] @ E[:, 1::2]
-        ys = [Y0]
-        for e in E[:, 0]:
-            ys.append(ys[-1] @ e)
-        Y[side] = np.array(ys)[1:][::way]
+        P, d = E[:, 0], 1
+        while d < len(P):  # after the step at d, P[k] = E[max(0, k - 2d + 1)] ... E[k]
+            P, d = np.concatenate([P[:d], P[:-d] @ P[d:]]), 2 * d
+        Y[side] = (Y0 @ P)[::way]
     return Y
 
 

@@ -15,6 +15,7 @@ The only variable is the curve parameter 's'.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,14 +193,12 @@ class _Parser:
                 return Var(offset=t[1])
             if name in CONSTANTS:
                 return Const(name, offset=t[1])
-            if self.peek()[0] == "(":
-                if name not in jets.FUNCTIONS:
-                    raise UnknownFunction(name, t[1])
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return Fn(name, arg, offset=t[1])
-            raise UnknownFunction(name, t[1])
+            if name not in jets.FUNCTIONS or self.peek()[0] != "(":
+                raise UnknownFunction(name, t[1])
+            self.next()
+            arg = self.expr()
+            self.expect(")")
+            return Fn(name, arg, offset=t[1])
         raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1])
 
 
@@ -216,8 +215,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 2, "^": 4}
 def to_str(node, parent_prec=0) -> str:
     if isinstance(node, Num):
         v = node.value
-        s = repr(int(v)) if float(v).is_integer() and abs(v) < 1e16 else repr(v)
-        return s
+        return repr(int(v)) if float(v).is_integer() and abs(v) < 1e16 else repr(v)
     if isinstance(node, Var):
         return "s"
     if isinstance(node, Const):
@@ -230,12 +228,8 @@ def to_str(node, parent_prec=0) -> str:
     if isinstance(node, Bin):
         p = _PREC[node.op]
         # left-assoc except '^'; give the non-associating side a higher bar
-        if node.op == "^":
-            left = to_str(node.left, p + 1)
-            right = to_str(node.right, p)
-        else:
-            left = to_str(node.left, p)
-            right = to_str(node.right, p + 1)
+        left_bar, right_bar = (p + 1, p) if node.op == "^" else (p, p + 1)
+        left, right = to_str(node.left, left_bar), to_str(node.right, right_bar)
         s = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
         return f"({s})" if parent_prec > p else s
     raise TypeError(f"not an AST node: {node!r}")
@@ -244,13 +238,20 @@ def to_str(node, parent_prec=0) -> str:
 # -- evaluation ------------------------------------------------------------
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _constant(fn, x, *args):
     """fn at the value of a constant sub-expression, an order-0 jet at no s."""
     return fn(Jet([x], base_point=None), *args).value
 
 
 def _eval(node, seed):
-    """Jet of the node at the seed's points, or a float for a constant node."""
+    """Jet of the node at the seed's points, or a float for a constant node.
+
+    A DomainError of the node's own operation gets the node's byte offset
+    (the jets name the s).
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -260,42 +261,24 @@ def _eval(node, seed):
     if isinstance(node, Neg):
         return -_eval(node.child, seed)
     if isinstance(node, Fn):
-        arg = _eval(node.arg, seed)
-        fn = jets.FUNCTIONS[node.name]
-        try:
-            return fn(arg) if isinstance(arg, Jet) else _constant(fn, arg)
-        except DomainError as err:  # jets name the s; add the byte offset
-            err.offset = node.offset
-            raise
-    if isinstance(node, Bin):
-        a = _eval(node.left, seed)
-        if node.op == "^":
-            p = _eval(node.right, seed)
-            if isinstance(p, Jet):  # only a constant sub-expression evaluates to a float
-                raise ExprSyntaxError("exponent must be constant", node.offset)
-            try:
-                if isinstance(a, Jet):
-                    return jets.pow_const(a, p)
-                return _constant(jets.pow_const, a, p)
-            except DomainError as err:
-                err.offset = node.offset
-                raise
-        b = _eval(node.right, seed)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                if not isinstance(a, Jet) and not isinstance(b, Jet) and b == 0.0:
-                    raise DomainError("div", None, "division by zero")
-                return a / b
-        except DomainError as err:
-            err.offset = node.offset
-            raise
-    raise TypeError(f"not an AST node: {node!r}")
+        fn, args = jets.FUNCTIONS[node.name], [_eval(node.arg, seed)]
+    elif isinstance(node, Bin):
+        fn = _ARITH.get(node.op, jets.pow_const)
+        args = [_eval(node.left, seed), _eval(node.right, seed)]
+        if node.op == "^" and isinstance(args[1], Jet):  # a constant sub-expression is a float
+            raise ExprSyntaxError("exponent must be constant", node.offset)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    try:
+        if isinstance(node, Fn) or node.op == "^":
+            return fn(*args) if isinstance(args[0], Jet) else _constant(fn, *args)
+        a, b = args
+        if node.op == "/" and not isinstance(a, Jet) and not isinstance(b, Jet) and b == 0.0:
+            raise DomainError("div", None, "division by zero")
+        return fn(a, b)
+    except DomainError as err:
+        err.offset = node.offset
+        raise
 
 
 def eval_jet(ast, s, order: int = jets.DEFAULT_ORDER) -> Jet:

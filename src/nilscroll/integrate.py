@@ -85,7 +85,6 @@ class CurvePath:
     breaks: np.ndarray = field(repr=False)
     coef: list = field(repr=False)  # per panel, rows of (gamma, J) coefficients
     origin: np.ndarray = field(repr=False)  # the series' (gamma, J) at s0
-    A_nodes: dict = field(repr=False)  # A at every node where it was evaluated
 
     @property
     def s_min(self):
@@ -202,4 +201,4 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         big[0] = True
         coef.append(both[: np.nonzero(big.any(axis=1))[0][-1] + 1])
     origin = _clenshaw(coef[p0], x0)
-    return CurvePath(s0=s0, breaks=breaks, coef=coef, origin=origin, A_nodes=A_nodes)
+    return CurvePath(s0=s0, breaks=breaks, coef=coef, origin=origin)

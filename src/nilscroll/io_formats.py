@@ -1,20 +1,20 @@
 """Deterministic OBJ / CSV / JSON serialization for the CLI.
 
 OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
-header row, the golden-file medium) use fixed 17-significant-digit numbers;
-JSON uses the shortest round-trip float representation with sorted keys
-and holds only finite numbers.  An OBJ block and the CSV are each one
-C-level `%` pass; each number has the bytes of `format(x, ".17g")`, and
-obj_texts formats the text a command's meshes share once.  A command
-writes its files as one output_set: all of them or none.
+header row, the golden-file medium) use 17 significant digits, the bytes of
+`format(x, ".17g")`, each block in one C-level `%` pass; obj_texts formats
+the text a command's meshes share once.  JSON text is json.dumps's with
+sort_keys=True and indent=2: shortest round-trip floats, finite numbers only,
+and a table of rows with the same keys and float values in one `%r` pass.
+A command writes its files as one output_set: all of them or none.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
+import math
 import os
-from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -106,28 +106,55 @@ def write_curve_csv(path, s, t):
 
 
 def json_text(payload):
-    """A report's JSON text, newline included.  JSON has no NaN or
-    infinity: a number that is not finite raises NumericFailure naming it."""
-    try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise NumericFailure(f"non-finite report value {_non_finite(payload, '')}") from None
+    """A report's JSON text and newline: the bytes of json.dumps(payload,
+    sort_keys=True, indent=2), where a non-finite number raises NumericFailure."""
+    return _json(payload, "\n", ()) + "\n"
 
 
-def _non_finite(obj, path):
-    """'path = value' of the first number in obj, keys sorted, that is not finite."""
+def _json(obj, ind, path):
+    """obj, at the keys path in the payload, as json.dumps(obj,
+    sort_keys=True, indent=2) writes it after ind (a newline and spaces)."""
+    if isinstance(obj, float):  # the most common value first
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise NumericFailure(f"non-finite report value {''.join(f'/{k}' for k in path)} = {obj}")
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (dict, list, tuple)):
-        items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
-        return next(filter(None, (_non_finite(v, f"{path}/{k}") for k, v in items)), None)
-    return f"{path} = {obj}" if isinstance(obj, float) and not np.isfinite(obj) else None
+        keyed, inner = isinstance(obj, dict), ind + "  "
+        table = None if keyed else _table(obj, ind)
+        if table:
+            return table
+        texts = [inner + (encode_basestring_ascii(k) + ": " if keyed else "")
+                 + _json(v, inner, path + (k,))
+                 for k, v in (sorted(obj.items()) if keyed else enumerate(obj))]
+        return ("{%s}" if keyed else "[%s]") % (",".join(texts) + ind if texts else "")
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _table(rows, ind):
+    """_json of rows with the same keys, each key's value a finite float in
+    every row or a list of as many in every row, in one %r pass; else None."""
+    shapes = {type(row) is dict and tuple((k, len(v) if type(v) is list else 0)
+                                          for k, v in sorted(row.items())) for row in rows}
+    if len(shapes) != 1 or not (shape := shapes.pop()):
+        return None
+    values = [x for row in rows for k, n in shape for x in (row[k] if n else (row[k],))]
+    # a non-finite sum has a non-finite term or overflowed: _json decides
+    if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+        return None
+    i1, i2 = ind + "  ", ind + "    "
+    row = i1 + "{" + ",".join(
+        i2 + encode_basestring_ascii(k).replace("%", "%%") + ": "
+        + ("[" + ",".join([i2 + "  %r"] * n) + i2 + "]" if n else "%r") for k, n in shape) + i1 + "}"
+    return "[" + ",".join([row] * len(rows)) % tuple(values) + ind + "]"
 
 
 def write_json(path, payload):
     with open(path, "w", newline="\n") as fh:
         fh.write(json_text(payload))
 
-
-def load_schema(name: str) -> dict:
-    """Load one of the shipped report schemas by stem name."""
-    ref = resources.files("nilscroll.schemas") / f"{name}.schema.json"
-    return json.loads(ref.read_text())

@@ -394,26 +394,27 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
                      tol_root=DEFAULT_TOL_ROOT, extra_s=()):
     """Compare front/cross-cap status of f and f^O along the singular curve.
 
-    One batch of frames at the samples classifies both f and its transform
-    f^O; the first point whose criteria disagree, f before f^O, raises.
-    Front and cuspidal-cross-cap status must be preserved at the points
-    where both curves are bounded; cuspidal edge vs swallowtail kinds may
-    legitimately differ and are only counted.
+    One frame batch at the samples gives f and f^O, and one classification
+    batch both, each point's f then f^O; the first point whose criteria
+    disagree, f before f^O, raises.  Front and cuspidal-cross-cap status must
+    be preserved at the points where both curves are bounded; cuspidal edge
+    vs swallowtail kinds may legitimately differ and are only counted.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     svals = np.concatenate([np.linspace(lo, hi, n_samples), np.asarray(extra_s, dtype=float)])
     f = finite_frames(frame_source, svals)
-    p, q = classify_point(f, tol_root), classify_point(transform_frame(O, f), tol_root)
-    errors = q.errors | p.errors  # f's error wins where both have one
-    if errors:
-        raise errors[min(errors)]
-    on = (p.kind != "unbounded") & (q.kind != "unbounded")
-    front = [np.isin(c.kind[on], [k.value for k in FRONT_KINDS]) for c in (p, q)]
-    ccr = [c.kind[on] == "cuspidal_cross_cap" for c in (p, q)]
+    both = f.take(np.repeat(np.arange(len(svals)), 2))  # f, f^O at each point in turn
+    both.Y.taylor()[..., 1::2] = transform_frame(O, f).Y.taylor()
+    c = classify_point(both, tol_root)
+    c.raise_first()
+    p, q = c.kind[0::2], c.kind[1::2]
+    on = (p != "unbounded") & (q != "unbounded")
+    front = [np.isin(kind[on], [k.value for k in FRONT_KINDS]) for kind in (p, q)]
+    ccr = [kind[on] == "cuspidal_cross_cap" for kind in (p, q)]
     return {
         "front_preserved": bool(np.all(front[0] == front[1])),
         "ccr_preserved": bool(np.all(ccr[0] == ccr[1])),
-        "kind_changes": int(np.count_nonzero(p.kind[on] != q.kind[on])),
+        "kind_changes": int(np.count_nonzero(p[on] != q[on])),
     }
 
 

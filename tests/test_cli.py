@@ -5,6 +5,7 @@ import json
 import math
 import time
 import warnings
+from importlib import resources
 
 import jsonschema
 import numpy as np
@@ -14,9 +15,14 @@ from nilscroll import cli, hexpr
 from nilscroll.cli import main
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
-from nilscroll.io_formats import load_schema
 from nilscroll.surface import ScrollSurface
 from nilscroll.verify import run_verify
+
+
+def load_schema(name: str) -> dict:
+    """Load one of the shipped report schemas by stem name."""
+    ref = resources.files("nilscroll.schemas") / f"{name}.schema.json"
+    return json.loads(ref.read_text())
 
 
 def run(tmp_path, *argv):
@@ -343,6 +349,16 @@ def test_frame_flow_matches_closed_form(tmp_path):
     assert worst < 1e-7
 
 
+def test_frame_stdout_is_the_report(tmp_path):
+    argv = ["frame", "--kappa2", "1 + 0.5*s", "--kappa1", "0.2", "--H", "0.9", "--init-frame",
+            "1 1 0  0.5 -0.5 0  0 0 -1", "--s-range", "0:1.1", "--samples", "17"]
+    code, out, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert run(tmp_path, *argv, "--report", "f.json")[0] == 0
+    assert (tmp_path / "f.json").read_text() == out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_frame_curvature_overflow_exit_3(tmp_path):
     code, _, err = run(
         tmp_path,
@@ -371,6 +387,7 @@ def test_family_find_notce(tmp_path):
     )
     assert code == 0
     payload = json.loads((tmp_path / "fam.json").read_text())
+    jsonschema.validate(payload, load_schema("frame_report"))
     r1, r2 = payload["transform"]["residuals"]
     assert abs(r1) < 1e-8 and abs(r2) < 1e-8
     assert payload["transform"]["kind_at_s"] in ("swallowtail", "front_other")
@@ -384,6 +401,7 @@ def test_family_boost_invariance(tmp_path):
     )
     assert code == 0
     payload = json.loads((tmp_path / "fam.json").read_text())
+    jsonschema.validate(payload, load_schema("frame_report"))
     assert payload["invariance"]["ccr_preserved"]
     assert payload["invariance"]["front_preserved"]
 

@@ -5,11 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nilscroll import frames, hexpr
+from nilscroll import frames, hexpr, singular
 from nilscroll.integrate import integrate_curve
 from nilscroll.verify import run_verify
 from nilscroll.lorentz import LorentzTransform
-from nilscroll.singular import invariance_check, scan_singularities
+from nilscroll.singular import (
+    classify_point,
+    invariance_check,
+    scan_singularities,
+    transform_frame,
+)
 from nilscroll.surface import ScrollSurface
 
 
@@ -54,6 +59,36 @@ def test_invariance_check_one_frame_per_sample(evals):
     O = LorentzTransform.from_params(phi=0.3, chi=0.4)
     invariance_check(src, O, (-1.0, 1.0), n_samples=50)
     assert sum(evals.values()) == 50
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """The table of each singular.classify_point call, in order."""
+    tables = []
+
+    def counted(*args, **kwargs):
+        tables.append(classify_point(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(singular, "classify_point", counted)
+    return tables
+
+
+@pytest.mark.parametrize("h", ["tanh(s)", "s + s^3", "cot(exp(s)/2)"])
+def test_invariance_check_classifies_f_and_its_image_in_one_batch(classified, h):
+    rng = np.random.default_rng(sum(map(ord, h)))
+    O = LorentzTransform.from_params(*rng.uniform(-1.0, 1.0, 3))
+    src = frames.make_frame_source(hexpr.parse(h), 0.8)
+    invariance_check(src, O, (-1.0, 1.0), n_samples=50)
+    (table,) = classified
+    # f and f^O at each point in turn, with the bits of two separate calls
+    f = src(np.linspace(-1.0, 1.0, 50))
+    for got, want in ((slice(0, None, 2), classify_point(f)),
+                      (slice(1, None, 2), classify_point(transform_frame(O, f)))):
+        assert np.array_equal(table.kind[got], want.kind)
+        for column in ("t", "r1", "r2", "kappa2"):
+            assert np.array_equal(getattr(table, column)[got], getattr(want, column), equal_nan=True)
+        assert np.array_equal(table.cL1[:, got], want.cL1, equal_nan=True)
 
 
 def test_verify_frame_budget(evals, batches):

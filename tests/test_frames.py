@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nilscroll import frames as frames_module
 from nilscroll import hexpr
 from nilscroll.errors import (
     DegenerateGenerator,
@@ -161,6 +162,61 @@ def test_flow_from_interior_s_both_directions():
         ex = frame_from_h(TANH, 1.0, f.s)
         for got, want in ((f.A, ex.A), (f.B, ex.B), (f.C, ex.C)):
             assert got.value == pytest.approx(want.value, abs=1e-9)
+
+
+def sequential_magnus_flow(K_at, s0, Y0, grid, m):
+    """frames._magnus_flow with one matrix product per Magnus step, in order:
+    the reference for the prefix-product march."""
+    Y = np.empty((len(grid), 3, 3))
+    Y[grid == s0] = Y0
+    for side, way in ((grid > s0, 1), (grid < s0, -1)):
+        stops = np.concatenate([[s0], grid[side][::way]])
+        t = np.interp(np.arange((len(stops) - 1) * m + 1) / m, np.arange(len(stops)), stops)
+        h = np.diff(t)[:, None, None]
+        K = K_at(np.ravel(t[:-1, None] + np.outer(h[:, 0, 0], frames_module._GAUSS)))
+        K1, K2 = K[0::2], K[1::2]
+        E = frames_module._expm_so21(
+            0.5 * h * (K1 + K2) + (math.sqrt(3.0) / 12.0) * h * h * (K1 @ K2 - K2 @ K1))
+        ys, y = [], Y0
+        for k, e in enumerate(E, start=1):
+            y = y @ e
+            if k % m == 0:  # a sample
+                ys.append(y)
+        Y[side] = np.reshape(ys, (-1, 3, 3))[::way]
+    return Y
+
+
+def K_linear(s):
+    """K(s) for kappa1 = 0.3 sin s, kappa2 = 1 + 0.5 s, H = 0.8."""
+    K = np.zeros((len(s), 3, 3))
+    k1, k2 = 0.3 * np.sin(s), 1.0 + 0.5 * s
+    K[:, 0, 0], K[:, 1, 1], K[:, 1, 2], K[:, 2, 0] = k1, -k1, k2, k2
+    K[:, 0, 2] = K[:, 2, 1] = 0.8
+    return K
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101])
+@pytest.mark.parametrize("where", ["low", "high", "interior"])
+@pytest.mark.parametrize("m", [1, 8])
+def test_magnus_prefix_products_match_the_sequential_march(n, where, m):
+    grid = np.linspace(0.0, 1.2, n)
+    s0 = {"low": 0.0, "high": 1.2, "interior": 0.4137}[where]  # 0.4137 is on no grid
+    Y0 = np.array([[1.0, 0.5, 0.0], [1.0, -0.5, 0.0], [0.0, 0.0, -1.0]])
+    got = frames_module._magnus_flow(K_linear, s0, Y0, grid, m)
+    want = sequential_magnus_flow(K_linear, s0, Y0, grid, m)
+    assert np.isfinite(want[grid != s0]).all()
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * np.max(np.abs(want), initial=1.0)
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("s0", [0.0, 0.37, 1.0])
+def test_flow_with_one_or_two_samples(samples, s0):
+    init = frame_from_h(TANH, 1.0, s0)
+    frames = frame_flow_from_curvatures(hexpr.parse("0"), hexpr.parse("2"), 1.0, init,
+                                        (0.0, 1.0), n_samples=samples)
+    assert frames.s.tolist() == np.linspace(0.0, 1.0, samples).tolist()
+    exact = frame_from_h(TANH, 1.0, frames.s)
+    assert np.max(np.abs(frames.Y.value - exact.Y.value)) < 1e-9
 
 
 def test_flow_unresolvable_kappa2_names_s():

@@ -21,11 +21,20 @@ def gamma(path, s):
     return path.dense_eval(s)[0]
 
 
-def samples(path):
-    """Ordered (s, gamma, J, gamma') tuples at the Chebyshev nodes."""
-    nodes = sorted(path.A_nodes)
+def samples(src, s0, s_range):
+    """Ordered (s, gamma, J, gamma') tuples at the Chebyshev nodes where
+    integrate_curve evaluated the frame source src."""
+    A_nodes = {}
+
+    def recording(s):
+        f = src(s)
+        A_nodes.update(zip(np.ravel(s).tolist(), f.A.value.T))
+        return f
+
+    path = integrate_curve(recording, s0, s_range)
+    nodes = sorted(A_nodes)
     g, J = path.dense_eval(nodes)
-    return [(s, gs, float(j), path.A_nodes[s]) for s, gs, j in zip(nodes, g.T, J)]
+    return [(s, gs, float(j), A_nodes[s]) for s, gs, j in zip(nodes, g.T, J)]
 
 
 def source_of(A):
@@ -113,8 +122,7 @@ def test_gamma_prime_is_A():
 
 def test_samples_property():
     src = make_frame_source(hexpr.parse("tanh(s)"), 1.0)
-    path = integrate_curve(src, 0.0, (0.0, 0.5))
-    rows = samples(path)
+    rows = samples(src, 0.0, (0.0, 0.5))
     assert rows[0][0] == pytest.approx(0.0)
     assert rows[-1][0] == pytest.approx(0.5)
     svals = [r[0] for r in rows]

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilscroll.errors import NumericFailure
 from nilscroll.io_formats import json_text, obj_texts, write_curve_csv, write_obj
@@ -77,6 +79,71 @@ def test_csv_bytes_match_the_csv_module(tmp_path, rows):
     t = np.array([np.nan if y is None else y for _, y in rows], dtype=float)
     write_curve_csv(tmp_path / "c.csv", s, t)
     assert (tmp_path / "c.csv").read_bytes() == reference_csv(rows)
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# strings with every kind of escape: non-ASCII, quotes, backslashes, control
+# characters and the %-signs of a row template
+TEXT = st.text() | st.sampled_from(["", "\u00e9\u20ac\U0001f600", '"q"', "back\\slash", "%r %s %%",
+                                    "tab\tnew\nline\x00"])
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+
+
+@st.composite
+def row_tables(draw):
+    """Lists of rows with the same keys, each value a float or a list of
+    floats of one length: the tables formatted in one pass."""
+    shape = draw(st.dictionaries(TEXT, st.integers(0, 4), min_size=1, max_size=5))
+    return draw(st.lists(st.fixed_dictionaries(
+        {k: st.lists(FLOATS, min_size=n, max_size=n) if n else FLOATS for k, n in shape.items()}),
+        min_size=1, max_size=6))
+
+
+PAYLOADS = st.recursive(SCALARS | row_tables(), lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4)), max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_json_text_is_json_dumps(payload):
+    assert json_text(payload) == dumps(payload)
+
+
+def frame_rows(n=5):
+    return [{"s": 0.1 * i, "A": [1.0, -0.0, 1e-300 * i], "B": [2.5, 3.0, i + 0.5],
+             "worst_residual": 1e-15} for i in range(n)]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda rows: rows,  # a table
+    lambda rows: rows[2]["A"].append(1.0),  # ragged list lengths
+    lambda rows: rows[1].pop("s"),  # a missing key
+    lambda rows: rows[3].update(s=3),  # an int among the floats
+    lambda rows: rows[3].update(worst_residual="x"),  # a string among the floats
+    lambda rows: rows[4]["B"].__setitem__(1, np.float64(0.3)),  # a float subclass
+    lambda rows: rows[0].update(extra=1.0),  # an extra key
+    lambda rows: rows[0].update(A=(1.0, 2.0, 3.0)),  # a tuple for a list
+    lambda rows: rows.append([1.0]),  # a row that is no dict
+    lambda rows: rows[0].update(s=1e308, worst_residual=1e308),  # a sum that overflows
+])
+def test_json_text_tables_and_their_fallbacks(spoil):
+    rows = frame_rows()
+    spoil(rows)
+    payload = {"frames": rows, "%s": [{"%d": 1.0}], "empty": [{}], "none": []}
+    assert json_text(payload) == dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_json_text_names_a_non_finite_table_value(bad):
+    rows = frame_rows()
+    rows[3]["A"][1] = bad
+    rows[4]["s"] = float("nan")  # later in key order: the first one is named
+    with pytest.raises(NumericFailure, match=f"^non-finite report value /frames/3/A/1 = {bad}$"):
+        json_text({"frames": rows, "H": 1.0})
 
 
 def test_json_text_holds_only_finite_numbers():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nilscroll import hexpr
+from nilscroll import hexpr, singular
 from nilscroll.errors import (
     ClassifierInconsistency,
     NoSolutionFound,
@@ -254,6 +254,25 @@ def test_invariance_check_raises_the_first_inconsistency(c_off_sphere):
     f = source(np.linspace(0.1, 1.0, 10))
     assert str(raised.value) == str(classify_point(f).errors[3])
     assert str(raised.value) != str(classify_point(transform_frame(O, f)).errors[3])
+
+
+def test_invariance_check_raises_the_earliest_point_first(c_off_sphere, monkeypatch):
+    # f^O inconsistent at the sample 0.4 and f at 0.7: the earlier point
+    # wins, though it is f^O's
+    s = np.linspace(0.1, 1.0, 10)
+    O = LorentzTransform.from_params(chi=0.4)
+    source = c_off_sphere([s[6]])(hexpr.parse("tanh(s)"), 1.0)
+
+    def image_off_at_04(O, frame):
+        g = transform_frame(O, frame)
+        return dataclasses.replace(g, Y=stack([g.A, g.B, g.C * np.where(g.s == s[3], 1.01, 1.0)]))
+
+    monkeypatch.setattr(singular, "transform_frame", image_off_at_04)
+    with pytest.raises(ClassifierInconsistency) as raised:
+        invariance_check(source, O, (0.1, 1.0), n_samples=10)
+    f, g = source(s), image_off_at_04(O, source(s))
+    assert list(classify_point(f).errors) == [6] and list(classify_point(g).errors) == [3, 6]
+    assert str(raised.value) == str(classify_point(g).errors[3])
 
 
 def test_invariance_check_boost_preserves_ccr():
