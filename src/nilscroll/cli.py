@@ -35,9 +35,7 @@ from .singular import (
     classify_point,
     find_notce_transform,
     invariance_check,
-    notce_residuals,
     scan_singularities,
-    transform_frame,
 )
 from .surface import ScrollSurface
 from .verify import run_verify
@@ -195,16 +193,12 @@ def cmd_family(args) -> int:
     }
     if args.find_notce:
         s = args.s if args.s is not None else 0.0
-        frame = source(s)
-        O = find_notce_transform(frame)
-        g = transform_frame(O, frame)
-        r1, r2 = notce_residuals(g)
-        kind = classify_point(g).kind
+        O, g, residuals = find_notce_transform(source(s))
         payload["transform"] = {
             "matrix": O.m.tolist(),
             "params": list(O.params[:3]) if O.params else None,
-            "residuals": [r1, r2],
-            "kind_at_s": kind.value,
+            "residuals": list(residuals),
+            "kind_at_s": classify_point(g).kind.value,
             "s": s,
         }
     else:

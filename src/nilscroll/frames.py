@@ -31,12 +31,13 @@ import numpy as np
 from . import hexpr
 from .errors import (
     DegenerateGenerator,
+    DomainError,
     InitError,
     NormalizationError,
     NumericFailure,
     OrientationError,
 )
-from .jets import DEFAULT_ORDER, Jet, schwarzian, stack
+from .jets import DEFAULT_ORDER, Jet, _cauchy, _quotient, _scaled_tail, schwarzian, stack
 from .lorentz import det3, mcross, mdot
 
 B3_UNBOUNDED_TOL = 1e-10
@@ -104,21 +105,27 @@ def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
         flat = np.abs(hp.taylor()[0]) < 1e-12
         if flat.any() and not h.batched:
             raise DegenerateGenerator(f"|h'({h.base_point})| = {abs(hp.value):.3e} < 1e-12")
-        S = schwarzian(h)
-        h2 = h * h
-        B = ((-H / 2.0) / hp) * stack([-1.0 - h2, 1.0 - h2, 2.0 * h])
-        C = B.deriv() / H
-        A = B * (S / (H * H)) + (C.deriv() * H) / (H * H)
-        kappa2 = -S / H
-    Y = stack([A, B, C])
+        S = schwarzian(h).taylor()
+        if H * H == 0.0:
+            raise DomainError("div", h.point(0), "division by zero")
+        # the Jet operators' steps on the coefficient arrays (a flat point gets NaN below)
+        t, q = h.taylor(), hp.taylor()
+        v = np.stack([-_cauchy(t, t)] * 2 + [t * 2.0], axis=1)
+        v[0, :2] += [[-1.0], [1.0]]  # (-1 - h^2, 1 - h^2, 2h)
+        c = Jet.constant(-H / 2.0, hp.order, h.base_point).taylor()
+        B = _cauchy(_quotient(c, q)[:, None], v[:-1])
+        C = _scaled_tail(B) * (1.0 / H)
+        A = _cauchy(B[:-2], S[:, None] * (1.0 / (H * H))) + _scaled_tail(C) * H * (1.0 / (H * H))
+        kappa2 = -S * (1.0 / H)
+    Y = np.stack([A, B[:-2], C[:-1]], axis=1)
     # one pass over every coefficient: a point's frame is finite throughout or NaN throughout
-    n = Y.taylor().shape[-1]
+    n = Y.shape[-1]
     bad = flat | ~np.isfinite(np.concatenate(
-        [j.taylor().reshape(-1, n) for j in (A, B, C, kappa2)])).all(axis=0)
-    for j in (Y, kappa2):
-        j.taylor()[..., bad] = np.nan
-    kappa1 = Jet.constant(0.0, kappa2.order, base_point=h.base_point)
-    return NullFrame(s=h.base_point, Y=Y, kappa1=kappa1, kappa2=kappa2, H=H)
+        [j.reshape(-1, n) for j in (A, B, C, kappa2)])).all(axis=0)
+    Y[..., bad] = kappa2[..., bad] = np.nan
+    kappa1 = Jet.constant(0.0, len(kappa2) - 1, base_point=h.base_point)
+    return NullFrame(s=h.base_point, Y=Jet(Y, h.base_point), kappa1=kappa1,
+                     kappa2=Jet(kappa2, h.base_point), H=H)
 
 
 def raise_first(evaluate, s, bad, message="non-finite frame at s={}"):

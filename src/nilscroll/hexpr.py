@@ -129,6 +129,15 @@ class _Parser:
     def __init__(self, text):
         self.toks = _tokens(text)
         self.pos = 0
+        self.nodes = {}
+
+    def node(self, cls, *fields, offset):
+        """The parse's one node of type cls with these fields (a child by
+        identity, a name or number by its repr, so -0.0 is not 0.0): the first built."""
+        key = (cls, *[repr(f) if type(f) in (str, float) else id(f) for f in fields])
+        if key not in self.nodes:
+            self.nodes[key] = cls(*fields, offset=offset)
+        return self.nodes[key]
 
     def peek(self):
         return self.toks[self.pos]
@@ -155,32 +164,32 @@ class _Parser:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op, off = self.next()[:2]
-            node = Bin(op, node, self.term(), offset=off)
+            node = self.node(Bin, op, node, self.term(), offset=off)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, off = self.next()[:2]
-            node = Bin(op, node, self.factor(), offset=off)
+            node = self.node(Bin, op, node, self.factor(), offset=off)
         return node
 
     def factor(self):
         t = self.peek()
         if t[0] == "-":
             off = self.next()[1]
-            return Neg(self.factor(), offset=off)
+            return self.node(Neg, self.factor(), offset=off)
         node = self.atom()
         if self.peek()[0] == "^":
             off = self.next()[1]
-            node = Bin("^", node, self.factor(), offset=off)
+            node = self.node(Bin, "^", node, self.factor(), offset=off)
         return node
 
     def atom(self):
         t = self.peek()
         if t[0] == "num":
             self.next()
-            return Num(t[2], offset=t[1])
+            return self.node(Num, t[2], offset=t[1])
         if t[0] == "(":
             self.next()
             node = self.expr()
@@ -190,20 +199,20 @@ class _Parser:
             self.next()
             name = t[2]
             if name == "s":
-                return Var(offset=t[1])
+                return self.node(Var, offset=t[1])
             if name in CONSTANTS:
-                return Const(name, offset=t[1])
+                return self.node(Const, name, offset=t[1])
             if name not in jets.FUNCTIONS or self.peek()[0] != "(":
                 raise UnknownFunction(name, t[1])
             self.next()
             arg = self.expr()
             self.expect(")")
-            return Fn(name, arg, offset=t[1])
+            return self.node(Fn, name, arg, offset=t[1])
         raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1])
 
 
 def parse(text: str) -> ExprAst:
-    """Parse generator-expression text into an AST."""
+    """Parse generator-expression text into an AST; equal sub-expressions share a node."""
     return _Parser(text).parse()
 
 
@@ -246,12 +255,19 @@ def _constant(fn, x, *args):
     return fn(Jet([x], base_point=None), *args).value
 
 
-def _eval(node, seed):
-    """Jet of the node at the seed's points, or a float for a constant node.
+def _eval(node, seed, memo):
+    """Jet of the node at the seed's points, or a float for a constant node,
+    evaluated once per node object (memo maps id(node) to it).
 
     A DomainError of the node's own operation gets the node's byte offset
     (the jets name the s).
     """
+    if id(node) not in memo:
+        memo[id(node)] = _eval_node(node, seed, memo)
+    return memo[id(node)]
+
+
+def _eval_node(node, seed, memo):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -259,12 +275,12 @@ def _eval(node, seed):
     if isinstance(node, Const):
         return CONSTANTS[node.name]
     if isinstance(node, Neg):
-        return -_eval(node.child, seed)
+        return -_eval(node.child, seed, memo)
     if isinstance(node, Fn):
-        fn, args = jets.FUNCTIONS[node.name], [_eval(node.arg, seed)]
+        fn, args = jets.FUNCTIONS[node.name], [_eval(node.arg, seed, memo)]
     elif isinstance(node, Bin):
         fn = _ARITH.get(node.op, jets.pow_const)
-        args = [_eval(node.left, seed), _eval(node.right, seed)]
+        args = [_eval(node.left, seed, memo), _eval(node.right, seed, memo)]
         if node.op == "^" and isinstance(args[1], Jet):  # a constant sub-expression is a float
             raise ExprSyntaxError("exponent must be constant", node.offset)
     else:
@@ -290,7 +306,7 @@ def eval_jet(ast, s, order: int = jets.DEFAULT_ORDER) -> Jet:
     """
     seed = Jet.variable(s, order)
     with np.errstate(all="ignore"):
-        out = _eval(ast, seed)
+        out = _eval(ast, seed, {})
     if not isinstance(out, Jet):
         out = Jet.constant(out, order, base_point=seed.base_point)
     return out

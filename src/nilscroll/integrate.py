@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from .errors import NumericFailure, OutOfRange
+from .errors import DegenerateGenerator, NumericFailure, OutOfRange
 from .frames import raise_first
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
@@ -134,9 +134,12 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
     A(s) comes from the frame source, in at most two batches per panel;
-    gamma and J are zero at s0.  The first node of a batch where A is not
-    finite raises (see frames.raise_first), and a panel narrower than
-    _MIN_PANEL times the range that still does not resolve A NumericFailure.
+    gamma and J are zero at s0.  A sign flip of B1 = H(1+h^2)/(2h') between
+    finite nodes of the first batch (a zero of h', so a pole of A, or an
+    even-order pole of h) raises DegenerateGenerator naming the cell; the
+    first node of a batch where A is not finite raises (see raise_first), and
+    a panel narrower than _MIN_PANEL times the range that still does not
+    resolve A NumericFailure.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
     if not lo <= s0 <= hi or not lo < hi:
@@ -152,7 +155,12 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
             nodes = s[:: top // n]
             if any(x not in A_nodes for x in nodes):  # fetch degree 2n's new nodes too
                 new = [x for x in s[:: max(top // (2 * n), 1)] if x not in A_nodes]
-                A = frame_source(np.array(new)).A.value.T
+                f = frame_source(np.array(new))
+                A, B1 = f.A.value.T, f.B[0].value  # B1's sign in the first batch (see above)
+                x, B1 = np.array(new)[np.isfinite(B1)], B1[np.isfinite(B1)]
+                i = np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)
+                if not A_nodes and len(i):
+                    raise DegenerateGenerator(f"h' changes sign in [{x[i[0]]}, {x[i[0] + 1]}]")
                 A_nodes.update(zip(new, A))
                 raise_first(frame_source, new, ~np.isfinite(A).all(axis=1),
                             "A(s) is not finite at s={!r}")

@@ -80,9 +80,7 @@ class Jet:
         """Jet of the identity s |-> s at x (a float or a 1-D array)."""
         base = np.array(x, dtype=float) if np.ndim(x) else float(x)
         tc = np.zeros((order + 1, np.size(base)))
-        tc[0] = base
-        if order >= 1:
-            tc[1] = 1.0
+        tc[0], tc[1:2] = base, 1.0  # no row 1 at order 0
         return cls(tc, base)
 
     @classmethod
@@ -197,10 +195,7 @@ class Jet:
         return Jet(-self._tc, self.base_point)
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            return self + (-other)
-        a, b = self._coerce(other)
-        return Jet(a - b, self.base_point)
+        return self + (-other)  # the same bits as a - b
 
     def __rsub__(self, other):
         return (-self) + other
@@ -259,9 +254,8 @@ def log(a: Jet) -> Jet:
     t = a._domain(a.taylor()[0] <= 0.0, "log").taylor()
     out = np.empty_like(t)
     out[0] = np.log(t[0])
-    if len(t) > 1:
-        q = _quotient(_scaled_tail(t), t[:-1])  # a'/a
-        out[1:] = q / np.arange(1, len(t))[:, None]
+    q = _quotient(_scaled_tail(t), t[:-1])  # a'/a, no rows at order 0
+    out[1:] = q / np.arange(1, len(t))[:, None]
     return Jet(out, a.base_point)
 
 
@@ -274,28 +268,15 @@ def _trig_pair(a: Jet, hyperbolic: bool):
     for m in range(len(t) - 1):
         w = jt[: len(t) - 1 - m]
         s[m + 1:] += w * c[m]
-        if hyperbolic:
-            c[m + 1:] += w * s[m]
-        else:
-            c[m + 1:] -= w * s[m]
+        c[m + 1:] += w * (s[m] if hyperbolic else -s[m])  # the bits of c - w s
         s[m + 1] /= m + 1
         c[m + 1] /= m + 1
     return Jet(s, a.base_point), Jet(c, a.base_point)
 
 
-def tan(a):
-    s, c = _trig_pair(a, False)
-    return s / c._domain(c.taylor()[0] == 0.0, "tan")
-
-
-def cot(a):
-    s, c = _trig_pair(a, False)
-    return c / s._domain(s.taylor()[0] == 0.0, "cot")
-
-
-def tanh(a):
-    s, c = _trig_pair(a, True)
-    return s / c
+def _ratio(num, den, fn):
+    """num / den, outside fn's domain where den's value is 0 (tan, cot, tanh)."""
+    return num / den._domain(den.taylor()[0] == 0.0, fn)
 
 
 def sqrt(a: Jet) -> Jet:
@@ -316,11 +297,11 @@ FUNCTIONS = {
     "log": log,
     "sin": lambda a: _trig_pair(a, False)[0],
     "cos": lambda a: _trig_pair(a, False)[1],
-    "tan": tan,
-    "cot": cot,
+    "tan": lambda a: _ratio(*_trig_pair(a, False), "tan"),
+    "cot": lambda a: _ratio(*_trig_pair(a, False)[::-1], "cot"),
     "sinh": lambda a: _trig_pair(a, True)[0],
     "cosh": lambda a: _trig_pair(a, True)[1],
-    "tanh": tanh,
+    "tanh": lambda a: _ratio(*_trig_pair(a, True), "tanh"),
     "sqrt": sqrt,
 }
 
@@ -357,9 +338,8 @@ def schwarzian(h: Jet) -> Jet:
     if h.order < 3:
         raise ValueError("schwarzian needs a jet of order >= 3")
     d1 = h.deriv()
-    d1 = d1._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes")
-    d2 = d1.deriv()
-    d3 = d2.deriv()
-    r1 = d3 / d1
-    r2 = d2 / d1
-    return r1 - 1.5 * r2 * r2
+    d1 = d1._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes").taylor()
+    d2 = _scaled_tail(d1)
+    r2 = _quotient(d2, d1[:-1])
+    # r1 - 1.5 r2^2 for r1 = h'''/h', each truncated as the jet operators would
+    return Jet(_quotient(_scaled_tail(d2), d1[:-2]) - _cauchy(r2 * 1.5, r2)[:-1], h.base_point)

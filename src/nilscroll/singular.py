@@ -37,6 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .frames import B3_UNBOUNDED_TOL, NullFrame, finite_frames
+from .jets import _cauchy, _quotient, _scaled_tail
 from .lorentz import ETA, LorentzTransform, mcross
 
 DEFAULT_TOL_ROOT = 1e-10
@@ -144,28 +145,21 @@ def _cL_points(frame: NullFrame):
     difference of the two routes where it exceeds CROSS_TOL * (1 + |c_L'|),
     else 0.
     """
-    B3 = frame.B[2].value
-    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
-    cL1, cL2 = np.full((2, 3, len(B3)), np.nan)
-    gap = np.zeros(len(B3))
-    keep = np.flatnonzero(~unbounded)
-    if not len(keep):
-        return cL1, cL2, unbounded, gap
-    f = frame.take(keep)
-    H = f.H
+    Y, H = frame.Y.taylor(), frame.H
     with np.errstate(all="ignore"):
-        t = -f.C[2] / (f.B[2] * H)
-        # c_L' = A + t' B + t B', to first order
-        jet = f.A + t.deriv() * f.B + t * f.B.deriv()
-        d1, d2 = jet.value, jet.deriv().value
-        Av, Bv, Cv = f.Y.value
-        coef = -Av[2] / Bv[2] - f.kappa2.value / H + (Cv[2] / Bv[2]) ** 2
-        closed = Av + Bv * coef - Cv * (Cv[2] / Bv[2])
-        diff = np.abs(closed - d1).max(axis=0)
-        scale = 1.0 + np.abs(d1).max(axis=0)
-        gap[keep] = np.where(diff > CROSS_TOL * scale, diff, 0.0)
-    cL1[:, keep], cL2[:, keep] = d1, d2
-    return cL1, cL2, unbounded, gap
+        # c_L' = A + t' B + t B', t = -C3/(H B3), to first order, in the Jet operators' steps
+        A, B = Y[:, 0], Y[:, 1]
+        b = B[:, 2] * H
+        t = _quotient(-Y[:, 2, 2], np.where(b[0] == 0.0, np.nan, b))
+        jet = (A[:-1] + _cauchy(_scaled_tail(t)[:, None], B[:-1])
+               + _cauchy(t[:-1, None], _scaled_tail(B)))
+        Av, Bv, Cv = Y[0]
+        coef = -Av[2] / Bv[2] - frame.kappa2.value / H + (Cv[2] / Bv[2]) ** 2
+        diff = np.abs(Av + Bv * coef - Cv * (Cv[2] / Bv[2]) - jet[0]).max(axis=0)
+        gap = np.where(diff > CROSS_TOL * (1.0 + np.abs(jet[0]).max(axis=0)), diff, 0.0)
+    unbounded = np.abs(Bv[2]) < B3_UNBOUNDED_TOL
+    cL1, cL2 = np.where(unbounded, np.nan, jet[:2])
+    return cL1, cL2, unbounded, np.where(unbounded, 0.0, gap)
 
 
 def notce_residuals(frame: NullFrame):
@@ -418,8 +412,8 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     }
 
 
-def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8) -> LorentzTransform:
-    """The SO+(2,1) transform O that makes the frame's point non-cuspidal.
+def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8):
+    """(O, O frame, its NotCE residuals): the SO+(2,1) O making the point non-cuspidal.
 
     NotCE needs (OB)_3 = <O^-1 e3, B> = +-sqrt(H/kappa2), so kappa2/H > 0.
     w = -sqrt(H/kappa2) A + C is unit spacelike with <w, B> = sqrt(H/kappa2);
@@ -435,7 +429,8 @@ def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8) -> Lorent
     u0 = (np.array([1.0, 0.0, 0.0]) + w * w[0]) / math.sqrt(1.0 + w[0] * w[0])
     rows = [u0, mcross(w, u0), w]  # (O^-1)^T
     O = LorentzTransform(m=ETA @ np.array(rows) @ ETA)
-    residuals = notce_residuals(transform_frame(O, frame))
+    g = transform_frame(O, frame)
+    residuals = notce_residuals(g)
     if not max(abs(r) for r in residuals) < residual_tol:
         raise NoSolutionFound(residuals, "closed-form transform misses the NotCE residuals")
-    return O
+    return O, g, residuals

@@ -1,0 +1,79 @@
+"""The frame, the Schwarzian and c_L' built with Jet operators.
+
+These are the package's earlier routes, kept as oracles: the package now
+replays the same operation sequences on coefficient arrays, and the tests
+assert that every output keeps its bits.
+"""
+
+import numpy as np
+
+from nilscroll import hexpr
+from nilscroll.errors import DegenerateGenerator
+from nilscroll.frames import B3_UNBOUNDED_TOL, NullFrame
+from nilscroll.jets import DEFAULT_ORDER, Jet, stack
+from nilscroll.singular import CROSS_TOL
+
+
+def schwarzian(h: Jet) -> Jet:
+    """h'''/h' - (3/2)(h''/h')^2 by the Jet operators."""
+    if h.order < 3:
+        raise ValueError("schwarzian needs a jet of order >= 3")
+    d1 = h.deriv()
+    d1 = d1._domain(d1.taylor()[0] == 0.0, "schwarzian", "h' vanishes")
+    d2 = d1.deriv()
+    d3 = d2.deriv()
+    r1 = d3 / d1
+    r2 = d2 / d1
+    return r1 - 1.5 * r2 * r2
+
+
+def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
+    """The closed-form B-scroll frame by the Jet operators."""
+    if H == 0.0:
+        raise ValueError("H must be non-zero")
+    with np.errstate(all="ignore"):
+        h = hexpr.eval_jet(h_ast, s, order)
+        hp = h.deriv()
+        flat = np.abs(hp.taylor()[0]) < 1e-12
+        if flat.any() and not h.batched:
+            raise DegenerateGenerator(f"|h'({h.base_point})| = {abs(hp.value):.3e} < 1e-12")
+        S = schwarzian(h)
+        h2 = h * h
+        B = ((-H / 2.0) / hp) * stack([-1.0 - h2, 1.0 - h2, 2.0 * h])
+        C = B.deriv() / H
+        A = B * (S / (H * H)) + (C.deriv() * H) / (H * H)
+        kappa2 = -S / H
+    Y = stack([A, B, C])
+    n = Y.taylor().shape[-1]
+    bad = flat | ~np.isfinite(np.concatenate(
+        [j.taylor().reshape(-1, n) for j in (A, B, C, kappa2)])).all(axis=0)
+    for j in (Y, kappa2):
+        j.taylor()[..., bad] = np.nan
+    kappa1 = Jet.constant(0.0, kappa2.order, base_point=h.base_point)
+    return NullFrame(s=h.base_point, Y=Y, kappa1=kappa1, kappa2=kappa2, H=H)
+
+
+def cL_points(frame: NullFrame):
+    """(c_L', c_L'', unbounded, gap) at each point of a frame batch, c_L' by
+    jet differentiation of gamma + t(s) B(s) with the Jet operators."""
+    B3 = frame.B[2].value
+    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
+    cL1, cL2 = np.full((2, 3, len(B3)), np.nan)
+    gap = np.zeros(len(B3))
+    keep = np.flatnonzero(~unbounded)
+    if not len(keep):
+        return cL1, cL2, unbounded, gap
+    f = frame.take(keep)
+    H = f.H
+    with np.errstate(all="ignore"):
+        t = -f.C[2] / (f.B[2] * H)
+        jet = f.A + t.deriv() * f.B + t * f.B.deriv()
+        d1, d2 = jet.value, jet.deriv().value
+        Av, Bv, Cv = f.Y.value
+        coef = -Av[2] / Bv[2] - f.kappa2.value / H + (Cv[2] / Bv[2]) ** 2
+        closed = Av + Bv * coef - Cv * (Cv[2] / Bv[2])
+        diff = np.abs(closed - d1).max(axis=0)
+        scale = 1.0 + np.abs(d1).max(axis=0)
+        gap[keep] = np.where(diff > CROSS_TOL * scale, diff, 0.0)
+    cL1[:, keep], cL2[:, keep] = d1, d2
+    return cL1, cL2, unbounded, gap

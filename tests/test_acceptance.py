@@ -309,7 +309,7 @@ def test_acceptance_12_o21_invariance():
         q = classify_point(transform_frame(O, tanh_src(float(s))))
         ok &= (p.kind in FRONT_KINDS) == (q.kind in FRONT_KINDS)
     f0 = tanh_src(0.0)
-    On = find_notce_transform(f0)
+    On, _, _ = find_notce_transform(f0)
     r1, r2 = notce_residuals(transform_frame(On, f0))
     kind = classify_point(transform_frame(On, tanh_src(0.0))).kind
     ok &= abs(r1) < 1e-8 and abs(r2) < 1e-8

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import time
 import warnings
 from importlib import resources
@@ -11,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nilscroll import cli, hexpr
+from nilscroll import cli, frames, hexpr
 from nilscroll.cli import main
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
@@ -455,6 +456,22 @@ def test_surface_pole_of_A_fails_fast(tmp_path):
     code, _, _ = run(tmp_path, "surface", "--h", "s^2", "--s-range", "-1:2", "--out", "m")
     assert code in (2, 3)
     assert time.perf_counter() - start < 10.0
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("s_range", ["-1:1", "-1:0.9"])
+@pytest.mark.parametrize("command", ["surface", "verify"])
+def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, s_range):
+    # h' = 2s + 1 changes sign at -0.5, a Chebyshev node of -1:1 but not of
+    # -1:0.9; on both the curve's first frame batch shows B1 ~ H h' change
+    # sign, and that batch is the only one
+    sizes, original = [], frames.frame_from_h
+    monkeypatch.setattr(frames, "frame_from_h",
+                        lambda *args: sizes.append(np.size(args[2])) or original(*args))
+    code, out, err = run(tmp_path, command, "--h", "s^2+s", "--s-range", s_range)
+    cell = re.fullmatch(r"error: h' changes sign in \[(\S+), (\S+)\]\n", err)
+    assert (code, out, sizes) == (2, "", [33]) and cell
+    assert float(cell[1]) < -0.5 < float(cell[2])
     assert not list(tmp_path.iterdir())
 
 

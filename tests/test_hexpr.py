@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +136,53 @@ def test_parse_eval_stability(s):
     ast = hexpr.parse("sinh(s)*cosh(s) - s / (2 + cos(s))")
     expected = math.sinh(s) * math.cosh(s) - s / (2 + math.cos(s))
     assert eval_real(ast, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# the two-fold Mobius image of cot(exp(s)/2), as text: h occurs four times
+MOBIUS2 = ("(1.2*((0.3*cot(exp(s)/2) + 1.1)/(-0.7*cot(exp(s)/2) + 1.9)) + -0.4)"
+           "/(0.5*((0.3*cot(exp(s)/2) + 1.1)/(-0.7*cot(exp(s)/2) + 1.9)) + 1.3)")
+
+
+def test_equal_sub_expressions_are_evaluated_once(monkeypatch):
+    calls = []
+    cot = hexpr.jets.FUNCTIONS["cot"]
+    monkeypatch.setitem(hexpr.jets.FUNCTIONS, "cot", lambda a: calls.append(a) or cot(a))
+    ast = hexpr.parse(MOBIUS2)
+    out = hexpr.eval_jet(ast, np.linspace(-1.0, 1.0, 5))
+    assert len(calls) == 1
+    hexpr.eval_jet(ast, 0.25)  # nothing is kept from one call to the next
+    assert len(calls) == 2
+    assert np.isfinite(out.taylor()).all()
+
+
+def test_shared_nodes_keep_the_first_offset():
+    ast = hexpr.parse("log(s) + log(s)")
+    assert ast.left is ast.right
+    with pytest.raises(DomainError) as err:
+        hexpr.eval_jet(ast, -1.0)
+    assert (err.value.offset, str(err.value)) == (0, "log out of domain at s=-1.0")
+    with pytest.raises(DomainError) as err:
+        hexpr.eval_jet(hexpr.parse("log(0) + log(0)"), 0.5)
+    assert (err.value.offset, str(err.value)) == (0, "log out of domain at offset 0")
+
+
+def test_zero_and_negative_zero_stay_apart():
+    # a float field is keyed by its repr: 0.0 == -0.0, yet they are two nodes
+    parser = hexpr._Parser("s")
+    zero = parser.node(hexpr.Num, 0.0, offset=0)
+    assert parser.node(hexpr.Num, -0.0, offset=1) is not zero
+    assert parser.node(hexpr.Num, 0.0, offset=2) is zero  # the first one built
+    ast = hexpr.parse("2 + 2.0")
+    assert ast.left is ast.right
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("tanh(s)", "tanh(s)"),
+    ("s + s^3", "s + s^3"),
+    ("cot(exp(s)/2)", "cot(exp(s)/2)"),
+    ("s^2+s", "s^2 + s"),
+    ("(1.2*(tanh(s)) + (-0.4))/((0.5)*(tanh(s)) + 1.3)", "(1.2*tanh(s) + -0.4)/(0.5*tanh(s) + 1.3)"),
+    (MOBIUS2, MOBIUS2),
+])
+def test_to_str_of_a_shared_ast(text, printed):
+    assert hexpr.to_str(hexpr.parse(text)) == printed

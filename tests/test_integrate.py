@@ -38,10 +38,12 @@ def samples(src, s0, s_range):
 
 
 def source_of(A):
-    """A frame source whose frames at an array of s carry only A = A(s)."""
+    """A frame source whose frames at an array of s carry only A = A(s) and
+    B1 = 1 (integrate_curve reads B1's sign: h' keeps its sign here)."""
     def source(s):
         values = np.array([A(x) for x in s]).T
-        return SimpleNamespace(A=SimpleNamespace(value=values))
+        return SimpleNamespace(A=SimpleNamespace(value=values),
+                               B=[SimpleNamespace(value=np.ones(len(s)))])
 
     return source
 
@@ -148,8 +150,10 @@ def test_curve_rejects_non_finite_A():
 
 
 def test_curve_unresolved_panel_names_s():
-    # h'(0) = 0: A has a pole at s = 0, which no grid node hits
-    src = make_frame_source(hexpr.parse("s^2"), 1.0)
+    # h' = 2|s| vanishes at s = 0 without changing sign (a change of sign is
+    # an input error, see test_h_prime_sign_change_is_one_input_error): A
+    # has a pole at s = 0, which no grid node hits
+    src = make_frame_source(hexpr.parse("s*sqrt(s^2)"), 1.0)
     with pytest.raises(NumericFailure, match=r"near s=-?\d"):
         integrate_curve(src, 0.5, (-1.0, 2.0))
 

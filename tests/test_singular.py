@@ -287,7 +287,7 @@ def test_invariance_check_boost_preserves_ccr():
 
 def test_find_notce_transform(tanh_source):
     f0 = tanh_source(0.0)
-    O = find_notce_transform(f0)
+    O, _, _ = find_notce_transform(f0)
     g = transform_frame(O, f0)
     r1, r2 = notce_residuals(g)
     assert abs(r1) < 1e-8 and abs(r2) < 1e-8
@@ -299,7 +299,7 @@ def test_find_notce_identity_at_swallowtail(tanh_source):
     f = tanh_source(S_PLUS)
     r1, r2 = notce_residuals(f)
     assert abs(r1) < 1e-8 and abs(r2) < 1e-8
-    O = find_notce_transform(f)
+    O, _, _ = find_notce_transform(f)
     g = transform_frame(O, f)
     r1, r2 = notce_residuals(g)
     assert abs(r1) < 1e-8 and abs(r2) < 1e-8
@@ -320,7 +320,7 @@ def test_find_notce_closed_form_draws():
         text, lo, hi = ("tanh(s)", -1.5, 1.5) if i % 2 else ("cot(exp(s)/2)", -1.0, -0.05)
         src = make_frame_source(hexpr.parse(text), float(rng.uniform(0.5, 2.0)))
         s = float(rng.uniform(lo, hi))
-        O = find_notce_transform(src(s))
+        O, _, _ = find_notce_transform(src(s))
         assert O.params is None
         assert O.det == pytest.approx(1.0, abs=1e-12) and O.m[0, 0] >= 1.0
         assert np.max(np.abs(O.m.T @ ETA @ O.m - ETA)) < 1e-12
