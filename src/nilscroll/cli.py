@@ -90,10 +90,11 @@ def _emit(args, payload):
 def cmd_surface(args) -> int:
     _require(args, "h")
     source = make_frame_source(hexpr.parse(args.h), args.H)
-    s0 = 0.5 * (args.s_range[0] + args.s_range[1])
-    surf = ScrollSurface(source, integrate_curve(source, s0, args.s_range))
-    ns, nt = args.grid
-    verts = surf.mesh(np.linspace(*args.s_range, ns), np.linspace(*args.t_range, nt))
+    (lo, hi), (ns, nt) = args.s_range, args.grid
+    svals = np.linspace(lo, hi, ns)
+    source.want(svals)  # the mesh rows come with the curve's first batch
+    surf = ScrollSurface(source, integrate_curve(source, 0.5 * (lo + hi), args.s_range))
+    verts = surf.mesh(svals, np.linspace(*args.t_range, nt))
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
     if not all(np.all(np.isfinite(verts[k])) for k in targets):
         raise NumericFailure("non-finite mesh vertex")
@@ -320,7 +321,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         print("error: cannot write <stdout>: Broken pipe", file=sys.stderr)
         return EXIT_INPUT
-    except InputError as err:
+    except (InputError, MemoryError) as err:  # MemoryError: a count too large to allocate
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NilscrollError as err:  # every other package error is numeric

@@ -144,27 +144,25 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     lo, hi = float(s_range[0]), float(s_range[1])
     if not lo <= s0 <= hi or not lo < hi:
         raise ValueError(f"need lo <= s0 <= hi and lo < hi: s0={s0}, range [{lo}, {hi}]")
-    A_nodes = {}
 
     def fit(a, b):
         """Coefficients of A on [a, b], or None if no degree resolves it."""
         top = _CHEB_DEGREES[-1]
-        s = (0.5 * (a + b) + 0.5 * (b - a) * _lobatto(top)).tolist()
-        s[0], s[-1] = a, b
+        s = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(top)
+        s[[0, -1]] = a, b
+        A = s[:0]  # no nodes fetched yet
         for n in _CHEB_DEGREES:
-            nodes = s[:: top // n]
-            if any(x not in A_nodes for x in nodes):  # fetch degree 2n's new nodes too
-                new = [x for x in s[:: max(top // (2 * n), 1)] if x not in A_nodes]
-                f = frame_source(np.array(new))
-                A, B1 = f.A.value.T, f.B[0].value  # B1's sign in the first batch (see above)
-                x, B1 = np.array(new)[np.isfinite(B1)], B1[np.isfinite(B1)]
+            if len(A) <= n:  # fetch degree 2n's nodes too
+                x = s[:: max(top // (2 * n), 1)]
+                f = frame_source(x)
+                A, B1 = f.A.value.T.copy(), f.B[0].value  # C order: axis-0 sums round by layout
+                xs, B1 = x[np.isfinite(B1)], B1[np.isfinite(B1)]
                 i = np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)
-                if not A_nodes and len(i):
-                    raise DegenerateGenerator(f"h' changes sign in [{x[i[0]]}, {x[i[0] + 1]}]")
-                A_nodes.update(zip(new, A))
-                raise_first(frame_source, new, ~np.isfinite(A).all(axis=1),
+                if len(i) and (a, b, n) == (lo, hi, _CHEB_DEGREES[0]):  # the first batch
+                    raise DegenerateGenerator(f"h' changes sign in [{xs[i][0]}, {xs[i + 1][0]}]")
+                raise_first(frame_source, x, ~np.isfinite(A).all(axis=1),
                             "A(s) is not finite at s={!r}")
-            v = np.array([A_nodes[x] for x in nodes])
+            v = A[:: (len(A) - 1) // n]
             c = _cheb_coeffs(v)
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):
                 return c

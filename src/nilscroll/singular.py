@@ -298,9 +298,9 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
     kappa2 (cuspidal-cross-cap candidates) and the NotCE residual r1
     (swallowtail candidates: on a valid frame c_L' is parallel to e3 exactly
     where r1 = 0).  Their brackets step together from Taylor seeds of the
-    grid jets by Halley steps, one frame batch per round, and the last
-    round's frames, at the roots, are classified; points closer than
-    TOL_CLUSTER are reported once.  A NaN
+    grid jets by Halley steps, one frame request per round, and the frames
+    at the roots, which the last round evaluated, are read back and
+    classified; points closer than TOL_CLUSTER are reported once.  A NaN
     frame ends its bracket with a warning that gives the point's own error.
     A sign flip of B1 = H(1+h^2)/(2h') between grid nodes is flagged as a
     cell where h' changes sign.  A degenerate generator (|kappa2| <=
@@ -327,15 +327,6 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
     warnings += [f"WARN h' changes sign in [{grid[i]}, {grid[i + 1]}]"
                  for i in np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)]
 
-    last = None  # the last round's frames: those at every root
-
-    def channels(x):
-        """Channel jets at x, NaN where the frame is; a float x whose frame fails raises."""
-        nonlocal last
-        f = frame_source(x)
-        last = f if np.ndim(x) else last
-        return _channels(f)
-
     # a degenerate generator (S(h) identically ~ 0) has kappa2 only in its
     # rounding noise: its sign changes are not roots, so its channel is left out
     degenerate = np.max(np.abs(curve.kappa2)) <= tol_root
@@ -343,7 +334,8 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
     # r1 = kappa2 B3^2/H - 1 has its sign in the noise below 8 eps |kappa2 B3^2/H|
     floors = np.array([np.zeros(grid_n), 8.0 * np.finfo(float).eps * np.abs(jets[0, 1] + 1.0)])
     jets[0, 0] = np.where(degenerate, np.nan, jets[0, 0])
-    (k2_roots, r1_roots), more = _bracket_roots(channels, grid, jets, ["kappa2", "r1"], floors)
+    (k2_roots, r1_roots), more = _bracket_roots(
+        lambda x: _channels(frame_source(x)), grid, jets, ["kappa2", "r1"], floors)
     warnings += more
 
     points = []
@@ -354,8 +346,7 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
                   for s, t in zip(curve.s.tolist(), curve.t.tolist())]
     # cuspidal cross caps at the roots of kappa2, swallowtails at those of r1
     if k2_roots or r1_roots:
-        row = {s: i for i, s in enumerate(last.s.tolist())}
-        found = classify_point(last.take([row[s] for s in k2_roots + r1_roots]), tol_root)
+        found = classify_point(frame_source(np.array(k2_roots + r1_roots)), tol_root)
         found.raise_first()
         report = np.isin(found.kind, ["swallowtail", "front_other"])
         report[: len(k2_roots)] = True

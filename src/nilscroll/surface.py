@@ -1,15 +1,15 @@
 """The CMC B-scroll f_L in L^3 and its dual minimal surface f in Nil_3(H).
 
 Every query is array code: it takes arrays s, t that broadcast together
-(scalars are a batch of one) and works from one frame batch and at most one
-CurvePath.dense_eval call.  The queries are the mesh vertices, the Gauss
+(scalars are a batch of one) and works from one frame request and at most
+one CurvePath.dense_eval call.  The queries are the mesh vertices, the Gauss
 map N_L = -C - t*H*B and the normal Gauss map g, the fundamental forms in
 closed form and from the frame's jets, the Jacobian metrics of the Nil_3
 surface and the d'Alembertian eigenvalue residual.  Every s-derivative is
 read off the jets of the frame and of the base curve; there are no finite
-differences.  A caller that holds the frames at the query's s passes them
-as frames=; otherwise the query evaluates them in one batch.  A
-Gauss-map pole is a mask: g is NaN there and the mask is returned with it.
+differences.  A query reads its frames from the frame source (a command's
+frame table, see frames.make_frame_source) in one request.  A Gauss-map
+pole is a mask: g is NaN there and the mask is returned with it.
 The paracomplex g = re + j*im (j^2 = +1) is the pair of arrays (re, im).
 """
 
@@ -40,10 +40,10 @@ class FundamentalForms:
     K_gauss: np.ndarray
 
 
-def _gauss_map(frame: NullFrame, t, H) -> np.ndarray:
+def _gauss_map(frame: NullFrame, t) -> np.ndarray:
     """N_L = -C - t*H*B, componentwise so that t broadcasts with the frame's s."""
     _, Bv, Cv = frame.Y.value
-    return np.array([-c - b * (t * H) for b, c in zip(Bv, Cv)])
+    return np.array([-c - b * (t * frame.H) for b, c in zip(Bv, Cv)])
 
 
 def _stereo(N):
@@ -85,30 +85,20 @@ def _nil3(gamma, J, B, t, H):
 
 
 class ScrollSurface:
-    """B-scroll surface pair generated by a frame source and its base curve.
-
-    A query evaluates one frame batch for all the s it touches, unless the
-    caller passes the frames it holds.
-    """
+    """B-scroll surface pair generated by a frame source and its base curve."""
 
     def __init__(self, frame_source, path: CurvePath):
         self.frame_source = frame_source
         self.path = path
 
-    def _frames(self, s, frames):
-        return finite_frames(self.frame_source, s) if frames is None else frames
-
     # -- L^3 side ----------------------------------------------------------
 
-    def gauss_map_L(self, s, t, frames=None) -> np.ndarray:
-        f = self._frames(s, frames)
-        return _gauss_map(f, t, f.H)
+    def gauss_map_L(self, s, t) -> np.ndarray:
+        return _gauss_map(finite_frames(self.frame_source, s), t)
 
-    def fundamental_forms(self, s, t, frames=None) -> FundamentalForms:
-        f = self._frames(s, frames)
-        H = f.H
-        k1 = f.kappa1.value
-        k2 = f.kappa2.value
+    def fundamental_forms(self, s, t) -> FundamentalForms:
+        f = finite_frames(self.frame_source, s)
+        H, k1, k2 = f.H, f.kappa1.value, f.kappa2.value
         I = _sym(2 * t * k1 + t * t * H * H, -1.0, 0.0)
         if not np.isfinite(I).all():  # the frames are finite: t^2 H^2 or 2 t kappa1 overflowed
             raise NumericFailure(f"overflow in the first fundamental form at H={H:g}")
@@ -118,10 +108,10 @@ class ScrollSurface:
 
     # -- normal Gauss map ---------------------------------------------------
 
-    def normal_gauss_map(self, s, t, frames=None):
+    def normal_gauss_map(self, s, t):
         """(g, pole): g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t) as the pair
         (re, im), NaN where the pole mask marks N3 ~ 1."""
-        return _stereo(self.gauss_map_L(s, t, frames))
+        return _stereo(self.gauss_map_L(s, t))
 
     # -- Nil_3 side ---------------------------------------------------------
 
@@ -129,10 +119,10 @@ class ScrollSurface:
         """{"l3": f_L, "nil3": f} on the grid, one row of vertices per s.
 
         f_L = gamma + t*B and f = (g1+t*B1, g2+t*B2, g3 - t*B3 + H*J +
-        t*H*(g1*B2 - g2*B1)): one batch of frames and one curve evaluation
+        t*H*(g1*B2 - g2*B1)): one frame request and one curve evaluation
         for all s, broadcast over t.
         """
-        f = self._frames(np.asarray(svals, dtype=float), None)
+        f = finite_frames(self.frame_source, np.asarray(svals, dtype=float))
         Bv = f.B.value[:, :, None]
         gamma, J = self.path.dense_eval(svals)
         gamma = gamma[:, :, None]
@@ -140,10 +130,10 @@ class ScrollSurface:
         points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, f.H)}
         return {k: np.stack(list(p), axis=-1).reshape(-1, 3) for k, p in points.items()}
 
-    def _tangents_E(self, s, t, frames):
+    def _tangents_E(self, s, t):
         """(frame, fs, ft, fs_E, ft_E): the Jacobian rows and their components
-        in the left-invariant frame E_i (3-tuples), from one frame batch at s."""
-        frame = self._frames(s, frames)
+        in the left-invariant frame E_i (3-tuples), from the frames at s."""
+        frame = finite_frames(self.frame_source, s)
         H = frame.H
         gamma, J = self.path.jets(s, frame.A)
         f = _nil3(gamma, J, frame.B, t, H)  # jets in s
@@ -158,7 +148,7 @@ class ScrollSurface:
 
         return frame, fs, ft, E(fs), E(ft)
 
-    def nil3_jacobian_metrics(self, s, t, frames=None):
+    def nil3_jacobian_metrics(self, s, t):
         """Smallest singular value of the Jacobian and the signed area density.
 
         The density uses the g_R-orthonormal left-invariant frame and the
@@ -166,18 +156,18 @@ class ScrollSurface:
         normal Gauss map (projectively (N2, -N1, 1) from N = N_L), so its
         sign flips across a non-degenerate singular curve.
         """
-        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t, frames)
+        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
         M = _mat(fs, ft)
         finite = np.isfinite(M).all(axis=(-2, -1))  # LAPACK's SVD fails on inf or NaN
         sigma_min = np.where(finite, np.linalg.svd(
             np.where(finite[..., None, None], M, 0.0), compute_uv=False)[..., -1], np.nan)
-        N = _gauss_map(frame, t, frame.H)
+        N = _gauss_map(frame, t)
         norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
         n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
         lam = np.linalg.det(_mat(fs_E, ft_E, n_E))
         return {"sigma_min": sigma_min, "lambda": lam}
 
-    def nil3_gauss_map_direct(self, s, t, frames=None):
+    def nil3_gauss_map_direct(self, s, t):
         """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.
 
         Independent of N_L: frame components of the tangents, Lorentzian
@@ -185,7 +175,7 @@ class ScrollSurface:
         coordinate.  Shares g with the dual B-scroll away from poles; the
         mask marks a normal that is not spacelike or has n3 ~ -1.
         """
-        _, _, _, u, v = self._tangents_E(s, t, frames)
+        _, _, _, u, v = self._tangents_E(s, t)
         nd = mcross(u, v)
         norm2 = mdot(nd, nd)
         pole = norm2 <= 0
@@ -196,19 +186,19 @@ class ScrollSurface:
 
     # -- verification quantities -------------------------------------------
 
-    def jet_forms(self, s, t, frames=None):
+    def jet_forms(self, s, t):
         """(I, II) of f_L = gamma + t*B, each (..., 2, 2), from the frame's
         jets: f_s = A + t*B', f_t = B, f_ss = A' + t*B'', f_st = B', f_tt = 0."""
-        f = self._frames(s, frames)
+        f = finite_frames(self.frame_source, s)
         A, B, _ = f.Y
         Bp = B.deriv()
         fs = A + Bp * t  # a jet, whose derivative is f_ss
         fss, fs, ft, fst = fs.deriv().value, fs.value, B.value, Bp.value
-        N = _gauss_map(f, t, f.H)
+        N = _gauss_map(f, t)
         return (_sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft)),
                 _sym(mdot(fss, N), mdot(fst, N), 0.0))
 
-    def box_eigenvalue(self, s, t, frames=None):
+    def box_eigenvalue(self, s, t):
         """(residual, matched_sign) per point; sign -1 means Box N_L = -2 H^2 N_L fits.
 
         Box u = d_s(g^st u_t) + d_t(g^ts u_s + g^tt u_t) in the coordinates
@@ -219,11 +209,11 @@ class ScrollSurface:
         sign reduces to |2H (B' + kappa1 B - H C)|, which the Frenet-Serret
         equation for B makes zero up to rounding.
         """
-        f = self._frames(s, frames)
+        f = finite_frames(self.frame_source, s)
         H = f.H
         u_t, u_st = f.B * -H, f.B.deriv() * -H
         box = (u_st * -2.0 - u_t * (2.0 * f.kappa1.value + 2.0 * t * H * H)).value
-        N = _gauss_map(f, t, H)
+        N = _gauss_map(f, t)
         r_plus = np.linalg.norm(box - 2 * H * H * N, axis=0)
         r_minus = np.linalg.norm(box + 2 * H * H * N, axis=0)
         minus = r_minus <= r_plus

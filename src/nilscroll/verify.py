@@ -1,8 +1,8 @@
 """The invariant suite: named checks of the paper's claims for one generator.
 
-Every (s, t) sample is drawn first and the frames at every distinct s the
-checks touch come from one batch; each check is then one array expression
-over its samples, through the array queries of ScrollSurface.
+Every (s, t) sample is drawn first, and its frame comes with the base
+curve's first frame batch; each check is then one array expression over its
+samples, through the array queries of ScrollSurface.
 """
 
 from __future__ import annotations
@@ -35,26 +35,18 @@ def run_verify(h_text, H, s_range):
     """Named invariant checks for one generator; pure, used by tests too.
 
     The samples are seeded (the same draws on every run), the surface
-    queries take them as arrays, and one frame batch serves every check.
+    queries take them as arrays, and their frames share the curve's batch.
     Every derivative comes from the jets of the frames and the base curve.
     """
     h_ast = hexpr.parse(h_text)
     lo, hi = s_range
     source = make_frame_source(h_ast, H)
+    rows = np.random.default_rng(20240817).uniform((lo, -2.0), (hi, 2.0), size=(100, 2))
+    (form_s, form_t), (box_s, box_t), (gauss_s, gauss_t) = (r.T for r in np.split(rows, [40, 60]))
+    grid_s, dual_s = np.linspace(lo, hi, 41), np.linspace(lo, hi, 21)
+    source.want(np.concatenate([grid_s, dual_s, form_s, box_s, gauss_s]))
     surf = ScrollSurface(source, integrate_curve(source, 0.5 * (lo + hi), s_range))
-    rng = np.random.default_rng(20240817)
-
-    def draw(n):
-        """n samples (s, t), s drawn before t for each, as two arrays."""
-        return rng.uniform((lo, -2.0), (hi, 2.0), size=(n, 2)).T
-
-    (form_s, form_t), (box_s, box_t), (gauss_s, gauss_t) = draw(40), draw(20), draw(40)
-    dual_s = np.linspace(lo, hi, 21)
-    groups = [np.linspace(lo, hi, 41), dual_s, form_s, box_s, gauss_s]
-    distinct, rows = np.unique(np.concatenate(groups), return_inverse=True)
-    batch = finite_frames(source, distinct)
-    f, f_dual, f_form, f_box, f_gauss = (
-        batch.take(r) for r in np.split(rows, np.cumsum([len(g) for g in groups])[:-1]))
+    f, f_dual = finite_frames(source, grid_s), finite_frames(source, dual_s)
 
     checks = {}
 
@@ -76,15 +68,15 @@ def run_verify(h_text, H, s_range):
                np.abs(mdot(Bpp, Bpp).value + 2.0 * (H * H * H) * f.kappa2.value)), 1e-8)
 
     # fundamental forms: closed form vs the frame's jets, plus H/K law
-    forms = surf.fundamental_forms(form_s, form_t, frames=f_form)
-    I, II = surf.jet_forms(form_s, form_t, frames=f_form)
+    forms = surf.fundamental_forms(form_s, form_t)
+    I, II = surf.jet_forms(form_s, form_t)
     add("fundamental_forms", _worst(np.abs(forms.I - I), np.abs(forms.II - II)), 1e-6)
     add("mean_gauss_curvature",
         _worst(np.abs(forms.H_mean - H), np.abs(forms.K_gauss - H * H)), 1e-10)
 
     # base curve: the series' derivatives against A and gamma1*A2 - gamma2*A1,
     # relative to the sizes of A and gamma*A
-    gamma, A = surf.path.dense_eval(form_s)[0], f_form.A.value
+    gamma, A = surf.path.dense_eval(form_s)[0], source(form_s).A.value
     dgamma, dJ = surf.path.deriv().dense_eval(form_s)
     size = np.max(np.abs(A))
     add("base_curve", _worst(np.abs(dgamma - A) / size,
@@ -92,15 +84,15 @@ def run_verify(h_text, H, s_range):
                              / (np.max(np.abs(gamma)) * size)), 1e-10)
 
     # d'Alembertian eigenvalue identity, both sign conventions tried
-    box_res, signs = surf.box_eigenvalue(box_s, box_t, frames=f_box)
+    box_res, signs = surf.box_eigenvalue(box_s, box_t)
     signs = set(signs.tolist())
     box_sign = signs.pop() if len(signs) == 1 else None
     add("box_eigenvalue", _worst(box_res), 1e-4, detail={"sign": box_sign})
 
     # normal Gauss map round trip through the unit-normal formula, off its
     # poles, relative to |N| (1 + re^2 + im^2) / |1 + re^2 - im^2|
-    N = surf.gauss_map_L(gauss_s, gauss_t, frames=f_gauss)
-    g, pole = surf.normal_gauss_map(gauss_s, gauss_t, frames=f_gauss)
+    N = surf.gauss_map_L(gauss_s, gauss_t)
+    g, pole = surf.normal_gauss_map(gauss_s, gauss_t)
     re2, im2 = g[0] * g[0], g[1] * g[1]
     scale = np.linalg.norm(N, axis=0) * (1.0 + re2 + im2) / np.abs(1.0 + re2 - im2)
     add("gauss_map_roundtrip", _worst((np.abs(_nl_from_g(g) - N) / scale)[:, ~pole]), 1e-10)
@@ -111,9 +103,8 @@ def run_verify(h_text, H, s_range):
     kind[list(table.errors)] = "inconsistent"
     kinds = dict(zip(*(a.tolist() for a in np.unique(kind, return_counts=True))))
     on = np.flatnonzero(np.abs(table.t) <= 50.0)  # bounded, not NaN
-    f_on = f_dual.take(on)
-    metrics = surf.nil3_jacobian_metrics(dual_s[on], table.t[on], frames=f_on)
-    g, _ = surf.normal_gauss_map(dual_s[on], table.t[on], frames=f_on)
+    metrics = surf.nil3_jacobian_metrics(dual_s[on], table.t[on])
+    g, _ = surf.normal_gauss_map(dual_s[on], table.t[on])
     add("singular_duality_rank", _worst(metrics["sigma_min"]), 1e-6)
     add("singular_duality_gmod", _worst(np.abs(g[0] * g[0] - g[1] * g[1] - 1.0)), 1e-8)
 

@@ -46,16 +46,19 @@ def surfaces():
 @pytest.fixture(scope="session")
 def c_off_sphere():
     """off(at, scale=1.01): a stand-in for make_frame_source whose frames have
-    C scaled by scale at the s values in at.  C leaves the unit sphere there,
-    so the two routes to c_L' disagree: a ClassifierInconsistency at each
-    bounded one."""
+    C scaled by scale at the s values in at; it reads them from a real frame
+    table, whose want it shares.  C leaves the unit sphere there, so the two
+    routes to c_L' disagree: a ClassifierInconsistency at each bounded one."""
 
     def off(at, scale=1.01):
         def make(h_ast, H):
+            table = make_frame_source(h_ast, H)
+
             def source(s):
-                f = make_frame_source(h_ast, H)(s)
+                f = table(s)
                 scale_at = np.where(np.isin(s, at), scale, 1.0)
                 return dataclasses.replace(f, Y=stack([f.A, f.B, f.C * scale_at]))
+            source.want = table.want
             return source
         return make
     return off

@@ -3,11 +3,13 @@
 The package differentiates only through jets; these stencils are the
 second, approximate route the tests compare it with.  Each takes a
 ScrollSurface and works like its array queries: s, t broadcast together,
-and frames= passes the frames at the stencil rows (see stencil).
+and the frames at the stencil rows (see stencil) come from the surface's
+frame source in one request.
 """
 
 import numpy as np
 
+from nilscroll.frames import finite_frames
 from nilscroll.lorentz import mdot
 from nilscroll.surface import _forms, _sym
 
@@ -24,20 +26,20 @@ def stencil(s, offsets, h):
     return k.reshape(k.shape + (1,) * np.ndim(s)) + s
 
 
-def _stencil_rows(surf, s, t, offsets, h, frames):
+def _stencil_rows(surf, s, t, offsets, h):
     """(t broadcast with s, the stencil rows S, the frames at S.ravel() and a
     reshape of a frame vector to (3,) + S.shape)."""
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
     S = stencil(s, offsets, h)
-    frames = surf._frames(S.ravel(), frames)
+    frames = finite_frames(surf.frame_source, S.ravel())
     return t, S, frames, lambda v: v.reshape((3,) + S.shape)
 
 
-def box_check(surf, s, t, fd_step=1e-3, frames=None):
+def box_check(surf, s, t, fd_step=1e-3):
     """(residual, matched_sign) per point from the frames at the rows
     stencil(s, BOX_OFFSETS, fd_step); sign -1 means Box N_L = -2 H^2 N_L fits."""
     h = float(fd_step)
-    t, _, frames, rows = _stencil_rows(surf, s, t, BOX_OFFSETS, h, frames)
+    t, _, frames, rows = _stencil_rows(surf, s, t, BOX_OFFSETS, h)
     H = frames.H
     _, B, C = (rows(v) for v in frames.Y.value)
     tt = stencil(t, (-2, -1, 0, 1, 2), h)
@@ -67,7 +69,7 @@ def box_check(surf, s, t, fd_step=1e-3, frames=None):
     return np.where(minus, r_minus, r_plus)[()], np.where(minus, -1, 1)[()]
 
 
-def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP, frames=None):
+def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP):
     """FD cross-check of the forms from f_L and N_L directly.
 
     Fourth-order central stencils in s on the rows stencil(s,
@@ -75,7 +77,7 @@ def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP, frames=None):
     in t, where f_L is linear.
     """
     h = float(fd_step)
-    t, S, frames, rows = _stencil_rows(surf, s, t, FORMS_OFFSETS, h, frames)
+    t, S, frames, rows = _stencil_rows(surf, s, t, FORMS_OFFSETS, h)
     H = frames.H
     gamma = rows(surf.path.dense_eval(S.ravel())[0])
     _, B, C = (rows(v) for v in frames.Y.value)

@@ -267,8 +267,8 @@ def test_verify_corrupted_tolerance_fails(tmp_path, monkeypatch):
     # negative control: II from the jets off by 1e-6, the forms tolerance
     jet_forms = ScrollSurface.jet_forms
 
-    def corrupted(self, s, t, frames=None):
-        I, II = jet_forms(self, s, t, frames)
+    def corrupted(self, s, t):
+        I, II = jet_forms(self, s, t)
         return I, II + 1e-6
 
     monkeypatch.setattr(ScrollSurface, "jet_forms", corrupted)
@@ -464,14 +464,39 @@ def test_surface_pole_of_A_fails_fast(tmp_path):
 def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, s_range):
     # h' = 2s + 1 changes sign at -0.5, a Chebyshev node of -1:1 but not of
     # -1:0.9; on both the curve's first frame batch shows B1 ~ H h' change
-    # sign, and that batch is the only one
+    # sign, and that batch is the only one: the curve's 33 nodes with the
+    # 120 mesh rows or the 141 check s the command wants, less those shared
     sizes, original = [], frames.frame_from_h
     monkeypatch.setattr(frames, "frame_from_h",
                         lambda *args: sizes.append(np.size(args[2])) or original(*args))
     code, out, err = run(tmp_path, command, "--h", "s^2+s", "--s-range", s_range)
     cell = re.fullmatch(r"error: h' changes sign in \[(\S+), (\S+)\]\n", err)
-    assert (code, out, sizes) == (2, "", [33]) and cell
+    first = {"surface": 151, "verify": 171 if s_range == "-1:1" else 172}[command]
+    assert (code, out, sizes) == (2, "", [first]) and cell
     assert float(cell[1]) < -0.5 < float(cell[2])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--h", "tanh(s)", "--grid-n", "100000000000", "--out", "r"],
+    ["surface", "--h", "tanh(s)", "--grid", "100000000000x5", "--out", "m"],
+])
+def test_a_count_too_large_to_allocate_is_an_input_error(tmp_path, monkeypatch, argv):
+    # numpy raises MemoryError for an array it cannot allocate; the fake
+    # raises it in place of the real allocation, which is never attempted
+    linspace = np.linspace
+
+    def no_memory(start, stop, num=50, **kwargs):
+        if num > 10**6:
+            raise MemoryError(f"Unable to allocate 745. GiB for an array with shape ({num},) "
+                              "and data type float64")
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    code, out, err = run(tmp_path, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: Unable to allocate 745. GiB for an array with shape "
+                   "(100000000000,) and data type float64\n")
     assert not list(tmp_path.iterdir())
 
 

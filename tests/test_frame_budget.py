@@ -92,10 +92,22 @@ def test_invariance_check_classifies_f_and_its_image_in_one_batch(classified, h)
 
 
 def test_verify_frame_budget(evals, batches):
-    # the curve's 33 nodes, then the 141 distinct s of the checks' draws
+    # the 141 distinct s of the checks' draws come with the curve's 33 nodes,
+    # three of which (the ends and the middle) they share
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
-    assert sum(evals.values()) <= 450
-    assert batches == [33, 141]
+    assert batches == [171]
+    assert set(evals.values()) == {1}
+
+
+@pytest.mark.parametrize("h, s_range, sizes", [
+    ("cot(exp(s)/2)", (-0.75, 0.75), [171]),
+    # degree 128: the curve's 96 more nodes come alone
+    ("s + s^3", (-1.0, 1.0), [171, 96]),
+])
+def test_verify_frame_budget_by_generator(evals, batches, h, s_range, sizes):
+    run_verify(h, 0.7, s_range)
+    assert batches == sizes
+    assert set(evals.values()) == {1}
 
 
 @pytest.mark.parametrize("h, H, s_range, sizes", [
@@ -119,11 +131,68 @@ def test_curve_split_panels_evaluate_each_s_once(evals, batches):
 
 
 def test_surface_frame_budget(evals, batches):
-    # the curve's nodes in one batch, the mesh's 120 rows in another; only
-    # the range ends are both a curve node and a mesh row
+    # the mesh's 120 rows, wanted first, come with the curve's 33 nodes; only
+    # the range ends are both
+    src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
+    src.want(np.linspace(-1.0, 1.0, 120))
+    surf = ScrollSurface(src, integrate_curve(src, 0.0, (-1.0, 1.0)))
+    surf.mesh(np.linspace(-1.0, 1.0, 120), np.linspace(-2.0, 2.0, 30))
+    assert batches == [151]
+    assert set(evals.values()) == {1}
+
+
+def test_mesh_without_want_evaluates_only_the_rows_the_curve_lacks(evals, batches):
     src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     surf = ScrollSurface(src, integrate_curve(src, 0.0, (-1.0, 1.0)))
     surf.mesh(np.linspace(-1.0, 1.0, 120), np.linspace(-2.0, 2.0, 30))
-    assert batches == [33, 120]
-    assert {s for s, n in evals.items() if n > 1} == {-1.0, 1.0}
-    assert max(evals.values()) == 2
+    assert batches == [33, 118]
+    assert set(evals.values()) == {1}
+
+
+def test_cli_surface_evaluates_each_s_once(evals, batches, tmp_path):
+    from nilscroll import cli
+
+    out = str(tmp_path / "m")
+    assert cli.main(["surface", "--h", "tanh(s)", "--grid", "120x30", "--out", out]) == 0
+    assert batches == [151]
+    assert set(evals.values()) == {1}
+
+
+def test_a_repeated_request_evaluates_nothing(batches):
+    src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
+    s = np.linspace(-1.0, 1.0, 41)
+    first = src(s)
+    again, part = src(s), src(s[::-1][:7])
+    assert batches == [41]
+    assert np.array_equal(again.Y.taylor(), first.Y.taylor())
+    assert np.array_equal(part.Y.taylor(), first.Y.taylor()[..., ::-1][..., :7])
+    assert np.array_equal(part.s, s[::-1][:7])
+
+
+def test_want_joins_the_next_batch_and_a_float_is_evaluated_alone(batches):
+    src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
+    src.want(np.array([0.1, 0.2]))
+    src.want(np.array([0.2, 0.3]))
+    src(np.array([0.3, 0.4, 0.4]))
+    src(np.array([0.1, 0.2, 0.3, 0.4]))
+    src(0.1)
+    assert batches == [4, 1]
+
+
+def test_rows_are_keyed_by_their_bits():
+    # at h = s, B3 is -0.0 at s = 0.0 and +0.0 at s = -0.0: a key by value
+    # would give both requests the first one's row
+    src = frames.make_frame_source(hexpr.parse("s"), 1.0)
+    for s in ([0.0, -0.0], [-0.0, 0.0]):
+        B3 = src(np.array(s)).B[2].value
+        want = frames.frame_from_h(hexpr.parse("s"), 1.0, np.array(s)).B[2].value
+        assert np.array_equal(np.signbit(B3), np.signbit(want))
+        assert np.signbit(B3).tolist() == [not np.signbit(x) for x in s]
+
+
+def test_scan_root_classification_adds_no_batch(batches, classified):
+    src = frames.make_frame_source(hexpr.parse("s + s^3"), 1.0)
+    report = scan_singularities(src, (-1.0, 1.0), grid_n=256)
+    # the grid, then two polishing rounds of both brackets
+    assert batches == [256, 2, 2]
+    assert len(report.points) == 2 and len(classified) == 2

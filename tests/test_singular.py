@@ -427,9 +427,10 @@ def test_scan_across_a_log_hole_evaluates_once_per_batch(monkeypatch):
     assert rep.warnings == [
         "WARN kappa2: bracket [0.4039215686274509, 0.4117647058823528] failed: "
         "log out of domain at s=0.40824828726233553"]
-    # the grid, two polishing rounds of both brackets (the last classifies
-    # the root), and the failed point alone between them
-    assert calls == [256, 2, 0.40824828726233553, 2]
+    # the grid, two polishing rounds (the last evaluates the root; the failed
+    # bracket keeps its x, whose row the frame table holds), and the failed
+    # point alone between them
+    assert calls == [256, 2, 0.40824828726233553, 1]
 
 
 MOBIUS_CUBIC = ("((-0.998129871827)*(s + s^3) + (-1.00783083637))"
@@ -440,14 +441,19 @@ SCANNED = [("tanh(s)", 1.3), ("s + s^3", 0.8), ("cot(exp(s)/2)", 1.0), MOBIUS_CU
 
 
 def recorded_scan(text, H):
-    """(report, source, batches) of a scan on -1:1 that keeps every batch of s."""
-    src, batches = make_frame_source(hexpr.parse(text), H), []
+    """(report, source, batches) of a scan on -1:1 that keeps the s of every
+    frame batch."""
+    from nilscroll import frames
 
-    def source(s):
+    src, batches, original = make_frame_source(hexpr.parse(text), H), [], frames.frame_from_h
+
+    def counted(h_ast, H, s, *args):
         batches.append(np.copy(s))
-        return src(s)
+        return original(h_ast, H, s, *args)
 
-    return scan_singularities(source, (-1.0, 1.0)), src, batches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frames, "frame_from_h", counted)
+        return scan_singularities(src, (-1.0, 1.0)), src, batches
 
 
 @pytest.mark.parametrize("text", ["tanh(s)", "s + s^3"])

@@ -219,10 +219,14 @@ def test_box_with_negated_B_prime_fails(monkeypatch):
     # Box N_L from -B' in place of B': the residual is |4H B'|
     box = ScrollSurface.box_eigenvalue
 
-    def flipped(self, s, t, frames=None):
-        Y = frames.Y.taylor().copy()
-        Y[1, 1] *= -1.0  # the B' coefficient of B
-        return box(self, s, t, dataclasses.replace(frames, Y=Jet(Y, frames.Y.base_point)))
+    def flipped(self, s, t):
+        def negated(x):
+            f = self.frame_source(x)
+            Y = f.Y.taylor().copy()
+            Y[1, 1] *= -1.0  # the B' coefficient of B
+            return dataclasses.replace(f, Y=Jet(Y, f.Y.base_point))
+
+        return box(ScrollSurface(negated, self.path), s, t)
 
     monkeypatch.setattr(ScrollSurface, "box_eigenvalue", flipped)
     assert failed(run_verify("tanh(s)", 1.0, (-1.0, 1.0))) == ["box_eigenvalue"]
