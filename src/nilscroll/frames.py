@@ -168,9 +168,9 @@ def make_frame_source(h_ast, H: float):
                 cols = [np.concatenate([c[..., :n], x] * 2, -1) for c, x in zip(cols or new, new)]
             for c, x in zip(cols, new):
                 c[..., n:n + len(k)] = x
-            keys, rows = np.concatenate([keys, k]), np.concatenate([rows, np.arange(n, n + len(k))])
-            p = keys.argsort(kind="stable")  # merges the sorted keys with the new ones
-            keys, rows = keys[p], rows[p]
+            p = k.argsort(kind="stable")  # the new keys, sorted, go in among the held ones
+            at = keys.searchsorted(k[p])
+            keys, rows = np.insert(keys, at, k[p]), np.insert(rows, at, n + p)
         r = rows[keys.searchsorted(s.view(np.int64))]
         return NullFrame(s, *(Jet(c.take(r, axis=-1), s) for c in cols), H)
 

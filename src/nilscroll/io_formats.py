@@ -2,11 +2,13 @@
 
 OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
 header row, the golden-file medium) use 17 significant digits, the bytes of
-`format(x, ".17g")`, each block in one C-level `%` pass; obj_texts formats
-the text a command's meshes share once.  JSON text is json.dumps's with
-sort_keys=True and indent=2: shortest round-trip floats, finite numbers only,
-and a table of rows with the same keys and float values in one `%r` pass.
-A command writes its files as one output_set: all of them or none.
+`format(x, ".17g")`.  One array kernel (_lines) writes them: exact decimal
+digits from Dekker's TwoProduct, and '%.17g' itself for the few other values
+(zeros, exponent forms, non-finite).  obj_texts streams a mesh in chunks and
+formats the text a command's meshes share once.  JSON text is json.dumps's
+with sort_keys=True and indent=2: shortest round-trip floats, finite numbers
+only, and a table of rows with the same keys and float values in one `%r`
+pass.  A command writes its files as one output_set: all of them or none.
 """
 
 from __future__ import annotations
@@ -62,10 +64,72 @@ def output_set():
                     os.remove(out)
 
 
+_P10 = np.array([float(10**m) for m in range(21)])  # exact doubles
+_P10_HI = 134217729.0 * _P10 - (134217729.0 * _P10 - _P10)  # Veltkamp's split: 26 bits
+_C, _NZ = np.arange(48, 58, dtype="<u4"), (np.arange(10) > 0).astype(np.int8)
+_QUADS = np.add.outer(np.add.outer(_C, _C << 8), np.add.outer(_C << 16, _C << 24)).ravel()  # b"0000".."9999"
+_ENDS = np.maximum.outer(np.maximum.outer(_NZ, 2 * _NZ), np.maximum.outer(3 * _NZ, 4 * _NZ)).ravel()
+_ENDS[0] = -16  # where a quad's digits end without its trailing zeros; 0000 keeps none
+_K, _LAST, _NEG, _J = np.ogrid[-4:17, :18, :2, :86]
+# the bytes of a float's field that its positional text keeps, by ((k + 4) * 18 + last) * 2 + (x < 0)
+_KEEP = np.concatenate([np.broadcast_to(m, (21, 18, 2, m.shape[-1])) for m in (
+    _NEG[..., :1] == 1, _J[..., :5] < np.where(_K < 0, 1 - _K, 0), _J[..., :17] <= _K,
+    (_K >= 0) & (_LAST > _K + 1), (_J[..., :17] > _K) & (_J[..., :17] < _LAST))], -1).reshape(-1, 41)
+_J, _ROWS = _J.ravel(), 512  # column numbers; lines in one chunk of an OBJ text
+
+
+def _lines(head, x, seps, tail=b""):
+    """The lines of x (n, c): head, then x[i, j] as '%.17g' (an int >= 0:
+    '%d') and seps[j] for each j, then tail, as an (n, width) byte matrix L
+    and its mask K; L[K] is the text.
+
+    A positional '%.17g' (exponent k in -4..16) shows D, |x| * 10^(16-k)
+    rounded half to even: by Dekker's TwoProduct that product is exactly
+    p + e, where p >= 2^53 is an even integer, so D = p + rint(e).  A float
+    field holds sign, "0.000", D's 17 digits, a point and the digits again,
+    and K keeps the text's bytes.  Any other float is formatted by '%.17g'."""
+    (n, c), x, ints = x.shape, x.ravel(), x.dtype.kind == "i"
+    nq = -(-len(str(x.max(initial=0))) // 4) if ints else 5  # groups of four digits
+    field = b"0" * 4 * nq if ints else b"-0.000%s.%s" % (b"0" * 17, b"0" * 17)
+    row = head + b"".join(field + seps[j:j + 1] for j in range(c)) + tail
+    L = np.empty((n, len(row)), np.uint8)
+    L[...], K = np.frombuffer(row, np.uint8), np.ones(L.shape, bool)
+    F, FK = (A[:, len(head):len(row) - len(tail)].reshape(n, c, len(field) + 1)[..., :-1] for A in (L, K))
+    D = x
+    if not ints:
+        a = np.abs(x)
+        ok = (a >= 1e-4) & (a < 1e17)  # not 0, a subnormal, an exponent form, inf or nan
+        a = np.where(ok, a, 1.0)
+        k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+        b, bh, ah = _P10.take(16 - k), _P10_HI.take(16 - k), 134217729.0 * a
+        ah -= ah - a
+        p = a * b
+        e = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)  # a*b - p
+        D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        ok &= ((p - 1e16) + e >= 0) & (D < 10**17)  # k was right, and rounding kept it
+    quads = np.empty((nq, len(x)), np.int64)
+    for i in range(nq):
+        np.floor_divide(D, 10 ** (4 * (nq - 1 - i)), out=quads[i])
+    quads[1:] -= quads[:-1] * 10**4
+    G = _QUADS.take(quads.T).view(np.uint8).reshape(n, c, 4 * nq)
+    if ints:  # right-aligned, without leading zeros
+        F[...] = G
+        np.greater_equal(_J[:4 * nq], 4 * nq - 1 - _P10[1:].searchsorted(x, "right").reshape(n, c, 1), out=FK)
+        return L, K
+    last = (_ENDS.take(quads) + [[-3], [1], [5], [9], [13]]).max(0)  # D's last non-zero digit
+    F[..., 6:23] = F[..., 24:] = G[..., 3:]
+    FK[...] = _KEEP.take(((k + 4) * 18 + last) * 2 + (x < 0), axis=0).reshape(n, c, 41)
+    for i in np.flatnonzero(~ok):
+        text = b"%.17g" % x[i]
+        F[divmod(i, c)][:len(text)] = np.frombuffer(text, np.uint8)
+        FK[divmod(i, c)] = _J[:41] < len(text)
+    return L, K
+
+
 def obj_texts(meshes, ns: int, nt: int):
-    """Yield the Wavefront OBJ text of each mesh in turn: its ns*nt vertices
-    in row-major (s outer, t inner) order, then quads over consecutive grid
-    cells, 1-based indices.
+    """Yield the Wavefront OBJ text of each mesh in turn, as an iterator of
+    byte chunks: its ns*nt vertices in row-major (s outer, t inner) order,
+    then quads over consecutive grid cells, 1-based indices.
 
     Every mesh is checked before the first text.  The face block is
     formatted once for all meshes, and so is each distinct pair of x1, x2
@@ -76,33 +140,40 @@ def obj_texts(meshes, ns: int, nt: int):
         if v.shape != (ns * nt, 3):
             raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {v.shape}")
     a = (np.arange(ns - 1)[:, None] * nt + np.arange(1, nt)).ravel()
-    faces = "f %d %d %d %d\n" * len(a) % tuple(
-        np.stack([a, a + 1, a + nt + 1, a + nt], axis=1).ravel().tolist())
-    heads = {}  # the x1, x2 columns' bytes -> their row heads
-    rows = [None] * (2 * ns * nt)  # head, x3 of each vertex
+    faces = [L[K] for L, K in [_lines(b"f ", np.stack([a, a + 1, a + nt + 1, a + nt], axis=1), b"   \n")]]  # one chunk
+    heads = {}  # the x1, x2 columns' bytes -> by chunk, its heads and their lengths
     for v in meshes:
-        key = v[:, :2].tobytes()
-        if key not in heads:
-            heads[key] = ("v %.17g %.17g \n" * len(v) % tuple(v[:, :2].ravel().tolist())
-                          ).splitlines()
-        rows[0::2], rows[1::2] = heads[key], v[:, 2].tolist()
-        yield "%s%.17g\n" * len(v) % tuple(rows) + faces
+        yield _obj_text(v, heads.setdefault(v[:, :2].tobytes(), {}), faces)
+
+
+def _obj_text(v, heads, faces):
+    """One mesh's text in chunks of _ROWS lines; the first mesh to reach a chunk makes its heads."""
+    for i in range(0, len(v), _ROWS):
+        if i not in heads:  # a head is the first 86 bytes: "v " and two float fields
+            L, K = _lines(b"v ", v[i:i + _ROWS], b"  \n")
+            heads[i] = L[:, :86][K[:, :86]], K[:, :86].sum(1, dtype=np.uint8)
+        else:
+            L, K = _lines(bytes(86), v[i:i + _ROWS, 2:], b"\n")
+            np.less(_J, heads[i][1][:, None], out=K[:, :86])
+            L[:, :86][K[:, :86]] = heads[i][0]
+        yield L[K]
+    yield from faces
 
 
 def write_obj(path, text):
     """Write one text of obj_texts to path."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.writelines(text)
 
 
 def write_curve_csv(path, s, t):
     """CSV of the singular-curve samples at the arrays s and t, one row
     each; t is blank where it is NaN (unbounded; s never is).  Fields are
     only numbers, so none is quoted."""
-    text = "s,t\r\n" + ("%.17g,%.17g\r\n" * len(s) % tuple(
-        np.column_stack([s, t]).ravel().tolist())).replace(",nan\r\n", ",\r\n")
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    L, K = _lines(b"", np.column_stack([s, t]), b",\r", b"\n")
+    K[np.isnan(t), 42:83] = False
+    with open(path, "wb") as fh:
+        fh.write(b"s,t\r\n" + L[K].tobytes())
 
 
 def json_text(payload):

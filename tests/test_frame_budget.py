@@ -190,6 +190,26 @@ def test_rows_are_keyed_by_their_bits():
         assert np.signbit(B3).tolist() == [not np.signbit(x) for x in s]
 
 
+def test_interleaved_small_batches_serve_the_rows_of_one_batch():
+    # hundreds of small requests and wants, with repeated s and both zeros,
+    # each merging its new keys into the table: every row served is the row
+    # a table filled by one batch of all the s serves
+    rng = np.random.default_rng(5)
+    pool = np.concatenate([rng.uniform(-1.0, 1.0, 150), [0.0, -0.0]])
+    h = hexpr.parse("tanh(s)")
+    src, fresh = frames.make_frame_source(h, 1.0), frames.make_frame_source(h, 1.0)
+    fresh(pool)
+    for i in range(400):
+        if i % 3 == 0:
+            src.want(rng.choice(pool, rng.integers(1, 4)))
+        s = rng.choice(pool, rng.integers(1, 6))
+        got, want = src(s), fresh(s)
+        for a, b in ((got.Y, want.Y), (got.kappa2, want.kappa2)):
+            assert a.taylor().tobytes() == b.taylor().tobytes()
+    got, want = src(pool), fresh(pool)
+    assert got.Y.taylor().tobytes() == want.Y.taylor().tobytes()
+
+
 def test_scan_root_classification_adds_no_batch(batches, classified):
     src = frames.make_frame_source(hexpr.parse("s + s^3"), 1.0)
     report = scan_singularities(src, (-1.0, 1.0), grid_n=256)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilscroll import io_formats
 from nilscroll.errors import NumericFailure
 from nilscroll.io_formats import json_text, obj_texts, write_curve_csv, write_obj
 
@@ -39,13 +40,16 @@ def reference_csv(rows):
 
 
 def edge_mesh(rng, n):
-    """n random vertices of wide magnitude, each column led by EDGE_VALUES."""
+    """n random vertices, each column led by EDGE_VALUES: every other row of
+    wide magnitude (mostly exponent forms and subnormals, which '%.17g'
+    formats itself), the rest in (-3, 3) (positional texts)."""
     vertices = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))
+    vertices[1::2] = rng.uniform(-3.0, 3.0, (n // 2, 3))
     vertices[: len(EDGE_VALUES)] = np.array(EDGE_VALUES)[:n, None]
     return vertices
 
 
-@pytest.mark.parametrize("ns, nt", [(2, 2), (4, 3), (3, 7)])
+@pytest.mark.parametrize("ns, nt", [(2, 2), (4, 3), (3, 7), (40, 30)])
 def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
     rng = np.random.default_rng(ns * nt)
     a, b, c = (edge_mesh(rng, ns * nt) for _ in range(3))
@@ -58,6 +62,9 @@ def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
         got = (tmp_path / f"m{i}.obj").read_bytes()
         assert got == reference_obj(vertices, ns, nt)
         assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
+    # 40x30 spans chunks: b takes the heads a made, and a chunk boundary
+    # falls inside the shared columns
+    assert ns * nt < io_formats._ROWS or ns * nt > 2 * io_formats._ROWS
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (5, 3), (18,)])
@@ -79,6 +86,53 @@ def test_csv_bytes_match_the_csv_module(tmp_path, rows):
     t = np.array([np.nan if y is None else y for _, y in rows], dtype=float)
     write_curve_csv(tmp_path / "c.csv", s, t)
     assert (tmp_path / "c.csv").read_bytes() == reference_csv(rows)
+
+
+def kernel_texts(values):
+    """'%.17g' % x of each value, by the array kernel."""
+    L, K = io_formats._lines(b"", np.asarray(values, dtype=float).reshape(-1, 1), b"\n")
+    return L[K].tobytes().decode().split("\n")[:-1]
+
+
+def ties():
+    """Dyadic values with 18 significant digits, the last a 5 (17-digit
+    rounding ties such as 1234567890123456.75 -> ...56.8, ...56.25 -> ...56.2),
+    and with 19 (just off a tie)."""
+    rng = np.random.default_rng(0)
+    out = [1234567890123456.75, 1234567890123456.25]
+    for digits, j in ((16, 2), (15, 3), (14, 4), (13, 5), (15, 4), (14, 5)):
+        n = rng.integers(10 ** (digits - 1), min(10**digits, 2 ** (53 - j)), 200)
+        odd = 2 * rng.integers(0, 2 ** (j - 1), 200) + 1
+        for sign in (1.0, -1.0):
+            out += (sign * (n + odd / 2.0**j)).tolist()
+    return out
+
+
+FIXED = [1e-4, 9.9999999999999991e-05, 1e16, 1e17, 99999999999999999.0, 2.0**53 - 1, 2.0**53,
+         2.0**53 + 2, 0.0, -0.0, 5e-324, -5e-324, float("inf"), -float("inf"), float("nan"),
+         *(np.nextafter(10.0**k, d) for k in range(-6, 19) for d in (0.0, np.inf)),
+         *(10.0**k for k in range(-6, 19))]
+
+
+def test_kernel_matches_percent_g_on_ties_and_edges():
+    values = ties() + FIXED + [-x for x in FIXED]
+    assert kernel_texts(values) == ["%.17g" % x for x in values]
+    assert kernel_texts([1234567890123456.75, 1234567890123456.25]) == [
+        "1234567890123456.8", "1234567890123456.2"]
+
+
+def test_rounding_half_up_fails_the_ties(monkeypatch):
+    # negative control: the tie cases tell half to even from half up
+    monkeypatch.setattr(np, "rint", lambda e: np.floor(e + 0.5))
+    values = ties()
+    assert kernel_texts(values) != ["%.17g" % x for x in values]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, np.uint64).view(np.float64).item()), min_size=1, max_size=40))
+def test_kernel_matches_percent_g(values):
+    assert kernel_texts(values) == ["%.17g" % x for x in values]
 
 
 def dumps(payload):
