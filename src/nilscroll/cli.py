@@ -98,10 +98,9 @@ def cmd_surface(args) -> int:
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
     if not all(np.all(np.isfinite(verts[k])) for k in targets):
         raise NumericFailure("non-finite mesh vertex")
-    texts = obj_texts([verts[k] for k in targets], ns, nt)
-    with output_set() as stage:
-        for target in targets:  # one text alive at a time
-            write_obj(stage(f"{args.out}_{target}.obj"), next(texts))
+    with output_set() as stage:  # the first text streams into its file; one sharing its x1, x2 waits
+        for target, text in zip(targets, obj_texts([verts[k] for k in targets], ns, nt)):
+            write_obj(stage(f"{args.out}_{target}.obj"), text)
         print("\n".join(f"{args.out}_{target}.obj" for target in targets), flush=True)
     return EXIT_OK
 

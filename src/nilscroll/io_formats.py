@@ -4,11 +4,11 @@ OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
 header row, the golden-file medium) use 17 significant digits, the bytes of
 `format(x, ".17g")`.  One array kernel (_lines) writes them: exact decimal
 digits from Dekker's TwoProduct, and '%.17g' itself for the few other values
-(zeros, exponent forms, non-finite).  obj_texts streams a mesh in chunks and
-formats the text a command's meshes share once.  JSON text is json.dumps's
-with sort_keys=True and indent=2: shortest round-trip floats, finite numbers
-only, and a table of rows with the same keys and float values in one `%r`
-pass.  A command writes its files as one output_set: all of them or none.
+(zeros, exponent forms, non-finite).  obj_texts formats the vertex lines of
+meshes that share x1, x2 in one pass per chunk of rows.  JSON text is
+json.dumps's with sort_keys=True and indent=2: shortest round-trip floats,
+finite numbers only, and a table of rows with the same keys and float values
+in one `%r` pass.  A command writes its files as one output_set: all or none.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ def output_set():
 
     try:
         yield stage
-        for out, path in names.items():
+        for out, path in list(names.items()):
             if out != path:
                 os.replace(out, os.path.realpath(path))
+            del names[out]  # nothing left to remove
     except BrokenPipeError:
         raise
     except OSError as err:  # a write error names no file: it is the last one staged
@@ -75,13 +76,13 @@ _K, _LAST, _NEG, _J = np.ogrid[-4:17, :18, :2, :86]
 _KEEP = np.concatenate([np.broadcast_to(m, (21, 18, 2, m.shape[-1])) for m in (
     _NEG[..., :1] == 1, _J[..., :5] < np.where(_K < 0, 1 - _K, 0), _J[..., :17] <= _K,
     (_K >= 0) & (_LAST > _K + 1), (_J[..., :17] > _K) & (_J[..., :17] < _LAST))], -1).reshape(-1, 41)
-_J, _ROWS = _J.ravel(), 512  # column numbers; lines in one chunk of an OBJ text
+_J, _ROWS = _J.ravel(), 512  # column numbers; the most lines in one chunk of an OBJ text
 
 
-def _lines(head, x, seps, tail=b""):
+def _lines(head, x, seps):
     """The lines of x (n, c): head, then x[i, j] as '%.17g' (an int >= 0:
-    '%d') and seps[j] for each j, then tail, as an (n, width) byte matrix L
-    and its mask K; L[K] is the text.
+    '%d') and seps[j] for each j, as an (n, width) byte matrix L and its
+    mask K; L[K] is the text.
 
     A positional '%.17g' (exponent k in -4..16) shows D, |x| * 10^(16-k)
     rounded half to even: by Dekker's TwoProduct that product is exactly
@@ -91,10 +92,10 @@ def _lines(head, x, seps, tail=b""):
     (n, c), x, ints = x.shape, x.ravel(), x.dtype.kind == "i"
     nq = -(-len(str(x.max(initial=0))) // 4) if ints else 5  # groups of four digits
     field = b"0" * 4 * nq if ints else b"-0.000%s.%s" % (b"0" * 17, b"0" * 17)
-    row = head + b"".join(field + seps[j:j + 1] for j in range(c)) + tail
-    L = np.empty((n, len(row)), np.uint8)
-    L[...], K = np.frombuffer(row, np.uint8), np.ones(L.shape, bool)
-    F, FK = (A[:, len(head):len(row) - len(tail)].reshape(n, c, len(field) + 1)[..., :-1] for A in (L, K))
+    row = head + b"".join(field + seps[j:j + 1] for j in range(c))
+    L = np.frombuffer(bytearray(row * n), np.uint8).reshape(n, len(row))
+    K = np.ones(L.shape, bool)
+    F, FK = (A[:, len(head):].reshape(n, c, len(field) + 1)[..., :-1] for A in (L, K))
     D = x
     if not ints:
         a = np.abs(x)
@@ -114,7 +115,7 @@ def _lines(head, x, seps, tail=b""):
     G = _QUADS.take(quads.T).view(np.uint8).reshape(n, c, 4 * nq)
     if ints:  # right-aligned, without leading zeros
         F[...] = G
-        np.greater_equal(_J[:4 * nq], 4 * nq - 1 - _P10[1:].searchsorted(x, "right").reshape(n, c, 1), out=FK)
+        FK[...] = _J[:4 * nq] >= 4 * nq - 1 - _P10[1:].searchsorted(x, "right").reshape(n, c, 1)
         return L, K
     last = (_ENDS.take(quads) + [[-3], [1], [5], [9], [13]]).max(0)  # D's last non-zero digit
     F[..., 6:23] = F[..., 24:] = G[..., 3:]
@@ -127,37 +128,37 @@ def _lines(head, x, seps, tail=b""):
 
 
 def obj_texts(meshes, ns: int, nt: int):
-    """Yield the Wavefront OBJ text of each mesh in turn, as an iterator of
-    byte chunks: its ns*nt vertices in row-major (s outer, t inner) order,
-    then quads over consecutive grid cells, 1-based indices.
+    """Yield the Wavefront OBJ text of each mesh in turn, an iterator of byte
+    chunks to write before the next text is taken: its ns*nt vertices in
+    row-major (s outer, t inner) order, then quads over consecutive grid
+    cells, 1-based indices.  Every mesh is checked before the first text.
 
-    Every mesh is checked before the first text.  The face block is
-    formatted once for all meshes, and so is each distinct pair of x1, x2
-    columns (the Nil_3 mesh shares L^3's), as one "v x1 x2 " head per vertex.
+    The faces are formatted once, and the vertex lines once for the meshes
+    whose x1, x2 columns are equal bitwise (Nil_3's and L^3's): one "v x1 x2
+    z z' ..." pass per chunk of rows, cut into each mesh's lines by a mask.
+    The first of them streams its chunks; the others' are held until their turn.
     """
-    meshes = [np.asarray(v, dtype=float) for v in meshes]
+    meshes = [np.asarray(v, float) for v in meshes]
     for v in meshes:
         if v.shape != (ns * nt, 3):
             raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {v.shape}")
     a = (np.arange(ns - 1)[:, None] * nt + np.arange(1, nt)).ravel()
-    faces = [L[K] for L, K in [_lines(b"f ", np.stack([a, a + 1, a + nt + 1, a + nt], axis=1), b"   \n")]]  # one chunk
-    heads = {}  # the x1, x2 columns' bytes -> by chunk, its heads and their lengths
-    for v in meshes:
-        yield _obj_text(v, heads.setdefault(v[:, :2].tobytes(), {}), faces)
+    faces = [L[K] for L, K in [_lines(b"f ", np.column_stack([a, a + 1, a + nt + 1, a + nt]), b"   \n")]]  # one chunk
+    keys, held = [v[:, :2].tobytes() for v in meshes], {}  # a later mesh of a pass -> its chunks
 
+    def text(g):
+        """Mesh g[0]'s text in ceil(n / _ROWS) equal chunks; the rest of g's go to held."""
+        x = np.column_stack([meshes[g[0]][:, :2]] + [meshes[i][:, 2] for i in g])
+        for rows in np.array_split(x, -(-len(x) // _ROWS)):
+            L, K = _lines(b"v ", rows, b"  " + b"\n" * len(g))
+            column = (np.arange(L.shape[1]) - 2) // 42  # of each byte: -1 for "v ", 0 for x1, ...
+            for j, i in enumerate(g[1:], 3):
+                held.setdefault(i, []).append(L[K & ((column < 2) | (column == j))])
+            yield L[K & (column < 3)]
+        yield from faces
 
-def _obj_text(v, heads, faces):
-    """One mesh's text in chunks of _ROWS lines; the first mesh to reach a chunk makes its heads."""
-    for i in range(0, len(v), _ROWS):
-        if i not in heads:  # a head is the first 86 bytes: "v " and two float fields
-            L, K = _lines(b"v ", v[i:i + _ROWS], b"  \n")
-            heads[i] = L[:, :86][K[:, :86]], K[:, :86].sum(1, dtype=np.uint8)
-        else:
-            L, K = _lines(bytes(86), v[i:i + _ROWS, 2:], b"\n")
-            np.less(_J, heads[i][1][:, None], out=K[:, :86])
-            L[:, :86][K[:, :86]] = heads[i][0]
-        yield L[K]
-    yield from faces
+    for i, key in enumerate(keys):
+        yield held.pop(i) + faces if i in held else text([j for j, k in enumerate(keys) if k == key and j >= i])
 
 
 def write_obj(path, text):
@@ -170,10 +171,10 @@ def write_curve_csv(path, s, t):
     """CSV of the singular-curve samples at the arrays s and t, one row
     each; t is blank where it is NaN (unbounded; s never is).  Fields are
     only numbers, so none is quoted."""
-    L, K = _lines(b"", np.column_stack([s, t]), b",\r", b"\n")
-    K[np.isnan(t), 42:83] = False
+    L, K = _lines(b"\n", np.column_stack([s, t]), b",\r")  # a row's \n leads the next row
+    K[np.isnan(t), 43:84] = False
     with open(path, "wb") as fh:
-        fh.write(b"s,t\r\n" + L[K].tobytes())
+        fh.write(b"s,t\r" + L[K].tobytes() + b"\n")
 
 
 def json_text(payload):

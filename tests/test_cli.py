@@ -73,8 +73,9 @@ def test_surface_both_targets(tmp_path):
 
 
 def test_surface_both_targets_equal_separate_runs(tmp_path):
-    # both targets format their shared text once; each file keeps its bytes
-    args = ("surface", "--h", "cot(exp(s)/2)", "--H", "-0.37", "--grid", "9x5", "--out")
+    # both targets format their vertex lines in one pass per chunk (1,200
+    # rows: three of 400); each file keeps its bytes
+    args = ("surface", "--h", "cot(exp(s)/2)", "--H", "-0.37", "--grid", "40x30", "--out")
     assert run(tmp_path, *args, "both", "--target", "both")[0] == 0
     for target in ("l3", "nil3"):
         assert run(tmp_path, *args, target, "--target", target)[0] == 0

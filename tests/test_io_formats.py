@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilscroll import io_formats
-from nilscroll.errors import NumericFailure
+from nilscroll.errors import NumericFailure, OutputError
 from nilscroll.io_formats import json_text, obj_texts, write_curve_csv, write_obj
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, 1.0, -1e-7, 0.1, -2.5e-310, 123456789.125]
@@ -53,18 +54,38 @@ def edge_mesh(rng, n):
 def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
     rng = np.random.default_rng(ns * nt)
     a, b, c = (edge_mesh(rng, ns * nt) for _ in range(3))
+    a[-1, 0] = 0.0  # a's x1 holds both zeros: -0.0 leads it
     b[:, :2] = a[:, :2]  # shares x1, x2 with a, as the Nil_3 mesh does with L^3's
     c[:, :2] = a[:, 1::-1]  # a's x1, x2 swapped: the same numbers, no shared column
-    meshes = [a, b, c, a]
+    d = a.copy()
+    d[:, 0] = np.where(a[:, 0] == 0.0, -a[:, 0], a[:, 0])  # == a's x1, but not bitwise
+    meshes = [a, b, c, a, d]
     for i, text in enumerate(obj_texts(meshes, ns, nt)):
         write_obj(tmp_path / f"m{i}.obj", text)
     for i, vertices in enumerate(meshes):
         got = (tmp_path / f"m{i}.obj").read_bytes()
         assert got == reference_obj(vertices, ns, nt)
         assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
-    # 40x30 spans chunks: b takes the heads a made, and a chunk boundary
-    # falls inside the shared columns
+    # d is not cut from a's pass: its last x1 prints as -0, a's as 0
+    assert b"\nv -0 " in (tmp_path / "m4.obj").read_bytes()
+    assert b"\nv 0 " in (tmp_path / "m0.obj").read_bytes()
+    # 40x30 spans three chunks, each one pass for a, b and a again
     assert ns * nt < io_formats._ROWS or ns * nt > 2 * io_formats._ROWS
+
+
+def test_output_set_removes_only_what_it_did_not_rename(tmp_path, monkeypatch):
+    removed = []
+    monkeypatch.setattr(io_formats.os, "remove", removed.append)
+    with io_formats.output_set() as stage:
+        for name in ("a", "b"):
+            with open(stage(tmp_path / name), "w") as fh:
+                fh.write(name)
+    assert removed == [] and sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+    with pytest.raises(OutputError, match="the body failed"), io_formats.output_set() as stage:
+        with open(stage(tmp_path / "c"), "w") as fh:
+            fh.write("c")
+        raise OSError("the body failed")
+    assert [os.path.basename(p).split(".")[0] for p in removed] == ["c"]  # the temporary
 
 
 @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (5, 3), (18,)])
