@@ -5,11 +5,10 @@ surfaces in the Lorentzian Heisenberg group, with singularity classification.
 import types
 
 from .errors import (ClassifierInconsistency, DegenerateGenerator, DomainError, ExprSyntaxError,
-                     InitError, InputError, NilscrollError, NormalizationError, NoSolutionFound,
-                     NumericFailure, OrientationBreak, OrientationError, OutOfRange,
-                     PreconditionError, UnknownFunction)
-from .frames import (NullFrame, frame_flow_from_curvatures, frame_from_B, frame_from_h,
-                     make_frame_source, validate_frame)
+                     InitError, InputError, NilscrollError, NoSolutionFound, NumericFailure,
+                     OrientationBreak, OutOfRange, PreconditionError, UnknownFunction)
+from .frames import (NullFrame, frame_flow_from_curvatures, frame_from_h, make_frame_source,
+                     validate_frame)
 from .hexpr import eval_jet, mobius, parse, to_str
 from .integrate import CurvePath, integrate_curve
 from .jets import Jet, schwarzian

@@ -22,6 +22,7 @@ import numpy as np
 from . import hexpr
 from .errors import InputError, NilscrollError, NumericFailure, PreconditionError
 from .frames import (
+    finite_frames,
     frame_flow_from_curvatures,
     frame_jets_from_values,
     make_frame_source,
@@ -193,10 +194,10 @@ def cmd_family(args) -> int:
     }
     if args.find_notce:
         s = args.s if args.s is not None else 0.0
-        O, g, residuals = find_notce_transform(source(s))
+        O, g, residuals = find_notce_transform(finite_frames(source, np.array([s]))[0])
         payload["transform"] = {
             "matrix": O.m.tolist(),
-            "params": list(O.params[:3]) if O.params else None,
+            "params": None,
             "residuals": list(residuals),
             "kind_at_s": classify_point(g).kind.value,
             "s": s,

@@ -49,14 +49,6 @@ class DegenerateGenerator(InputError):
     """h'(s) vanishes; the generator does not define a null frame there."""
 
 
-class OrientationError(InputError):
-    """H * det(B, B', B'') <= 0; B cannot be completed to a valid frame."""
-
-
-class NormalizationError(InputError):
-    """<B', B'> != H^2 (or B not lightlike); prescribed B is not normalized."""
-
-
 class InitError(InputError):
     """Initial frame for the Frenet-Serret flow fails validation."""
 

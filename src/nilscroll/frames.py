@@ -1,12 +1,12 @@
 """Adapted null frames (A, B, C) along null curves.
 
-Constructors: closed form from a generator h, from a prescribed lightlike
-direction B, or from prescribed curvature functions via the Frenet-Serret
-flow.  A frame is one Taylor array Y[k, v, i] (coefficient k of component
-i of A, B, C for v = 0, 1, 2) over its batch of points, so every
-s-derivative needed downstream is exact; finite differences survive only
-as test oracles.  Y.value, of shape (3, 3) or (3, 3, N) for a batch, holds
-the vectors A, B, C (see lorentz), and Y.deriv().value holds A', B', C'.
+Constructors: closed form from a generator h, or from prescribed curvature
+functions via the Frenet-Serret flow.  A frame is one Taylor array
+Y[k, v, i] (coefficient k of component i of A, B, C for v = 0, 1, 2) over
+its batch of points, so every s-derivative needed downstream is exact;
+finite differences survive only as test oracles.  Y.value, of shape (3, 3)
+or (3, 3, N) for a batch, holds the vectors A, B, C (see lorentz), and
+Y.deriv().value holds A', B', C'.
 
 Frenet-Serret system (column convention, kappa3 = H constant):
 
@@ -29,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hexpr
-from .errors import (
-    DegenerateGenerator,
-    DomainError,
-    InitError,
-    NormalizationError,
-    NumericFailure,
-    OrientationError,
-)
-from .jets import DEFAULT_ORDER, Jet, _cauchy, _quotient, _scaled_tail, schwarzian, stack
+from .errors import DegenerateGenerator, DomainError, InitError, NumericFailure
+from .jets import DEFAULT_ORDER, Jet, _cauchy, _quotient, _scaled_tail, schwarzian
 from .lorentz import det3, mcross, mdot
 
 B3_UNBOUNDED_TOL = 1e-10
@@ -178,35 +171,6 @@ def make_frame_source(h_ast, H: float):
     return source
 
 
-def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:
-    """Complete a prescribed lightlike B (a vector jet of order >= 4 at one
-    point) to a null frame of order B.order - 2, which carries B''.
-
-    Requires <B,B> = 0, <B',B'> = H^2 and H*det(B,B',B'') > 0; the sign of
-    B is rigid (flipping it breaks the orientation condition).
-    """
-    if H == 0.0:
-        raise ValueError("H must be non-zero")
-    if B.order < 4:
-        raise ValueError("B needs order >= 4")
-    s = B.base_point
-    if abs(mdot(B, B).value) > tol:
-        raise NormalizationError(f"<B,B> = {mdot(B, B).value:.3e} != 0")
-    Bp = B.deriv()
-    Bpp = Bp.deriv()
-    if abs(mdot(Bp, Bp).value - H * H) > tol:
-        raise NormalizationError(
-            f"<B',B'> = {mdot(Bp, Bp).value!r} != H^2 = {H * H!r}"
-        )
-    orient = H * det3(B.value, Bp.value, Bpp.value)
-    if orient <= 0.0:
-        raise OrientationError(f"H*det(B,B',B'') = {orient:.3e} <= 0")
-    kappa2 = mdot(Bpp, Bpp) * (-1.0 / (2.0 * H * H * H))
-    A = B * (-kappa2 / H) + Bpp / (H * H)
-    kappa1 = Jet.constant(0.0, kappa2.order, base_point=s)
-    return NullFrame(s=s, Y=stack([A, B, Bp / H]), kappa1=kappa1, kappa2=kappa2, H=H)
-
-
 def validate_frame(f: NullFrame) -> FrameResiduals:
     """Residuals of all frame invariants (arrays for a batch); the caller
     picks thresholds."""
@@ -255,26 +219,26 @@ def _curvature(ast, s, order):
     return k
 
 
-def frame_jets_from_values(Av, Bv, Cv, kappa1_ast, kappa2_ast, H, s, order=DEFAULT_ORDER):
-    """Rebuild the frame's Taylor array from sampled values.
+def frame_jets_from_values(Av, Bv, Cv, kappa1_ast, kappa2_ast, H, s):
+    """Rebuild the frame's Taylor array, of order DEFAULT_ORDER, from sampled values.
 
     Taylor coefficients beyond order zero follow recursively from the
     Frenet-Serret relations with the prescribed curvature jets.  Av, Bv, Cv
     are vectors of 3 values (a list or array) at a float s, or of 3 arrays
     at a 1-D array s.
     """
-    k1 = _curvature(kappa1_ast, s, order)
-    k2 = _curvature(kappa2_ast, s, order)
+    k1 = _curvature(kappa1_ast, s, DEFAULT_ORDER)
+    k2 = _curvature(kappa2_ast, s, DEFAULT_ORDER)
     t1, t2 = k1.taylor(), k2.taylor()
     # Y[k, v, i]: Taylor coefficient k of component i of A, B, C (v = 0, 1, 2)
-    Y = np.zeros((order + 1, 3, 3, t1.shape[1]))
+    Y = np.zeros((DEFAULT_ORDER + 1, 3, 3, t1.shape[1]))
     Y[0] = np.reshape([[*Av], [*Bv], [*Cv]], (3, 3, -1))
 
     def conv(coeffs, v, k):
         return sum(coeffs[j] * Y[k - j, v] for j in range(k + 1))
 
     with np.errstate(all="ignore"):
-        for k in range(order):
+        for k in range(DEFAULT_ORDER):
             da = conv(t1, 0, k) + conv(t2, 2, k)
             db = -conv(t1, 1, k) + H * Y[k, 2]
             dc = H * Y[k, 0] + conv(t2, 1, k)

@@ -221,12 +221,6 @@ class Jet:
         return Jet.constant(other, self.order, self.base_point) / self
 
 
-def stack(jets):
-    """The jet with the given jets as its components, at their lowest order."""
-    n = min(j.order for j in jets) + 1
-    return Jet(np.stack([j.taylor()[:n] for j in jets], axis=1), jets[0].base_point)
-
-
 # -- elementary functions (Taylor-series recurrences) ----------------------
 #
 # For u = f(a) with u' = g(a) a', the coefficients follow from
@@ -275,8 +269,18 @@ def _trig_pair(a: Jet, hyperbolic: bool):
 
 
 def _ratio(num, den, fn):
-    """num / den, outside fn's domain where den's value is 0 (tan, cot, tanh)."""
+    """num / den, outside fn's domain where den's value is 0 (tan, cot)."""
     return num / den._domain(den.taylor()[0] == 0.0, fn)
+
+
+def tanh(a: Jet) -> Jet:
+    """sinh a / cosh a, and (sign a, 0, 0, ...) where cosh of a's value
+    overflows: tanh is +-1 there and every higher coefficient underflows."""
+    s, c = _trig_pair(a, True)
+    big = np.isinf(c.taylor()[0])
+    t = np.where(big, 0.0, (s / c).taylor())
+    t[0] = np.where(big, np.sign(a.taylor()[0]), t[0])
+    return Jet(t, a.base_point)
 
 
 def sqrt(a: Jet) -> Jet:
@@ -301,7 +305,7 @@ FUNCTIONS = {
     "cot": lambda a: _ratio(*_trig_pair(a, False)[::-1], "cot"),
     "sinh": lambda a: _trig_pair(a, True)[0],
     "cosh": lambda a: _trig_pair(a, True)[1],
-    "tanh": lambda a: _ratio(*_trig_pair(a, True), "tanh"),
+    "tanh": tanh,
     "sqrt": sqrt,
 }
 

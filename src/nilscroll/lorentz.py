@@ -1,7 +1,7 @@
 """Lorentzian linear algebra in signature (-,+,+).
 
 The Minkowski inner product and cross product, and a
-rotation-boost-rotation chart of O(2,1).  The one stereographic chart of
+rotation-boost-rotation chart of SO+(2,1).  The one stereographic chart of
 the de-Sitter 2-space is the normal Gauss map in surface.py, whose g is a
 pair of arrays (re, im).
 
@@ -62,24 +62,20 @@ def _boost(chi):
 
 @dataclass(frozen=True)
 class LorentzTransform:
-    """Element of O(2,1), with its rotation-boost-rotation parameters when known."""
+    """Element of O(2,1), the matrix m."""
 
     m: np.ndarray
-    params: tuple | None = None
 
     @classmethod
-    def from_params(cls, phi=0.0, chi=0.0, psi=0.0, reflect=False, time_reverse=False):
+    def from_params(cls, phi=0.0, chi=0.0, psi=0.0):
+        """The SO+(2,1) element rot(phi) boost(chi) rot(psi)."""
         try:
             m = _rot(phi) @ _boost(chi) @ _rot(psi)
         except (OverflowError, ValueError):  # cosh(chi) overflows, cos(inf)
             m = np.full((3, 3), np.nan)
         if not np.all(np.isfinite(m)):
             raise PreconditionError(f"no finite transform: phi={phi}, chi={chi}, psi={psi}")
-        if reflect:
-            m = m @ np.diag([1.0, 1.0, -1.0])
-        if time_reverse:
-            m = m @ np.diag([-1.0, 1.0, 1.0])
-        return cls(m=m, params=(phi, chi, psi, reflect, time_reverse))
+        return cls(m=m)
 
     @property
     def det(self):

@@ -375,8 +375,7 @@ def transform_frame(O: LorentzTransform, frame: NullFrame) -> NullFrame:
                      kappa2=frame.kappa2, H=frame.H)
 
 
-def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
-                     tol_root=DEFAULT_TOL_ROOT, extra_s=()):
+def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50):
     """Compare front/cross-cap status of f and f^O along the singular curve.
 
     One frame batch at the samples gives f and f^O, and one classification
@@ -386,11 +385,10 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     vs swallowtail kinds may legitimately differ and are only counted.
     """
     lo, hi = float(s_range[0]), float(s_range[1])
-    svals = np.concatenate([np.linspace(lo, hi, n_samples), np.asarray(extra_s, dtype=float)])
-    f = finite_frames(frame_source, svals)
-    both = f.take(np.repeat(np.arange(len(svals)), 2))  # f, f^O at each point in turn
+    f = finite_frames(frame_source, np.linspace(lo, hi, n_samples))
+    both = f.take(np.repeat(np.arange(n_samples), 2))  # f, f^O at each point in turn
     both.Y.taylor()[..., 1::2] = transform_frame(O, f).Y.taylor()
-    c = classify_point(both, tol_root)
+    c = classify_point(both)
     c.raise_first()
     p, q = c.kind[0::2], c.kind[1::2]
     on = (p != "unbounded") & (q != "unbounded")
@@ -403,13 +401,14 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50,
     }
 
 
-def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8):
+def find_notce_transform(frame: NullFrame):
     """(O, O frame, its NotCE residuals): the SO+(2,1) O making the point non-cuspidal.
 
     NotCE needs (OB)_3 = <O^-1 e3, B> = +-sqrt(H/kappa2), so kappa2/H > 0.
     w = -sqrt(H/kappa2) A + C is unit spacelike with <w, B> = sqrt(H/kappa2);
     O^-1 = [u0 | w x u0 | w] with the future unit timelike u0 = (e1 + w1 w) /
     sqrt(1 + w1^2) has det <w x u0, w x u0> = +1, and O = eta (O^-1)^T eta.
+    Residuals of O frame not both below 1e-8 raise NoSolutionFound.
     """
     k2 = frame.kappa2.value
     H = frame.H
@@ -422,6 +421,6 @@ def find_notce_transform(frame: NullFrame, residual_tol: float = 1e-8):
     O = LorentzTransform(m=ETA @ np.array(rows) @ ETA)
     g = transform_frame(O, frame)
     residuals = notce_residuals(g)
-    if not max(abs(r) for r in residuals) < residual_tol:
+    if not max(abs(r) for r in residuals) < 1e-8:
         raise NoSolutionFound(residuals, "closed-form transform misses the NotCE residuals")
     return O, g, residuals

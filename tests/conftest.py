@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from jet_route_oracles import stack
 from nilscroll import hexpr
 from nilscroll.frames import make_frame_source
-from nilscroll.jets import stack
 from nilscroll.integrate import integrate_curve
 from nilscroll.surface import ScrollSurface
 

@@ -2,16 +2,62 @@
 
 These are the package's earlier routes, kept as oracles: the package now
 replays the same operation sequences on coefficient arrays, and the tests
-assert that every output keeps its bits.
+assert that every output keeps its bits.  frame_from_B, a third frame
+constructor that completes a prescribed lightlike B at one point, checks
+the frames of the other two.
 """
 
 import numpy as np
 
 from nilscroll import hexpr
-from nilscroll.errors import DegenerateGenerator
+from nilscroll.errors import DegenerateGenerator, InputError
 from nilscroll.frames import B3_UNBOUNDED_TOL, NullFrame
-from nilscroll.jets import DEFAULT_ORDER, Jet, stack
+from nilscroll.jets import DEFAULT_ORDER, Jet
+from nilscroll.lorentz import det3, mdot
 from nilscroll.singular import CROSS_TOL
+
+
+class OrientationError(InputError):
+    """H * det(B, B', B'') <= 0; B cannot be completed to a valid frame."""
+
+
+class NormalizationError(InputError):
+    """<B', B'> != H^2 (or B not lightlike); prescribed B is not normalized."""
+
+
+def stack(jets):
+    """The jet with the given jets as its components, at their lowest order."""
+    n = min(j.order for j in jets) + 1
+    return Jet(np.stack([j.taylor()[:n] for j in jets], axis=1), jets[0].base_point)
+
+
+def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:
+    """Complete a prescribed lightlike B (a vector jet of order >= 4 at one
+    point) to a null frame of order B.order - 2, which carries B''.
+
+    Requires <B,B> = 0, <B',B'> = H^2 and H*det(B,B',B'') > 0; the sign of
+    B is rigid (flipping it breaks the orientation condition).
+    """
+    if H == 0.0:
+        raise ValueError("H must be non-zero")
+    if B.order < 4:
+        raise ValueError("B needs order >= 4")
+    s = B.base_point
+    if abs(mdot(B, B).value) > tol:
+        raise NormalizationError(f"<B,B> = {mdot(B, B).value:.3e} != 0")
+    Bp = B.deriv()
+    Bpp = Bp.deriv()
+    if abs(mdot(Bp, Bp).value - H * H) > tol:
+        raise NormalizationError(
+            f"<B',B'> = {mdot(Bp, Bp).value!r} != H^2 = {H * H!r}"
+        )
+    orient = H * det3(B.value, Bp.value, Bpp.value)
+    if orient <= 0.0:
+        raise OrientationError(f"H*det(B,B',B'') = {orient:.3e} <= 0")
+    kappa2 = mdot(Bpp, Bpp) * (-1.0 / (2.0 * H * H * H))
+    A = B * (-kappa2 / H) + Bpp / (H * H)
+    kappa1 = Jet.constant(0.0, kappa2.order, base_point=s)
+    return NullFrame(s=s, Y=stack([A, B, Bp / H]), kappa1=kappa1, kappa2=kappa2, H=H)
 
 
 def schwarzian(h: Jet) -> Jet:

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from jet_route_oracles import frame_from_B
 from nilscroll import hexpr
 from nilscroll.frames import (
     frame_flow_from_curvatures,
-    frame_from_B,
     frame_from_h,
     make_frame_source,
     validate_frame,

@@ -514,6 +514,24 @@ def test_singular_overflow_writes_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--h", "tanh(s)", "--find-notce", "--s", "750"), "|h'(750.0)| = 0.000e+00"),
+    (("surface", "--h", "tanh(1000*s)", "--out", "m"), "|h'(-1.0)| = 0.000e+00"),
+])
+def test_tanh_past_the_overflow_of_cosh_is_flat(tmp_path, argv, message):
+    # tanh is +-1 there, so h' is flat: an input error, not a NaN frame
+    code, out, err = run(tmp_path, *argv)
+    assert (code, out, err) == (2, "", f"error: {message} < 1e-12\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("h", ["exp(exp(s))", "s^400"])
+def test_find_notce_non_finite_frame_exit_3(tmp_path, h):
+    # the frame overflows at s = 10: no transform is sought
+    code, out, err = run(tmp_path, "family", "--h", h, "--find-notce", "--s", "10")
+    assert (code, out, err) == (3, "", "numeric failure: non-finite frame at s=10.0\n")
+
+
 @pytest.mark.parametrize("argv, squat, named", [
     (["surface", "--grid", "4x4", "--out", "d/x"], "d/x_nil3.obj", "d/x_nil3.obj"),
     (["surface", "--grid", "4x4", "--out", "missing/x"], None, "missing/x_l3.obj"),

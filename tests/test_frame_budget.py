@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nilscroll import frames, hexpr, singular
+from nilscroll.errors import NumericFailure
 from nilscroll.integrate import integrate_curve
 from nilscroll.verify import run_verify
 from nilscroll.lorentz import LorentzTransform
@@ -128,6 +129,17 @@ def test_curve_split_panels_evaluate_each_s_once(evals, batches):
     assert set(evals.values()) == {1}
     # at most two batches for each panel tried: P kept ones and P - 1 split
     assert len(batches) <= 2 * (2 * (len(path.breaks) - 1) - 1)
+
+
+def test_curve_fit_fails_fast_where_it_resolves_a_nowhere(evals, batches):
+    # a draw of test_random_inputs: no panel near -3 resolves A for h = 1e50/s,
+    # and the fit gives up within a bounded number of frame batches (one that
+    # splits every unresolved panel at each level does not)
+    src = frames.make_frame_source(hexpr.parse("((s)^-1 * (1e100)^0.5)"), 1.0)
+    with pytest.raises(NumericFailure, match=r"^A\(s\) unresolved near s=-2\.99"):
+        integrate_curve(src, -1.25, (-3.0, 0.5))
+    assert len(batches) <= 64
+    assert sum(evals.values()) <= 4096
 
 
 def test_surface_frame_budget(evals, batches):

@@ -6,26 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from jet_route_oracles import NormalizationError, OrientationError, frame_from_B, stack
 from nilscroll import frames as frames_module
 from nilscroll import hexpr
-from nilscroll.errors import (
-    DegenerateGenerator,
-    DomainError,
-    InitError,
-    NormalizationError,
-    NumericFailure,
-    OrientationError,
-)
+from nilscroll.errors import DegenerateGenerator, DomainError, InitError, NumericFailure
 from nilscroll.frames import (
     finite_frames,
     frame_flow_from_curvatures,
-    frame_from_B,
     frame_from_h,
     frame_jets_from_values,
     make_frame_source,
     validate_frame,
 )
-from nilscroll.jets import Jet, stack
+from nilscroll.jets import Jet
 
 TANH = hexpr.parse("tanh(s)")
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,21 @@ def test_domain_errors():
         FUNCTIONS["sqrt"](Jet.variable(-0.5, 3))
     with pytest.raises(DomainError):
         pow_const(Jet.variable(-2.0, 3), 0.5)
+
+
+def test_tanh_past_the_overflow_of_cosh():
+    # cosh overflows past |x| ~ 710.48, where tanh is +-1 and every higher
+    # coefficient underflows; below, tanh keeps the bits of sinh/cosh
+    x = np.array([711.0, 800.0, 1e308, -711.0, -800.0, -1e308])
+    with np.errstate(all="ignore"):
+        jet = FUNCTIONS["tanh"](Jet.variable(x, 3))
+        alone = [FUNCTIONS["tanh"](Jet.variable(float(v), 3)).coeffs for v in x]
+        y = Jet.variable(np.array([-710.4, -3.0, 0.5, 700.0, 710.4]), 5)
+        finite = FUNCTIONS["tanh"](y).taylor()
+        ratio = (FUNCTIONS["sinh"](y) / FUNCTIONS["cosh"](y)).taylor()
+    assert jet.taylor().tolist() == [np.sign(x).tolist()] + [[0.0] * 6] * 3
+    assert alone == [(float(np.sign(v)), 0.0, 0.0, 0.0) for v in x]
+    assert np.array_equal(finite, ratio)
 
 
 def test_pow_const_integer_any_base():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilscroll.jets import Jet, stack
+from jet_route_oracles import stack
+from nilscroll.jets import Jet
 from nilscroll.lorentz import ETA, LorentzTransform, det3, mcross, mdot
 from nilscroll.surface import _stereo
 from nilscroll.verify import _nl_from_g
@@ -88,9 +89,9 @@ def test_lorentz_from_params_is_lorentz():
     O = LorentzTransform.from_params(phi=0.4, chi=1.1, psi=-2.0)
     assert is_lorentz(O.m) < 1e-12
     assert O.det == pytest.approx(1.0)
-    R = LorentzTransform.from_params(phi=0.4, reflect=True)
+    R = LorentzTransform(m=LorentzTransform.from_params(phi=0.4).m @ np.diag([1.0, 1.0, -1.0]))
     assert R.det == pytest.approx(-1.0)
-    T = LorentzTransform.from_params(chi=0.3, time_reverse=True)
+    T = LorentzTransform(m=LorentzTransform.from_params(chi=0.3).m @ np.diag([-1.0, 1.0, 1.0]))
     assert T.det == pytest.approx(-1.0)
     assert is_lorentz(T.m) < 1e-12
 
@@ -109,7 +110,7 @@ def test_cross_equivariance(u, v, chi):
     """(Ou) x (Ov) = det(O) * O(u x v)."""
     for O in (
         LorentzTransform.from_params(chi=chi),
-        LorentzTransform.from_params(chi=chi, reflect=True),
+        LorentzTransform(m=LorentzTransform.from_params(chi=chi).m @ np.diag([1.0, 1.0, -1.0])),
     ):
         lhs = mcross(O.apply(vjet(u)).value, O.apply(vjet(v)).value)
         rhs = O.det * O.apply(vjet(mcross(u, v))).value
