@@ -78,7 +78,7 @@ def _require(args, *names):
 
 
 def _emit(args, payload):
-    if getattr(args, "report", None):
+    if args.report:
         with output_set() as stage:
             write_json(stage(args.report), payload)
     else:
@@ -193,14 +193,13 @@ def cmd_family(args) -> int:
         "generator": hexpr.to_str(h_ast),
     }
     if args.find_notce:
-        s = args.s if args.s is not None else 0.0
-        O, g, residuals = find_notce_transform(finite_frames(source, np.array([s]))[0])
+        O, g, residuals = find_notce_transform(finite_frames(source, np.array([args.s]))[0])
         payload["transform"] = {
             "matrix": O.m.tolist(),
             "params": None,
             "residuals": list(residuals),
             "kind_at_s": classify_point(g).kind.value,
-            "s": s,
+            "s": args.s,
         }
     else:
         O = LorentzTransform.from_params(phi=args.rot, chi=args.boost)
@@ -267,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boost", type=float, default=0.0)
     p.add_argument("--rot", type=float, default=0.0)
     p.add_argument("--find-notce", action="store_true")
-    p.add_argument("--s", type=float)
+    p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--report")
     p.set_defaults(func=cmd_family)
@@ -292,15 +291,13 @@ def _merge_negative_values(argv):
 
 def main(argv=None) -> int:
     ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_negative_values(argv)
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = ap.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     try:
-        H = getattr(args, "H", 1.0)
+        H = args.H
         if not sys.float_info.min <= H * H <= sys.float_info.max:  # the frames divide by H^2
             raise PreconditionError(f"H must be finite and non-zero, with H^2 a normal float, "
                                     f"got {H!r}")

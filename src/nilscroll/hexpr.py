@@ -143,15 +143,13 @@ class _Parser:
         return self.toks[self.pos]
 
     def next(self):
-        t = self.toks[self.pos]
         self.pos += 1
-        return t
+        return self.toks[self.pos - 1]
 
     def expect(self, kind):
-        t = self.peek()
+        t = self.next()
         if t[0] != kind:
             raise ExprSyntaxError(f"expected {kind!r}, got {t[0]!r}", t[1])
-        return self.next()
 
     def parse(self):
         node = self.expr()
@@ -175,8 +173,7 @@ class _Parser:
         return node
 
     def factor(self):
-        t = self.peek()
-        if t[0] == "-":
+        if self.peek()[0] == "-":
             off = self.next()[1]
             return self.node(Neg, self.factor(), offset=off)
         node = self.atom()
@@ -186,17 +183,14 @@ class _Parser:
         return node
 
     def atom(self):
-        t = self.peek()
+        t = self.next()
         if t[0] == "num":
-            self.next()
             return self.node(Num, t[2], offset=t[1])
         if t[0] == "(":
-            self.next()
             node = self.expr()
             self.expect(")")
             return node
         if t[0] == "name":
-            self.next()
             name = t[2]
             if name == "s":
                 return self.node(Var, offset=t[1])

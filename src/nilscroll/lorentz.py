@@ -79,7 +79,7 @@ class LorentzTransform:
 
     @property
     def det(self):
-        return float(np.linalg.det(self.m))
+        return det3(*self.m.T)
 
     def apply(self, v: Jet) -> Jet:
         """O applied to every vector of a vector or frame jet, along the

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericFailure
 from .frames import NullFrame, finite_frames
 from .integrate import CurvePath
-from .lorentz import mcross, mdot
+from .lorentz import det3, mcross, mdot
 
 POLE_TOL = 1e-10
 
@@ -60,21 +60,6 @@ def _sym(a, b, c):
     return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
 
 
-def _mat(*rows):
-    """Matrices with the given vector rows, stacked over the broadcast shape."""
-    comps = np.broadcast_arrays(*(c for v in rows for c in v))
-    return np.stack(comps, -1).reshape(comps[0].shape + (len(rows), 3))
-
-
-def _forms(I, II) -> FundamentalForms:
-    try:
-        shape = np.linalg.inv(I) @ II
-    except np.linalg.LinAlgError:
-        raise NumericFailure("singular first fundamental form") from None
-    return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
-                            K_gauss=np.linalg.det(shape))
-
-
 def _nil3(gamma, J, B, t, H):
     """Nil_3 point (a 3-tuple) from the curve (gamma, J), the ruling B and t; arrays broadcast."""
     return (
@@ -104,7 +89,9 @@ class ScrollSurface:
             raise NumericFailure(f"overflow in the first fundamental form at H={H:g}")
         # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
         II = _sym(-k2 + 2 * t * k1 * H + t * t * (H * H * H), -H, 0.0)
-        return _forms(I, II)
+        shape = np.linalg.inv(I) @ II  # det I = -1: I = [[a, -1], [-1, 0]], a finite
+        return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
+                                K_gauss=np.linalg.det(shape))
 
     # -- normal Gauss map ---------------------------------------------------
 
@@ -157,15 +144,15 @@ class ScrollSurface:
         sign flips across a non-degenerate singular curve.
         """
         frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
-        M = _mat(fs, ft)
+        comps = np.broadcast_arrays(*fs, *ft)
+        M = np.stack(comps, -1).reshape(comps[0].shape + (2, 3))  # the rows fs, ft
         finite = np.isfinite(M).all(axis=(-2, -1))  # LAPACK's SVD fails on inf or NaN
         sigma_min = np.where(finite, np.linalg.svd(
             np.where(finite[..., None, None], M, 0.0), compute_uv=False)[..., -1], np.nan)
         N = _gauss_map(frame, t)
         norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
         n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
-        lam = np.linalg.det(_mat(fs_E, ft_E, n_E))
-        return {"sigma_min": sigma_min, "lambda": lam}
+        return {"sigma_min": sigma_min, "lambda": det3(fs_E, ft_E, n_E)}
 
     def nil3_gauss_map_direct(self, s, t):
         """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.

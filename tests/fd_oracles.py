@@ -11,7 +11,7 @@ import numpy as np
 
 from nilscroll.frames import finite_frames
 from nilscroll.lorentz import mdot
-from nilscroll.surface import _forms, _sym
+from nilscroll.surface import FundamentalForms, _sym
 
 # the checks evaluate frames at s + k*h for these k, and the form check
 # steps by FORMS_FD_STEP
@@ -102,4 +102,6 @@ def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP):
 
     I = _sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft))
     II = _sym(mdot(fss, N), mdot(fst, N), mdot(ftt, N))
-    return _forms(I, II)
+    shape = np.linalg.inv(I) @ II
+    return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
+                            K_gauss=np.linalg.det(shape))

@@ -602,6 +602,32 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--h", "tanh(s)", "--grid", "12x5", "--out", "m"],
+    ["singular", "--h", "s + s^3", "--out", "sing"],
+    ["verify", "--h", "cot(exp(s)/2)", "--s-range", "-0.7:0.7"],
+    ["frame", "--kappa2", "2", "--init-frame", "1 1 0  0.5 -0.5 0  0 0 -1", "--s-range", "0:1"],
+    ["family", "--h", "tanh(s)", "--find-notce", "--s", "0"],
+    ["family", "--h", "s + s^3", "--boost", "0.4"],
+], ids=["surface", "singular", "verify", "frame", "family-notce", "family-boost"])
+def test_command_loads_no_single_call_numpy_module(tmp_path, argv):
+    # numpy.random (a seeded draw) and numpy.ma (np.unique of ints under
+    # numpy 2) each cost a command about a megabyte or more for one call
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from nilscroll import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []", out.stderr
+
+
 def test_surface_vertices_match_scroll_surface(tmp_path):
     code, _, _ = run(
         tmp_path,

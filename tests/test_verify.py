@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fd_oracles import box_check, fundamental_forms_fd
-from nilscroll import hexpr, verify
+from nilscroll import frames, hexpr, verify
 from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
 from nilscroll.jets import Jet
@@ -198,6 +198,71 @@ def test_run_verify_matches_recorded(args, all_pass, box_sign, kinds):
     assert report["all_pass"] is all_pass
     assert report["box_sign"] == box_sign
     assert report["singular_kinds"] == kinds
+
+
+# run_verify's (s, t) rows in order: 40 for the forms, 20 for the box, 40 for the Gauss map
+DRAW_QUERIES = ("fundamental_forms", "box_eigenvalue", "gauss_map_L")
+# 50 seeded ranges of `s`: ends in -20:20, widths from 1e-3 to 20
+RANDOM_RANGES = [(lo, lo + w) for lo, w in zip(
+    np.random.default_rng(35).uniform(-20.0, 20.0, 50).tolist(),
+    (10.0 ** np.random.default_rng(36).uniform(-3.0, 1.3, 50)).tolist())]
+
+
+def draws_match_numpy(monkeypatch, h, H, s_range):
+    """Whether run_verify's rows are, bit for bit, numpy's
+    default_rng(20240817).uniform((lo, -2), (hi, 2), size=(100, 2)); the
+    rows are read off the first call of each query that takes them."""
+    seen = {}
+    for name in DRAW_QUERIES:
+        def spy(self, s, t, name=name, query=getattr(ScrollSurface, name)):
+            seen.setdefault(name, (s, t))
+            return query(self, s, t)
+
+        monkeypatch.setattr(ScrollSurface, name, spy)
+    run_verify(h, H, s_range)
+    rows = np.concatenate([np.column_stack(seen[name]) for name in DRAW_QUERIES])
+    lo, hi = s_range
+    expected = np.random.default_rng(20240817).uniform((lo, -2.0), (hi, 2.0), size=(100, 2))
+    return rows.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("args", [args for args, *_ in RECORDED]
+                         + [("s", 1.0, r) for r in RANDOM_RANGES])
+def test_verify_draws_are_numpys(monkeypatch, args):
+    assert draws_match_numpy(monkeypatch, *args)
+
+
+@pytest.mark.parametrize("bit", [("state", 0), ("state", 127), ("inc", 1), ("inc", 127)])
+def test_verify_draws_negative_control(monkeypatch, bit):
+    # numpy's own stream with one bit of PCG64's state or increment changed:
+    # every range tells
+    name, k = bit
+    bg = np.random.PCG64(20240817)
+    state = bg.state
+    state["state"][name] ^= 1 << k
+    bg.state = state
+    flipped = np.random.Generator(bg).random((100, 2))
+    monkeypatch.setattr(verify, "_draws", lambda: flipped)
+    assert not draws_match_numpy(monkeypatch, "tanh(s)", 1.0, (-1.0, 1.0))
+    assert not draws_match_numpy(monkeypatch, "s", 1.0, RANDOM_RANGES[0])
+
+
+def test_verify_draws_are_made_once_and_read_only():
+    u = verify._draws()
+    assert u is verify._draws()
+    with pytest.raises(ValueError, match="read-only"):
+        u *= 2.0
+
+
+def test_run_verify_rejects_a_range_of_infinite_width(monkeypatch):
+    # the error numpy's uniform raised, before any frame is evaluated
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was evaluated")
+
+    monkeypatch.setattr(frames, "frame_from_h", no_frames)
+    for s_range in [(-math.inf, 1.0), (0.0, math.nan), (-1e308, 1e308)]:
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            run_verify("tanh(s)", 1.0, s_range)
 
 
 def test_run_verify_counts_an_inconsistent_point(monkeypatch, c_off_sphere):
