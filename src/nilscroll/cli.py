@@ -113,13 +113,8 @@ def cmd_singular(args) -> int:
     _require(args, "h")
     h_ast = hexpr.parse(args.h)
     source = make_frame_source(h_ast, args.H)
-    report = scan_singularities(
-        source,
-        args.s_range,
-        grid_n=args.grid_n,
-        tol_root=args.tol_root,
-        generator=hexpr.to_str(h_ast),
-    )
+    report = scan_singularities(source, args.s_range, args.grid_n, args.tol_root,
+                                hexpr.to_str(h_ast))
     csv_path, json_path = f"{args.out}_curve.csv", f"{args.out}.json"
     payload = {
         "generator": report.generator,
@@ -162,9 +157,7 @@ def cmd_frame(args) -> int:
     if len(vals) != 9:
         raise PreconditionError(f"--init-frame needs 9 numbers (A B C), got {args.init_frame!r}")
     init = frame_jets_from_values(vals[0:3], vals[3:6], vals[6:9], k1_ast, k2_ast, args.H, s0)
-    frames = frame_flow_from_curvatures(
-        k1_ast, k2_ast, args.H, init, args.s_range, n_samples=args.samples
-    )
+    frames = frame_flow_from_curvatures(k1_ast, k2_ast, args.H, init, args.s_range, args.samples)
     Av, Bv, Cv = (v.T.tolist() for v in frames.Y.value)
     rows = [{"s": s, "A": a, "B": b, "C": c, "worst_residual": w}
             for s, a, b, c, w in zip(frames.s.tolist(), Av, Bv, Cv,
@@ -221,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, t_range=False, grid=False):
+    def command(name, summary, func, t_range=False, grid=False):
+        """The subcommand's parser, with the options that every command takes."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--h", help="generator expression h(s)")
         p.add_argument("--H", type=float, default=1.0, help="mean curvature (nonzero)")
         p.add_argument("--s-range", type=_parse_range, default=(-1.0, 1.0),
@@ -232,44 +228,35 @@ def build_parser() -> argparse.ArgumentParser:
         if grid:
             p.add_argument("--grid", type=_parse_grid, default=(120, 30),
                            metavar="NSxNT")
+        return p
 
-    p = sub.add_parser("surface", help="write OBJ meshes", allow_abbrev=False)
-    common(p, t_range=True, grid=True)
+    p = command("surface", "write OBJ meshes", cmd_surface, t_range=True, grid=True)
     p.add_argument("--target", choices=["l3", "nil3", "both"], default="both")
     p.add_argument("--out", default="surface")
-    p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("singular", help="singular-curve report", allow_abbrev=False)
-    common(p)
+    p = command("singular", "singular-curve report", cmd_singular)
     p.add_argument("--out", default="singular")
     p.add_argument("--grid-n", type=int, default=256)
     p.add_argument("--tol-root", type=float, default=DEFAULT_TOL_ROOT)
-    p.set_defaults(func=cmd_singular)
 
-    p = sub.add_parser("verify", help="run the invariant suite", allow_abbrev=False)
-    common(p)
+    p = command("verify", "run the invariant suite", cmd_verify)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("frame", help="Frenet-Serret flow from curvatures", allow_abbrev=False)
-    common(p)
+    p = command("frame", "Frenet-Serret flow from curvatures", cmd_frame)
     p.add_argument("--kappa1", default="0")
     p.add_argument("--kappa2")
     p.add_argument("--init-frame", help="9 numbers: A1 A2 A3 B1 B2 B3 C1 C2 C3")
     p.add_argument("--s", type=float, help="parameter of the initial frame")
     p.add_argument("--samples", type=int, default=101)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("family", help="O(2,1) transforms and invariance", allow_abbrev=False)
-    common(p)
+    p = command("family", "O(2,1) transforms and invariance", cmd_family)
     p.add_argument("--boost", type=float, default=0.0)
     p.add_argument("--rot", type=float, default=0.0)
     p.add_argument("--find-notce", action="store_true")
     p.add_argument("--s", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--report")
-    p.set_defaults(func=cmd_family)
 
     return ap
 
@@ -303,8 +290,7 @@ def main(argv=None) -> int:
                                     f"got {H!r}")
         if getattr(args, "samples", 1) < 1:
             raise PreconditionError(f"--samples must be >= 1, got {args.samples}")
-        s = getattr(args, "s", None)
-        if s is not None and not math.isfinite(s):
+        if not math.isfinite(getattr(args, "s", None) or 0.0):  # frame's --s may be None
             raise PreconditionError(f"--s must be finite, got {args.s!r}")
         if not 0.0 < getattr(args, "tol_root", 1.0) < math.inf:
             raise PreconditionError(f"--tol-root must be finite and > 0, got {args.tol_root!r}")

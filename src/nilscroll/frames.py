@@ -176,27 +176,23 @@ def validate_frame(f: NullFrame) -> FrameResiduals:
     picks thresholds."""
     dA, dB, dC = f.Y.deriv().value
     Av, Bv, Cv = f.Y.value
-    r = FrameResiduals()
+    k1, k2, H = f.kappa1.value, f.kappa2.value, f.H
     with np.errstate(all="ignore"):
-        r["norm_A"] = np.abs(mdot(Av, Av))
-        r["norm_B"] = np.abs(mdot(Bv, Bv))
-        r["pair_AB"] = np.abs(mdot(Av, Bv) + 1.0)
-        r["norm_C"] = np.abs(mdot(Cv, Cv) - 1.0)
-        r["orth_AC"] = np.abs(mdot(Av, Cv))
-        r["orth_BC"] = np.abs(mdot(Bv, Cv))
-        r["cross_AB_C"] = np.abs(mcross(Av, Bv) - Cv).max(axis=0)
-        r["det_ABC"] = np.abs(det3(Av, Bv, Cv) - 1.0)
-
-        k1, k2, H = f.kappa1.value, f.kappa2.value, f.H
-        r["fs_A"] = np.abs(dA - (Av * k1 + Cv * k2)).max(axis=0)
-        r["fs_B"] = np.abs(dB - (Bv * (-k1) + Cv * H)).max(axis=0)
-        r["fs_C"] = np.abs(dC - (Av * H + Bv * k2)).max(axis=0)
-
         Bp = f.B.deriv()
-        r["b_sqnorm"] = np.abs(mdot(Bp, Bp).value - H * H)
-        orient = H * det3(Bv, Bp.value, Bp.deriv().value)
-        r["b_orientation"] = np.maximum(0.0, -orient)
-    return r
+        return FrameResiduals(
+            norm_A=np.abs(mdot(Av, Av)),
+            norm_B=np.abs(mdot(Bv, Bv)),
+            pair_AB=np.abs(mdot(Av, Bv) + 1.0),
+            norm_C=np.abs(mdot(Cv, Cv) - 1.0),
+            orth_AC=np.abs(mdot(Av, Cv)),
+            orth_BC=np.abs(mdot(Bv, Cv)),
+            cross_AB_C=np.abs(mcross(Av, Bv) - Cv).max(axis=0),
+            det_ABC=np.abs(det3(Av, Bv, Cv) - 1.0),
+            fs_A=np.abs(dA - (Av * k1 + Cv * k2)).max(axis=0),
+            fs_B=np.abs(dB - (Bv * (-k1) + Cv * H)).max(axis=0),
+            fs_C=np.abs(dC - (Av * H + Bv * k2)).max(axis=0),
+            b_sqnorm=np.abs(mdot(Bp, Bp).value - H * H),
+            b_orientation=np.maximum(0.0, -H * det3(Bv, Bp.value, Bp.deriv().value)))
 
 
 # -- Frenet-Serret flow from prescribed curvatures -------------------------

@@ -31,41 +31,43 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
 @dataclass(frozen=True)
-class Num:
+class _Node:
+    """An AST node; offset, its byte offset in the text, takes no part in equality."""
+
+    offset: int = field(default=-1, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class Num(_Node):
     value: float
-    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Var:
-    offset: int = field(default=-1, compare=False)
+class Var(_Node):
+    pass
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     name: str
-    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     child: object
-    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str
     left: object
     right: object
-    offset: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Fn:
+class Fn(_Node):
     name: str
     arg: object
-    offset: int = field(default=-1, compare=False)
 
 
 ExprAst = object  # any of the node types above
@@ -79,47 +81,34 @@ _MINUS_ALIASES = {"−": "-"}
 
 
 def _tokens(text: str):
-    toks = []
-    i, n = 0, len(text)
+    toks, i, n = [], 0, len(text)
+
+    def run(j, ok):
+        """The end of the run of characters from j that pass ok."""
+        while j < n and ok(text[j]):
+            j += 1
+        return j
+
     while i < n:
-        ch = _MINUS_ALIASES.get(text[i], text[i])
-        if ch.isspace():
-            i += 1
-            continue
+        ch, j = _MINUS_ALIASES.get(text[i], text[i]), i + 1
         if ch in _OPS:
             toks.append((ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE" and not text[i:j].count(".") > 1:
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            lit = text[i:j]
+        elif ch.isdigit() or ch == ".":
+            j = run(i, lambda c: c.isdigit() or c == ".")
+            k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))  # an exponent's digits, after its sign
+            if text[j:j + 1] in ("e", "E") and text[i:j].count(".") <= 1 and text[k:k + 1].isdigit():
+                j = run(k, str.isdigit)
             try:
-                val = float(lit)
+                toks.append(("num", i, float(text[i:j])))
             except ValueError:
-                raise ExprSyntaxError(f"bad number {lit!r}", i) from None
-            toks.append(("num", i, val))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+                raise ExprSyntaxError(f"bad number {text[i:j]!r}", i) from None
+        elif ch.isalpha() or ch == "_":
+            j = run(i, lambda c: c.isalnum() or c == "_")
             toks.append(("name", i, text[i:j]))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    toks.append(("end", n))
-    return toks
+        elif not ch.isspace():
+            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+        i = j
+    return toks + [("end", n)]
 
 
 # -- parser ----------------------------------------------------------------
@@ -158,18 +147,13 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {t[0]!r}", t[1])
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
+    def expr(self, ops="+-"):
+        """An expr (terms joined by ops "+-") or a term (factors joined by "*/")."""
+        operand = self.factor if ops == "*/" else lambda: self.expr("*/")
+        node = operand()
+        while self.peek()[0] in ops:  # a token kind is one character or a word
             op, off = self.next()[:2]
-            node = self.node(Bin, op, node, self.term(), offset=off)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, off = self.next()[:2]
-            node = self.node(Bin, op, node, self.factor(), offset=off)
+            node = self.node(Bin, op, node, operand(), offset=off)
         return node
 
     def factor(self):
@@ -310,6 +294,5 @@ def mobius(ast, a, b, c, d) -> ExprAst:
     """AST for (a*h + b)/(c*h + d) applied to the given h AST."""
     if a * d - b * c == 0.0:
         raise ValueError("degenerate Mobius transform: ad - bc = 0")
-    num = Bin("+", Bin("*", Num(float(a)), ast), Num(float(b)))
-    den = Bin("+", Bin("*", Num(float(c)), ast), Num(float(d)))
-    return Bin("/", num, den)
+    return Bin("/", *(Bin("+", Bin("*", Num(float(p)), ast), Num(float(q)))
+                      for p, q in ((a, b), (c, d))))

@@ -5,17 +5,21 @@ J' = gamma1*A2 - gamma2*A1 are quadratures.  A is sampled on nested
 Chebyshev-Lobatto points of each panel in at most two frame batches, the
 degree is chosen by tail decay, a panel that does not converge is split
 (chebfun: Battles & Trefethen, SISC 2004); the series are integrated exactly.
+The series arithmetic (numpy.polynomial.chebyshev is its test oracle) is a
+cosine matrix for the coefficients, Clenshaw's recurrence, a z-series
+product (one np.convolve) and a cumulative-sum derivative.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import DegenerateGenerator, NumericFailure, OutOfRange
 from .frames import raise_first
+from .jets import _scaled_tail
 
 # Piecewise-Chebyshev base curve.  A panel is accepted when the largest of
 # its last n/8 + 1 coefficients is below _CHEB_TOL times the largest |A| on
@@ -35,28 +39,39 @@ def _lobatto(n):
     return np.sin(np.pi * np.arange(-n, n + 1, 2) / (2 * n))
 
 
-def _cheb_coeffs(v):
-    """Chebyshev coefficients of the interpolant of rows v at _lobatto(n).
-
-    One FFT of the even extension (a DCT-I); odd signs flip for ascending x.
-    """
-    n = len(v) - 1
-    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]]), axis=0).real / n
-    c[[0, n]] /= 2
-    c[1::2] *= -1
-    return c
+@functools.cache
+def _dct(n):
+    """The DCT-I that takes values at _lobatto(n) to Chebyshev coefficients,
+    made once per degree and read only: entry (k, j) is (2/n) T_k(x_j) =
+    (2/n) cos(pi*k*(n - j)/n), k*(n - j) reduced mod 2n, halved in the end
+    rows and columns."""
+    k = np.arange(n + 1)
+    w = (k % n > 0) + 1.0
+    T = np.cos(np.pi * (np.outer(k, n - k) % (2 * n)) / n) * np.outer(w, w) / (2 * n)
+    T.flags.writeable = False
+    return T
 
 
 def _clenshaw(c, x):
-    """C.chebval(x, c) at one float x, bit for bit: the same steps on Python
-    floats, one column at a time, without numpy's dispatch per step."""
+    """C.chebval(x, c) bit for bit at a float or a 1-D array x: the same
+    steps, for a float on Python floats one column at a time (no numpy
+    dispatch per step), for an array on all columns at once.  The steps are
+    elementwise: a point gets the same bits alone or in a batch."""
     out = []
-    for col in c.reshape(len(c), -1).T.tolist():
+    for col in [c[..., None]] if np.ndim(x) else c.reshape(len(c), -1).T.tolist():
         c0, c1 = col[-2:] if len(col) > 1 else (col[0], 0)
         for ci in col[-3::-1]:
             c0, c1 = ci - c1, c0 + c1 * (2 * x)
         out.append(c0 + c1 * x)
-    return np.reshape(out, c.shape[1:])
+    return np.reshape(out, c.shape[1:] + np.shape(x))
+
+
+def _chebmul(a, b):
+    """C.chebmul(a, b) bit for bit on series without trailing zeros: the
+    product of their z-series, one np.convolve."""
+    c = np.convolve(*(np.r_[z[:0:-1], z[:1] * 2, z[1:]] / 2 for z in (a, b)))[len(a) + len(b) - 2:]
+    c[1:] *= 2
+    return c
 
 
 def _chebint(c, k, scl):
@@ -110,7 +125,7 @@ class CurvePath:
         for p in set(panel.tolist()):  # np.unique would import numpy.ma
             a, b = self.breaks[p], self.breaks[p + 1]
             x = np.clip((flat[panel == p] - 0.5 * (a + b)) / (0.5 * (b - a)), -1.0, 1.0)
-            y[panel == p] = C.chebval(x, self.coef[p]).T - self.origin
+            y[panel == p] = _clenshaw(self.coef[p], x).T - self.origin
         if s.ndim == 0:
             return y[0, :3], float(y[0, 3])
         return y[:, :3].T, y[:, 3]
@@ -124,9 +139,16 @@ class CurvePath:
         return gamma, (gamma[0] * A[1] - gamma[1] * A[0]).antideriv(J)
 
     def deriv(self):
-        """The path of (gamma', J'): each panel's series differentiated."""
-        coef = [C.chebder(c, scl=2.0 / (b - a))
-                for c, a, b in zip(self.coef, self.breaks[:-1], self.breaks[1:])]
+        """The path of (gamma', J'): each panel's series differentiated, with
+        c'_(k-1) = c'_(k+1) + 2k c_k as one reversed cumulative sum over each
+        parity of k, and c'_0 halved."""
+        coef = []
+        for c, width in zip(self.coef, np.diff(self.breaks)):
+            d = _scaled_tail(c) * (4.0 / width)
+            for i in (0, 1):
+                d[i::2] = d[i::2][::-1].cumsum(0)[::-1]
+            d[:1] /= 2
+            coef.append(d if len(d) else c[:1] * 0)
         return replace(self, coef=coef, origin=np.zeros(4))
 
 
@@ -163,7 +185,7 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
                 raise_first(frame_source, x, ~np.isfinite(A).all(axis=1),
                             "A(s) is not finite at s={!r}")
             v = A[:: (len(A) - 1) // n]
-            c = _cheb_coeffs(v)
+            c = _dct(n) @ v
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):
                 return c
         return None
@@ -195,12 +217,13 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     coef, end = [], 0.0
     for (a, b, c), g in zip(panels, gammas):
         # J' from gamma shifted to vanish at s0, as an exact series product
-        g1, g2 = C.chebsub(g[:, 0], g0[:1]), C.chebsub(g[:, 1], g0[1:2])
-        dJ = C.chebsub(C.chebmul(g1, c[:, 1]), C.chebmul(g2, c[:, 0]))
+        g12 = g[:, :2].copy()
+        g12[0] -= g0[:2]
+        dJ = _chebmul(g12[:, 0], c[:, 1]) - _chebmul(g12[:, 1], c[:, 0])
         j = _chebint(dJ, end, 0.5 * (b - a))
         end = j.sum()
-        both = np.zeros((max(len(j), len(g)), 4))
-        both[: len(g), :3], both[: len(j), 3] = g, j
+        both = np.zeros((len(j), 4))  # J's series is the longer: deg J' = 2 deg A + 1
+        both[: len(g), :3], both[:, 3] = g, j
         # trailing rows below rounding in every column only cost Clenshaw steps;
         # the first row stays, so A = 0 gives the zero curve
         big = np.abs(both) > np.finfo(float).eps * np.max(np.abs(both), axis=0)

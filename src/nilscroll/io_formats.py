@@ -210,10 +210,13 @@ def _json(obj, ind, path):
 
 def _table(rows, ind):
     """_json of rows with the same keys, each key's value a finite float in
-    every row or a list of as many in every row, in one %r pass; else None."""
-    shapes = {type(row) is dict and tuple((k, len(v) if type(v) is list else 0)
-                                          for k, v in sorted(row.items())) for row in rows}
-    if len(shapes) != 1 or not (shape := shapes.pop()):
+    every row or a list of as many in every row, in one %r pass; else None.
+    Each row's keys and list lengths are compared with the first row's."""
+    if set(map(type, rows)) != {dict} or any(row.keys() != rows[0].keys() for row in rows):
+        return None
+    shape = [(k, len(v) if type(v) is list else 0) for k, v in sorted(rows[0].items())]
+    if any({len(r[k]) if type(r[k]) is list else 0 for r in rows} != {n}
+            for k, n in shape if n):
         return None
     values = [x for row in rows for k, n in shape for x in (row[k] if n else (row[k],))]
     # a non-finite sum has a non-finite term or overflowed: _json decides

@@ -165,9 +165,7 @@ def _cL_points(frame: NullFrame):
 def notce_residuals(frame: NullFrame):
     """(r1, r2) = ((kappa2/H) B3^2 - 1, 2 A3 B3 + 1 - C3^2): NotCE, frame validity."""
     A3, B3, C3 = (v[2].value for v in frame.Y)  # floats at one point, for NoSolutionFound
-    r1 = (frame.kappa2.value / frame.H) * B3**2 - 1.0
-    r2 = 2.0 * A3 * B3 + 1.0 - C3**2
-    return r1, r2
+    return (frame.kappa2.value / frame.H) * B3**2 - 1.0, 2.0 * A3 * B3 + 1.0 - C3**2
 
 
 def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT):

@@ -60,6 +60,22 @@ def _sym(a, b, c):
     return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
 
 
+def _sigma_min(u, v):
+    """Smallest singular value of the 2x3 matrices with rows u and v (3-tuples
+    of arrays that broadcast), without LAPACK: |u x v| / sigma_max with
+    sigma_max^2 = (a + c)/2 + hypot((a - c)/2, b) for the Gram matrix
+    [[a, b], [b, c]] of the rows scaled by their largest entry (the square
+    root of its small eigenvalue would cancel to about sqrt(eps)*sigma_max).
+    NaN where a row is not finite, 0 where both rows are zero."""
+    M = np.array(np.broadcast_arrays(*u, *v))
+    m = abs(M).max(0)
+    with np.errstate(all="ignore"):  # m = 0 gives NaN, set to 0 below
+        u, v = np.split(M / m, 2)
+        a, b, c, w = ((p * q).sum(0) for p, q in ((u, u), (u, v), (v, v), [mcross(u, v)] * 2))
+        sigma = m * np.sqrt(w / ((a + c) / 2 + np.hypot((a - c) / 2, b)))
+    return np.where(m == 0, 0.0, sigma)
+
+
 def _nil3(gamma, J, B, t, H):
     """Nil_3 point (a 3-tuple) from the curve (gamma, J), the ruling B and t; arrays broadcast."""
     return (
@@ -136,7 +152,8 @@ class ScrollSurface:
         return frame, fs, ft, E(fs), E(ft)
 
     def nil3_jacobian_metrics(self, s, t):
-        """Smallest singular value of the Jacobian and the signed area density.
+        """Smallest singular value of the Jacobian (rows f_s, f_t; see
+        _sigma_min) and the signed area density.
 
         The density uses the g_R-orthonormal left-invariant frame and the
         frontal normal extended through the singular set via the shared
@@ -144,15 +161,10 @@ class ScrollSurface:
         sign flips across a non-degenerate singular curve.
         """
         frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
-        comps = np.broadcast_arrays(*fs, *ft)
-        M = np.stack(comps, -1).reshape(comps[0].shape + (2, 3))  # the rows fs, ft
-        finite = np.isfinite(M).all(axis=(-2, -1))  # LAPACK's SVD fails on inf or NaN
-        sigma_min = np.where(finite, np.linalg.svd(
-            np.where(finite[..., None, None], M, 0.0), compute_uv=False)[..., -1], np.nan)
         N = _gauss_map(frame, t)
         norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
         n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
-        return {"sigma_min": sigma_min, "lambda": det3(fs_E, ft_E, n_E)}
+        return {"sigma_min": _sigma_min(fs, ft), "lambda": det3(fs_E, ft_E, n_E)}
 
     def nil3_gauss_map_direct(self, s, t):
         """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.

@@ -8,6 +8,7 @@ samples, through the array queries of ScrollSurface.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 import numpy as np
 
@@ -69,11 +70,9 @@ def run_verify(h_text, H, s_range):
 
     checks = {}
 
-    def add(name, residual, tol, detail=None):
-        checks[name] = entry = {"residual": float(residual), "tolerance": float(tol),
-                                "pass": bool(residual < tol)}
-        if detail is not None:
-            entry["detail"] = detail
+    def add(name, residual, tol):
+        checks[name] = {"residual": float(residual), "tolerance": float(tol),
+                        "pass": bool(residual < tol)}
 
     # frame invariants and Frenet-Serret residuals
     r = validate_frame(f)
@@ -103,7 +102,8 @@ def run_verify(h_text, H, s_range):
     box_res, signs = surf.box_eigenvalue(box_s, box_t)
     signs = set(signs.tolist())
     box_sign = signs.pop() if len(signs) == 1 else None
-    add("box_eigenvalue", _worst(box_res), 1e-4, detail={"sign": box_sign})
+    add("box_eigenvalue", _worst(box_res), 1e-4)
+    checks["box_eigenvalue"]["detail"] = {"sign": box_sign}
 
     # normal Gauss map round trip through the unit-normal formula, off its
     # poles, relative to |N| (1 + re^2 + im^2) / |1 + re^2 - im^2|
@@ -117,7 +117,7 @@ def run_verify(h_text, H, s_range):
     table = classify_point(f_dual)
     kind = table.kind.copy()
     kind[list(table.errors)] = "inconsistent"
-    kinds = dict(zip(*(a.tolist() for a in np.unique(kind, return_counts=True))))
+    kinds = dict(Counter(kind.tolist()))
     on = np.flatnonzero(np.abs(table.t) <= 50.0)  # bounded, not NaN
     metrics = surf.nil3_jacobian_metrics(dual_s[on], table.t[on])
     g, _ = surf.normal_gauss_map(dual_s[on], table.t[on])

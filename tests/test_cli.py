@@ -611,8 +611,9 @@ def test_cli_import_does_not_load_scipy():
     ["family", "--h", "s + s^3", "--boost", "0.4"],
 ], ids=["surface", "singular", "verify", "frame", "family-notce", "family-boost"])
 def test_command_loads_no_single_call_numpy_module(tmp_path, argv):
-    # numpy.random (a seeded draw) and numpy.ma (np.unique of ints under
-    # numpy 2) each cost a command about a megabyte or more for one call
+    # numpy.random (a seeded draw), numpy.ma (np.unique of ints under numpy 2),
+    # numpy.polynomial (the base curve's series arithmetic) and numpy.fft (one
+    # DCT per fitted panel) each cost a command about a megabyte for a few calls
     import os
     import pathlib
     import subprocess
@@ -622,7 +623,8 @@ def test_command_loads_no_single_call_numpy_module(tmp_path, argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys; from nilscroll import cli; code = cli.main(sys.argv[1:]); "
-            "print(code, sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))")
+            "print(code, sorted(m for m in ('numpy.random', 'numpy.ma', 'numpy.polynomial',"
+            " 'numpy.fft') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 []", out.stderr

@@ -10,7 +10,8 @@ from numpy.polynomial import chebyshev as C
 from nilscroll import hexpr
 from nilscroll.errors import NumericFailure, OutOfRange
 from nilscroll.frames import make_frame_source
-from nilscroll.integrate import _CHEB_DEGREES, _chebint, _clenshaw, _lobatto, integrate_curve
+from nilscroll.integrate import (_CHEB_DEGREES, CurvePath, _chebint, _chebmul, _clenshaw, _dct,
+                                 _lobatto, integrate_curve)
 
 # Heisenberg area integral for tanh over [0, 1]:
 # integral of sinh(2s)/2 - s*cosh(2s) ds = (cosh2 - 1)/2 - sinh2/2
@@ -190,6 +191,56 @@ def test_scalar_clenshaw_is_chebval_bit_for_bit(n, shape):
         assert same_bits(_clenshaw(c, x), C.chebval(x, c))
         # an array of one point, as for a series evaluated over an array of s
         assert same_bits(_clenshaw(c, x), C.chebval(np.array([x]), c)[..., 0])
+    # an array x: numpy's bits, and each point's bits alone are its bits in the batch
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, 25)
+    x[:2] = -1.0, 1.0
+    batch = _clenshaw(c, x)
+    assert same_bits(batch, C.chebval(x, c))
+    for i, xi in enumerate(x.tolist()):
+        assert same_bits(_clenshaw(c, np.array([xi]))[..., 0], batch[..., i])
+        assert same_bits(_clenshaw(c, xi), batch[..., i])
+
+
+@pytest.mark.parametrize("n", _CHEB_DEGREES)
+def test_dct_is_the_fft_coefficients(n):
+    # values at the Lobatto nodes of any size and sign: the DCT-I matrix gives
+    # numpy's FFT coefficients to (n + 1) eps max|v|, column by column
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n + 1, 3)) * 10.0 ** rng.uniform(-8, 8, 3)
+    v[:, 2] = np.cos(3.0 * np.arccos(_lobatto(n)))  # T_3 exactly: one coefficient
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]]), axis=0).real / n
+    c[[0, n]] /= 2
+    c[1::2] *= -1  # ascending nodes: x_j = -cos(pi j / n)
+    got = _dct(n) @ v
+    assert np.all(np.abs(got - c) <= (n + 1) * np.finfo(float).eps * np.abs(v).max(axis=0))
+    assert abs(got[3, 2] - 1.0) < 1e-14 and np.abs(np.delete(got[:, 2], 3)).max() < 1e-14
+    # made once per process and degree, and read only
+    assert _dct(n) is _dct(n) and not _dct(n).flags.writeable
+    with pytest.raises(ValueError):
+        _dct(n)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 130])
+@pytest.mark.parametrize("n", [1, 2, 5, 129])
+def test_zseries_product_is_chebmul_bit_for_bit(n, m):
+    a, b = seeded_series(n, ()), seeded_series(m, ())[::-1]
+    assert same_bits(_chebmul(a, b), C.chebmul(a, b))
+    assert same_bits(_chebmul(b, a), C.chebmul(b, a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 130, 259])
+def test_cumulative_sum_derivative_is_chebder(n):
+    # c'_(k-1) = c'_(k+1) + 2k c_k summed in another order than numpy's loop:
+    # within n^2 eps of the largest |k c_k| times the scale
+    c = seeded_series(n, (4,))
+    path = CurvePath(s0=0.0, breaks=np.array([-0.3, 1.2, 1.25]), coef=[c, c[::-1]],
+                     origin=np.zeros(4))
+    d = path.deriv()
+    assert d.origin.tolist() == [0.0] * 4 and len(d.coef) == 2
+    for got, c, scl in zip(d.coef, path.coef, 2.0 / np.diff(path.breaks)):
+        ref = C.chebder(c, scl=scl)
+        bound = n * n * np.finfo(float).eps * scl * np.max(np.arange(n)[:, None] * np.abs(c), axis=0)
+        assert got.shape == ref.shape and np.all(np.abs(got - ref) <= bound)
 
 
 def test_lobatto_degrees_are_strides_of_the_top_degree():

@@ -204,12 +204,19 @@ def frame_rows(n=5):
     lambda rows: rows[0].update(A=(1.0, 2.0, 3.0)),  # a tuple for a list
     lambda rows: rows.append([1.0]),  # a row that is no dict
     lambda rows: rows[0].update(s=1e308, worst_residual=1e308),  # a sum that overflows
+    lambda rows: rows[0]["B"].pop(),  # the first row's list is the odd one
+    lambda rows: rows[3].update(B=2.0),  # a float for a list
+    lambda rows: rows[3].update(s=[2.0]),  # a list for a float
+    lambda rows: rows.__setitem__(2, dict(reversed(rows[2].items()))),  # keys in another order
 ])
 def test_json_text_tables_and_their_fallbacks(spoil):
     rows = frame_rows()
     spoil(rows)
     payload = {"frames": rows, "%s": [{"%d": 1.0}], "empty": [{}], "none": []}
     assert json_text(payload) == dumps(payload)
+    # the rows as made, in any key order, are a table, formatted in one pass;
+    # each of the others falls back to formatting value by value
+    assert (io_formats._table(rows, "\n  ") is not None) == (rows == frame_rows())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])

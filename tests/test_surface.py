@@ -12,7 +12,7 @@ from nilscroll.frames import make_frame_source
 from nilscroll.integrate import integrate_curve
 from nilscroll.lorentz import mdot
 from nilscroll.singular import singular_t
-from nilscroll.surface import ScrollSurface
+from nilscroll.surface import ScrollSurface, _sigma_min
 
 
 def vertex(surf, s, t):
@@ -213,3 +213,58 @@ def test_forms_fd_clear_of_rounding_floor():
 
     report = run_verify("cot(exp(s)/2)", 0.886867965916, (-0.861542340613, 0.708717516208))
     assert report["checks"]["fundamental_forms"]["residual"] < 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def sigma_stacks():
+    """Seeded 2x3 matrices (N, 2, 3) over six decades of scale: rows at any
+    angle, and rows parallel but for a kick of 1e-12 to 1e-1 of their size."""
+    rng = np.random.default_rng(3601)
+    u, w = rng.standard_normal((2, 400, 3)) * 10.0 ** rng.uniform(-3, 3, (2, 400, 1))
+    size = np.abs(u).max(axis=1, keepdims=True)
+    kick = 10.0 ** rng.uniform(-12, -1, (400, 1)) * size * w / np.abs(w).max(axis=1, keepdims=True)
+    return np.stack([u, w], 1), np.stack([u, u * rng.uniform(-3, 3, (400, 1)) + kick], 1)
+
+
+def closed_form(M):
+    """_sigma_min of a stack (..., 2, 3), its rows as 3-tuples of arrays."""
+    return _sigma_min(*(tuple(np.moveaxis(M[..., i, :], -1, 0)) for i in (0, 1)))
+
+
+def off_lapack(got, M):
+    """|got - LAPACK's sigma_min| in units of eps * sigma_max, per matrix."""
+    ref = np.linalg.svd(M, compute_uv=False)
+    return np.abs(got - ref[..., -1]) / (EPS * ref[..., 0])
+
+
+def test_sigma_min_is_lapacks_within_a_few_eps_of_sigma_max():
+    for M in sigma_stacks():
+        assert np.max(off_lapack(closed_form(M), M)) <= 4
+        # one matrix at a time, as a single point's query makes it: the same bits
+        assert [closed_form(m).tobytes() for m in M[:20]] == [x.tobytes() for x in closed_form(M[:20])]
+    # the nearly parallel rows reach sigma_min / sigma_max down to 1e-12
+    ref = np.linalg.svd(sigma_stacks()[1], compute_uv=False)
+    assert np.min(ref[:, -1] / ref[:, 0]) < 1e-11
+
+
+def test_sigma_min_of_the_gram_eigenvalue_cancels():
+    # negative control: sqrt of the Gram matrix's small eigenvalue keeps about
+    # half the digits on nearly parallel rows, and fails the bound above
+    M = sigma_stacks()[1]
+    a, b, c = (np.einsum("ij,ij->i", M[:, i], M[:, j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    gram = np.sqrt(np.maximum((a + c) / 2 - np.hypot((a - c) / 2, b), 0.0))
+    assert np.max(off_lapack(gram, M)) > 1e4
+
+
+def test_sigma_min_at_the_edges():
+    u = np.array([1.5, -2.0, 0.25])
+    M = np.array([[u, 2 * u], [u, -0.5 * u], [u, 3 * u], [u, 0 * u], [0 * u, u], [0 * u, 0 * u],
+                  [u, [np.nan, 1.0, 0.0]], [[np.inf, 0.0, 0.0], u], [[np.inf, 0.0, 0.0]] * 2])
+    got = closed_form(M)
+    assert np.all(off_lapack(got[:5], M[:5]) <= 4)
+    # exactly parallel rows (a power-of-two multiple), a zero row, M = 0: exactly 0
+    assert got[[0, 1, 3, 4, 5]].tolist() == [0.0] * 5
+    # a row that is not finite: NaN, where LAPACK's SVD raises
+    assert np.isnan(got[6:]).all()

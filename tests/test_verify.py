@@ -326,3 +326,13 @@ def test_linear_generators_pass(a, a_sign, b, H_, width, at):
     assert report["all_pass"], failed(report)
     assert all(math.isfinite(c["residual"]) for c in report["checks"].values())
     assert report["box_sign"] == -1
+
+
+def test_verify_makes_no_svd_call(monkeypatch):
+    # sigma_min is |f_s x f_t| / sigma_max in closed form: LAPACK's SVD is not called
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    report = run_verify("cot(exp(s)/2)", H, (-0.7, 0.7))
+    assert report["all_pass"] and report["checks"]["singular_duality_rank"]["residual"] < 1e-12
