@@ -317,7 +317,7 @@ def frame_flow_from_curvatures(
     res = validate_frame(init)
     if not res.worst <= 1e-9:
         raise InitError(f"initial frame invalid: worst residual {res.worst:.3e}")
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = map(float, s_range)
     if not (lo <= init.s <= hi):
         raise InitError(f"initial frame at s={init.s} outside range [{lo}, {hi}]")
 

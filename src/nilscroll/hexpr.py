@@ -294,5 +294,6 @@ def mobius(ast, a, b, c, d) -> ExprAst:
     """AST for (a*h + b)/(c*h + d) applied to the given h AST."""
     if a * d - b * c == 0.0:
         raise ValueError("degenerate Mobius transform: ad - bc = 0")
-    return Bin("/", *(Bin("+", Bin("*", Num(float(p)), ast), Num(float(q)))
-                      for p, q in ((a, b), (c, d))))
+    num = Bin("+", Bin("*", Num(float(a)), ast), Num(float(b)))
+    den = Bin("+", Bin("*", Num(float(c)), ast), Num(float(d)))
+    return Bin("/", num, den)

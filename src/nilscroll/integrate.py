@@ -163,7 +163,7 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     a panel narrower than _MIN_PANEL times the range that still does not
     resolve A NumericFailure.
     """
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = map(float, s_range)
     if not lo <= s0 <= hi or not lo < hi:
         raise ValueError(f"need lo <= s0 <= hi and lo < hi: s0={s0}, range [{lo}, {hi}]")
 

@@ -51,7 +51,8 @@ def _quotient(a, b):
     n = len(q)
     for k in range(n):
         q[k] /= b[0]
-        q[k + 1:] -= q[k] * b[1: n - k]  # empty at k = n - 1
+        if k + 1 < n:
+            q[k + 1:] -= q[k] * b[1: n - k]
     return q
 
 

@@ -309,7 +309,7 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
     """
     if grid_n < 16:
         raise PreconditionError("grid_n must be >= 16")
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = map(float, s_range)
     grid = np.linspace(lo, hi, grid_n)
 
     frames = finite_frames(frame_source, grid)
@@ -382,7 +382,7 @@ def invariance_check(frame_source, O: LorentzTransform, s_range, n_samples=50):
     be preserved at the points where both curves are bounded; cuspidal edge
     vs swallowtail kinds may legitimately differ and are only counted.
     """
-    lo, hi = float(s_range[0]), float(s_range[1])
+    lo, hi = map(float, s_range)
     f = finite_frames(frame_source, np.linspace(lo, hi, n_samples))
     both = f.take(np.repeat(np.arange(n_samples), 2))  # f, f^O at each point in turn
     both.Y.taylor()[..., 1::2] = transform_frame(O, f).Y.taylor()

@@ -61,12 +61,11 @@ def _sym(a, b, c):
 
 
 def _sigma_min(u, v):
-    """Smallest singular value of the 2x3 matrices with rows u and v (3-tuples
-    of arrays that broadcast), without LAPACK: |u x v| / sigma_max with
-    sigma_max^2 = (a + c)/2 + hypot((a - c)/2, b) for the Gram matrix
-    [[a, b], [b, c]] of the rows scaled by their largest entry (the square
-    root of its small eigenvalue would cancel to about sqrt(eps)*sigma_max).
-    NaN where a row is not finite, 0 where both rows are zero."""
+    """Smallest singular value of the 2x3 matrices with rows u and v (3-tuples of
+    arrays that broadcast), without LAPACK: |u x v| / sigma_max, sigma_max^2 =
+    (a + c)/2 + hypot((a - c)/2, b) for the Gram matrix [[a, b], [b, c]] of the
+    rows scaled by their largest entry (the root of its small eigenvalue would
+    cancel to sqrt(eps)*sigma_max).  NaN where a row is not finite, 0 for M = 0."""
     M = np.array(np.broadcast_arrays(*u, *v))
     m = abs(M).max(0)
     with np.errstate(all="ignore"):  # m = 0 gives NaN, set to 0 below
@@ -152,8 +151,7 @@ class ScrollSurface:
         return frame, fs, ft, E(fs), E(ft)
 
     def nil3_jacobian_metrics(self, s, t):
-        """Smallest singular value of the Jacobian (rows f_s, f_t; see
-        _sigma_min) and the signed area density.
+        """Smallest singular value of the Jacobian (_sigma_min) and the signed area density.
 
         The density uses the g_R-orthonormal left-invariant frame and the
         frontal normal extended through the singular set via the shared
