@@ -1,9 +1,9 @@
 """Piecewise-Chebyshev quadrature for the base curve.
 
 The base null curve gamma' = A(s) and its Heisenberg area integral
-J' = gamma1*A2 - gamma2*A1 are quadratures.  A is sampled on nested
-Chebyshev-Lobatto points of each panel in at most two frame batches, the
-degree is chosen by tail decay, a panel that does not converge is split
+J' = gamma1*A2 - gamma2*A1 are quadratures.  A is sampled at a panel's 129
+Chebyshev-Lobatto points in one frame batch, the degree (its points a stride
+of them) is chosen by tail decay, a panel that does not converge is split
 (chebfun: Battles & Trefethen, SISC 2004); the series are integrated exactly.
 The series arithmetic (numpy.polynomial.chebyshev is its test oracle) is a
 cosine matrix for the coefficients, Clenshaw's recurrence, a z-series
@@ -57,11 +57,11 @@ def _clenshaw(c, x):
     steps, for a float on Python floats one column at a time (no numpy
     dispatch per step), for an array on all columns at once.  The steps are
     elementwise: a point gets the same bits alone or in a batch."""
-    out = []
+    out, x2 = [], 2 * x
     for col in [c[..., None]] if np.ndim(x) else c.reshape(len(c), -1).T.tolist():
         c0, c1 = col[-2:] if len(col) > 1 else (col[0], 0)
         for ci in col[-3::-1]:
-            c0, c1 = ci - c1, c0 + c1 * (2 * x)
+            c0, c1 = ci - c1, c0 + c1 * x2
         out.append(c0 + c1 * x)
     return np.reshape(out, c.shape[1:] + np.shape(x))
 
@@ -155,13 +155,13 @@ class CurvePath:
 def integrate_curve(frame_source, s0, s_range) -> CurvePath:
     """gamma' = A(s), J' = gamma1*A2 - gamma2*A1 over s_range by quadrature.
 
-    A(s) comes from the frame source, in at most two batches per panel;
-    gamma and J are zero at s0.  A sign flip of B1 = H(1+h^2)/(2h') between
-    finite nodes of the first batch (a zero of h', so a pole of A, or an
-    even-order pole of h) raises DegenerateGenerator naming the cell; the
-    first node of a batch where A is not finite raises (see raise_first), and
-    a panel narrower than _MIN_PANEL times the range that still does not
-    resolve A NumericFailure.
+    A(s) comes from the frame source, in one batch per panel; gamma and J
+    are zero at s0.  A sign flip of B1 = H(1+h^2)/(2h') between finite nodes
+    of the first panel (a zero of h', so a pole of A, or an even-order pole
+    of h) raises DegenerateGenerator naming the cell; the first node of a
+    panel where A is not finite raises (see raise_first), and a panel
+    narrower than _MIN_PANEL times the range that still does not resolve A
+    NumericFailure.
     """
     lo, hi = map(float, s_range)
     if not lo <= s0 <= hi or not lo < hi:
@@ -172,19 +172,15 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         top = _CHEB_DEGREES[-1]
         s = 0.5 * (a + b) + 0.5 * (b - a) * _lobatto(top)
         s[[0, -1]] = a, b
-        A = s[:0]  # no nodes fetched yet
+        f = frame_source(s)
+        A, B1 = f.A.value.T.copy(), f.B[0].value  # C order: axis-0 sums round by layout
+        xs, B1 = s[np.isfinite(B1)], B1[np.isfinite(B1)]
+        i = np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)
+        if len(i) and a == lo and b == hi:  # the first panel
+            raise DegenerateGenerator(f"h' changes sign in [{xs[i][0]}, {xs[i + 1][0]}]")
+        raise_first(frame_source, s, ~np.isfinite(A).all(axis=1), "A(s) is not finite at s={!r}")
         for n in _CHEB_DEGREES:
-            if len(A) <= n:  # fetch degree 2n's nodes too
-                x = s[:: max(top // (2 * n), 1)]
-                f = frame_source(x)
-                A, B1 = f.A.value.T.copy(), f.B[0].value  # C order: axis-0 sums round by layout
-                xs, B1 = x[np.isfinite(B1)], B1[np.isfinite(B1)]
-                i = np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)
-                if len(i) and (a, b, n) == (lo, hi, _CHEB_DEGREES[0]):  # the first batch
-                    raise DegenerateGenerator(f"h' changes sign in [{xs[i][0]}, {xs[i + 1][0]}]")
-                raise_first(frame_source, x, ~np.isfinite(A).all(axis=1),
-                            "A(s) is not finite at s={!r}")
-            v = A[:: (len(A) - 1) // n]
+            v = A[:: top // n]
             c = _dct(n) @ v
             if np.max(np.abs(c[-(n // 8 + 1):])) <= _CHEB_TOL * np.max(np.abs(v)):
                 return c

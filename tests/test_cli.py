@@ -465,14 +465,14 @@ def test_surface_pole_of_A_fails_fast(tmp_path):
 def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, s_range):
     # h' = 2s + 1 changes sign at -0.5, a Chebyshev node of -1:1 but not of
     # -1:0.9; on both the curve's first frame batch shows B1 ~ H h' change
-    # sign, and that batch is the only one: the curve's 33 nodes with the
+    # sign, and that batch is the only one: the curve's 129 nodes with the
     # 120 mesh rows or the 141 check s the command wants, less those shared
     sizes, original = [], frames.frame_from_h
     monkeypatch.setattr(frames, "frame_from_h",
                         lambda *args: sizes.append(np.size(args[2])) or original(*args))
     code, out, err = run(tmp_path, command, "--h", "s^2+s", "--s-range", s_range)
     cell = re.fullmatch(r"error: h' changes sign in \[(\S+), (\S+)\]\n", err)
-    first = {"surface": 151, "verify": 171 if s_range == "-1:1" else 172}[command]
+    first = {"surface": 247, "verify": 267 if s_range == "-1:1" else 268}[command]
     assert (code, out, sizes) == (2, "", [first]) and cell
     assert float(cell[1]) < -0.5 < float(cell[2])
     assert not list(tmp_path.iterdir())

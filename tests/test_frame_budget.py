@@ -93,17 +93,17 @@ def test_invariance_check_classifies_f_and_its_image_in_one_batch(classified, h)
 
 
 def test_verify_frame_budget(evals, batches):
-    # the 141 distinct s of the checks' draws come with the curve's 33 nodes,
+    # the 141 distinct s of the checks' draws come with the curve's 129 nodes,
     # three of which (the ends and the middle) they share
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
-    assert batches == [171]
+    assert batches == [267]
     assert set(evals.values()) == {1}
 
 
 @pytest.mark.parametrize("h, s_range, sizes", [
-    ("cot(exp(s)/2)", (-0.75, 0.75), [171]),
-    # degree 128: the curve's 96 more nodes come alone
-    ("s + s^3", (-1.0, 1.0), [171, 96]),
+    ("cot(exp(s)/2)", (-0.75, 0.75), [267]),
+    # resolved at degree 128, with the same one batch
+    ("s + s^3", (-1.0, 1.0), [267]),
 ])
 def test_verify_frame_budget_by_generator(evals, batches, h, s_range, sizes):
     run_verify(h, 0.7, s_range)
@@ -111,15 +111,14 @@ def test_verify_frame_budget_by_generator(evals, batches, h, s_range, sizes):
     assert set(evals.values()) == {1}
 
 
-@pytest.mark.parametrize("h, H, s_range, sizes", [
-    # resolved at degree 32: its 33 nodes in one batch
-    ("tanh(s)", 0.7, (-0.75, 0.75), [33]),
-    # degree 128: degree 32's nodes, then the 96 more of degree 128
-    ("s + s^3", 1.0, (-1.0, 1.0), [33, 96]),
+@pytest.mark.parametrize("h, H, s_range", [
+    ("tanh(s)", 0.7, (-0.75, 0.75)),  # resolved at degree 32
+    ("s + s^3", 1.0, (-1.0, 1.0)),  # resolved at degree 128
 ])
-def test_curve_fits_a_panel_in_at_most_two_batches(batches, h, H, s_range, sizes):
+def test_curve_fits_a_panel_in_one_batch(batches, h, H, s_range):
+    # all 129 nodes of degree 128, whichever degree resolves the panel
     integrate_curve(frames.make_frame_source(hexpr.parse(h), H), 0.0, s_range)
-    assert batches == sizes
+    assert batches == [129]
 
 
 def test_curve_split_panels_evaluate_each_s_once(evals, batches):
@@ -127,8 +126,8 @@ def test_curve_split_panels_evaluate_each_s_once(evals, batches):
     path = integrate_curve(src, 0.0, (-1.0, 1.0))
     assert len(path.breaks) > 2
     assert set(evals.values()) == {1}
-    # at most two batches for each panel tried: P kept ones and P - 1 split
-    assert len(batches) <= 2 * (2 * (len(path.breaks) - 1) - 1)
+    # one batch for each panel tried: P kept ones and P - 1 split
+    assert len(batches) == 2 * (len(path.breaks) - 1) - 1
 
 
 def test_curve_fit_fails_fast_where_it_resolves_a_nowhere(evals, batches):
@@ -143,13 +142,13 @@ def test_curve_fit_fails_fast_where_it_resolves_a_nowhere(evals, batches):
 
 
 def test_surface_frame_budget(evals, batches):
-    # the mesh's 120 rows, wanted first, come with the curve's 33 nodes; only
+    # the mesh's 120 rows, wanted first, come with the curve's 129 nodes; only
     # the range ends are both
     src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     src.want(np.linspace(-1.0, 1.0, 120))
     surf = ScrollSurface(src, integrate_curve(src, 0.0, (-1.0, 1.0)))
     surf.mesh(np.linspace(-1.0, 1.0, 120), np.linspace(-2.0, 2.0, 30))
-    assert batches == [151]
+    assert batches == [247]
     assert set(evals.values()) == {1}
 
 
@@ -157,7 +156,7 @@ def test_mesh_without_want_evaluates_only_the_rows_the_curve_lacks(evals, batche
     src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     surf = ScrollSurface(src, integrate_curve(src, 0.0, (-1.0, 1.0)))
     surf.mesh(np.linspace(-1.0, 1.0, 120), np.linspace(-2.0, 2.0, 30))
-    assert batches == [33, 118]
+    assert batches == [129, 118]
     assert set(evals.values()) == {1}
 
 
@@ -166,7 +165,7 @@ def test_cli_surface_evaluates_each_s_once(evals, batches, tmp_path):
 
     out = str(tmp_path / "m")
     assert cli.main(["surface", "--h", "tanh(s)", "--grid", "120x30", "--out", out]) == 0
-    assert batches == [151]
+    assert batches == [247]
     assert set(evals.values()) == {1}
 
 
