@@ -463,10 +463,11 @@ def test_surface_pole_of_A_fails_fast(tmp_path):
 @pytest.mark.parametrize("s_range", ["-1:1", "-1:0.9"])
 @pytest.mark.parametrize("command", ["surface", "verify"])
 def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, s_range):
-    # h' = 2s + 1 changes sign at -0.5, a Chebyshev node of -1:1 but not of
-    # -1:0.9; on both the curve's first frame batch shows B1 ~ H h' change
-    # sign, and that batch is the only one: the curve's 129 nodes with the
-    # 120 mesh rows or the 141 check s the command wants, less those shared
+    # h' = 2s + 1 changes sign at -0.5, between two Chebyshev nodes of -1:1
+    # and of -1:0.9; on both the curve's first frame batch shows B1 ~ H h'
+    # change sign, and that batch is the only one: the curve's 129 nodes
+    # with the 120 mesh rows or the 141 check s the command wants, less
+    # those shared
     sizes, original = [], frames.frame_from_h
     monkeypatch.setattr(frames, "frame_from_h",
                         lambda *args: sizes.append(np.size(args[2])) or original(*args))
