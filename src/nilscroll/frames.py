@@ -141,30 +141,27 @@ def make_frame_source(h_ast, H: float):
     """One command's frame table: s -> NullFrame for the generator h.  A float s
     is evaluated alone and raises as frame_from_h does (looked up at each call).
     An array s is served by row, keyed by the bits of s (at h = s, B3 is -0.0 at
-    0.0), after one batch of the s not held yet and those passed to want(s)."""
-    keys = rows = np.empty(0, np.int64)  # the bits of each s held, ascending, and its row
-    cols, wanted = None, []  # Y, kappa1 and kappa2 by row, with room for as many again
+    0.0), after one batch of the s not held yet and those passed to want(s),
+    each once, in request order."""
+    rows, cols, wanted = {}, None, []  # bits of s -> row; Y, kappa1, kappa2 by row
 
     def source(s):
-        nonlocal keys, rows, cols
+        nonlocal cols
         if np.ndim(s) == 0:
             return frame_from_h(h_ast, H, s)
         s = np.array(s, dtype=float)
-        k = np.concatenate([s, *wanted]).view(np.int64)
-        k = k[keys.searchsorted(k, "right") == keys.searchsorted(k)]
-        if wanted:  # each s once, in request order
-            k, wanted[:] = k[np.sort(np.unique(k, return_index=True)[1])], []
-        if len(k):  # the s not held yet
-            f, n = frame_from_h(h_ast, H, k.view(float)), len(keys)
+        k = [x for x in dict.fromkeys(np.concatenate([s, *wanted]).view(np.int64).tolist())
+             if x not in rows]
+        wanted.clear()
+        if k:
+            f, n = frame_from_h(h_ast, H, np.array(k).view(float)), len(rows)
             new = [j.taylor() for j in (f.Y, f.kappa1, f.kappa2)]
             if cols is None or n + len(k) > cols[0].shape[-1]:  # double the room
                 cols = [np.concatenate([c[..., :n], x] * 2, -1) for c, x in zip(cols or new, new)]
             for c, x in zip(cols, new):
                 c[..., n:n + len(k)] = x
-            p = k.argsort(kind="stable")  # the new keys, sorted, go in among the held ones
-            at = keys.searchsorted(k[p])
-            keys, rows = np.insert(keys, at, k[p]), np.insert(rows, at, n + p)
-        r = rows[keys.searchsorted(s.view(np.int64))]
+            rows.update(zip(k, range(n, n + len(k))))
+        r = [rows[x] for x in s.view(np.int64).tolist()]
         return NullFrame(s, *(Jet(c.take(r, axis=-1), s) for c in cols), H)
 
     source.want = wanted.append

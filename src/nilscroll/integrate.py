@@ -157,7 +157,7 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
 
     A(s) comes from the frame source, in one batch per panel; gamma and J
     are zero at s0.  A sign flip of B1 = H(1+h^2)/(2h') between finite nodes
-    of the first panel (a zero of h', so a pole of A, or an even-order pole
+    of any panel fetched (a zero of h', so a pole of A, or an even-order pole
     of h) raises DegenerateGenerator naming the cell; the first node of a
     panel where A is not finite raises (see raise_first), and a panel
     narrower than _MIN_PANEL times the range that still does not resolve A
@@ -176,7 +176,7 @@ def integrate_curve(frame_source, s0, s_range) -> CurvePath:
         A, B1 = f.A.value.T.copy(), f.B[0].value  # C order: axis-0 sums round by layout
         xs, B1 = s[np.isfinite(B1)], B1[np.isfinite(B1)]
         i = np.flatnonzero(np.sign(B1[:-1]) * np.sign(B1[1:]) < 0)
-        if len(i) and a == lo and b == hi:  # the first panel
+        if len(i):
             raise DegenerateGenerator(f"h' changes sign in [{xs[i][0]}, {xs[i + 1][0]}]")
         raise_first(frame_source, s, ~np.isfinite(A).all(axis=1), "A(s) is not finite at s={!r}")
         for n in _CHEB_DEGREES:

@@ -479,6 +479,19 @@ def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, 
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["surface", "verify"])
+def test_h_prime_sign_change_inside_a_split_panel_is_one_input_error(tmp_path, command):
+    # h' = (s - 0.31)^2 - 1e-8 has two zeros, at 0.31 +- 1e-4, and both fall
+    # between the same two nodes of the first panel, so B1 shows no sign
+    # change there; the panels the fit splits off around 0.31 do show it
+    code, out, err = run(tmp_path, command, "--h", "(s-0.31)^3/3 - 0.00000001*s",
+                         "--s-range", "-1:1")
+    cell = re.fullmatch(r"error: h' changes sign in \[(\S+), (\S+)\]\n", err)
+    assert (code, out) == (2, "") and cell
+    assert float(cell[1]) < 0.31 - 1e-4 < float(cell[2]) < 0.31 + 1e-4
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["singular", "--h", "tanh(s)", "--grid-n", "100000000000", "--out", "r"],
     ["surface", "--h", "tanh(s)", "--grid", "100000000000x5", "--out", "m"],

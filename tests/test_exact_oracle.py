@@ -2,9 +2,10 @@
 
 The bound is fixed ahead of the draws: at 41 points of -1:1, each of A, B
 and C within BOUND eps times its exact vector's largest component, and
-kappa2 within BOUND eps times the size of S(h)'s two terms over |H|.  A
-draw above it is a defect to pin (a strict xfail), never a reason to move
-BOUND.
+kappa2 within BOUND eps times the size of S(h)'s two terms over |H|, and
+notce_residuals' r1 within BOUND eps times the size of its terms (S's two
+over H^2 times B3^2, and 1).  A draw above it is a defect to pin (a strict
+xfail), never a reason to move BOUND.
 """
 
 from fractions import Fraction
@@ -12,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from exact_oracle import exact_frame, polynomial_text
-from nilscroll import frames, hexpr
+from exact_oracle import exact_frame, factored_frame, polynomial_text
+from nilscroll import frames, hexpr, singular
 
 EPS = np.finfo(float).eps
 BOUND = 8.0
@@ -89,6 +90,40 @@ def test_the_bound_fails_a_64_ulp_error_in_B():
     i = np.argmax(np.abs(B[:, 30]))
     B[i, 30] += 64 * np.spacing(B[i, 30])
     assert _worst(dict(values, B=B), exact)["B"] > BOUND
+
+
+def _r1_worst(r1, exact):
+    """The largest error of r1 over the points, in eps times its scale."""
+    return max(float(abs(Fraction(float(g)) - e["r1"]) / e["r1_scale"]) / EPS
+               for g, e in zip(r1, exact))
+
+
+@pytest.mark.parametrize("text, coeffs, H", CASES)
+def test_notce_r1_is_within_a_few_eps_of_exact(text, coeffs, H):
+    f = frames.frame_from_h(hexpr.parse(text), H, S)
+    worst = _r1_worst(singular.notce_residuals(f)[0], _exact(coeffs, H))
+    assert worst <= BOUND, worst
+
+
+def test_the_r1_bound_fails_a_64_eps_error_in_kappa2():
+    # negative control: kappa2 off by 64 eps of itself at the point where
+    # r1's kappa2 term is largest
+    text, coeffs, H = CASES[0]
+    f, exact = frames.frame_from_h(hexpr.parse(text), H, S), _exact(coeffs, H)
+    r1 = singular.notce_residuals(f)[0]
+    assert _r1_worst(r1, exact) <= BOUND
+    term = f.kappa2.value / H * f.B[2].value ** 2
+    j = np.argmax(np.abs(term))
+    r1[j] += 64 * EPS * term[j]
+    assert _r1_worst(r1, exact) > BOUND
+
+
+@pytest.mark.parametrize("text, coeffs, H", CASES)
+def test_factored_A_and_B_equal_the_oracle(text, coeffs, H):
+    # A = -n(h'', h h'' - 2h'^2)/(4H h'^3) and B = -(H/(2h')) n(1, h): a form
+    # of A with no cancelling terms, for frame_from_h to take up (defect o)
+    for x, e in zip(S, _exact(coeffs, H)):
+        assert factored_frame(coeffs, H, x) == {"A": e["A"], "B": e["B"]}
 
 
 def test_oracle_matches_closed_forms():

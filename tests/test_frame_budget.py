@@ -180,6 +180,17 @@ def test_a_repeated_request_evaluates_nothing(batches):
     assert np.array_equal(part.s, s[::-1][:7])
 
 
+def test_a_repeated_s_within_a_request_is_evaluated_once(batches):
+    h = hexpr.parse("tanh(s)")
+    src = frames.make_frame_source(h, 1.0)
+    first, second = src([0.1, 0.2, 0.1]), src([0.3, 0.3])
+    assert batches == [2, 1]
+    for got, s in ((first, [0.1, 0.2, 0.1]), (second, [0.3, 0.3])):
+        want = frames.frame_from_h(h, 1.0, np.array(s))
+        assert got.Y.taylor().tobytes() == want.Y.taylor().tobytes()
+        assert got.kappa2.taylor().tobytes() == want.kappa2.taylor().tobytes()
+
+
 def test_want_joins_the_next_batch_and_a_float_is_evaluated_alone(batches):
     src = frames.make_frame_source(hexpr.parse("tanh(s)"), 1.0)
     src.want(np.array([0.1, 0.2]))
