@@ -143,7 +143,9 @@ def make_frame_source(h_ast, H: float):
     An array s is served by row, keyed by the bits of s (at h = s, B3 is -0.0 at
     0.0), after one batch of the s not held yet and those passed to want(s),
     each once, in request order."""
-    rows, cols, wanted = {}, None, []  # bits of s -> row; Y, kappa1, kappa2 by row
+    rows, wanted = {}, []  # bits of s -> row
+    # Y, kappa1 and kappa2 by row, with the DEFAULT_ORDER - 2 coefficients frame_from_h gives
+    cols = [np.empty((DEFAULT_ORDER - 2, *shape, 0)) for shape in ((3, 3), (), ())]
 
     def source(s):
         nonlocal cols
@@ -156,8 +158,8 @@ def make_frame_source(h_ast, H: float):
         if k:
             f, n = frame_from_h(h_ast, H, np.array(k).view(float)), len(rows)
             new = [j.taylor() for j in (f.Y, f.kappa1, f.kappa2)]
-            if cols is None or n + len(k) > cols[0].shape[-1]:  # double the room
-                cols = [np.concatenate([c[..., :n], x] * 2, -1) for c, x in zip(cols or new, new)]
+            if n + len(k) > cols[0].shape[-1]:  # double the room
+                cols = [np.concatenate([c[..., :n], x] * 2, -1) for c, x in zip(cols, new)]
             for c, x in zip(cols, new):
                 c[..., n:n + len(k)] = x
             rows.update(zip(k, range(n, n + len(k))))

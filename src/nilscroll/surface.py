@@ -97,16 +97,19 @@ class ScrollSurface:
         return _gauss_map(finite_frames(self.frame_source, s), t)
 
     def fundamental_forms(self, s, t) -> FundamentalForms:
-        f = finite_frames(self.frame_source, s)
-        H, k1, k2 = f.H, f.kappa1.value, f.kappa2.value
-        I = _sym(2 * t * k1 + t * t * H * H, -1.0, 0.0)
+        frame = finite_frames(self.frame_source, s)
+        H, k1, k2 = frame.H, frame.kappa1.value, frame.kappa2.value
+        # I = [[E, F], [F, G]] and II = [[e, f], [f, g]], II_ss = <f_ss, N>
+        # expanded through the Frenet-Serret relations
+        E, F, G = 2 * t * k1 + t * t * H * H, -1.0, 0.0
+        e, f, g = -k2 + 2 * t * k1 * H + t * t * (H * H * H), -H, 0.0
+        I = _sym(E, F, G)
         if not np.isfinite(I).all():  # the frames are finite: t^2 H^2 or 2 t kappa1 overflowed
             raise NumericFailure(f"overflow in the first fundamental form at H={H:g}")
-        # II_ss = <f_ss, N> expanded through the Frenet-Serret relations
-        II = _sym(-k2 + 2 * t * k1 * H + t * t * (H * H * H), -H, 0.0)
-        shape = np.linalg.inv(I) @ II  # det I = -1: I = [[a, -1], [-1, 0]], a finite
-        return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
-                                K_gauss=np.linalg.det(shape))
+        det = E * G - F * F
+        return FundamentalForms(I=I, II=_sym(e, f, g),
+                                H_mean=(e * G - 2 * f * F + g * E) / (2 * det),
+                                K_gauss=(e * g - f * f) / det)
 
     # -- normal Gauss map ---------------------------------------------------
 

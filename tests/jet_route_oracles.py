@@ -4,7 +4,8 @@ These are the package's earlier routes, kept as oracles: the package now
 replays the same operation sequences on coefficient arrays, and the tests
 assert that every output keeps its bits.  frame_from_B, a third frame
 constructor that completes a prescribed lightlike B at one point, checks
-the frames of the other two.
+the frames of the other two.  _nl_from_g, the inverse of the stereographic
+chart that verify's Gauss-map round trip once used, checks surface._stereo.
 """
 
 import numpy as np
@@ -29,6 +30,15 @@ def stack(jets):
     """The jet with the given jets as its components, at their lowest order."""
     n = min(j.order for j in jets) + 1
     return Jet(np.stack([j.taylor()[:n] for j in jets], axis=1), jets[0].base_point)
+
+
+def _nl_from_g(g):
+    """Fact-sheet normal from the stereographic coordinate g = (re, im), for
+    round trips: N = -(2 im, 2 re, 1 - |g|^2)/(1 + |g|^2), |g|^2 = re^2 - im^2."""
+    re, im = g
+    m = re * re - im * im
+    d = 1.0 + m
+    return np.array([-2.0 * im / d, -2.0 * re / d, -(1.0 - m) / d])
 
 
 def frame_from_B(B: Jet, H: float, tol: float = 1e-9) -> NullFrame:

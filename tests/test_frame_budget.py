@@ -93,17 +93,17 @@ def test_invariance_check_classifies_f_and_its_image_in_one_batch(classified, h)
 
 
 def test_verify_frame_budget(evals, batches):
-    # the 141 distinct s of the checks' draws come with the curve's 129 nodes,
+    # the 101 distinct s of the checks' draws come with the curve's 129 nodes,
     # three of which (the ends and the middle) they share
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
-    assert batches == [267]
+    assert batches == [227]
     assert set(evals.values()) == {1}
 
 
 @pytest.mark.parametrize("h, s_range, sizes", [
-    ("cot(exp(s)/2)", (-0.75, 0.75), [267]),
+    ("cot(exp(s)/2)", (-0.75, 0.75), [227]),
     # resolved at degree 128, with the same one batch
-    ("s + s^3", (-1.0, 1.0), [267]),
+    ("s + s^3", (-1.0, 1.0), [227]),
 ])
 def test_verify_frame_budget_by_generator(evals, batches, h, s_range, sizes):
     run_verify(h, 0.7, s_range)
@@ -199,6 +199,20 @@ def test_want_joins_the_next_batch_and_a_float_is_evaluated_alone(batches):
     src(np.array([0.1, 0.2, 0.3, 0.4]))
     src(0.1)
     assert batches == [4, 1]
+
+
+def test_an_empty_request_is_an_empty_frame(batches):
+    # before the first batch and after it, with no batch of its own
+    h = hexpr.parse("tanh(s)")
+    src = frames.make_frame_source(h, 1.0)
+    s = np.array([0.1, 0.2])
+    empty, f, again = src(np.array([])), src(s), src([])
+    assert batches == [2]
+    assert f.Y.taylor().tobytes() == frames.frame_from_h(h, 1.0, s).Y.taylor().tobytes()
+    for e in (empty, again):
+        assert e.s.shape == (0,)
+        for got, want in ((e.Y, f.Y), (e.kappa1, f.kappa1), (e.kappa2, f.kappa2)):
+            assert got.taylor().shape == want.taylor().shape[:-1] + (0,)
 
 
 def test_rows_are_keyed_by_their_bits():

@@ -200,8 +200,8 @@ def test_run_verify_matches_recorded(args, all_pass, box_sign, kinds):
     assert report["singular_kinds"] == kinds
 
 
-# run_verify's (s, t) rows in order: 40 for the forms, 20 for the box, 40 for the Gauss map
-DRAW_QUERIES = ("fundamental_forms", "box_eigenvalue", "gauss_map_L")
+# run_verify's (s, t) rows in order: 40 for the forms, 20 for the box
+DRAW_QUERIES = ("fundamental_forms", "box_eigenvalue")
 # 50 seeded ranges of `s`: ends in -20:20, widths from 1e-3 to 20
 RANDOM_RANGES = [(lo, lo + w) for lo, w in zip(
     np.random.default_rng(35).uniform(-20.0, 20.0, 50).tolist(),
@@ -209,7 +209,7 @@ RANDOM_RANGES = [(lo, lo + w) for lo, w in zip(
 
 
 def draws_match_numpy(monkeypatch, h, H, s_range):
-    """Whether run_verify's rows are, bit for bit, numpy's
+    """Whether run_verify's 60 rows are, bit for bit, the first 60 of numpy's
     default_rng(20240817).uniform((lo, -2), (hi, 2), size=(100, 2)); the
     rows are read off the first call of each query that takes them."""
     seen = {}
@@ -223,7 +223,7 @@ def draws_match_numpy(monkeypatch, h, H, s_range):
     rows = np.concatenate([np.column_stack(seen[name]) for name in DRAW_QUERIES])
     lo, hi = s_range
     expected = np.random.default_rng(20240817).uniform((lo, -2.0), (hi, 2.0), size=(100, 2))
-    return rows.tobytes() == expected.tobytes()
+    return rows.tobytes() == expected[:60].tobytes()
 
 
 @pytest.mark.parametrize("args", [args for args, *_ in RECORDED]
@@ -241,7 +241,7 @@ def test_verify_draws_negative_control(monkeypatch, bit):
     state = bg.state
     state["state"][name] ^= 1 << k
     bg.state = state
-    flipped = np.random.Generator(bg).random((100, 2))
+    flipped = np.random.Generator(bg).random((60, 2))
     monkeypatch.setattr(verify, "_draws", lambda: flipped)
     assert not draws_match_numpy(monkeypatch, "tanh(s)", 1.0, (-1.0, 1.0))
     assert not draws_match_numpy(monkeypatch, "s", 1.0, RANDOM_RANGES[0])
@@ -297,12 +297,6 @@ def test_box_with_negated_B_prime_fails(monkeypatch):
     assert failed(run_verify("tanh(s)", 1.0, (-1.0, 1.0))) == ["box_eigenvalue"]
 
 
-def test_round_trip_with_re_and_im_swapped_fails(monkeypatch):
-    nl_from_g = verify._nl_from_g
-    monkeypatch.setattr(verify, "_nl_from_g", lambda g: nl_from_g((g[1], g[0])))
-    assert failed(run_verify("tanh(s)", 1.0, (-1.0, 1.0))) == ["gauss_map_roundtrip"]
-
-
 def test_base_curve_plus_a_linear_term_fails(monkeypatch):
     # gamma + 1e-6 (s - s0) on every panel: gamma' is A + 1e-6
     def tilted(source, s0, s_range):
@@ -328,11 +322,12 @@ def test_linear_generators_pass(a, a_sign, b, H_, width, at):
     assert report["box_sign"] == -1
 
 
-def test_verify_makes_no_svd_call(monkeypatch):
-    # sigma_min is |f_s x f_t| / sigma_max in closed form: LAPACK's SVD is not called
-    def svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called")
+def test_verify_makes_no_lapack_call(monkeypatch):
+    # sigma_min is |f_s x f_t| / sigma_max, and H and K the 2x2 formulas, in closed form
+    for name in ("inv", "det", "solve", "svd"):
+        def called(*args, name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, name, called)
     report = run_verify("cot(exp(s)/2)", H, (-0.7, 0.7))
     assert report["all_pass"] and report["checks"]["singular_duality_rank"]["residual"] < 1e-12
