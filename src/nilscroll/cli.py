@@ -29,7 +29,7 @@ from .frames import (
     validate_frame,
 )
 from .integrate import integrate_curve
-from .io_formats import json_text, obj_texts, output_set, write_curve_csv, write_json, write_obj
+from .io_formats import json_text, output_set, write_curve_csv, write_json, write_objs
 from .lorentz import LorentzTransform
 from .singular import (
     DEFAULT_TOL_ROOT,
@@ -99,10 +99,10 @@ def cmd_surface(args) -> int:
     targets = ["l3", "nil3"] if args.target == "both" else [args.target]
     if not all(np.all(np.isfinite(verts[k])) for k in targets):
         raise NumericFailure("non-finite mesh vertex")
-    with output_set() as stage:  # the first text streams into its file; one sharing its x1, x2 waits
-        for target, text in zip(targets, obj_texts([verts[k] for k in targets], ns, nt)):
-            write_obj(stage(f"{args.out}_{target}.obj"), text)
-        print("\n".join(f"{args.out}_{target}.obj" for target in targets), flush=True)
+    paths = [f"{args.out}_{target}.obj" for target in targets]
+    with output_set() as stage:  # every file is staged, then all are written in one pass
+        write_objs([stage(path) for path in paths], [verts[k] for k in targets], ns, nt)
+        print("\n".join(paths), flush=True)
     return EXIT_OK
 
 

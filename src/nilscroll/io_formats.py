@@ -4,8 +4,8 @@ OBJ files carry v/f records only; OBJ vertices and the CSV (RFC-4180 with a
 header row, the golden-file medium) use 17 significant digits, the bytes of
 `format(x, ".17g")`.  One array kernel (_lines) writes them: exact decimal
 digits from Dekker's TwoProduct, and '%.17g' itself for the few other values
-(zeros, exponent forms, non-finite).  obj_texts formats the vertex lines of
-meshes that share x1, x2 in one pass per chunk of rows.  JSON text is
+(zeros, exponent forms, non-finite).  write_objs streams all OBJ files in
+one pass of chunks: its memory is a chunk's, not the grid's.  JSON text is
 json.dumps's with sort_keys=True and indent=2: shortest round-trip floats,
 finite numbers only, and a table of rows with the same keys and float values
 in one `%r` pass.  A command writes its files as one output_set: all or none.
@@ -76,7 +76,7 @@ _K, _LAST, _NEG, _J = np.ogrid[-4:17, :18, :2, :86]
 _KEEP = np.concatenate([np.broadcast_to(m, (21, 18, 2, m.shape[-1])) for m in (
     _NEG[..., :1] == 1, _J[..., :5] < np.where(_K < 0, 1 - _K, 0), _J[..., :17] <= _K,
     (_K >= 0) & (_LAST > _K + 1), (_J[..., :17] > _K) & (_J[..., :17] < _LAST))], -1).reshape(-1, 41)
-_J, _ROWS = _J.ravel(), 512  # column numbers; the most lines in one chunk of an OBJ text
+_J, _ROWS = _J.ravel(), 512  # column numbers; the most vertex or face lines in one OBJ chunk
 
 
 def _lines(head, x, seps):
@@ -127,44 +127,43 @@ def _lines(head, x, seps):
     return L, K
 
 
-def obj_texts(meshes, ns: int, nt: int):
-    """Yield the Wavefront OBJ text of each mesh in turn, an iterator of byte
-    chunks to write before the next text is taken: its ns*nt vertices in
-    row-major (s outer, t inner) order, then quads over consecutive grid
-    cells, 1-based indices.  Every mesh is checked before the first text.
-
-    The faces are formatted once, and the vertex lines once for the meshes
-    whose x1, x2 columns are equal bitwise (Nil_3's and L^3's): one "v x1 x2
-    z z' ..." pass per chunk of rows, cut into each mesh's lines by a mask.
-    The first of them streams its chunks; the others' are held until their turn.
-    """
-    meshes = [np.asarray(v, float) for v in meshes]
+def write_objs(paths, meshes, ns: int, nt: int):
+    """Write the Wavefront OBJ text of each mesh, a float array of shape
+    (ns*nt, 3), to its path: vertices row-major (s outer, t inner), then
+    quads over the grid's cells, 1-based.  Every mesh is checked before a
+    file opens; then all files are written in one pass of chunks of at most
+    _ROWS lines, one kernel call each (x1, x2 once if every mesh has them
+    bitwise, as Nil_3's and L^3's do).  An OSError names the file it was in."""
     for v in meshes:
         if v.shape != (ns * nt, 3):
             raise ValueError(f"expected vertices of shape ({ns * nt}, 3), got {v.shape}")
-    a = (np.arange(ns - 1)[:, None] * nt + np.arange(1, nt)).ravel()
-    faces = [L[K] for L, K in [_lines(b"f ", np.column_stack([a, a + 1, a + nt + 1, a + nt]), b"   \n")]]  # one chunk
-    keys, held = [v[:, :2].tobytes() for v in meshes], {}  # a later mesh of a pass -> its chunks
+    bits = [memoryview(v[:, :2].view(int)) for v in meshes]  # == compares the bits; no copy
+    pairs = meshes[:1] if all(v == bits[0] for v in bits) else meshes  # whose x1, x2 are formatted
 
-    def text(g):
-        """Mesh g[0]'s text in ceil(n / _ROWS) equal chunks; the rest of g's go to held."""
-        x = np.column_stack([meshes[g[0]][:, :2]] + [meshes[i][:, 2] for i in g])
-        for rows in np.array_split(x, -(-len(x) // _ROWS)):
-            L, K = _lines(b"v ", rows, b"  " + b"\n" * len(g))
-            column = (np.arange(L.shape[1]) - 2) // 42  # of each byte: -1 for "v ", 0 for x1, ...
-            for j, i in enumerate(g[1:], 3):
-                held.setdefault(i, []).append(L[K & ((column < 2) | (column == j))])
-            yield L[K & (column < 3)]
-        yield from faces
+    def spans(n):  # n // _ROWS + 1 slices that cut range(n), their lengths within 1
+        e = np.arange(n // _ROWS + 2) * n // (n // _ROWS + 1)
+        return map(slice, e, e[1:])
 
-    for i, key in enumerate(keys):
-        yield held.pop(i) + faces if i in held else text([j for j, k in enumerate(keys) if k == key and j >= i])
-
-
-def write_obj(path, text):
-    """Write one text of obj_texts to path."""
-    with open(path, "wb") as fh:
-        fh.writelines(text)
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        try:
+            for r in spans(ns * nt):
+                x = np.column_stack([v[r, :2] for v in pairs] + [v[r, 2] for v in meshes])
+                L, K = _lines(b"v ", x, b"  " * len(pairs) + b"\n" * len(meshes))
+                column = (np.arange(L.shape[1]) - 2) // 42  # of each byte: -1 for "v ", 0 for x1, ...
+                for i, fh in enumerate(files):  # "v ", mesh i's x1, x2 (pair i % len(pairs)), its z
+                    fh.write(L[K & ((column < 0) | (column // 2 == i % len(pairs))
+                                    | (column == 2 * len(pairs) + i))])
+            for r in spans((ns - 1) * (nt - 1)):  # face f starts at vertex f * nt // (nt - 1) + 1
+                L, K = _lines(b"f ", np.c_[r] * nt // (nt - 1) + [1, 2, nt + 2, nt + 1], b"   \n")
+                text = L[K]
+                for fh in files:
+                    fh.write(text)
+            for fh in files:
+                fh.flush()  # so that closing writes nothing
+        except OSError as err:  # a write names no file
+            err.filename = fh.name
+            raise
 
 
 def write_curve_csv(path, s, t):

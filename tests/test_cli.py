@@ -566,6 +566,32 @@ def test_write_failure_exit_2_writes_nothing(tmp_path, argv, squat, named):
     assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
 
 
+@pytest.mark.parametrize("full", ["m_l3.obj", "m_nil3.obj"])
+def test_a_write_error_names_the_file_being_written(tmp_path, monkeypatch, full):
+    # both files are staged before the first write, so the error must carry
+    # the name of the file that ran out of room, not the last one staged
+    import errno
+    import io
+    import os
+
+    from nilscroll import io_formats
+
+    class Full(io.BufferedWriter):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_open(path, mode="r", *args, **kwargs):
+        if os.path.basename(path).startswith(full + "."):  # the staged temporary
+            return Full(io.FileIO(path, "w"))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io_formats, "open", full_open, raising=False)
+    code, out, err = run(tmp_path, "surface", "--h", "tanh(s)", "--grid", "4x4", "--out", "m")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {full}: {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_through_a_symlink_and_into_a_pipe(tmp_path):
     # the report replaces the file a symlink names, keeping the link; a pipe
     # (like /dev/stdout) cannot be replaced, so it is written in place

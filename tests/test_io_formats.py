@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from nilscroll import io_formats
 from nilscroll.errors import NumericFailure, OutputError
-from nilscroll.io_formats import json_text, obj_texts, write_curve_csv, write_obj
+from nilscroll.io_formats import json_text, write_curve_csv, write_objs
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, 1.0, -1e-7, 0.1, -2.5e-310, 123456789.125]
 
@@ -50,8 +51,23 @@ def edge_mesh(rng, n):
     return vertices
 
 
+@pytest.fixture
+def columns(monkeypatch):
+    """The number of columns of each vertex call of io_formats._lines, in order."""
+    widths = []
+    original = io_formats._lines
+
+    def counted(head, x, *args):
+        if head == b"v ":
+            widths.append(x.shape[1])
+        return original(head, x, *args)
+
+    monkeypatch.setattr(io_formats, "_lines", counted)
+    return widths
+
+
 @pytest.mark.parametrize("ns, nt", [(2, 2), (4, 3), (3, 7), (40, 30)])
-def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
+def test_obj_bytes_match_the_per_line_writer(tmp_path, columns, ns, nt):
     rng = np.random.default_rng(ns * nt)
     a, b, c = (edge_mesh(rng, ns * nt) for _ in range(3))
     a[-1, 0] = 0.0  # a's x1 holds both zeros: -0.0 leads it
@@ -59,18 +75,60 @@ def test_obj_bytes_match_the_per_line_writer(tmp_path, ns, nt):
     c[:, :2] = a[:, 1::-1]  # a's x1, x2 swapped: the same numbers, no shared column
     d = a.copy()
     d[:, 0] = np.where(a[:, 0] == 0.0, -a[:, 0], a[:, 0])  # == a's x1, but not bitwise
-    meshes = [a, b, c, a, d]
-    for i, text in enumerate(obj_texts(meshes, ns, nt)):
-        write_obj(tmp_path / f"m{i}.obj", text)
-    for i, vertices in enumerate(meshes):
-        got = (tmp_path / f"m{i}.obj").read_bytes()
-        assert got == reference_obj(vertices, ns, nt)
-        assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
-    # d is not cut from a's pass: its last x1 prints as -0, a's as 0
-    assert b"\nv -0 " in (tmp_path / "m4.obj").read_bytes()
+    chunks = ns * nt // io_formats._ROWS + 1
+    # x1, x2 are formatted once per chunk only when every mesh has them bitwise
+    for meshes, width in [([a, b, c, a, d], 15), ([a, b, a], 5), ([a, d], 6)]:
+        columns.clear()
+        paths = [tmp_path / f"m{i}.obj" for i in range(len(meshes))]
+        write_objs(paths, meshes, ns, nt)
+        for path, vertices in zip(paths, meshes):
+            got = path.read_bytes()
+            assert got == reference_obj(vertices, ns, nt)
+            assert got.count(b"\nf ") == (ns - 1) * (nt - 1)
+        assert columns == [width] * chunks
+    # d's x1 prints as -0 where a's prints as 0
+    assert b"\nv -0 " in (tmp_path / "m1.obj").read_bytes()
     assert b"\nv 0 " in (tmp_path / "m0.obj").read_bytes()
-    # 40x30 spans three chunks, each one pass for a, b and a again
-    assert ns * nt < io_formats._ROWS or ns * nt > 2 * io_formats._ROWS
+    # 40x30 spans chunk boundaries in both the vertices (1,200 rows) and the faces (1,131)
+    assert (ns - 1) * (nt - 1) < io_formats._ROWS or (ns - 1) * (nt - 1) > 2 * io_formats._ROWS
+
+
+def writing_peak(tmp_path, ns=400, nt=100):
+    """The tracemalloc peak, in bytes, of writing both OBJ files of an ns x
+    nt mesh pair that shares x1, x2, as `surface --target both` does."""
+    rng = np.random.default_rng(42)
+    l3 = rng.normal(size=(ns * nt, 3))
+    nil3 = l3.copy()
+    nil3[:, 2] = rng.normal(size=ns * nt)
+    tracemalloc.start()
+    try:
+        write_objs([tmp_path / "m_l3.obj", tmp_path / "m_nil3.obj"], [l3, nil3], ns, nt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WRITING_PEAK_BOUND = 1.5e6  # bytes, for 400 x 100; a writer that holds a file's text needs several MB
+
+
+def test_writing_memory_does_not_grow_with_the_grid(tmp_path):
+    assert writing_peak(tmp_path) <= WRITING_PEAK_BOUND
+
+
+def test_writing_memory_bound_catches_faces_formatted_in_one_block(tmp_path, monkeypatch):
+    # negative control: the same writer, with every face of the grid formatted
+    # in one kernel call and held while the files are written
+    original, held = io_formats._lines, []
+
+    def one_block(head, x, seps):
+        if head == b"f " and not held:
+            f = np.arange(399 * 99)[:, None]
+            held.append(original(head, f * 100 // 99 + [1, 2, 102, 101], seps))
+        return original(head, x, seps)
+
+    monkeypatch.setattr(io_formats, "_lines", one_block)
+    assert writing_peak(tmp_path) > WRITING_PEAK_BOUND
+    assert held
 
 
 def test_output_set_removes_only_what_it_did_not_rename(tmp_path, monkeypatch):
@@ -90,11 +148,10 @@ def test_output_set_removes_only_what_it_did_not_rename(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(6, 2), (6, 4), (5, 3), (18,)])
 def test_obj_rejects_a_wrong_vertex_shape(tmp_path, shape):
-    # every mesh is checked before the first text
+    # every mesh is checked before a file is opened
     with pytest.raises(ValueError, match=r"shape \(6, 3\)"):
-        for text in obj_texts([np.zeros((6, 3)), np.zeros(shape)], 2, 3):
-            write_obj(tmp_path / "m.obj", text)
-    assert not (tmp_path / "m.obj").exists()
+        write_objs([tmp_path / "a.obj", tmp_path / "b.obj"], [np.zeros((6, 3)), np.zeros(shape)], 2, 3)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [

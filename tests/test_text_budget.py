@@ -1,5 +1,6 @@
-"""Kernel calls per mesh text: the vertex lines of the meshes that share
-x1, x2 are formatted in one pass per chunk of rows, the faces in one call."""
+"""Kernel calls per mesh pass: the vertex lines of the meshes that share
+x1, x2 are formatted in one call per chunk of rows, the faces in one call
+per chunk of faces."""
 
 import pytest
 
@@ -28,6 +29,6 @@ def calls(monkeypatch):
 def test_mesh_text_is_one_kernel_call_per_chunk(tmp_path, monkeypatch, calls, target):
     monkeypatch.chdir(tmp_path)
     assert main([*ARGS, "--target", target, "--out", "m"]) == 0
-    # the 119 x 29 faces, then 3,600 rows in 8 equal chunks, for one target or both
-    assert calls == [119 * 29] + [450] * 8
+    # 3,600 rows in 8 equal chunks, then the 119 x 29 = 3,451 faces in 7, for one target or both
+    assert calls == [450] * 8 + [493] * 7
 
