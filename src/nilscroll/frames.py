@@ -190,7 +190,7 @@ def validate_frame(f: NullFrame) -> FrameResiduals:
             fs_A=np.abs(dA - (Av * k1 + Cv * k2)).max(axis=0),
             fs_B=np.abs(dB - (Bv * (-k1) + Cv * H)).max(axis=0),
             fs_C=np.abs(dC - (Av * H + Bv * k2)).max(axis=0),
-            b_sqnorm=np.abs(mdot(Bp, Bp).value - H * H),
+            b_sqnorm=np.abs(mdot(dB, dB) - H * H),
             b_orientation=np.maximum(0.0, -H * det3(Bv, Bp.value, Bp.deriv().value)))
 
 
@@ -214,30 +214,32 @@ def _curvature(ast, s, order):
     return k
 
 
+def _frenet(t1, t2, H):
+    """Taylor array F[j, v, u, n] of the Frenet-Serret matrix from the
+    curvature coefficients t1[j, n], t2[j, n]: v' = sum_u F[v, u] u."""
+    F = np.zeros((len(t1), 3, 3, t1.shape[1]))
+    F[:, 0, 0], F[:, 0, 2], F[:, 1, 1], F[:, 2, 1] = t1, t2, -t1, t2
+    F[0, 1, 2] = F[0, 2, 0] = H
+    return F
+
+
 def frame_jets_from_values(Av, Bv, Cv, kappa1_ast, kappa2_ast, H, s):
     """Rebuild the frame's Taylor array, of order DEFAULT_ORDER, from sampled values.
 
-    Taylor coefficients beyond order zero follow recursively from the
-    Frenet-Serret relations with the prescribed curvature jets.  Av, Bv, Cv
-    are vectors of 3 values (a list or array) at a float s, or of 3 arrays
-    at a 1-D array s.
+    For the linear system Y' = F Y, with F the Frenet-Serret matrix's Taylor
+    array from the curvature jets (_frenet), each order is one contraction:
+    (k+1) Y[k+1] = sum_j F[k-j] Y[j].  Av, Bv, Cv are vectors of 3 values
+    (a list or array) at a float s, or of 3 arrays at a 1-D array s.
     """
     k1 = _curvature(kappa1_ast, s, DEFAULT_ORDER)
     k2 = _curvature(kappa2_ast, s, DEFAULT_ORDER)
-    t1, t2 = k1.taylor(), k2.taylor()
+    F = _frenet(k1.taylor(), k2.taylor(), H)
     # Y[k, v, i]: Taylor coefficient k of component i of A, B, C (v = 0, 1, 2)
-    Y = np.zeros((DEFAULT_ORDER + 1, 3, 3, t1.shape[1]))
+    Y = np.zeros((DEFAULT_ORDER + 1, *F.shape[1:]))
     Y[0] = np.reshape([[*Av], [*Bv], [*Cv]], (3, 3, -1))
-
-    def conv(coeffs, v, k):
-        return sum(coeffs[j] * Y[k - j, v] for j in range(k + 1))
-
     with np.errstate(all="ignore"):
         for k in range(DEFAULT_ORDER):
-            da = conv(t1, 0, k) + conv(t2, 2, k)
-            db = -conv(t1, 1, k) + H * Y[k, 2]
-            dc = H * Y[k, 0] + conv(t2, 1, k)
-            Y[k + 1] = np.array([da, db, dc]) / (k + 1)
+            Y[k + 1] = np.einsum("jvun,juin->vin", F[k::-1], Y[:k + 1]) / (k + 1)
     return NullFrame(s=k1.base_point, Y=Jet(Y, k1.base_point), kappa1=k1, kappa2=k2, H=H)
 
 
@@ -321,12 +323,9 @@ def frame_flow_from_curvatures(
         raise InitError(f"initial frame at s={init.s} outside range [{lo}, {hi}]")
 
     def K_at(svals):
-        """K = [[k1, 0, H], [0, -k1, k2], [k2, H, 0]] at each s."""
-        k1, k2 = (_curvature(ast, svals, 0).value for ast in (kappa1_ast, kappa2_ast))
-        K = np.zeros((len(svals), 3, 3))
-        K[:, 0, 0], K[:, 1, 1], K[:, 1, 2], K[:, 2, 0] = k1, -k1, k2, k2
-        K[:, 0, 2] = K[:, 2, 1] = H
-        return K
+        """K = [[k1, 0, H], [0, -k1, k2], [k2, H, 0]] at each s: F[0] transposed."""
+        k1, k2 = (_curvature(ast, svals, 0).taylor() for ast in (kappa1_ast, kappa2_ast))
+        return np.ascontiguousarray(_frenet(k1, k2, H)[0].T)
 
     def nearest(bad):
         """The flagged grid point the march reaches first."""

@@ -19,6 +19,7 @@ from nilscroll.frames import (
     validate_frame,
 )
 from nilscroll.jets import Jet
+from nilscroll.lorentz import mdot
 
 TANH = hexpr.parse("tanh(s)")
 
@@ -119,6 +120,90 @@ def test_frame_jets_from_values_matches_closed_form():
     )
     for k in range(3):
         assert g.Y.derivative(k) == pytest.approx(f.Y.derivative(k), rel=1e-9, abs=1e-9)
+
+
+
+def conv_loop_jets(Y0, t1, t2, H, with_HC=True):
+    """The order-by-order loop frame_jets_from_values ran before its Frenet
+    matrix contraction, kept as an oracle: Y[k, v, i, n] from Y0[v, i, n] and
+    the curvature coefficients t1, t2 (order first, points last).  with_HC
+    False drops B' = ... + H C's term (a negative control)."""
+    Y = np.zeros((len(t1), *Y0.shape))
+    Y[0] = Y0
+
+    def conv(coeffs, v, k):
+        return sum(coeffs[j] * Y[k - j, v] for j in range(k + 1))
+
+    for k in range(len(t1) - 1):
+        da = conv(t1, 0, k) + conv(t2, 2, k)
+        db = -conv(t1, 1, k) + H * Y[k, 2] * with_HC
+        dc = H * Y[k, 0] + conv(t2, 1, k)
+        Y[k + 1] = np.array([da, db, dc]) / (k + 1)
+    return Y
+
+
+FLOW_KAPPA1 = "0.3 - 0.2*s"
+
+
+def contraction_and_oracle(kappa2, H):
+    """frame_jets_from_values' Y at 101 points, with the curvature jets it used,
+    and the per-order rounding bound fixed before the first comparison."""
+    s = np.linspace(-1.0, 1.5, 101)
+    Y0 = np.sin(np.arange(9.0 * len(s)) * 0.7).reshape(3, 3, -1) * 2.0
+    f = frame_jets_from_values(*Y0, hexpr.parse(FLOW_KAPPA1), hexpr.parse(kappa2), H, s)
+    t1, t2 = f.kappa1.taylor(), f.kappa2.taylor()
+    # the majorant recursion on |F| and |Y0|: order k sums 3k products of lower
+    # orders and divides by k, adding at most (3k + 1) eps of it to the error
+    # carried up, so two evaluations differ by at most k (3k + 5) eps times it
+    F = np.abs(frames_module._frenet(t1, t2, H))
+    M = [np.abs(Y0)]
+    for k in range(len(t1) - 1):
+        M.append(sum((F[k - j][:, :, None] * M[j]).sum(axis=1) for j in range(k + 1)) / (k + 1))
+    bound = [k * (3 * k + 5) * np.finfo(float).eps * m for k, m in enumerate(M)]
+    return f, Y0, t1, t2, bound
+
+
+@pytest.mark.parametrize("H", [0.5, 2.5])
+@pytest.mark.parametrize("kappa2", ["1.5", "0.5 - 0.8*s", "sin(s)"])
+def test_frame_jets_contraction_matches_loop_oracle(kappa2, H):
+    f, Y0, t1, t2, bound = contraction_and_oracle(kappa2, H)
+    Y, want = f.Y.taylor(), conv_loop_jets(Y0, t1, t2, H)
+    assert np.array_equal(Y[:2], want[:2])
+    for k in range(len(Y)):
+        assert (np.abs(Y[k] - want[k]) <= bound[k]).all(), k
+
+
+def test_frame_jets_oracle_without_HC_fails_the_bound():
+    f, Y0, t1, t2, bound = contraction_and_oracle("sin(s)", 2.5)
+    off = conv_loop_jets(Y0, t1, t2, 2.5, with_HC=False)
+    assert not all((np.abs(got - want) <= b).all()
+                   for got, want, b in zip(f.Y.taylor(), off, bound))
+
+
+def test_frame_jets_same_bits_at_a_float_and_in_batches():
+    s = np.linspace(-0.7, 1.3, 101)
+    Y0 = np.cos(np.arange(9.0 * len(s)) * 1.3).reshape(3, 3, -1)
+    k1, k2 = hexpr.parse(FLOW_KAPPA1), hexpr.parse("sin(s)")
+
+    def jets(idx, ss):
+        return frame_jets_from_values(*Y0[..., idx], k1, k2, 0.9, ss).Y.taylor()
+
+    whole = jets(slice(None), s)
+    for i in (0, 37, 100):
+        assert np.array_equal(jets(i, float(s[i]))[..., 0], whole[..., i])
+        assert np.array_equal(jets([i], s[[i]]), whole[..., [i]])
+    for i in range(0, 100, 2):
+        assert np.array_equal(jets(slice(i, i + 2), s[i:i + 2]), whole[..., i:i + 2])
+
+
+@pytest.mark.parametrize("s", [0.4, np.linspace(-1.0, 1.0, 41)])
+def test_b_sqnorm_from_values_pins_the_jet_product(s):
+    for f in (frame_from_h(TANH, 1.3, s),
+              frame_jets_from_values(*frame_from_h(TANH, 1.3, s).Y.value, hexpr.parse("0.2"),
+                                     hexpr.parse("1 + s"), 1.3, s)):
+        Bp = f.B.deriv()
+        want = np.abs(mdot(Bp, Bp).value - f.H * f.H)
+        assert np.array_equal(validate_frame(f)["b_sqnorm"], want)
 
 
 def test_flow_matches_closed_form():
