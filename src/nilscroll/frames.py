@@ -191,7 +191,7 @@ def validate_frame(f: NullFrame) -> FrameResiduals:
             fs_B=np.abs(dB - (Bv * (-k1) + Cv * H)).max(axis=0),
             fs_C=np.abs(dC - (Av * H + Bv * k2)).max(axis=0),
             b_sqnorm=np.abs(mdot(dB, dB) - H * H),
-            b_orientation=np.maximum(0.0, -H * det3(Bv, Bp.value, Bp.deriv().value)))
+            b_orientation=np.maximum(0.0, -H * det3(Bv, dB, Bp.deriv().value)))
 
 
 # -- Frenet-Serret flow from prescribed curvatures -------------------------
