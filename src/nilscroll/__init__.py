@@ -16,7 +16,7 @@ from .lorentz import ETA, LorentzTransform, mcross, mdot
 from .singular import (Classification, SingularKind, SingularPoint, SingularReport, classify_point,
                        find_notce_transform, invariance_check, scan_singularities, singular_t,
                        transform_frame)
-from .surface import FundamentalForms, ScrollSurface
+from .surface import ScrollSurface
 
 __version__ = "0.1.0"
 # the names imported above, not the submodules they come from

@@ -78,13 +78,13 @@ class FrameResiduals(dict):
         return w if np.ndim(w) else float(w)
 
 
-def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
+def frame_from_h(h_ast, H: float, s) -> NullFrame:
     """Closed-form B-scroll frame from a generator expression.
 
     B = -(H/(2h')) (-1-h^2, 1-h^2, 2h), C = B'/H,
     A = (S(h)/H^2) B + B''/H^2, kappa1 = 0, kappa2 = -S(h)/H.  s is a float
     or a 1-D array (one AST walk for the batch).  Y and kappa2 have order
-    order - 3, A's order (2 by default, which carries B'').  A float s outside h's domain, or with
+    DEFAULT_ORDER - 3, A's order (2, which carries B'').  A float s outside h's domain, or with
     |h'(s)| < 1e-12, raises DomainError or DegenerateGenerator; in a batch
     such a point, like one with a non-finite coefficient of A, B, C or
     kappa2 at any order computed, gets a frame that is NaN in every
@@ -93,7 +93,7 @@ def frame_from_h(h_ast, H: float, s, order: int = DEFAULT_ORDER) -> NullFrame:
     if H == 0.0:
         raise ValueError("H must be non-zero")
     with np.errstate(all="ignore"):
-        h = hexpr.eval_jet(h_ast, s, order)
+        h = hexpr.eval_jet(h_ast, s, DEFAULT_ORDER)
         hp = h.deriv()
         flat = np.abs(hp.taylor()[0]) < 1e-12
         if flat.any() and not h.batched:

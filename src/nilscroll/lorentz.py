@@ -1,9 +1,7 @@
 """Lorentzian linear algebra in signature (-,+,+).
 
 The Minkowski inner product and cross product, and a
-rotation-boost-rotation chart of SO+(2,1).  The one stereographic chart of
-the de-Sitter 2-space is the normal Gauss map in surface.py, whose g is a
-pair of arrays (re, im).
+rotation-boost-rotation chart of SO+(2,1).
 
 A vector of values is an array of shape (3, ...): the first axis holds the
 components, any further axes a batch of points.  mdot, mcross and det3

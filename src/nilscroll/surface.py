@@ -2,56 +2,29 @@
 
 Every query is array code: it takes arrays s, t that broadcast together
 (scalars are a batch of one) and works from one frame request and at most
-one CurvePath.dense_eval call.  The queries are the mesh vertices, the Gauss
-map N_L = -C - t*H*B and the normal Gauss map g, the fundamental forms in
-closed form and from the frame's jets, the Jacobian metrics of the Nil_3
-surface and the d'Alembertian eigenvalue residual.  Every s-derivative is
-read off the jets of the frame and of the base curve; there are no finite
-differences.  A query reads its frames from the frame source (a command's
-frame table, see frames.make_frame_source) in one request.  A Gauss-map
-pole is a mask: g is NaN there and the mask is returned with it.
-The paracomplex g = re + j*im (j^2 = +1) is the pair of arrays (re, im).
+one CurvePath.dense_eval call.  The queries are the mesh vertices, the
+fundamental forms in closed form and from the frame's jets, the smallest
+singular value of the Nil_3 surface's Jacobian and the d'Alembertian
+eigenvalue residual of the Gauss map N_L = -C - t*H*B.  Every s-derivative
+is read off the jets of the frame and of the base curve; there are no
+finite differences.  A query reads its frames from the frame source (a
+command's frame table, see frames.make_frame_source) in one request.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericFailure
 from .frames import NullFrame, finite_frames
 from .integrate import CurvePath
-from .lorentz import det3, mcross, mdot
-
-POLE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class FundamentalForms:
-    """First/second fundamental forms in the (ds, dt) basis, plus H and K.
-
-    I and II are (..., 2, 2) and H_mean, K_gauss (...) over the query's points.
-    """
-
-    I: np.ndarray
-    II: np.ndarray
-    H_mean: np.ndarray
-    K_gauss: np.ndarray
+from .lorentz import mcross, mdot
 
 
 def _gauss_map(frame: NullFrame, t) -> np.ndarray:
     """N_L = -C - t*H*B, componentwise so that t broadcasts with the frame's s."""
     _, Bv, Cv = frame.Y.value
     return np.array([-c - b * (t * frame.H) for b, c in zip(Bv, Cv)])
-
-
-def _stereo(N):
-    """((re, im), pole): g = -(N2 + j*N1)/(1 - N3), NaN where |1 - N3| <= POLE_TOL."""
-    d = 1.0 - N[2]
-    pole = np.abs(d) <= POLE_TOL
-    d = np.where(pole, np.nan, d)
-    return (-N[1] / d, -N[0] / d), pole
 
 
 def _sym(a, b, c):
@@ -93,10 +66,8 @@ class ScrollSurface:
 
     # -- L^3 side ----------------------------------------------------------
 
-    def gauss_map_L(self, s, t) -> np.ndarray:
-        return _gauss_map(finite_frames(self.frame_source, s), t)
-
-    def fundamental_forms(self, s, t) -> FundamentalForms:
+    def fundamental_forms(self, s, t):
+        """(I, II) in the (ds, dt) basis, each (..., 2, 2), in closed form."""
         frame = finite_frames(self.frame_source, s)
         H, k1, k2 = frame.H, frame.kappa1.value, frame.kappa2.value
         # I = [[E, F], [F, G]] and II = [[e, f], [f, g]], II_ss = <f_ss, N>
@@ -106,17 +77,7 @@ class ScrollSurface:
         I = _sym(E, F, G)
         if not np.isfinite(I).all():  # the frames are finite: t^2 H^2 or 2 t kappa1 overflowed
             raise NumericFailure(f"overflow in the first fundamental form at H={H:g}")
-        det = E * G - F * F
-        return FundamentalForms(I=I, II=_sym(e, f, g),
-                                H_mean=(e * G - 2 * f * F + g * E) / (2 * det),
-                                K_gauss=(e * g - f * f) / det)
-
-    # -- normal Gauss map ---------------------------------------------------
-
-    def normal_gauss_map(self, s, t):
-        """(g, pole): g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t) as the pair
-        (re, im), NaN where the pole mask marks N3 ~ 1."""
-        return _stereo(self.gauss_map_L(s, t))
+        return I, _sym(e, f, g)
 
     # -- Nil_3 side ---------------------------------------------------------
 
@@ -135,54 +96,22 @@ class ScrollSurface:
         points = {"l3": gamma + Bv * t, "nil3": _nil3(gamma, J[:, None], Bv, t, f.H)}
         return {k: np.stack(list(p), axis=-1).reshape(-1, 3) for k, p in points.items()}
 
-    def _tangents_E(self, s, t):
-        """(frame, fs, ft, fs_E, ft_E): the Jacobian rows and their components
-        in the left-invariant frame E_i (3-tuples), from the frames at s."""
+    def _nil3_tangents(self, s, t):
+        """(frame, fs, ft, p): the Nil_3 surface's Jacobian rows and points."""
         frame = finite_frames(self.frame_source, s)
         H = frame.H
         gamma, J = self.path.jets(s, frame.A)
         f = _nil3(gamma, J, frame.B, t, H)  # jets in s
-        p = tuple(c.value for c in f)
-        fs = tuple(c.deriv().value for c in f)
         # f is affine in t: f_t is the coefficient of t in _nil3
         g, B = gamma.value, frame.B.value
         ft = (B[0], B[1], -B[2] + H * (g[0] * B[1] - g[1] * B[0]))
-
-        def E(v):
-            return (v[0], v[1], v[2] + H * (p[1] * v[0] - p[0] * v[1]))
-
-        return frame, fs, ft, E(fs), E(ft)
+        return frame, tuple(c.deriv().value for c in f), ft, tuple(c.value for c in f)
 
     def nil3_jacobian_metrics(self, s, t):
-        """Smallest singular value of the Jacobian (_sigma_min) and the signed area density.
-
-        The density uses the g_R-orthonormal left-invariant frame and the
-        frontal normal extended through the singular set via the shared
-        normal Gauss map (projectively (N2, -N1, 1) from N = N_L), so its
-        sign flips across a non-degenerate singular curve.
-        """
-        frame, fs, ft, fs_E, ft_E = self._tangents_E(s, t)
-        N = _gauss_map(frame, t)
-        norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
-        n_E = (N[1] / norm, -N[0] / norm, 1.0 / norm)
-        return {"sigma_min": _sigma_min(fs, ft), "lambda": det3(fs_E, ft_E, n_E)}
-
-    def nil3_gauss_map_direct(self, s, t):
-        """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.
-
-        Independent of N_L: frame components of the tangents, Lorentzian
-        normal direction eta*(ft x fs), g_+-normalization, stereographic
-        coordinate.  Shares g with the dual B-scroll away from poles; the
-        mask marks a normal that is not spacelike or has n3 ~ -1.
-        """
-        _, _, _, u, v = self._tangents_E(s, t)
-        nd = mcross(u, v)
-        norm2 = mdot(nd, nd)
-        pole = norm2 <= 0
-        n = nd / np.sqrt(np.where(pole, np.nan, norm2))
-        pole |= np.abs(1.0 + n[2]) <= POLE_TOL
-        d = np.where(pole, np.nan, 1.0 + n[2])
-        return (n[0] / d, n[1] / d), pole
+        """The smallest singular value of the Nil_3 surface's Jacobian
+        (_sigma_min), which drops to 0 on the singular curve."""
+        _, fs, ft, _ = self._nil3_tangents(s, t)
+        return _sigma_min(fs, ft)
 
     # -- verification quantities -------------------------------------------
 

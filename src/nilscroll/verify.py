@@ -76,9 +76,9 @@ def run_verify(h_text, H, s_range):
         r["b_sqnorm"], np.abs(mdot(Bpp, Bpp).value + 2.0 * (H * H * H) * f.kappa2.value)), 1e-8)
 
     # fundamental forms: closed form vs the frame's jets
-    forms = surf.fundamental_forms(form_s, form_t)
-    I, II = surf.jet_forms(form_s, form_t)
-    add("fundamental_forms", _worst(np.abs(forms.I - I), np.abs(forms.II - II)), 1e-6)
+    I, II = surf.fundamental_forms(form_s, form_t)
+    jet_I, jet_II = surf.jet_forms(form_s, form_t)
+    add("fundamental_forms", _worst(np.abs(I - jet_I), np.abs(II - jet_II)), 1e-6)
 
     # base curve: the series' derivatives against A and gamma1*A2 - gamma2*A1,
     # relative to the sizes of A and gamma*A
@@ -102,8 +102,7 @@ def run_verify(h_text, H, s_range):
     kind[list(table.errors)] = "inconsistent"
     kinds = dict(Counter(kind.tolist()))
     on = np.flatnonzero(np.abs(table.t) <= 50.0)  # bounded, not NaN
-    metrics = surf.nil3_jacobian_metrics(dual_s[on], table.t[on])
-    add("singular_duality_rank", _worst(metrics["sigma_min"]), 1e-6)
+    add("singular_duality_rank", _worst(surf.nil3_jacobian_metrics(dual_s[on], table.t[on])), 1e-6)
 
     return {
         "generator": hexpr.to_str(h_ast),

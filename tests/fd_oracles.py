@@ -11,7 +11,7 @@ import numpy as np
 
 from nilscroll.frames import finite_frames
 from nilscroll.lorentz import mdot
-from nilscroll.surface import FundamentalForms, _sym
+from nilscroll.surface import _sym
 
 # the checks evaluate frames at s + k*h for these k, and the form check
 # steps by FORMS_FD_STEP
@@ -70,7 +70,7 @@ def box_check(surf, s, t, fd_step=1e-3):
 
 
 def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP):
-    """FD cross-check of the forms from f_L and N_L directly.
+    """(I, II), a FD cross-check of the forms from f_L and N_L directly.
 
     Fourth-order central stencils in s on the rows stencil(s,
     FORMS_OFFSETS, fd_step) (one frame per row), three-point stencils
@@ -100,8 +100,5 @@ def fundamental_forms_fd(surf, s, t, fd_step=FORMS_FD_STEP):
     ftt = (p(h)[:, c] - 2 * p(0.0)[:, c] + p(-h)[:, c]) / h**2
     N = -C[:, c] - B[:, c] * (t * H)
 
-    I = _sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft))
-    II = _sym(mdot(fss, N), mdot(fst, N), mdot(ftt, N))
-    shape = np.linalg.inv(I) @ II
-    return FundamentalForms(I=I, II=II, H_mean=0.5 * np.trace(shape, axis1=-2, axis2=-1),
-                            K_gauss=np.linalg.det(shape))
+    return (_sym(mdot(fs, fs), mdot(fs, ft), mdot(ft, ft)),
+            _sym(mdot(fss, N), mdot(fst, N), mdot(ftt, N)))

@@ -1,21 +1,31 @@
-"""The frame, the Schwarzian and c_L' built with Jet operators.
+"""The frame, the Schwarzian and c_L' built with Jet operators, and the
+normal Gauss map and area density of the surface pair.
 
-These are the package's earlier routes, kept as oracles: the package now
-replays the same operation sequences on coefficient arrays, and the tests
-assert that every output keeps its bits.  frame_from_B, a third frame
-constructor that completes a prescribed lightlike B at one point, checks
-the frames of the other two.  _nl_from_g, the inverse of the stereographic
-chart that verify's Gauss-map round trip once used, checks surface._stereo.
+The first three are the package's earlier routes, kept as oracles: the
+package now replays the same operation sequences on coefficient arrays,
+and the tests assert that every output keeps its bits.  frame_from_B, a
+third frame constructor that completes a prescribed lightlike B at one
+point, checks the frames of the other two.
+
+The normal Gauss map g of the B-scroll, the stereographic coordinate of
+N_L, and nil3_gauss_map_direct, the same map from the Nil_3 surface's own
+normal, are the two routes to the map the paired surfaces share; the signed
+area density flips sign across the singular curve.  Each takes a
+ScrollSurface and works like its array queries.  _nl_from_g inverts the
+stereographic chart, and curvatures gives H and K of a pair of forms.
 """
 
 import numpy as np
 
 from nilscroll import hexpr
 from nilscroll.errors import DegenerateGenerator, InputError
-from nilscroll.frames import B3_UNBOUNDED_TOL, NullFrame
+from nilscroll.frames import B3_UNBOUNDED_TOL, NullFrame, finite_frames
 from nilscroll.jets import DEFAULT_ORDER, Jet
-from nilscroll.lorentz import det3, mdot
+from nilscroll.lorentz import det3, mcross, mdot
 from nilscroll.singular import CROSS_TOL
+from nilscroll.surface import _gauss_map
+
+POLE_TOL = 1e-10
 
 
 class OrientationError(InputError):
@@ -30,6 +40,14 @@ def stack(jets):
     """The jet with the given jets as its components, at their lowest order."""
     n = min(j.order for j in jets) + 1
     return Jet(np.stack([j.taylor()[:n] for j in jets], axis=1), jets[0].base_point)
+
+
+def _stereo(N):
+    """((re, im), pole): g = -(N2 + j*N1)/(1 - N3), NaN where |1 - N3| <= POLE_TOL."""
+    d = 1.0 - N[2]
+    pole = np.abs(d) <= POLE_TOL
+    d = np.where(pole, np.nan, d)
+    return (-N[1] / d, -N[0] / d), pole
 
 
 def _nl_from_g(g):
@@ -133,3 +151,66 @@ def cL_points(frame: NullFrame):
         gap[keep] = np.where(diff > CROSS_TOL * scale, diff, 0.0)
     cL1[:, keep], cL2[:, keep] = d1, d2
     return cL1, cL2, unbounded, gap
+
+
+def curvatures(I, II):
+    """(H_mean, K_gauss) from I = [[E, F], [F, G]] and II = [[e, f], [f, g]]
+    (..., 2, 2): H = (eG - 2fF + gE)/(2 det I), K = (eg - f^2)/det I."""
+    (E, F), (_, G) = np.moveaxis(I, (-2, -1), (0, 1))
+    (e, f), (_, g) = np.moveaxis(II, (-2, -1), (0, 1))
+    det = E * G - F * F
+    return (e * G - 2 * f * F + g * E) / (2 * det), (e * g - f * f) / det
+
+
+def gauss_map_L(surf, s, t):
+    """N_L = -C - t*H*B, (3, ...) over the broadcast points."""
+    return _gauss_map(finite_frames(surf.frame_source, s), t)
+
+
+def normal_gauss_map(surf, s, t):
+    """(g, pole): g = -(N2 + j*N1)/(1 - N3) for N = N_L(s,t) as the pair
+    (re, im), NaN where the pole mask marks N3 ~ 1."""
+    return _stereo(gauss_map_L(surf, s, t))
+
+
+def tangents_E(surf, s, t):
+    """(frame, fs_E, ft_E): the components of the Nil_3 surface's Jacobian
+    rows in the left-invariant frame E_i (3-tuples)."""
+    frame, fs, ft, p = surf._nil3_tangents(s, t)
+
+    def E(v):
+        return (v[0], v[1], v[2] + frame.H * (p[1] * v[0] - p[0] * v[1]))
+
+    return frame, E(fs), E(ft)
+
+
+def area_density(surf, s, t):
+    """The Nil_3 surface's signed area density lambda.
+
+    It uses the g_R-orthonormal left-invariant frame and the frontal normal
+    extended through the singular set via the shared normal Gauss map
+    (projectively (N2, -N1, 1) from N = N_L), so its sign flips across a
+    non-degenerate singular curve.
+    """
+    frame, fs_E, ft_E = tangents_E(surf, s, t)
+    N = _gauss_map(frame, t)
+    norm = np.sqrt(N[1] * N[1] + N[0] * N[0] + 1.0)
+    return det3(fs_E, ft_E, (N[1] / norm, -N[0] / norm, 1.0 / norm))
+
+
+def nil3_gauss_map_direct(surf, s, t):
+    """(g, pole): the Nil_3 surface's normal Gauss map from its own normal.
+
+    Independent of N_L: frame components of the tangents, Lorentzian
+    normal direction eta*(ft x fs), g_+-normalization, stereographic
+    coordinate.  Shares g with the dual B-scroll away from poles; the
+    mask marks a normal that is not spacelike or has n3 ~ -1.
+    """
+    _, u, v = tangents_E(surf, s, t)
+    nd = mcross(u, v)
+    norm2 = mdot(nd, nd)
+    pole = norm2 <= 0
+    n = nd / np.sqrt(np.where(pole, np.nan, norm2))
+    pole |= np.abs(1.0 + n[2]) <= POLE_TOL
+    d = np.where(pole, np.nan, 1.0 + n[2])
+    return (n[0] / d, n[1] / d), pole

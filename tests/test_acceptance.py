@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from jet_route_oracles import frame_from_B
+from jet_route_oracles import area_density, curvatures, frame_from_B, normal_gauss_map
 from nilscroll import hexpr
 from nilscroll.frames import (
     frame_flow_from_curvatures,
@@ -164,7 +164,9 @@ def test_acceptance_06_frame_invariant_suite():
     report(6, f"frame invariants {worst_inv:.1e} (<1e-9), FS {worst_fs:.1e} (<1e-8)", ok)
 
 
-def test_acceptance_07_fundamental_form_law():
+def form_law_worst(off_diagonal=1.0):
+    """The largest |H_mean - H| or |K_gauss - H^2|, H = 1, at 3000 samples,
+    from the I and II of jet_forms; off_diagonal scales II's f = <f_st, N>."""
     rng = np.random.default_rng(5)
     worst = 0.0
     for text in GENERATORS:
@@ -172,10 +174,21 @@ def test_acceptance_07_fundamental_form_law():
         for _ in range(1000):
             s = float(rng.uniform(-1.0, 1.0))
             t = float(rng.uniform(-2.0, 2.0))
-            ff = surf.fundamental_forms(s, t)
-            worst = max(worst, abs(ff.H_mean - 1.0), abs(ff.K_gauss - 1.0))
-    ok = worst < 1e-10
-    report(7, f"H_mean=H and K_gauss=H^2 at 3000 samples (worst {worst:.1e})", ok)
+            I, II = surf.jet_forms(s, t)
+            H_mean, K_gauss = curvatures(I, II * [[1.0, off_diagonal], [off_diagonal, 1.0]])
+            worst = max(worst, abs(H_mean - 1.0), abs(K_gauss - 1.0))
+    return worst
+
+
+def test_acceptance_07_fundamental_form_law():
+    worst = form_law_worst()
+    report(7, f"H_mean=H and K_gauss=H^2 from the jet forms at 3000 samples (worst {worst:.1e})",
+           worst < 1e-10)
+
+
+def test_fundamental_form_law_negative_control():
+    # f = -H off by a relative 1e-8 moves H_mean and K_gauss by about 1e-8
+    assert form_law_worst(1.0 + 1e-8) > 1e-10
 
 
 def test_acceptance_08_box_eigenvalue_identity():
@@ -201,13 +214,12 @@ def test_acceptance_09_singular_set_duality():
     for s in np.linspace(0.15, 1.0, 15):
         s = float(s)
         t = singular_t(src(s))
-        m = surf.nil3_jacobian_metrics(s, t)
-        worst_sigma = max(worst_sigma, m["sigma_min"])
-        re, im = surf.normal_gauss_map(s, t)[0]
+        worst_sigma = max(worst_sigma, surf.nil3_jacobian_metrics(s, t))
+        re, im = normal_gauss_map(surf, s, t)[0]
         worst_g = max(worst_g, abs(re * re - im * im - 1.0))
-        min_off = min(min_off, surf.nil3_jacobian_metrics(s, t + 0.1)["sigma_min"])
-        min_off = min(min_off, surf.nil3_jacobian_metrics(s, t - 0.1)["sigma_min"])
-        lam = [surf.nil3_jacobian_metrics(s, t + d)["lambda"] for d in (-0.05, 0.05)]
+        min_off = min(min_off, surf.nil3_jacobian_metrics(s, t + 0.1))
+        min_off = min(min_off, surf.nil3_jacobian_metrics(s, t - 0.1))
+        lam = [area_density(surf, s, t + d) for d in (-0.05, 0.05)]
         lam_ok &= lam[0] * lam[1] < 0
     ok = worst_sigma < 1e-6 and worst_g < 1e-8 and min_off > 1e-3 and lam_ok
     report(

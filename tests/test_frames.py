@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jet_route_oracles import NormalizationError, OrientationError, frame_from_B, stack
+from jet_route_oracles import frame_from_h as oracle_frame_from_h
 from nilscroll import frames as frames_module
 from nilscroll import hexpr
 from nilscroll.errors import DegenerateGenerator, DomainError, InitError, NumericFailure
@@ -82,7 +83,7 @@ def test_h_zero_rejected():
 
 def test_frame_from_B_round_trip():
     # B of order 4 gives a frame of order 2, enough for validate_frame's B''
-    f = frame_from_h(TANH, 1.0, 0.4, order=7)
+    f = oracle_frame_from_h(TANH, 1.0, 0.4, 7)
     g = frame_from_B(f.B, 1.0)
     assert g.kappa2.value == pytest.approx(f.kappa2.value, abs=1e-10)
     for got, want in ((g.A, f.A), (g.C, f.C)):
@@ -92,7 +93,7 @@ def test_frame_from_B_round_trip():
 
 def test_frame_from_B_rejects_flipped_sign():
     # -B keeps <B,B> = 0 and <B',B'> = H^2 but flips the orientation
-    f = frame_from_h(TANH, 1.0, 0.4, order=7)
+    f = oracle_frame_from_h(TANH, 1.0, 0.4, 7)
     with pytest.raises(OrientationError):
         frame_from_B(-f.B, 1.0)
 
@@ -104,12 +105,12 @@ def test_frame_from_B_normalization_errors():
     with pytest.raises(NormalizationError):
         frame_from_B(stack([Jet.constant(0.0, 4, 0.0), one, s]), 1.0)
     # lightlike but wrongly scaled derivative
-    f = frame_from_h(TANH, 1.0, 0.4, order=7)
+    f = oracle_frame_from_h(TANH, 1.0, 0.4, 7)
     with pytest.raises(NormalizationError):
         frame_from_B(f.B * 2.0, 1.0)
     # B of order 3 would give a frame of order 1, without B''
     with pytest.raises(ValueError, match="order >= 4"):
-        frame_from_B(frame_from_h(TANH, 1.0, 0.4, order=6).B, 1.0)
+        frame_from_B(oracle_frame_from_h(TANH, 1.0, 0.4, 6).B, 1.0)
 
 
 def test_frame_jets_from_values_matches_closed_form():

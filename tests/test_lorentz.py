@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jet_route_oracles import _nl_from_g, stack
+from jet_route_oracles import _nl_from_g, _stereo, stack
 from nilscroll.jets import Jet
 from nilscroll.lorentz import ETA, LorentzTransform, det3, mcross, mdot
-from nilscroll.surface import _stereo
 
 finite = st.floats(-5.0, 5.0)
 vec = st.tuples(finite, finite, finite).map(np.array)
