@@ -466,14 +466,14 @@ def test_h_prime_sign_change_is_one_input_error(tmp_path, monkeypatch, command, 
     # h' = 2s + 1 changes sign at -0.5, between two Chebyshev nodes of -1:1
     # and of -1:0.9; on both the curve's first frame batch shows B1 ~ H h'
     # change sign, and that batch is the only one: the curve's 129 nodes
-    # with the 120 mesh rows or the 101 check s the command wants, less
+    # with the 120 mesh rows or the 41 check s the command wants, less
     # those shared
     sizes, original = [], frames.frame_from_h
     monkeypatch.setattr(frames, "frame_from_h",
                         lambda *args: sizes.append(np.size(args[2])) or original(*args))
     code, out, err = run(tmp_path, command, "--h", "s^2+s", "--s-range", s_range)
     cell = re.fullmatch(r"error: h' changes sign in \[(\S+), (\S+)\]\n", err)
-    first = {"surface": 247, "verify": 227 if s_range == "-1:1" else 228}[command]
+    first = {"surface": 247, "verify": 167 if s_range == "-1:1" else 168}[command]
     assert (code, out, sizes) == (2, "", [first]) and cell
     assert float(cell[1]) < -0.5 < float(cell[2])
     assert not list(tmp_path.iterdir())

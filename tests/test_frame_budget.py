@@ -93,17 +93,17 @@ def test_invariance_check_classifies_f_and_its_image_in_one_batch(classified, h)
 
 
 def test_verify_frame_budget(evals, batches):
-    # the 101 distinct s of the checks' draws come with the curve's 129 nodes,
-    # three of which (the ends and the middle) they share
+    # the checks' grid of 41 s comes with the curve's 129 nodes, three of
+    # which (the ends and the middle) it shares
     run_verify("tanh(s)", 0.7, (-0.75, 0.75))
-    assert batches == [227]
+    assert batches == [167]
     assert set(evals.values()) == {1}
 
 
 @pytest.mark.parametrize("h, s_range, sizes", [
-    ("cot(exp(s)/2)", (-0.75, 0.75), [227]),
+    ("cot(exp(s)/2)", (-0.75, 0.75), [167]),
     # resolved at degree 128, with the same one batch
-    ("s + s^3", (-1.0, 1.0), [227]),
+    ("s + s^3", (-1.0, 1.0), [167]),
 ])
 def test_verify_frame_budget_by_generator(evals, batches, h, s_range, sizes):
     run_verify(h, 0.7, s_range)

@@ -8,6 +8,13 @@
   the same exit code and, in `singular`, the same cross caps.  The other
   kinds may differ: t = -C3/(H B3) reads frame components that M moves.
 
+- A change of H: H is a homothety (ROADMAP item 20).  The frame for H is
+  (A_1/H, H B_1, C_1) with kappa2_1/H, from the frame (A_1, B_1, C_1) for
+  H = 1, so both meshes obey f_H(s, t) = f_1(s, H^2 t)/H, and the singular
+  points and kinds stay with t_H = t_1/H^2.  The flow for (kappa1, kappa2,
+  H; A0, B0, C0) is the flow for (kappa1, H kappa2, 1; H A0, B0/H, C0)
+  rescaled the same way.  These go through the library, at full precision.
+
 The pairs are seeded draws; a pair that breaks is a defect, pinned as a
 strict xfail that names it.
 """
@@ -22,6 +29,10 @@ import numpy as np
 import pytest
 
 from nilscroll import cli, hexpr
+from nilscroll.frames import frame_flow_from_curvatures, frame_jets_from_values, make_frame_source
+from nilscroll.integrate import integrate_curve
+from nilscroll.singular import scan_singularities
+from nilscroll.surface import ScrollSurface
 
 GENERATORS = ["tanh(s)", "s + s^3", "cot(exp(s)/2)", "exp(s)", "sin(s)"]
 
@@ -139,3 +150,105 @@ def test_known_breaks(tmp_path, command, first, second):
     # constant factor is a Moebius map
     (h1, lo1, hi1), (h2, lo2, hi2) = first, second
     assert _call(tmp_path, command, h1, 1.0, lo1, hi1)[0] == _call(tmp_path, command, h2, 1.0, lo2, hi2)[0]
+
+
+# -- a change of H ---------------------------------------------------------
+
+H_RANGES = {"tanh(s)": (-1.0, 1.0), "s + s^3": (-1.0, 1.0), "cot(exp(s)/2)": (-0.9, 0.9),
+            "exp(s)": (-1.0, 1.0)}
+H_SCALES = [2.0, -0.7, 50.0, 1e-3]
+H_CASES = [(h, H) for h in H_RANGES for H in H_SCALES]
+SCAN_RANGES = {**H_RANGES, "tanh(s) + 0.5": (-1.5, 1.5)}  # two swallowtails
+# 8 times the largest error measured before the bounds were set: frames,
+# meshes and the scan's t H^2 relative to the largest magnitude of the H = 1
+# side, flows absolute (their frames are of order 1)
+FRAME_REL, MESH_REL, SCAN_T_REL, FLOW_ABS = 8 * 1.4e-15, 8 * 7.7e-16, 8 * 1.1e-15, 8 * 5.3e-15
+MESH_T = np.linspace(-2.0, 2.0, 9)
+
+
+def _within(got, want, rel):
+    """Whether max |got - want| is at most rel times max |want|."""
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _mesh(h, H, t):
+    """Both meshes of h at H on 24 s of its range and the given t, as cmd_surface builds them."""
+    lo, hi = H_RANGES[h]
+    source, s = make_frame_source(hexpr.parse(h), H), np.linspace(lo, hi, 24)
+    source.want(s)
+    return ScrollSurface(source, integrate_curve(source, 0.5 * (lo + hi), (lo, hi))).mesh(s, t)
+
+
+def _scan(h, H):
+    """The scan's points as (kind, s), its curve's kinds, and the t of both (NaN where unbounded)."""
+    report = scan_singularities(make_frame_source(hexpr.parse(h), H), SCAN_RANGES[h])
+    t = [np.nan if p.t is None else p.t for p in report.points] + report.curve.t.tolist()
+    return [(p.kind.value, p.s) for p in report.points], report.curve.kind.tolist(), np.array(t)
+
+
+@pytest.mark.parametrize("h, H", H_CASES)
+def test_h_scales_the_frame(h, H):
+    s = np.linspace(*H_RANGES[h], 41)
+    f, f1 = (make_frame_source(hexpr.parse(h), x)(s) for x in (H, 1.0))
+    for got, want in ((f.A, f1.A.value / H), (f.B, H * f1.B.value), (f.C, f1.C.value),
+                      (f.kappa2, f1.kappa2.value / H)):
+        assert _within(got.value, want, FRAME_REL)
+
+
+@pytest.mark.parametrize("h, H", H_CASES)
+def test_h_scales_both_meshes(h, H):
+    mesh, mesh1 = _mesh(h, H, MESH_T), _mesh(h, 1.0, H * H * MESH_T)
+    for target in ("l3", "nil3"):
+        assert _within(mesh[target], mesh1[target] / H, MESH_REL)
+
+
+def _q(*args):
+    return pytest.param(*args, marks=pytest.mark.xfail(strict=True, reason=(
+        "defect q: the classifier's zero tests are absolute, and kappa2 and "
+        "c_L' scale with 1/H")))
+
+
+@pytest.mark.parametrize("h, H", [(h, H) for h in SCAN_RANGES for H in H_SCALES]
+                         + [_q("tanh(s) + 0.5", 1e-5), _q("tanh(s) + 0.5", 1e-7),
+                            _q("tanh(s) + 0.5", 1e11)])
+def test_h_keeps_the_singular_points_and_scales_t(h, H):
+    (points, kinds, t), (points1, kinds1, t1) = _scan(h, H), _scan(h, 1.0)
+    assert kinds == kinds1 and _same_points(points, points1)
+    bounded = ~np.isnan(t1)
+    assert np.array_equal(bounded, ~np.isnan(t))
+    assert _within(t[bounded] * (H * H), t1[bounded], SCAN_T_REL)
+
+
+@pytest.mark.parametrize("H", [
+    pytest.param(1e-3, marks=pytest.mark.xfail(strict=True, reason=(
+        "defect q: frame_invariants' 1e-9 gate is absolute, and A grows like 1/H"))),
+    2.0, -0.7, 50.0])
+def test_h_keeps_the_verify_verdict(tmp_path, H):
+    assert _call(tmp_path, "verify", "tanh(s)", H, -1.0, 1.0) == \
+        _call(tmp_path, "verify", "tanh(s)", 1.0, -1.0, 1.0)
+
+
+# at H 50 this flow's B reaches 2.4e4, out of reach of an absolute bound
+@pytest.mark.parametrize("H", [2.0, -0.7, 0.01, 1e-3])
+def test_h_scales_the_flow(H):
+    k1, C0 = hexpr.parse("0.3 - 0.2*s"), np.array([0.0, 0.0, -1.0])
+
+    def flow(k2, H_, A0, B0):
+        k2 = hexpr.parse(k2)
+        init = frame_jets_from_values(A0, B0, C0, k1, k2, H_, 0.0)
+        return frame_flow_from_curvatures(k1, k2, H_, init, (0.0, 1.0)).Y.value
+
+    A0, B0 = np.array([1.0, 1.0, 0.0]), np.array([0.5, -0.5, 0.0])
+    A, B, C = flow("sin(s)", H, A0, B0)
+    A1, B1, C1 = flow(f"{H!r}*sin(s)", 1.0, H * A0, B0 / H)
+    assert max(np.max(np.abs(x - y)) for x, y in ((A, A1 / H), (B, H * B1), (C, C1))) <= FLOW_ABS
+
+
+@pytest.mark.parametrize("H", H_SCALES)
+def test_h_scaling_negative_control(H):
+    # t/H in place of t/H^2: the meshes and the scan's t break the law
+    mesh, wrong = _mesh("tanh(s)", H, MESH_T), _mesh("tanh(s)", 1.0, H * MESH_T)
+    assert not any(_within(mesh[k], wrong[k] / H, MESH_REL) for k in ("l3", "nil3"))
+    (_, _, t), (_, _, t1) = _scan("tanh(s) + 0.5", H), _scan("tanh(s) + 0.5", 1.0)
+    bounded = ~np.isnan(t1)
+    assert not _within(t[bounded] * H, t1[bounded], SCAN_T_REL)

@@ -12,7 +12,7 @@ import jet_route_oracles as oracle
 from fd_oracles import box_check, fundamental_forms_fd
 from nilscroll import frames, hexpr, verify
 from nilscroll.frames import make_frame_source
-from nilscroll.integrate import integrate_curve
+from nilscroll.integrate import CurvePath, integrate_curve
 from nilscroll.jets import Jet
 from nilscroll.singular import singular_t
 from nilscroll.surface import ScrollSurface
@@ -153,8 +153,9 @@ def test_duality_rows_on_the_singular_curve(tanh_surface, tanh_source):
     assert np.max(np.abs(g[0] * g[0] - g[1] * g[1] - 1.0)) < 1e-10
 
 
-# run_verify on fixed draws (workload seed 1 calls 0-2, then wider ranges);
-# the expected values are those of the per-draw implementation it replaces
+# run_verify on fixed inputs (workload seed 1 calls 0-2, then wider ranges);
+# the values were recorded from the per-draw implementation and from the
+# seeded random samples after it, and the one grid keeps every one of them
 RECORDED = [
     (("tanh(s)", 0.710211482069, (-0.776589178125, 0.654624007125)),
      True, -1, {"cuspidal_edge": 21}),
@@ -186,62 +187,45 @@ def test_run_verify_matches_recorded(args, all_pass, box_sign, kinds):
     assert report["singular_kinds"] == kinds
 
 
-# run_verify's (s, t) rows in order: 40 for the forms, 20 for the box
-DRAW_QUERIES = ("fundamental_forms", "box_eigenvalue")
 # 50 seeded ranges of `s`: ends in -20:20, widths from 1e-3 to 20
 RANDOM_RANGES = [(lo, lo + w) for lo, w in zip(
     np.random.default_rng(35).uniform(-20.0, 20.0, 50).tolist(),
     (10.0 ** np.random.default_rng(36).uniform(-3.0, 1.3, 50)).tolist())]
 
 
-def draws_match_numpy(monkeypatch, h, H, s_range):
-    """Whether run_verify's 60 rows are, bit for bit, the first 60 of numpy's
-    default_rng(20240817).uniform((lo, -2), (hi, 2), size=(100, 2)); the
-    rows are read off the first call of each query that takes them."""
-    seen = {}
-    for name in DRAW_QUERIES:
+@pytest.mark.parametrize("args", [args for args, *_ in RECORDED]
+                         + [("s", 1.0, r) for r in RANDOM_RANGES])
+def test_verify_samples_one_grid(monkeypatch, args):
+    # the forms and the box read t in {-2, 0, 2} at every other s of the
+    # 41-point grid, base_curve reads the grid itself, and no frame is
+    # evaluated off the grid and the nodes the curve's fit asks for alone
+    h, H_, (lo, hi) = args
+    grid = np.linspace(lo, hi, 41)
+    s3, t3 = np.repeat(np.linspace(lo, hi, 21), 3), np.tile([-2.0, 0.0, 2.0], 21)
+    evaluated, queried, curve = [], {}, []
+    frame_from_h, dense_eval = frames.frame_from_h, CurvePath.dense_eval
+    monkeypatch.setattr(frames, "frame_from_h",
+                        lambda *a: evaluated.extend(np.ravel(a[2]).tolist()) or frame_from_h(*a))
+    integrate_curve(make_frame_source(hexpr.parse(h), H_), 0.5 * (lo + hi), (lo, hi))
+    nodes = set(evaluated)
+    evaluated.clear()
+    monkeypatch.setattr(CurvePath, "dense_eval",
+                        lambda self, s: curve.append(np.array(s)) or dense_eval(self, s))
+    for name in ("fundamental_forms", "jet_forms", "box_eigenvalue"):
         def spy(self, s, t, name=name, query=getattr(ScrollSurface, name)):
-            seen.setdefault(name, (s, t))
+            queried.setdefault(name, []).append((s.tobytes(), t.tobytes()))
             return query(self, s, t)
 
         monkeypatch.setattr(ScrollSurface, name, spy)
-    run_verify(h, H, s_range)
-    rows = np.concatenate([np.column_stack(seen[name]) for name in DRAW_QUERIES])
-    lo, hi = s_range
-    expected = np.random.default_rng(20240817).uniform((lo, -2.0), (hi, 2.0), size=(100, 2))
-    return rows.tobytes() == expected[:60].tobytes()
-
-
-@pytest.mark.parametrize("args", [args for args, *_ in RECORDED]
-                         + [("s", 1.0, r) for r in RANDOM_RANGES])
-def test_verify_draws_are_numpys(monkeypatch, args):
-    assert draws_match_numpy(monkeypatch, *args)
-
-
-@pytest.mark.parametrize("bit", [("state", 0), ("state", 127), ("inc", 1), ("inc", 127)])
-def test_verify_draws_negative_control(monkeypatch, bit):
-    # numpy's own stream with one bit of PCG64's state or increment changed:
-    # every range tells
-    name, k = bit
-    bg = np.random.PCG64(20240817)
-    state = bg.state
-    state["state"][name] ^= 1 << k
-    bg.state = state
-    flipped = np.random.Generator(bg).random((60, 2))
-    monkeypatch.setattr(verify, "_draws", lambda: flipped)
-    assert not draws_match_numpy(monkeypatch, "tanh(s)", 1.0, (-1.0, 1.0))
-    assert not draws_match_numpy(monkeypatch, "s", 1.0, RANDOM_RANGES[0])
-
-
-def test_verify_draws_are_made_once_and_read_only():
-    u = verify._draws()
-    assert u is verify._draws()
-    with pytest.raises(ValueError, match="read-only"):
-        u *= 2.0
+    run_verify(*args)
+    assert all(calls == [(s3.tobytes(), t3.tobytes())] for calls in queried.values())
+    assert len(queried) == 3
+    assert [s.tobytes() for s in curve].count(grid.tobytes()) == 2  # gamma and its derivative
+    assert set(evaluated) <= nodes | set(grid.tolist())
 
 
 def test_run_verify_rejects_a_range_of_infinite_width(monkeypatch):
-    # the error numpy's uniform raised, before any frame is evaluated
+    # an infinite or NaN width is an OverflowError before any frame is evaluated
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was evaluated")
 
