@@ -62,7 +62,7 @@ class NumericFailure(NilscrollError):
 
 
 class ClassifierInconsistency(NilscrollError):
-    """Two mathematically equivalent singularity criteria disagree numerically."""
+    """c_L''s closed form and its jet route, equal on a null frame, disagree numerically."""
 
 
 class OrientationBreak(InputError):

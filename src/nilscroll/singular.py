@@ -1,20 +1,22 @@
 """Singular-curve location and classification on the Nil_3 surface.
 
-The singular set of the dual surface is t(s) = -C3/(H*B3).  A point there
-is a front iff kappa2 != 0; fronts split into cuspidal edges, swallowtails
-and other front singularities by the direction of c_L' = d/ds f_L(s, t(s)),
-while non-front points with kappa2' != 0 are cuspidal cross caps.  Fronts
-cross-check the e3-parallel test on c_L' against the NotCE residual
-r1 = (kappa2/H) B3^2 - 1.  r2 = 2 A3 B3 + 1 - C3^2 = 1 - <e3, e3> (with
-e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
+The singular set of the dual surface is t(s) = -C3/(H*B3), unbounded where
+B3/H ~ 0.  Every criterion reads a number that H does not scale.  A point
+is a front iff kappa2*H = -S(h) != 0; a non-front point with kappa2'*H !=
+0 is a cuspidal cross cap.  A front is a cuspidal edge where the NotCE
+residual r1 = (kappa2/H) B3^2 - 1 is nonzero: on a valid frame c_L' =
+d/ds f_L(s, t(s)) has (c_L'_1, c_L'_2) = -(r1/B3^2)(B1, B2), so r1 = 0 is
+where c_L' is parallel to e3.  There the front is a swallowtail if r1' !=
+0, else another front singularity.  r2 = 2 A3 B3 + 1 - C3^2 = 1 - <e3, e3>
+(with e3 = -B3 A - A3 B + C3 C) is zero on every valid null frame: it is a
 frame-validity residual, not a criterion.
 
 classify_point is the one classifier: it decides every point of a frame
 batch in one array pass and returns the columns as one Classification
-table (kinds, t, kappa2, c_L', c_L'', the NotCE residuals and the
-inconsistent points).  Only a single point or a point that a scan reports
-becomes a SingularPoint object.  On a valid frame c_L' is parallel to e3
-exactly where r1 = 0, so the scan looks for swallowtails as roots of r1,
+table (kinds, t, kappa2, c_L', c_L'', the NotCE residuals and the points
+where c_L''s closed form and jet route disagree, its one check of the
+frame).  Only a single point or a point that a scan reports becomes a
+SingularPoint object.  The scan looks for swallowtails as roots of r1,
 finite wherever the frame is (c_L' has poles at B3 = 0), and for cuspidal
 cross caps as roots of kappa2: two channels, each root a candidate of its
 own, polished by Halley steps from Taylor seeds that the grid jets give.
@@ -45,8 +47,6 @@ DEFAULT_TOL_ROOT = 1e-10
 TOL_CLUSTER = 1e-6
 # the two routes to c_L' must agree to this, relative to 1 + |c_L'|
 CROSS_TOL = 1e-9
-# one criterion clearly zero while the other is clearly nonzero
-INCONSISTENCY_GAP = 1e-6
 
 
 class SingularKind(str, Enum):
@@ -76,8 +76,9 @@ class Classification:
     s, t (NaN where the curve is unbounded), kind (SingularKind values),
     kappa2, kappa2_prime, r1 and r2 hold one entry per point, cL1 and cL2
     (c_L' and c_L'', NaN where t is unbounded) one column each of shape
-    (3, N).  errors maps the index of each point whose criteria disagree
-    to its ClassifierInconsistency; such a point keeps its other columns.
+    (3, N).  errors maps the index of each point where c_L''s two routes
+    disagree to its ClassifierInconsistency; such a point keeps its other
+    columns.
     """
 
     s: np.ndarray
@@ -123,12 +124,12 @@ class SingularReport:
 
 
 def singular_t(frame: NullFrame):
-    """t(s) = -C3/(H*B3), or None when |B3| < 1e-10 (curve unbounded); for a
-    batch, an array with NaN at the unbounded points."""
+    """t(s) = -C3/(H*B3), or None when |B3/H| < 1e-10 (curve unbounded); for
+    a batch, an array with NaN at the unbounded points."""
     B3 = frame.B[2].value
     with np.errstate(all="ignore"):
         t = np.divide(-frame.C[2].value, frame.H * B3)
-    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
+    unbounded = np.abs(B3 / frame.H) < B3_UNBOUNDED_TOL
     if np.ndim(t):
         return np.where(unbounded, np.nan, t)
     return None if unbounded else float(t)
@@ -141,7 +142,7 @@ def _cL_points(frame: NullFrame):
     c_L' = d/ds f_L(s, t(s)) along the singular curve c(s) = (s, t(s)) is
     computed twice: by jet differentiation of gamma + t(s) B(s) and from the
     closed form A + (-A3/B3 - kappa2/H + C3^2/B3^2) B - (C3/B3) C.  unbounded
-    marks |B3| < B3_UNBOUNDED_TOL, where c_L' and c_L'' are NaN; gap is the
+    marks |B3/H| < B3_UNBOUNDED_TOL, where c_L' and c_L'' are NaN; gap is the
     difference of the two routes where it exceeds CROSS_TOL * (1 + |c_L'|),
     else 0.
     """
@@ -157,7 +158,7 @@ def _cL_points(frame: NullFrame):
         coef = -Av[2] / Bv[2] - frame.kappa2.value / H + (Cv[2] / Bv[2]) ** 2
         diff = np.abs(Av + Bv * coef - Cv * (Cv[2] / Bv[2]) - jet[0]).max(axis=0)
         gap = np.where(diff > CROSS_TOL * (1.0 + np.abs(jet[0]).max(axis=0)), diff, 0.0)
-    unbounded = np.abs(Bv[2]) < B3_UNBOUNDED_TOL
+    unbounded = np.abs(Bv[2] / H) < B3_UNBOUNDED_TOL
     cL1, cL2 = np.where(unbounded, np.nan, jet[:2])
     return cL1, cL2, unbounded, np.where(unbounded, 0.0, gap)
 
@@ -173,30 +174,26 @@ def classify_point(frame: NullFrame, tol_root=DEFAULT_TOL_ROOT):
 
     A batch gives its Classification, decided in one array pass; a
     single-point frame gives its SingularPoint (Classification.point).
-    Where the two c_L' routes, or the parallel test and the NotCE residual
-    r1, disagree, the point's ClassifierInconsistency goes to the table's
-    errors; a single point raises it.
+    Each zero test compares kappa2*H, kappa2'*H, r1 or r1' (see _channels)
+    with tol_root, or B3/H with B3_UNBOUNDED_TOL.  Where the two c_L'
+    routes disagree, the point's ClassifierInconsistency goes to the
+    table's errors; a single point raises it.
     """
     f = frame if frame.kappa2.batched else frame.take([0])
-    H, k2, k2p = f.H, f.kappa2.value, f.kappa2.derivative(1)
+    H = f.H
     cL1, cL2, unbounded, gap = _cL_points(f)
-    r1, r2 = notce_residuals(f)
-    pa = np.maximum(np.abs(cL1[0]), np.abs(cL1[1]))
-    front = np.abs(k2) > tol_root
-    parallel = pa < tol_root
-    clash = front & (parallel != (np.abs(r1) < tol_root)) & (
-        np.maximum(pa, np.abs(r1)) > INCONSISTENCY_GAP)
+    (k2, r1), (k2p, r1p) = _channels(f)[:2]
+    front = np.abs(k2 * H) > tol_root
     kind = np.select(
-        [unbounded, ~front & (np.abs(k2p) > tol_root), ~front, ~parallel,
-         np.maximum(np.abs(cL2[0]), np.abs(cL2[1])) > tol_root],
+        [unbounded, ~front & (np.abs(k2p * H) > tol_root), ~front, np.abs(r1) >= tol_root,
+         np.abs(r1p) > tol_root],
         ["unbounded", "cuspidal_cross_cap", "non_front_degenerate", "cuspidal_edge",
          "swallowtail"], "front_other")
     errors = {i: ClassifierInconsistency(
-        f"c_L' closed form vs jet route differ by {gap[i]:.3e} at s={float(f.s[i])}" if gap[i] else
-        f"parallel test ({pa[i]:.3e}) vs NotCE residual r1 ({r1[i]:.3e}) at s={float(f.s[i])}")
-        for i in np.flatnonzero((gap > 0.0) | clash).tolist()}
+        f"c_L' closed form vs jet route differ by {gap[i]:.3e} at s={float(f.s[i])}")
+        for i in np.flatnonzero(gap).tolist()}
     table = Classification(s=f.s, t=singular_t(f), kind=kind, kappa2=k2, kappa2_prime=k2p,
-                           cL1=cL1, cL2=cL2, r1=r1, r2=r2, H=H, errors=errors)
+                           cL1=cL1, cL2=cL2, r1=r1, r2=notce_residuals(f)[1], H=H, errors=errors)
     return table if frame.kappa2.batched else table.point(0)
 
 
@@ -278,7 +275,8 @@ def _bracket_roots(f, grid, jets, labels, floors):
 
 def _channels(frame: NullFrame):
     """jets[k, c]: the k-th derivative (k <= 2, from the frame jets) of channel c,
-    kappa2 and the NotCE residual r1 = (kappa2/H) B3^2 - 1, over a frame batch."""
+    kappa2 and the NotCE residual r1 = (kappa2/H) B3^2 - 1, over a frame batch:
+    what classify_point tests and the scan brackets."""
     (k2, dk2, ddk2), (B3, dB3, ddB3) = (j.coeffs[:3] for j in (frame.kappa2, frame.B[2]))
     slope = (dk2 * B3 * B3 + 2.0 * k2 * B3 * dB3) / frame.H
     curv = (ddk2 * B3 * B3 + 4.0 * dk2 * B3 * dB3 + 2.0 * k2 * (dB3 * dB3 + B3 * ddB3)) / frame.H
@@ -291,18 +289,17 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
 
     One batch of grid frames gives the curve samples, classified by one
     classify_point call whose table is the report's curve; each grid point
-    whose criteria disagree gives a "WARN classify" line.  Two channels,
-    both finite wherever the frame is, are bracketed at grid sign changes:
-    kappa2 (cuspidal-cross-cap candidates) and the NotCE residual r1
-    (swallowtail candidates: on a valid frame c_L' is parallel to e3 exactly
-    where r1 = 0).  Their brackets step together from Taylor seeds of the
-    grid jets by Halley steps, one frame request per round, and the frames
-    at the roots, which the last round evaluated, are read back and
-    classified; points closer than TOL_CLUSTER are reported once.  A NaN
+    where c_L''s two routes disagree gives a "WARN classify" line.  Two
+    channels, both finite wherever the frame is, are bracketed at grid sign
+    changes: kappa2 (cuspidal-cross-cap candidates) and the NotCE residual
+    r1 (swallowtail candidates).  Their brackets step together from Taylor
+    seeds of the grid jets by Halley steps, one frame request per round, and
+    the frames at the roots, which the last round evaluated, are read back
+    and classified; points closer than TOL_CLUSTER are reported once.  A NaN
     frame ends its bracket with a warning that gives the point's own error.
     A sign flip of B1 = H(1+h^2)/(2h') between grid nodes is flagged as a
-    cell where h' changes sign.  A degenerate generator (|kappa2| <=
-    tol_root on the whole grid) reports every grid sample as
+    cell where h' changes sign.  A degenerate generator (|kappa2*H| = |S(h)|
+    <= tol_root on the whole grid) reports every grid sample as
     non_front_degenerate (or unbounded), and its kappa2 is not bracketed.
     Zeros of B3 only show as unbounded curve samples; the first grid frame
     that is not finite raises (see frames.raise_first).
@@ -327,7 +324,7 @@ def scan_singularities(frame_source, s_range, grid_n: int = 256,
 
     # a degenerate generator (S(h) identically ~ 0) has kappa2 only in its
     # rounding noise: its sign changes are not roots, so its channel is left out
-    degenerate = np.max(np.abs(curve.kappa2)) <= tol_root
+    degenerate = np.max(np.abs(curve.kappa2 * frames.H)) <= tol_root
     jets = _channels(frames)
     # r1 = kappa2 B3^2/H - 1 has its sign in the noise below 8 eps |kappa2 B3^2/H|
     floors = np.array([np.zeros(grid_n), 8.0 * np.finfo(float).eps * np.abs(jets[0, 1] + 1.0)])

@@ -128,22 +128,18 @@ class ScrollSurface:
                 _sym(mdot(fss, N), mdot(fst, N), 0.0))
 
     def box_eigenvalue(self, s, t):
-        """(residual, matched_sign) per point; sign -1 means Box N_L = -2 H^2 N_L fits.
+        """|Box N_L + 2 H^2 N_L| per point, the residual of Box N_L = -2 H^2 N_L.
 
         Box u = d_s(g^st u_t) + d_t(g^ts u_s + g^tt u_t) in the coordinates
         (s, t), where g^ss = 0, g^st = -1, g^tt = -(2 t kappa1 + t^2 H^2)
         and sqrt|det I| = 1.  The partials of N_L = -C - t*H*B come from the
         jets: u_t = -H B, u_st = -H B' and u_tt = 0, so Box N_L =
-        -2 u_st - (2 kappa1 + 2 t H^2) u_t, and the residual of the matching
-        sign reduces to |2H (B' + kappa1 B - H C)|, which the Frenet-Serret
-        equation for B makes zero up to rounding.
+        -2 u_st - (2 kappa1 + 2 t H^2) u_t, and the residual reduces to
+        |2H (B' + kappa1 B - H C)|, which the Frenet-Serret equation for B
+        makes zero up to rounding.
         """
         f = finite_frames(self.frame_source, s)
         H = f.H
         u_t, u_st = f.B * -H, f.B.deriv() * -H
         box = (u_st * -2.0 - u_t * (2.0 * f.kappa1.value + 2.0 * t * H * H)).value
-        N = _gauss_map(f, t)
-        r_plus = np.linalg.norm(box - 2 * H * H * N, axis=0)
-        r_minus = np.linalg.norm(box + 2 * H * H * N, axis=0)
-        minus = r_minus <= r_plus
-        return np.where(minus, r_minus, r_plus)[()], np.where(minus, -1, 1)[()]
+        return np.linalg.norm(box + 2 * H * H * _gauss_map(f, t), axis=0)[()]

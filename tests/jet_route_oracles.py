@@ -131,7 +131,7 @@ def cL_points(frame: NullFrame):
     """(c_L', c_L'', unbounded, gap) at each point of a frame batch, c_L' by
     jet differentiation of gamma + t(s) B(s) with the Jet operators."""
     B3 = frame.B[2].value
-    unbounded = np.abs(B3) < B3_UNBOUNDED_TOL
+    unbounded = np.abs(B3 / frame.H) < B3_UNBOUNDED_TOL
     cL1, cL2 = np.full((2, 3, len(B3)), np.nan)
     gap = np.zeros(len(B3))
     keep = np.flatnonzero(~unbounded)

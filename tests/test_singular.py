@@ -339,19 +339,23 @@ def test_find_notce_rejects_invalid_frame(tanh_source):
 
 
 def test_criteria_equivalence_dense(surfaces):
-    """Parallel-to-e3 test and NotCE residual test never disagree.
-
-    r2 = 1 - <e3, e3> is zero on every valid frame, transformed or not.
+    """The parallel-to-e3 test on c_L' and the NotCE residual r1 are one:
+    (c_L'_1, c_L'_2) = -(r1/B3^2)(B1, B2), and r2 = 1 - <e3, e3> is zero,
+    on every valid frame, transformed or not.
     """
     O = LorentzTransform.from_params(phi=0.7, chi=0.6, psi=2.1)
     for name, surf in surfaces.items():
         for s in np.linspace(-1.0, 1.0, 101):
             f = surf.frame_source(float(s))
             for frame in (f, transform_frame(O, f)):
-                # raises ClassifierInconsistency on disagreement
+                # raises ClassifierInconsistency where c_L''s two routes disagree
                 p = classify_point(frame)
                 if "notce" in p.diagnostics:
-                    assert abs(p.diagnostics["notce"][1]) < 1e-12, (name, s)
+                    (r1, r2), cL1 = p.diagnostics["notce"], np.array(p.diagnostics["cL1"])
+                    B = frame.B.value
+                    assert abs(r2) < 1e-12, (name, s)
+                    assert np.max(np.abs(cL1[:2] + (r1 / B[2] ** 2) * B[:2])) <= \
+                        2e-14 * np.max(np.abs(cL1)), (name, s)
 
 
 def test_brackets_step_together_like_one_at_a_time():

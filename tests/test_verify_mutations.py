@@ -84,6 +84,12 @@ def _gauss_map_tHB(monkeypatch):
     monkeypatch.setattr(surface, "_gauss_map", lambda f, t: original(f, t * (1.0 + DELTA)))
 
 
+def _gauss_map_sign(monkeypatch):
+    # -N_L: II flips, and Box N_L = -2 H^2 N_L becomes the identity with +
+    original = surface._gauss_map
+    monkeypatch.setattr(surface, "_gauss_map", lambda f, t: -original(f, t))
+
+
 def _dense_gamma(monkeypatch):
     original = CurvePath.dense_eval
 
@@ -108,6 +114,7 @@ MUTATIONS = {
         lambda gamma, J, B, t, H: (gamma[0] * B[1] - gamma[1] * B[0]) * (t * H)),
     "II_ss (1+d)": _closed_form_II,
     "N_L tHB (1+d)": _gauss_map_tHB,
+    "N_L sign": _gauss_map_sign,
     "gamma (1+d)": _dense_gamma,
 }
 
@@ -134,6 +141,7 @@ MATRIX = {
     "Nil3 bracket": {RANK},
     "II_ss (1+d)": {FF},
     "N_L tHB (1+d)": ({BOX, FF}, {FF}, {FF}),
+    "N_L sign": {BOX, FF},
     "gamma (1+d)": {BC},
 }
 
